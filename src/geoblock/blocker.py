@@ -15,12 +15,10 @@ representative without uncovering anything.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GeoBlockError
@@ -37,6 +35,7 @@ from .flatspace import (
 
 __all__ = [
     "SolverCaps",
+    "CheckRow",
     "IncidenceInstance",
     "BlockingSolution",
     "ThresholdResult",
@@ -107,21 +106,14 @@ class IncidenceInstance:
 
 
 def _direction_class_key(space: FlatSpace, seg: GeodesicSegment) -> tuple:
-    """Carrier-direction key: segments with equal keys may share a carrier."""
-    w = seg.displacement
-    if space.is_torus:
-        a = space.to_lattice(w)
-        den = math.lcm(a[0].denominator, a[1].denominator)
-        ix, iy = int(a[0] * den), int(a[1] * den)
-    else:
-        den = math.lcm(w[0].denominator, w[1].denominator)
-        # folding reflects directions, so the class is sign-insensitive per axis
-        ix, iy = abs(int(w[0] * den)), abs(int(w[1] * den))
-    g = math.gcd(ix, iy)
-    ix, iy = ix // g, iy // g
-    if space.is_torus and (ix < 0 or (ix == 0 and iy < 0)):
-        ix, iy = -ix, -iy
-    return (ix, iy)
+    """Carrier-direction key: segments with equal keys may share a carrier.
+
+    The primitive lattice direction, up to reversal and the group's flips
+    (folding reflects directions)."""
+    a1, a2 = seg.lattice
+    g = math.gcd(a1, a2)
+    a1, a2 = a1 // g, a2 // g
+    return max(key for s1, s2 in space.group for key in ((s1 * a1, s2 * a2), (-s1 * a1, -s2 * a2)))
 
 
 def build_instance(
@@ -556,20 +548,33 @@ class LevelRecord:
     observed_max_threshold: int | None
 
 
+def _round_sig(x: float) -> float:
+    return float(f"{float(x):.12g}")
+
+
 @dataclass(frozen=True)
-class InequalityCheck:
+class CheckRow:
+    """One verified inequality.  ``law`` is the formula the row checks, the
+    traceable anchor for failures; ``passed`` is None for skipped rows."""
+
     name: str
-    lhs: Fraction | int
-    rhs: Fraction | int
-    passed: bool
+    law: str
+    lhs: float
+    rhs: float
+    passed: bool | None
+    hard: bool
+    caveat: str | None
     context: dict
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "law": self.law,
+            "lhs": _round_sig(self.lhs),
+            "rhs": _round_sig(self.rhs),
             "pass": self.passed,
+            "hard": self.hard,
+            "caveat": self.caveat,
             "context": self.context,
         }
 
@@ -592,7 +597,7 @@ class RecursionReport:
     delta_sq: Fraction
     kappa: int
     levels: tuple[LevelRecord, ...]
-    checks: tuple[InequalityCheck, ...]
+    checks: tuple[CheckRow, ...]
     certified: bool
 
     @property
@@ -618,7 +623,10 @@ class RecursionReport:
                 }
                 for lv in self.levels
             ],
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [
+                {"name": c.law, "lhs": str(c.lhs), "rhs": str(c.rhs), "pass": c.passed, "context": c.context}
+                for c in self.checks
+            ],
         }
 
 
@@ -638,36 +646,40 @@ def recursion_harness(
     the root count is at most the terminal level size.
     """
     t_sq = Fraction(t_sq)
+    # validate before folding: the fold would carry a point off the table onto it
+    space.validate_point(x)
+    space.validate_point(y)
     x = space.reduce_point(x)
     y = space.reduce_point(y)
     delta_sq = space.delta_sq
     kap = kappa_from_squares(t_sq, delta_sq)
 
-    root_m = connecting_family(space, x, y, t_sq).m
     certified = True
-    checks: list[InequalityCheck] = []
+    checks: list[CheckRow] = []
     levels: list[LevelRecord] = []
+
+    def check(name: str, law: str, lhs: int, rhs: int, context: dict) -> None:
+        checks.append(CheckRow(name, f"{name}: {law}", lhs, rhs, lhs <= rhs, True, None, context))
 
     pairs: list[tuple[RationalPoint, RationalPoint]] = [(x, y)]
     observed_max: list[int] = []
     for k in range(kap + 1):
         level_t_sq = t_sq / 4**k
-        counts = []
-        for p, q in pairs:
-            counts.append(connecting_family(space, p, q, level_t_sq).m)
         terminal = k == kap
 
         blocking_sizes = None
         blocking_sets = None
-        if not terminal:
-            blocking_sizes = []
-            blocking_sets = []
-            for p, q in pairs:
-                res = blocking_threshold(space, p, q, level_t_sq, caps)
-                certified = certified and res.certified
-                blocking_sizes.append(res.value)
-                blocking_sets.append(res.solution.points)
+        if terminal:
+            counts = [connecting_family(space, p, q, level_t_sq).m for p, q in pairs]
+        else:
+            results = [blocking_threshold(space, p, q, level_t_sq, caps) for p, q in pairs]
+            certified = certified and all(res.certified for res in results)
+            counts = [res.instance.family.m for res in results]
+            blocking_sizes = [res.value for res in results]
+            blocking_sets = [res.solution.points for res in results]
             observed_max.append(max(blocking_sizes) if blocking_sizes else 0)
+        if k == 0:
+            root_m = counts[0]
 
         levels.append(
             LevelRecord(
@@ -682,47 +694,17 @@ def recursion_harness(
         )
 
         context = {"k": k, "t_sq": str(level_t_sq)}
-        checks.append(
-            InequalityCheck(
-                "sub-count-sum: m_t(x,y) <= sum of m_{t/2^k}(p,q) over level pairs",
-                root_m,
-                sum(counts),
-                root_m <= sum(counts),
-                context,
-            )
-        )
+        check("sub-count-sum", "m_t(x,y) <= sum of m_{t/2^k}(p,q) over level pairs",
+              root_m, sum(counts), context)
         cap_bound = 2**k
         for s in observed_max[:k]:
             cap_bound *= s
-        checks.append(
-            InequalityCheck(
-                "level-cardinality: |P_k| <= 2^k * product of observed max thresholds",
-                len(pairs),
-                cap_bound,
-                len(pairs) <= cap_bound,
-                dict(context, note="observed per-level maxima substitute for the global cost"),
-            )
-        )
+        check("level-cardinality", "|P_k| <= 2^k * product of observed max thresholds",
+              len(pairs), cap_bound, dict(context, note="observed per-level maxima substitute for the global cost"))
         if terminal:
-            worst = max(counts) if counts else 0
-            checks.append(
-                InequalityCheck(
-                    "terminal-uniqueness: m_s(p,q) <= 1 for s below the injectivity radius",
-                    worst,
-                    1,
-                    worst <= 1,
-                    context,
-                )
-            )
-            checks.append(
-                InequalityCheck(
-                    "root-count-vs-final-level: m_t(x,y) <= |P_kappa|",
-                    root_m,
-                    len(pairs),
-                    root_m <= len(pairs),
-                    context,
-                )
-            )
+            check("terminal-uniqueness", "m_s(p,q) <= 1 for s below the injectivity radius",
+                  max(counts) if counts else 0, 1, context)
+            check("root-count-vs-final-level", "m_t(x,y) <= |P_kappa|", root_m, len(pairs), context)
         else:
             next_pairs: list[tuple[RationalPoint, RationalPoint]] = []
             seen = set()
@@ -737,9 +719,3 @@ def recursion_harness(
     return RecursionReport(
         x, y, t_sq, delta_sq, kap, tuple(levels), tuple(checks), certified
     )
-
-
-def report_to_json_file(report: RecursionReport, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,6 +8,7 @@ report.  Exit codes: 0 ok, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -92,20 +93,23 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _read_series_csv(path: Path) -> GrowthSeries:
-    """Accept both 't,value' and 't,count,certified' layouts."""
-    lines = path.read_text().strip().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty series file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[0] != "t":
-        raise ConfigError(f"{path}: first column must be t")
-    pairs = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        t, v = float(parts[0]), float(parts[1])
-        if v > 0:
-            pairs.append((t, v))
-    return GrowthSeries.from_pairs(pairs)
+    """A series from a CSV with a header and a t column.
+
+    The values are the n column when there is one (count.csv: the largest n
+    over the pairs at each t), else the column after t ('t,value',
+    't,count,certified').  Non-positive values are dropped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        if "t" not in fields[:-1]:
+            raise ConfigError(f"{path}: needs a header with a t column and a value column")
+        column = "n" if "n" in fields else fields[fields.index("t") + 1]
+        best: dict[float, float] = {}
+        for row in reader:
+            t, v = float(row["t"]), float(row[column])
+            best[t] = max(best.get(t, v), v)
+    return GrowthSeries.from_pairs([(t, v) for t, v in best.items() if v > 0])
 
 
 def _run_transform(args: argparse.Namespace) -> int:

@@ -4,18 +4,20 @@
 Everything is exact rational arithmetic: lengths are only ever handled as
 squared lengths, incidence questions (does this point lie on that geodesic
 interior?) are solved over the rationals, and enumeration completeness comes
-from integer bounding boxes.  Geodesics on the torus are lattice
-displacements v = y - x + lambda; billiard trajectories are straight
-segments from x to reflected images of y in the unfolded plane, with
-trajectories whose unfolded interior hits a corner image rejected (the
-billiard flow is undefined there).
+from integer bounding boxes.  Both geometries are one construction: the plane
+modulo a lattice and a group of axis sign flips preserving it.  A torus has
+the identity as its only flip; the billiard is the torus R^2/(2Z)^2 folded by
+all four flips (unfolding), so its trajectories are straight segments from x
+to the images g*y + lambda.  Trajectories whose interior hits a point fixed
+by the half-turn (a corner of the table) are rejected: the flow is undefined
+there.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -24,6 +26,7 @@ from typing import Sequence
 from .errors import DomainError, UnsupportedInputError
 
 Vec = tuple[Fraction, Fraction]
+Flip = tuple[int, int]
 
 __all__ = [
     "RationalPoint",
@@ -70,10 +73,6 @@ class RationalPoint:
         return f"({self.x},{self.y})"
 
 
-def _sub(a: Vec, b: Vec) -> Vec:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _sq(a: Vec) -> Fraction:
     return a[0] * a[0] + a[1] * a[1]
 
@@ -100,46 +99,52 @@ def _floor(q: Fraction) -> int:
 
 @dataclass(frozen=True)
 class FlatSpace:
-    """A flat geometry: a 2-torus given by a lattice basis, or the unit-square
-    billiard table.
+    """A flat geometry: the plane modulo a lattice and a group of axis sign
+    flips that preserves it.
 
-    delta_sq is the squared injectivity radius: a quarter of the shortest
-    nonzero lattice vector's squared length for the torus.  For the billiard
-    table only the inequality verifier consumes delta; the conservative
-    convention delta = 1/4 is used and recorded in reports.
+    The torus has the identity as its only flip.  The unit-square billiard
+    table is the lattice (2Z)^2 with all four flips; its fundamental domain
+    is the table, and the points fixed by the half-turn (-1,-1) are its
+    corners.  The flips act on lattice coordinates by the same signs, which
+    holds because the only non-trivial group comes with a diagonal basis.
+
+    covolume is the area of the quotient.  delta_sq is the squared
+    injectivity radius: a quarter of the shortest nonzero lattice vector's
+    squared length for the torus.  For the billiard table only the inequality
+    verifier consumes delta; the conservative convention delta = 1/4 is used
+    and recorded in reports.
     """
 
     kind: str  # "torus" | "billiard"
-    b1: Vec | None
-    b2: Vec | None
+    b1: Vec
+    b2: Vec
     covolume: Fraction
     shortest_sq: Fraction
     delta_sq: Fraction
-    _inv: tuple[Fraction, Fraction, Fraction, Fraction] | None  # rows of B^-1
+    _inv: tuple[Fraction, Fraction, Fraction, Fraction]  # rows of B^-1
+    group: tuple[Flip, ...]
+    _scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
 
     BILLIARD_DELTA_CONVENTION = "delta=1/4 (conservative; shortest unfolded closed displacement is 2)"
 
     @classmethod
-    def torus(cls, b1, b2) -> "FlatSpace":
+    def _quotient(cls, kind: str, b1, b2, group: tuple[Flip, ...]) -> "FlatSpace":
         b1 = (_frac(b1[0]), _frac(b1[1]))
         b2 = (_frac(b2[0]), _frac(b2[1]))
         det = _cross(b1, b2)
         if det == 0:
             raise DomainError("lattice basis is degenerate (zero determinant)")
         inv = (b2[1] / det, -b2[0] / det, -b1[1] / det, b1[0] / det)
-        space = cls(
-            kind="torus",
-            b1=b1,
-            b2=b2,
-            covolume=abs(det),
-            shortest_sq=Fraction(0),
-            delta_sq=Fraction(0),
-            _inv=inv,
-        )
+        L = math.lcm(*(c.denominator for c in b1 + b2))
+        scaled = (L, *(int(c * L) for c in b1 + b2))
+        zero = Fraction(0)
+        return cls(kind, b1, b2, abs(det) / len(group), zero, zero, inv, group, scaled)
+
+    @classmethod
+    def torus(cls, b1, b2) -> "FlatSpace":
+        space = cls._quotient("torus", b1, b2, ((1, 1),))
         _, sq = shortest_vector(space)
-        object.__setattr__(space, "shortest_sq", sq)
-        object.__setattr__(space, "delta_sq", sq / 4)
-        return space
+        return replace(space, shortest_sq=sq, delta_sq=sq / 4)
 
     @classmethod
     def unit_torus(cls) -> "FlatSpace":
@@ -147,22 +152,13 @@ class FlatSpace:
 
     @classmethod
     def square_billiard(cls) -> "FlatSpace":
-        return cls(
-            kind="billiard",
-            b1=None,
-            b2=None,
-            covolume=Fraction(1),
-            shortest_sq=Fraction(4),  # shortest periodic unfolded closed displacement is 2
-            delta_sq=Fraction(1, 16),
-            _inv=None,
-        )
+        space = cls._quotient("billiard", (2, 0), (0, 2), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        # shortest periodic unfolded closed displacement is 2
+        return replace(space, shortest_sq=Fraction(4), delta_sq=Fraction(1, 16))
 
     @property
     def is_torus(self) -> bool:
         return self.kind == "torus"
-
-    def delta_upper(self) -> Fraction:
-        return rat_sqrt_upper(self.delta_sq)
 
     def to_lattice(self, v: Vec) -> Vec:
         """Coordinates of a plane vector in the lattice basis."""
@@ -172,19 +168,23 @@ class FlatSpace:
     def from_lattice(self, i: Fraction, j: Fraction) -> Vec:
         return (i * self.b1[0] + j * self.b2[0], i * self.b1[1] + j * self.b2[1])
 
-    def reduce_point(self, p: RationalPoint) -> RationalPoint:
-        """Canonical fundamental-domain representative of a torus point."""
-        if not self.is_torus:
-            return p
-        i, j = self.to_lattice(p.as_tuple())
-        fi, fj = i - _floor(i), j - _floor(j)
-        vx, vy = self.from_lattice(fi, fj)
-        return RationalPoint(vx, vy)
+    def _lattice_ints(self, *points: RationalPoint) -> tuple[list[tuple[int, int]], int]:
+        """Lattice coordinates of the points as integers over one denominator."""
+        coords = [self.to_lattice(p.as_tuple()) for p in points]
+        den = math.lcm(*(c.denominator for ij in coords for c in ij))
+        return [(int(i * den), int(j * den)) for i, j in coords], den
 
-    def same_point(self, p: RationalPoint, q: RationalPoint) -> bool:
-        if self.is_torus:
-            return self.reduce_point(p) == self.reduce_point(q)
-        return p == q
+    def _fold(self, n1: int, n2: int, den: int) -> RationalPoint:
+        """The point with lattice coordinates (n1/den, n2/den), den > 0,
+        reduced mod the lattice and then to its least group image."""
+        i, j = min(((s1 * n1) % den, (s2 * n2) % den) for s1, s2 in self.group)
+        L, b1x, b1y, b2x, b2y = self._scaled
+        return RationalPoint(Fraction(i * b1x + j * b2x, den * L), Fraction(i * b1y + j * b2y, den * L))
+
+    def reduce_point(self, p: RationalPoint) -> RationalPoint:
+        """Canonical fundamental-domain representative of a point."""
+        [(n1, n2)], den = self._lattice_ints(p)
+        return self._fold(n1, n2, den)
 
     def validate_point(self, p: RationalPoint) -> None:
         if self.kind == "billiard" and not (0 < p.x < 1 and 0 < p.y < 1):
@@ -228,10 +228,12 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
 class GeodesicSegment:
     """One oriented connecting segment.
 
-    For the torus, ``displacement`` is the plane vector v = y - x + lambda.
-    For the billiard it is the unfolded straight displacement to the chosen
-    image of y, and ``image`` holds (sigma1, sigma2, m, n) with unfolded
-    endpoint (sigma1*y.x + 2m, sigma2*y.y + 2n).
+    ``displacement`` is the plane vector from x to the image g*y + lambda of
+    y, and ``image`` holds (sigma1, sigma2, m, n): the flip g and the lattice
+    vector lambda = m*b1 + n*b2.  On the billiard the unfolded endpoint is
+    (sigma1*y.x + 2m, sigma2*y.y + 2n).  ``origin`` is x in lattice
+    coordinates as (X1, X2, D), meaning (X1/D, X2/D), and ``lattice`` is the
+    displacement in lattice coordinates over the same D.
     """
 
     space: FlatSpace
@@ -239,42 +241,39 @@ class GeodesicSegment:
     y: RationalPoint
     displacement: Vec
     sq_length: Fraction
-    image: tuple[int, int, int, int] | None = None
+    image: tuple[int, int, int, int]
+    origin: tuple[int, int, int]
+    lattice: tuple[int, int]
 
     def point_at(self, s: Fraction) -> RationalPoint:
         """The point at parameter s, folded back into the space."""
-        px = self.x.x + s * self.displacement[0]
-        py = self.x.y + s * self.displacement[1]
-        if self.space.is_torus:
-            return self.space.reduce_point(RationalPoint(px, py))
-        return RationalPoint(_fold_coord(px), _fold_coord(py))
+        x1, x2, den = self.origin
+        a1, a2 = self.lattice
+        p, q = s.numerator, s.denominator
+        return self.space._fold(x1 * q + p * a1, x2 * q + p * a2, den * q)
 
     def sort_key(self):
         return self.displacement
 
 
-def _fold_coord(u: Fraction) -> Fraction:
-    """Fold an unfolded coordinate back into [0, 1] (triangle wave, period 2)."""
-    r = u - 2 * _floor(u / 2)
-    return r if r <= 1 else 2 - r
+def _affine_hits(a1, a2, c1, c2, den: int = 1) -> list[Fraction]:
+    """All s in (0,1) with (s*a1 - c1)/den and (s*a2 - c2)/den both integers.
 
-
-def _affine_hits(a1: Fraction, a2: Fraction, c1: Fraction, c2: Fraction) -> list[Fraction]:
-    """All s in (0,1) with s*a1 - c1 and s*a2 - c2 both integers.
-
-    (a1, a2) != (0, 0) is assumed; a zero component turns its congruence into
-    a plain integrality condition on c.  Over a common denominator q the two
-    conditions read s*Aj = Cj (mod q); the first parametrizes s = (C1+iq)/A1
-    and the second becomes a linear congruence in i, so the work is
-    proportional to the number of hits, not to |a1|.
+    The inputs are integers or Fractions, and (a1, a2) != (0, 0) is
+    required; a zero component turns its congruence into a plain integrality
+    condition on c.  Over a common denominator q the two conditions read
+    s*Aj = Cj (mod q); the first parametrizes s = (C1+iq)/A1 and the second
+    becomes a linear congruence in i, so the work is proportional to the
+    number of hits, not to |a1|.
     """
     if a1 == 0 and a2 == 0:
         raise DomainError("degenerate direction in incidence solve")
     if a1 == 0:
         a1, a2, c1, c2 = a2, a1, c2, c1
-    q = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
-    A1, A2 = int(a1 * q), int(a2 * q)
-    C1, C2 = int(c1 * q), int(c2 * q)
+    scale = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
+    q = den * scale
+    A1, A2 = int(a1 * scale), int(a2 * scale)
+    C1, C2 = int(c1 * scale), int(c2 * scale)
 
     # second condition: i * (q A2) = C2 A1 - C1 A2  (mod |q A1|)
     mod = abs(q * A1)
@@ -304,117 +303,86 @@ def _affine_hits(a1: Fraction, a2: Fraction, c1: Fraction, c2: Fraction) -> list
     return hits
 
 
-def _billiard_images(z: RationalPoint) -> list[tuple[int, int, Vec]]:
-    """The four reflection classes of a table point (translations excluded)."""
-    out = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            out.append((s1, s2, (s1 * z.x, s2 * z.y)))
-    return out
-
-
 def _segment_hits(segment: GeodesicSegment, z: RationalPoint) -> list[Fraction]:
-    """Interior parameters where the segment passes through the point z."""
+    """Interior parameters where the segment passes through the point z:
+    s*a - (g*z - x) is a lattice vector for some flip g."""
     space = segment.space
-    x = segment.x.as_tuple()
-    w = segment.displacement
-    if space.is_torus:
-        a1, a2 = space.to_lattice(w)
-        c1, c2 = space.to_lattice(_sub(z.as_tuple(), x))
-        return _affine_hits(a1, a2, c1, c2)
+    x1, x2, den = segment.origin
+    a1, a2 = segment.lattice
+    [(z1, z2)], zden = space._lattice_ints(z)
+    q = math.lcm(den, zden)
+    f, fz = q // den, q // zden
     hits: set[Fraction] = set()
-    for _, _, img in _billiard_images(z):
-        # x + s*w  ==  img + 2*(m,n):  (s*w - (img - x)) / 2 integral
-        c = _sub(img, x)
-        hits.update(_affine_hits(w[0] / 2, w[1] / 2, c[0] / 2, c[1] / 2))
+    for s1, s2 in space.group:
+        hits.update(_affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q))
     return sorted(hits)
 
 
-def _torus_enumerate(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq: Fraction) -> list[GeodesicSegment]:
-    d = _sub(y.as_tuple(), x.as_tuple())
-    # (i, j) = B^-1 (v - d) with |v| <= t, so |v - d| <= t + |d|
-    reach = rat_sqrt_upper(t_sq) + rat_sqrt_upper(_sq(d))
-    m = space._inv
-    row1 = rat_sqrt_upper(m[0] * m[0] + m[1] * m[1])
-    row2 = rat_sqrt_upper(m[2] * m[2] + m[3] * m[3])
-    imax = _floor(row1 * reach) + 1
-    jmax = _floor(row2 * reach) + 1
-
-    # integer-scaled inner loop: all candidate displacements share one denominator
-    dens = [
-        d[0].denominator, d[1].denominator,
-        space.b1[0].denominator, space.b1[1].denominator,
-        space.b2[0].denominator, space.b2[1].denominator,
-    ]
-    L = math.lcm(*dens)
-    dx, dy = int(d[0] * L), int(d[1] * L)
-    b1x, b1y = int(space.b1[0] * L), int(space.b1[1] * L)
-    b2x, b2y = int(space.b2[0] * L), int(space.b2[1] * L)
-    bound_num = t_sq.numerator * L * L
-    bound_den = t_sq.denominator
-
-    segments = []
-    for i in range(-imax, imax + 1):
-        base_x = dx + i * b1x
-        base_y = dy + i * b1y
-        for j in range(-jmax, jmax + 1):
-            vx = base_x + j * b2x
-            vy = base_y + j * b2y
-            if vx == 0 and vy == 0:
-                continue
-            sq_scaled = vx * vx + vy * vy
-            if sq_scaled * bound_den > bound_num:
-                continue
-            v = (Fraction(vx, L), Fraction(vy, L))
-            segments.append(
-                GeodesicSegment(space, x, y, v, Fraction(sq_scaled, L * L))
-            )
-    segments.sort(key=GeodesicSegment.sort_key)
-    return segments
-
-
-def _billiard_enumerate(
+def _enumerate(
     space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq: Fraction
-) -> tuple[list[GeodesicSegment], int]:
+) -> tuple[list[GeodesicSegment], int, list[tuple[int, int]]]:
+    """Joining segments, the corner-rejected count, and the endpoint offsets
+    g*x - x and g*y - x in lattice coordinates over the segments' common
+    denominator."""
     space.validate_point(x)
     space.validate_point(y)
-    t_up = rat_sqrt_upper(t_sq)
+    [(x1, x2), (y1, y2)], den = space._lattice_ints(x, y)
+    origin = (x1, x2, den)
+    L, b1x, b1y, b2x, b2y = space._scaled
+    scale = L * den
+    bound_num = t_sq.numerator * scale * scale
+    bound_den = t_sq.denominator
+    # a lattice coordinate of a displacement v is row_k(B^-1) . v, bounded by |row_k| t
+    m = space._inv
+    reach1 = rat_sqrt_upper((m[0] * m[0] + m[1] * m[1]) * t_sq)
+    reach2 = rat_sqrt_upper((m[2] * m[2] + m[3] * m[3]) * t_sq)
+    half_turn = (-1, -1) in space.group
+    step_x, step_y = den * b2x, den * b2y
+
     segments = []
     corner_rejected = 0
-    for s1, s2, img in _billiard_images(y):
-        # endpoint (s1*y.x + 2m, s2*y.y + 2n) within distance t of x
-        m_lo = _ceil((x.x - t_up - img[0]) / 2)
-        m_hi = _floor((x.x + t_up - img[0]) / 2)
-        n_lo = _ceil((x.y - t_up - img[1]) / 2)
-        n_hi = _floor((x.y + t_up - img[1]) / 2)
-        for mm in range(m_lo, m_hi + 1):
-            ex = img[0] + 2 * mm
-            for nn in range(n_lo, n_hi + 1):
-                ey = img[1] + 2 * nn
-                w = (ex - x.x, ey - x.y)
-                sq = _sq(w)
-                if sq == 0 or sq > t_sq:
+    for s1, s2 in space.group:
+        # lattice coordinates of g*y - x + (i, j), over den
+        c1, c2 = s1 * y1 - x1, s2 * y2 - x2
+        off1, off2 = Fraction(c1, den), Fraction(c2, den)
+        for i in range(_ceil(-reach1 - off1), _floor(reach1 - off1) + 1):
+            a1 = c1 + i * den
+            base_x = a1 * b1x + c2 * b2x
+            base_y = a1 * b1y + c2 * b2y
+            for j in range(_ceil(-reach2 - off2), _floor(reach2 - off2) + 1):
+                vx = base_x + j * step_x
+                vy = base_y + j * step_y
+                if vx == 0 and vy == 0:
                     continue
-                # corner images are the integer points; the flow is undefined there
-                if _affine_hits(w[0], w[1], -x.x, -x.y):
+                sq_scaled = vx * vx + vy * vy
+                if sq_scaled * bound_den > bound_num:
+                    continue
+                a2 = c2 + j * den
+                # points fixed by the half-turn have 2*(lattice coordinates) integral
+                if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
                     corner_rejected += 1
                     continue
-                segments.append(GeodesicSegment(space, x, y, w, sq, image=(s1, s2, mm, nn)))
+                v = (Fraction(vx, scale), Fraction(vy, scale))
+                segments.append(GeodesicSegment(
+                    space, x, y, v, Fraction(sq_scaled, scale * scale), (s1, s2, i, j), origin, (a1, a2)
+                ))
     segments.sort(key=GeodesicSegment.sort_key)
-    return segments, corner_rejected
+    ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
+    return segments, corner_rejected, ends
+
+
+def _positive_t_sq(t_sq) -> Fraction:
+    t_sq = _frac(t_sq)
+    if t_sq <= 0:
+        raise DomainError(f"t^2 must be positive, got {t_sq}")
+    return t_sq
 
 
 def enumerate_geodesics(
     space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq
 ) -> list[GeodesicSegment]:
     """All joining geodesics of squared length in (0, t_sq], duplicate-free."""
-    t_sq = _frac(t_sq)
-    if t_sq <= 0:
-        raise DomainError(f"t^2 must be positive, got {t_sq}")
-    if space.is_torus:
-        return _torus_enumerate(space, x, y, t_sq)
-    segments, _ = _billiard_enumerate(space, x, y, t_sq)
-    return segments
+    return _enumerate(space, x, y, _positive_t_sq(t_sq))[0]
 
 
 @dataclass(frozen=True)
@@ -457,15 +425,11 @@ class GeodesicFamily:
 
 
 def connecting_family(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> GeodesicFamily:
-    t_sq = _frac(t_sq)
-    if t_sq <= 0:
-        raise DomainError(f"t^2 must be positive, got {t_sq}")
-    if space.is_torus:
-        segments, rejected = _torus_enumerate(space, x, y, t_sq), 0
-    else:
-        segments, rejected = _billiard_enumerate(space, x, y, t_sq)
+    t_sq = _positive_t_sq(t_sq)
+    segments, rejected, ends = _enumerate(space, x, y, t_sq)
     connecting = tuple(
-        i for i, seg in enumerate(segments) if classify(seg).kind == "connecting"
+        k for k, seg in enumerate(segments)
+        if not any(_affine_hits(*seg.lattice, c1, c2, seg.origin[2]) for c1, c2 in ends)
     )
     return GeodesicFamily(space, x, y, t_sq, tuple(segments), connecting, rejected)
 
@@ -481,16 +445,12 @@ def point_on_geodesic(space: FlatSpace, z: RationalPoint, segment: GeodesicSegme
 
     Empty list means z does not block this segment.
     """
-    if space.is_torus:
-        zr = space.reduce_point(z)
-        if space.same_point(zr, segment.x) or space.same_point(zr, segment.y):
-            raise DomainError("z must differ from both endpoints")
-    else:
-        # blocking points may sit on the walls (reflection points), unlike endpoints
-        if not (0 <= z.x <= 1 and 0 <= z.y <= 1):
-            raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
-        if z == segment.x or z == segment.y:
-            raise DomainError("z must differ from both endpoints")
+    # blocking points may sit on the walls (reflection points), unlike endpoints
+    if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
+        raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
+    zr = space.reduce_point(z)
+    if zr in (space.reduce_point(segment.x), space.reduce_point(segment.y)):
+        raise DomainError("z must differ from both endpoints")
     return _segment_hits(segment, z)
 
 
@@ -524,116 +484,47 @@ def _merge_open_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tu
     return out
 
 
-def _torus_intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[IntersectionHit]:
-    space = g1.space
-    a = space.to_lattice(g1.displacement)
-    b = space.to_lattice(g2.displacement)
-    cross = _cross(a, b)
+def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[IntersectionHit]:
+    """Solve x + u*b = h*(x + s*a) + lambda over the flips h, in integer
+    lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral."""
+    x1, x2, den = g1.origin
+    a1, a2 = g1.lattice
+    b1, b2 = g2.lattice
     hits: list[IntersectionHit] = []
-    if cross != 0:
-        # s*a - u*b = (i, j) over integers; enumerate the bounding box of the
-        # parallelogram {s*a - u*b : s,u in [0,1]}.  The inner loop runs on a
-        # common-denominator integer scaling; s = (i*b1 - j*b0)/cross and
-        # u = (i*a1 - j*a0)/cross.
-        i_lo = _floor(min(Fraction(0), a[0]) + min(Fraction(0), -b[0]))
-        i_hi = _ceil(max(Fraction(0), a[0]) + max(Fraction(0), -b[0]))
-        j_lo = _floor(min(Fraction(0), a[1]) + min(Fraction(0), -b[1]))
-        j_hi = _ceil(max(Fraction(0), a[1]) + max(Fraction(0), -b[1]))
-        den = math.lcm(a[0].denominator, a[1].denominator, b[0].denominator, b[1].denominator)
-        a0, a1 = int(a[0] * den), int(a[1] * den)
-        b0, b1 = int(b[0] * den), int(b[1] * den)
-        xd = a0 * b1 - a1 * b0  # den^2 * cross
-        lo_n, hi_n = (0, xd) if xd > 0 else (xd, 0)
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                sn = (i * b1 - j * b0) * den
-                if not lo_n < sn < hi_n:
-                    continue
-                un = (i * a1 - j * a0) * den
-                if not lo_n < un < hi_n:
-                    continue
-                s = Fraction(sn, xd)
-                hits.append(IntersectionHit(g1.point_at(s), s, Fraction(un, xd)))
-        return hits
-    # parallel carriers through the common source point
-    c = b[0] / a[0] if a[0] != 0 else b[1] / a[1]
-    # (s - u*c)*a integral: solution set is gen*Z
-    p1, q1 = a[0].numerator, a[0].denominator
-    p2, q2 = a[1].numerator, a[1].denominator
-    if p1 == 0:
-        gen = Fraction(q2, abs(p2))
-    elif p2 == 0:
-        gen = Fraction(q1, abs(p1))
-    else:
-        gen = Fraction(math.lcm(q1, q2), math.gcd(abs(p1), abs(p2)))
-    intervals = []
-    k_lo = _floor((-abs(c) - 1) / gen)
-    k_hi = _ceil((abs(c) + 1) / gen)
-    for k in range(k_lo, k_hi + 1):
-        tau = k * gen
-        # s = u*c + tau with u in (0,1)
-        lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
-        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-        if lo < hi:
-            intervals.append((lo, hi))
-    for lo, hi in _merge_open_intervals(intervals):
-        mid = (lo + hi) / 2
-        hits.append(IntersectionHit(g1.point_at(mid), mid, None, s_interval=(lo, hi)))
-    return hits
-
-
-def _billiard_intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[IntersectionHit]:
-    x = g1.x.as_tuple()
-    w1, w2 = g1.displacement, g2.displacement
-    den = math.lcm(
-        w1[0].denominator, w1[1].denominator,
-        w2[0].denominator, w2[1].denominator,
-        x[0].denominator, x[1].denominator,
-    )
-    W2 = (int(w2[0] * den), int(w2[1] * den))
-    hits: list[IntersectionHit] = []
-    overlap_intervals: list[tuple[Fraction, Fraction]] = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            A = (s1 * w1[0], s2 * w1[1])
-            c0 = ((s1 - 1) * x[0], (s2 - 1) * x[1])
-            # u*w2 - s*A = c0 + 2*(m, n); integer-scaled inner loop, Fractions
-            # built only for actual hits
-            Ai = (int(A[0] * den), int(A[1] * den))
-            C0 = (int(c0[0] * den), int(c0[1] * den))
-            cross = W2[0] * Ai[1] - W2[1] * Ai[0]  # den^2 * cross(w2, A)
-            lo0 = min(Fraction(0), w2[0]) + min(Fraction(0), -A[0])
-            hi0 = max(Fraction(0), w2[0]) + max(Fraction(0), -A[0])
-            lo1 = min(Fraction(0), w2[1]) + min(Fraction(0), -A[1])
-            hi1 = max(Fraction(0), w2[1]) + max(Fraction(0), -A[1])
-            m_lo, m_hi = _floor((lo0 - c0[0]) / 2), _ceil((hi0 - c0[0]) / 2)
-            n_lo, n_hi = _floor((lo1 - c0[1]) / 2), _ceil((hi1 - c0[1]) / 2)
-            lo_n, hi_n = (0, cross) if cross > 0 else (cross, 0)
-            for mm in range(m_lo, m_hi + 1):
-                r0 = C0[0] + 2 * mm * den
-                for nn in range(n_lo, n_hi + 1):
-                    r1 = C0[1] + 2 * nn * den
-                    if cross != 0:
-                        # s = (r0 w2y - r1 w2x)/cross(w2,A), u = (r0 Ay - r1 Ax)/cross(w2,A)
-                        sn = r0 * W2[1] - r1 * W2[0]
-                        if not lo_n < sn < hi_n:
-                            continue
-                        un = r0 * Ai[1] - r1 * Ai[0]
-                        if not lo_n < un < hi_n:
-                            continue
-                        s = Fraction(sn, cross)
-                        hits.append(IntersectionHit(g1.point_at(s), s, Fraction(un, cross)))
-                    else:
-                        # parallel: u*w2 - s*A = r needs r parallel to A
-                        if r0 * Ai[1] - r1 * Ai[0] != 0:
-                            continue
-                        cpar = Fraction(W2[0], Ai[0]) if Ai[0] else Fraction(W2[1], Ai[1])
-                        tau = -Fraction(r0, Ai[0]) if Ai[0] else -Fraction(r1, Ai[1])
-                        lo, hi = (tau, tau + cpar) if cpar > 0 else (tau + cpar, tau)
-                        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-                        if lo < hi:
-                            overlap_intervals.append((lo, hi))
-    for lo, hi in _merge_open_intervals(overlap_intervals):
+    overlaps: list[tuple[Fraction, Fraction]] = []
+    for s1, s2 in g1.space.group:
+        h1, h2 = s1 * a1, s2 * a2
+        c1, c2 = s1 * x1 - x1, s2 * x2 - x2
+        # r = u*B - s*H over s, u in [0, 1] stays in this box
+        k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
+        k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
+        k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
+        k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
+        cross = b1 * h2 - b2 * h1
+        lo_n, hi_n = (0, cross) if cross > 0 else (cross, 0)
+        for k1 in range(k1_lo, k1_hi + 1):
+            r1 = c1 + k1 * den
+            for k2 in range(k2_lo, k2_hi + 1):
+                r2 = c2 + k2 * den
+                if cross:
+                    # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross
+                    sn = r1 * b2 - r2 * b1
+                    if not lo_n < sn < hi_n:
+                        continue
+                    un = r1 * h2 - r2 * h1
+                    if not lo_n < un < hi_n:
+                        continue
+                    s = Fraction(sn, cross)
+                    hits.append(IntersectionHit(g1.point_at(s), s, Fraction(un, cross)))
+                elif r1 * h2 == r2 * h1:
+                    # parallel carriers: s = u*c + tau with B = c*H and r = -tau*H
+                    c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
+                    tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)
+                    lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
+                    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+                    if lo < hi:
+                        overlaps.append((lo, hi))
+    for lo, hi in _merge_open_intervals(overlaps):
         mid = (lo + hi) / 2
         hits.append(IntersectionHit(g1.point_at(mid), mid, None, s_interval=(lo, hi)))
     return hits
@@ -651,9 +542,8 @@ def intersection_candidates(
         raise DomainError("segments must come from one (space, x, y) family")
     if g1.displacement == g2.displacement:
         raise DomainError("segments must be distinct")
-    raw = _torus_intersections(g1, g2) if space.is_torus else _billiard_intersections(g1, g2)
     seen: dict[RationalPoint, IntersectionHit] = {}
-    for hit in sorted(raw, key=lambda h: (h.point.x, h.point.y, h.s)):
+    for hit in sorted(_intersections(g1, g2), key=lambda h: (h.point.x, h.point.y, h.s)):
         seen.setdefault(hit.point, hit)
     out = [h for p, h in sorted(seen.items(), key=lambda kv: (kv[0].x, kv[0].y))]
     return [h for h in out if h.point != g1.x and h.point != g1.y]

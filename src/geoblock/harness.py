@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,15 +20,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocker import (
+    CheckRow,
     PairSampler,
     SolverCaps,
+    _round_sig,
     blocking_cost_sampled,
     blocking_threshold,
     kappa_from_squares,
     recursion_harness,
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
-from .flatspace import FlatSpace, RationalPoint, connecting_family, load_space
+from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_space
 from .growth import GrowthSeries, rate_estimate
 from .hyperbolic import blocking_lower_bound_series, load_preset, orbit_count
 
@@ -56,18 +58,11 @@ def format_sig(x: float) -> str:
     )
 
 
-def _round_sig(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _parse_fraction(v) -> Fraction:
     try:
-        if isinstance(v, float):
-            # treat config floats as the decimal literal the user wrote
-            return Fraction(str(v))
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ConfigError(f"not an exact rational: {v!r}") from exc
+        return _frac(v)
+    except GeoBlockError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_t_grid(spec) -> list[Fraction]:
@@ -117,6 +112,29 @@ def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
     return pairs
 
 
+# the keys a config may use: top level, then per section
+_CONFIG_KEYS = {
+    None: {"geometry", "t_grid", "pairs", "seed", "workers", "caps", "sampler", "verify",
+           "base_points", "threshold_t_max", "orbit", "format"},
+    "geometry": {"kind", "basis", "preset"},
+    "caps": {"max_candidates", "max_geodesics"},
+    "sampler": {"count", "denominator"},
+    "verify": {"recursion", "recursion_t_max"},
+    "orbit": {"bound_mode", "max_word_len"},
+}
+
+
+def _check_keys(raw) -> None:
+    for section, allowed in _CONFIG_KEYS.items():
+        table = raw if section is None else raw.get(section, {})
+        if not isinstance(table, dict):
+            raise ConfigError(f"{section or 'config'} must be a mapping")
+        unknown = sorted(set(table) - allowed)
+        if unknown:
+            where = f" in {section!r}" if section else ""
+            raise ConfigError(f"unknown config key{where}: {', '.join(map(repr, unknown))}")
+
+
 @dataclass
 class ExperimentConfig:
     geometry: dict
@@ -156,6 +174,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_keys(raw)
         try:
             geometry = raw["geometry"]
             t_grid = parse_t_grid(raw["t_grid"])
@@ -344,33 +363,6 @@ def cmd_recursion_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 1 if failed else 0
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    """One verified inequality.  ``law`` is the formula the row checks, the
-    traceable anchor for failures; ``passed`` is None for skipped rows."""
-
-    name: str
-    law: str
-    lhs: float
-    rhs: float
-    passed: bool | None
-    hard: bool
-    caveat: str | None
-    context: dict
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "law": self.law,
-            "lhs": _round_sig(self.lhs),
-            "rhs": _round_sig(self.rhs),
-            "pass": self.passed,
-            "hard": self.hard,
-            "caveat": self.caveat,
-            "context": self.context,
-        }
-
-
 @dataclass
 class VerificationReport:
     seed: int
@@ -457,9 +449,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     def work(cell):
         pi, t = cell
         x, y = cfg.pairs[pi]
-        t_sq = t * t
-        fam = connecting_family(space, x, y, t_sq)
-        thr = blocking_threshold(space, x, y, t_sq, cfg.caps)
+        thr = blocking_threshold(space, x, y, t * t, cfg.caps)
+        fam = thr.instance.family
         return pi, t, fam.n, fam.m, thr.value, thr.certified
 
     results = _map_cells(work, cells, cfg.workers)
@@ -547,19 +538,16 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
                 if cfg.recursion_t_sq_cap is not None and t_sq > cfg.recursion_t_sq_cap:
                     continue
                 rep = recursion_harness(space, x, y, t_sq, cfg.caps)
-                for c in rep.checks:
-                    checks.append(
-                        CheckRow(
-                            "recursion:" + c.name.split(":")[0],
-                            c.name,
-                            float(c.lhs),
-                            float(c.rhs),
-                            c.passed,
-                            True,
-                            None if rep.certified else "sub-solve not certified",
-                            {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed, **c.context},
-                        )
+                ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
+                checks.extend(
+                    replace(
+                        c,
+                        name="recursion:" + c.name,
+                        caveat=None if rep.certified else "sub-solve not certified",
+                        context={**ctx, **c.context},
                     )
+                    for c in rep.checks
+                )
 
     report = VerificationReport(cfg.seed, cfg.geometry, checks, notes)
     _write_text(out_dir / "verify.json", _json_text(report.to_json()))
@@ -636,14 +624,16 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         s_max = 0
         for x, y in cfg.pairs:
             for t in cfg.t_grid:
-                fam = connecting_family(space, x, y, t * t)
-                tf = float(t)
-                n_by_t[tf] = max(n_by_t.get(tf, 0), fam.n)
                 # blocking solves are quadratic in the family size; keep them
                 # on the capped prefix of the grid
                 if t * t <= cfg.threshold_t_sq_cap:
                     thr = blocking_threshold(space, x, y, t * t, cfg.caps)
                     s_max = max(s_max, thr.value)
+                    fam = thr.instance.family
+                else:
+                    fam = connecting_family(space, x, y, t * t)
+                tf = float(t)
+                n_by_t[tf] = max(n_by_t.get(tf, 0), fam.n)
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)
         verdict = "partial"

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,31 @@ class TestConfig:
             ExperimentConfig.from_dict({"geometry": {"kind": "billiard"}})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"t_grid": ["1"]})
+
+    def test_float_rational_rejected(self):
+        # JSON floats are not exact rationals: "1/2" is, 0.5 is not
+        with pytest.raises(ConfigError, match="float"):
+            flat_config(t_grid=[0.5, "1"])
+        with pytest.raises(ConfigError, match="float"):
+            flat_config(pairs=[[["0", "0"], [0.5, "0"]]])
+        with pytest.raises(ConfigError, match="float"):
+            flat_config(threshold_t_max=2.5)
+        # base points are complex coordinates and stay floats
+        flat_config(base_points=[[0.03, 0.97], [0.03, 0.97]])
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ConfigError, match="'treshold_t_max'"):
+            flat_config(treshold_t_max="2")
+
+    def test_unknown_nested_key_rejected(self):
+        with pytest.raises(ConfigError, match="'sampler'.*'cout'"):
+            flat_config(sampler={"cout": 8})
+        with pytest.raises(ConfigError, match="'geometry'"):
+            flat_config(geometry={"kind": "torus", "basis": ["1", "0", "0", "1"], "bases": []})
+
+    def test_shipped_configs_load(self):
+        for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+            ExperimentConfig.from_file(path)
 
     def test_format_sig(self):
         assert format_sig(0.4) == "0.4"
@@ -261,6 +287,26 @@ class TestCli:
         assert lines[0] == "t,value"
         data = {float(r.split(",")[0]): float(r.split(",")[1]) for r in lines[1:]}
         assert data[8.0] == pytest.approx(64.0, rel=1e-9)
+
+    def test_count_entropy_roundtrip(self, tmp_path):
+        # count.csv quotes its points and has one row per (pair, t); entropy
+        # takes the largest n per t.  The two pairs are translates, so the
+        # series is the benchmark's count, whose polynomial exponent is 2.0056
+        # (n_t ~ pi t^2 / covolume on a flat torus).
+        cfg_path = write_config(
+            tmp_path,
+            geometry={"kind": "torus", "basis": ["1", "0", "1/3", "5/4"]},
+            pairs=[[["0", "0"], ["1/2", "1/2"]], [["1/4", "1/4"], ["3/4", "3/4"]]],
+            t_grid="1:16:1/2",
+        )
+        out = tmp_path / "out"
+        assert main(["count", "--config", str(cfg_path), "--out", str(out)]) == 0
+        fit_path = tmp_path / "fit.json"
+        assert main(["entropy", "--mode", "polynomial", "--in", str(out / "count.csv"),
+                     "--out", str(fit_path)]) == 0
+        fit = json.loads(fit_path.read_text())
+        assert fit["kind"] == "polynomial"
+        assert fit["parameter"] == pytest.approx(2.0056, abs=1e-4)
 
     def test_entropy_cli(self, tmp_path):
         import math
