@@ -239,38 +239,31 @@ def _greedy_cover(covers: Sequence[int], full: int) -> list[int]:
     return chosen
 
 
-def _disjoint_lower_bound(instance: IncidenceInstance) -> int:
-    """Greedy family of geodesics no two of which share a candidate."""
-    m = instance.num_geodesics
-    cand_of = [[] for _ in range(m)]
-    for c, mask in enumerate(instance.covers):
-        for i in range(m):
-            if mask >> i & 1:
-                cand_of[i].append(c)
-    order = sorted(range(m), key=lambda i: (len(cand_of[i]), i))
-    used: set[int] = set()
-    bound = 0
-    for i in order:
-        if not cand_of[i]:
-            raise GeoBlockError("internal: geodesic with empty cover set")
-        if used.isdisjoint(cand_of[i]):
-            bound += 1
-            used.update(cand_of[i])
-    return bound
-
-
 def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) -> BlockingSolution:
     """Certified minimum hitting set over the instance's candidate set.
 
-    Branch and bound: greedy initial upper bound, global lower bound from a
-    greedy candidate-disjoint family, and a per-node covering bound
-    (uncovered count over the best single-candidate gain).  Dominated
-    candidates (cover set contained in another's) are dropped up front,
-    which never changes the optimal size.  Branching picks the uncovered
-    geodesic with the fewest candidates; candidates are tried by descending
-    fresh coverage with index tie-breaking, so the search is deterministic.
-    If the instance exceeds the caps the greedy solution is returned with
-    ``optimal=False``.
+    Branch and bound from the greedy cover.  Dominated candidates (cover set
+    contained in another's) are dropped up front, which never changes the
+    optimal size.  Branching picks the uncovered geodesic with the fewest
+    candidates, ties by index; its candidates are tried by descending fresh
+    coverage, ties by index.
+
+    One bound over the uncovered set U serves the root and every node: the
+    larger of (a) a greedy packing of geodesics in U whose candidate sets are
+    pairwise disjoint, each needing its own point, and (b) the ceiling of
+    ``sum_{i in U} y_i`` with ``y_i = 1 / max_{c ∋ i} |c ∩ U|``.  No
+    candidate carries a load above 1 under (b), so it is a feasible dual of
+    the covering LP; it is summed exactly in Fractions.
+
+    The branch choice and the candidate order depend on U alone, so the
+    search tree is fixed, and a valid bound prunes only subtrees holding no
+    cover strictly smaller than the best so far.  The result is therefore
+    the greedy cover when greedy is optimal, else the first optimal cover in
+    depth-first order, whatever bound is used.
+
+    The bounds are computed before the caps are applied: an instance over
+    the caps returns the greedy cover, ``optimal`` exactly when the root
+    bound meets it, and ``[lower, greedy]`` otherwise.
     """
     m = instance.num_geodesics
     if m == 0:
@@ -278,43 +271,47 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     full = (1 << m) - 1
 
     greedy = _greedy_cover(instance.covers, full)
-    if m > caps.max_geodesics or len(instance.covers) > caps.max_candidates:
-        pts = tuple(instance.candidates[c] for c in sorted(greedy))
-        return BlockingSolution(pts, len(greedy), False, len(greedy), 0)
-
-    # dominance reduction: keep only candidates whose cover set is maximal
-    by_size = sorted(range(len(instance.covers)),
-                     key=lambda c: (-instance.covers[c].bit_count(), c))
-    kept: list[int] = []
-    for c in by_size:
-        mask = instance.covers[c]
-        if not any(mask | instance.covers[k] == instance.covers[k] for k in kept):
-            kept.append(c)
-    kept.sort()
+    capped = m > caps.max_geodesics or len(instance.covers) > caps.max_candidates
+    kept = list(range(len(instance.covers)))
+    if not capped:
+        # dominance reduction: keep only candidates whose cover set is maximal
+        by_size = sorted(kept, key=lambda c: (-instance.covers[c].bit_count(), c))
+        kept = []
+        for c in by_size:
+            mask = instance.covers[c]
+            if not any(mask | instance.covers[k] == instance.covers[k] for k in kept):
+                kept.append(c)
+        kept.sort()
     covers = [instance.covers[c] for c in kept]
 
-    lower = _disjoint_lower_bound(instance)
     cand_of: list[list[int]] = [[] for _ in range(m)]
-    geod_cand_mask = [0] * m  # bitmask over candidate indices, per geodesic
     for c, mask in enumerate(covers):
-        for i in range(m):
-            if mask >> i & 1:
-                cand_of[i].append(c)
-                geod_cand_mask[i] |= 1 << c
+        while mask:
+            low = mask & -mask
+            cand_of[low.bit_length() - 1].append(c)
+            mask ^= low
+    geod_cand_mask = [sum(1 << c for c in cands) for cands in cand_of]
     by_few = sorted(range(m), key=lambda i: (len(cand_of[i]), i))
 
-    best: list[int] = list(greedy)  # indices into instance.covers
-    seen: dict[int, int] = {}
-
-    def node_bound(uncovered: int) -> int:
-        """Geodesics with pairwise-disjoint candidate sets need one point each."""
-        used = 0
-        lb = 0
+    def bound(uncovered: int) -> int:
+        gain = [(mask & uncovered).bit_count() for mask in covers]
+        packing, used = 0, 0
+        per_load: dict[int, int] = {}  # y_i = 1/load, grouped by denominator
         for i in by_few:
-            if uncovered >> i & 1 and not geod_cand_mask[i] & used:
-                lb += 1
-                used |= geod_cand_mask[i]
-        return lb
+            if uncovered >> i & 1:
+                if not geod_cand_mask[i] & used:
+                    packing += 1
+                    used |= geod_cand_mask[i]
+                load = max(gain[c] for c in cand_of[i])
+                per_load[load] = per_load.get(load, 0) + 1
+        return max(packing, math.ceil(sum(Fraction(n, load) for load, n in per_load.items())))
+
+    lower = bound(full)
+    if capped:
+        pts = tuple(instance.candidates[c] for c in sorted(greedy))
+        return BlockingSolution(pts, len(greedy), lower == len(greedy), len(greedy), lower)
+
+    best: list[int] = list(greedy)  # indices into instance.covers
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
         nonlocal best
@@ -322,24 +319,10 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
             if len(chosen) < len(best):
                 best = [kept[c] for c in chosen]
             return
-        prior = seen.get(uncovered)
-        if prior is not None and prior <= len(chosen):
-            return
-        if len(seen) < 2_000_000:
-            seen[uncovered] = len(chosen)
-        if len(chosen) + node_bound(uncovered) >= len(best):
+        if len(chosen) + bound(uncovered) >= len(best):
             return
         # fewest-candidates uncovered geodesic, ties by index
-        pick, pick_n = -1, None
-        i = 0
-        rest = uncovered
-        while rest:
-            if rest & 1:
-                n = len(cand_of[i])
-                if pick_n is None or n < pick_n:
-                    pick, pick_n = i, n
-            rest >>= 1
-            i += 1
+        pick = next(i for i in by_few if uncovered >> i & 1)
         order = sorted(cand_of[pick], key=lambda c: (-(covers[c] & uncovered).bit_count(), c))
         for c in order:
             chosen.append(c)
@@ -359,6 +342,12 @@ def verify_cover(instance: IncidenceInstance, points: Sequence[RationalPoint]) -
         if not any(point_on_geodesic(space, p, seg) for p in points):
             return False
     return True
+
+
+def _blocks(family: GeodesicFamily, points: Sequence[RationalPoint]) -> bool:
+    """Every connecting segment passes through one of the points (exact
+    incidence; the points are known not to be endpoints)."""
+    return all(any(_segment_hits(seg, p) for p in points) for seg in family.connecting_segments())
 
 
 def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
@@ -384,9 +373,8 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
             p = space.reduce_point(RationalPoint(base.x + off[0], base.y + off[1]))
             if p != x_red and p != y_red and p not in pts:
                 pts.append(p)
-    for seg in family.connecting_segments():
-        if not any(_segment_hits(seg, p) for p in pts):
-            raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
+    if not _blocks(family, pts):
+        raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
     return sorted(pts)
 
 
@@ -421,6 +409,8 @@ def blocking_threshold(
     if space.is_torus and instance.num_geodesics > 0:
         mid_upper = len(midpoint_cover(instance.family))
     sol = solve_exact(instance, caps)
+    if not _blocks(instance.family, sol.points):
+        raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if mid_upper is not None and sol.optimal and sol.size > mid_upper:
         raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
     return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper)

@@ -70,3 +70,19 @@ def random_rational_point(rng, space, den=12):
     j = Fraction(rng.randint(0, den - 1), den)
     v = space.from_lattice(i, j)
     return RationalPoint(v[0], v[1])
+
+
+def milp_minimum(instance):
+    """Minimum hitting-set size of the instance as a 0/1 covering program,
+    solved by HiGHS through scipy: a solver sharing no code with the library."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m, n = instance.num_geodesics, instance.num_candidates
+    if m == 0:
+        return 0
+    rows = np.array([[cov >> i & 1 for cov in instance.covers] for i in range(m)])
+    res = milp(np.ones(n), constraints=LinearConstraint(rows, lb=1),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return round(res.fun)

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import geoblock.blocker as blocker
 from geoblock.blocker import (
     PairSampler,
     SolverCaps,
@@ -16,7 +19,7 @@ from geoblock.blocker import (
     solve_exact,
     verify_cover,
 )
-from geoblock.errors import DomainError
+from geoblock.errors import DomainError, GeoBlockError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
@@ -24,6 +27,8 @@ from geoblock.flatspace import (
     point_on_geodesic,
     _segment_hits,
 )
+from geoblock.harness import ExperimentConfig
+from oracles import milp_minimum
 
 P = RationalPoint.of
 F = Fraction
@@ -62,6 +67,14 @@ def random_point(rng, den=8):
     return RationalPoint(F(rng.randrange(den), den), F(rng.randrange(den), den))
 
 
+def interior_point(rng, den=7):
+    return RationalPoint(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
+
+
+# the (1/3,1/3) -> (2/3,1/5) billiard pair: its branch and bound is the deep one
+HARD_X, HARD_Y = P("1/3", "1/3"), P("2/3", "1/5")
+
+
 class TestBuildInstance:
     def test_two_arc_instance(self):
         space = FlatSpace.unit_torus()
@@ -98,8 +111,7 @@ class TestBuildInstance:
         rng = random.Random(43)
         space = FlatSpace.square_billiard()
         for _ in range(10):
-            x = RationalPoint(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7))
-            y = RationalPoint(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7))
+            x, y = interior_point(rng), interior_point(rng)
             if x == y:
                 continue
             inst = build_instance(space, x, y, F(rng.randint(1, 4)))
@@ -125,22 +137,33 @@ class TestSolveExact:
 
     def test_matches_exhaustive_on_random_instances(self):
         rng = random.Random(53)
-        space = FlatSpace.unit_torus()
-        checked = 0
-        while checked < 25:
-            x, y = random_point(rng), random_point(rng)
-            if x == y:
-                continue
-            t_sq = F(rng.randint(1, 5))
-            fam = connecting_family(space, x, y, t_sq)
-            if not 1 <= fam.m <= 12:
-                continue
-            inst = build_instance(space, x, y, t_sq)
+        for space, point in ((FlatSpace.unit_torus(), random_point),
+                             (FlatSpace.square_billiard(), interior_point)):
+            checked = 0
+            while checked < 25:
+                x, y = point(rng), point(rng)
+                if x == y:
+                    continue
+                t_sq = F(rng.randint(1, 5))
+                fam = connecting_family(space, x, y, t_sq)
+                if not 1 <= fam.m <= 12:
+                    continue
+                inst = build_instance(space, x, y, t_sq)
+                sol = solve_exact(inst)
+                assert sol.optimal
+                assert sol.size == exhaustive_minimum(inst, sol.greedy_upper)
+                assert verify_cover(inst, sol.points)
+                checked += 1
+
+    def test_matches_milp_on_billiard(self):
+        cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "billiard.json")
+        cells = [(x, y, t * t) for x, y in cfg.pairs for t in cfg.t_grid]
+        cells += [(HARD_X, HARD_Y, t * t) for t in (F(3), F(7, 2), F(4))]
+        for x, y, t_sq in cells:
+            inst = build_instance(cfg.flat_space(), x, y, t_sq)
             sol = solve_exact(inst)
             assert sol.optimal
-            assert sol.size == exhaustive_minimum(inst, sol.greedy_upper)
-            assert verify_cover(inst, sol.points)
-            checked += 1
+            assert sol.size == milp_minimum(inst), (x, y, t_sq)
 
     def test_solution_reverifies_exactly(self):
         space = FlatSpace.unit_torus()
@@ -150,10 +173,19 @@ class TestSolveExact:
             assert any(point_on_geodesic(space, p, seg) for p in sol.points)
 
     def test_cap_fallback_not_optimal(self):
+        # greedy 11 against a root bound of 9: the capped answer stays uncertified
+        inst = build_instance(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
+        sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
+        assert not sol.optimal
+        assert (sol.lower_bound, sol.size) == (9, 11)
+        assert verify_cover(inst, sol.points)
+
+    def test_cap_certified_when_bounds_meet(self):
         space = FlatSpace.unit_torus()
         inst = build_instance(space, P(0, 0), P("1/2", 0), 4)
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
-        assert not sol.optimal
+        assert sol.optimal
+        assert sol.size == sol.lower_bound == 4
         assert verify_cover(inst, sol.points)
 
     def test_lower_bound_sound(self):
@@ -223,6 +255,31 @@ class TestThresholds:
         res = blocking_threshold(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4))
         assert res.value == 1  # single direct arc, one point suffices
         assert res.midpoint_upper is None
+
+    def test_non_blocking_solution_rejected(self, monkeypatch):
+        solve = blocker.solve_exact
+
+        def drop_first_point(instance, caps=SolverCaps()):
+            sol = solve(instance, caps)
+            return dataclasses.replace(sol, points=sol.points[1:])
+
+        monkeypatch.setattr(blocker, "solve_exact", drop_first_point)
+        with pytest.raises(GeoBlockError, match="does not block"):
+            blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 1)
+
+    def test_billiard_series_canonical(self):
+        space = FlatSpace.square_billiard()
+        res = blocking_threshold(space, HARD_X, HARD_Y, 9)
+        assert res.certified
+        # the first optimal cover in depth-first order; recursion.json depends on it
+        assert res.solution.points == tuple(P(*p) for p in (
+            ("1/12", "1/5"), ("1/12", "3/10"), ("2/5", "67/225"), ("5/11", "23/45"),
+            ("1/2", "1/15"), ("1/2", "4/15"), ("1/2", "11/15"), ("1/2", "14/15"),
+            ("7/12", "3/10"), ("5/6", "11/15"),
+        ))
+        for t_sq, s in ((F(49, 4), 11), (F(16), 12)):
+            res = blocking_threshold(space, HARD_X, HARD_Y, t_sq)
+            assert (res.value, res.certified) == (s, True)
 
 
 class TestSampledCost:
