@@ -1,9 +1,11 @@
 """Byte-for-byte regression against committed CLI outputs.
 
-The files under ``tests/golden/`` were written by the CLI before the flat
-engine was unified; they pin ``count.csv``, ``block.csv`` and
-``verify.json`` on the two shipped flat configs.  Never regenerate them to
-make this test pass: a difference is a change in results.
+The files under ``tests/golden/`` were written by the CLI and pin its
+outputs on the shipped configs: ``count.csv``, ``block.csv`` and
+``verify.json`` on the two flat configs (written before the flat engine was
+unified), and ``report.json`` on all three configs plus ``recursion.json``
+on the unit torus (written before the harness loops were flattened).  Never
+regenerate them to make this test pass: a difference is a change in results.
 """
 
 from pathlib import Path
@@ -19,6 +21,11 @@ CASES = [
     (config, command, filename)
     for config in ("unit_torus", "billiard")
     for command, filename in (("count", "count.csv"), ("block", "block.csv"), ("verify", "verify.json"))
+] + [
+    ("unit_torus", "report", "report.json"),
+    ("billiard", "report", "report.json"),
+    ("octagon", "report", "report.json"),
+    ("unit_torus", "recursion-check", "recursion.json"),
 ]
 
 
