@@ -478,11 +478,8 @@ def _near_pair(
         return None
     for _ in range(80):
         cand = RationalPoint(p.x + d[0], p.y + d[1])
-        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq:
-            if space.is_torus:
-                return p, cand
-            if 0 < cand.x < 1 and 0 < cand.y < 1:
-                return p, cand
+        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq and space.admits_endpoint(cand):
+            return p, cand
         d = (d[0] / 2, d[1] / 2)
     return None
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import BudgetExceededError, ConfigError, GeoBlockError, RangeError
 from .growth import GrowthSeries, TransformParams, rate_estimate, transform
 from .harness import (
+    FORMATS,
     ExperimentConfig,
     cmd_block,
     cmd_count,
@@ -46,10 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON experiment config")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], help="output format override")
+        p.add_argument("--format", choices=FORMATS, help="output format override")
         p.add_argument("--t-grid", help="grid override, a:b:step or comma list")
         p.add_argument("--pairs", type=Path, help="JSON file with point pairs")
-        p.add_argument("--workers", type=int, help="worker count override")
 
     for name in _CONFIG_COMMANDS:
         add_config_flags(sub.add_parser(name))
@@ -75,8 +75,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("--config is required (JSON experiment description)")
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = max(1, args.workers)
     if args.format is not None:
         cfg.out_format = args.format
     if getattr(args, "t_grid", None):

@@ -186,8 +186,13 @@ class FlatSpace:
         [(n1, n2)], den = self._lattice_ints(p)
         return self._fold(n1, n2, den)
 
+    def admits_endpoint(self, p: RationalPoint) -> bool:
+        """Whether p can be a segment endpoint: any point of a torus, an
+        interior point of the billiard table."""
+        return self.kind != "billiard" or (0 < p.x < 1 and 0 < p.y < 1)
+
     def validate_point(self, p: RationalPoint) -> None:
-        if self.kind == "billiard" and not (0 < p.x < 1 and 0 < p.y < 1):
+        if not self.admits_endpoint(p):
             raise UnsupportedInputError(
                 f"billiard endpoints must be interior table points, got {p}"
             )

@@ -1,21 +1,20 @@
 """Experiment orchestration: counting, blocking, recursion checking, the
 inequality suite, and consistency reports.
 
-All outputs are deterministic for a fixed config and seed: cells are
-computed in a worker pool but merged in canonical order, floats are printed
-with 12 significant digits, and JSON keys are sorted.  Every output records
-the seed.
+All outputs are deterministic for a fixed config and seed: each command
+runs one loop over its (pair, t) cells in canonical order (pairs as listed,
+t increasing), floats are printed with 12 significant digits, and JSON keys
+are sorted.  Every output records the seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .blocker import (
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
 from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_space
-from .growth import GrowthSeries, rate_estimate
-from .hyperbolic import blocking_lower_bound_series, load_preset, orbit_count
+from .growth import GrowthSeries, classify_growth, rate_estimate
+from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, orbit_count
 
 __all__ = [
     "ExperimentConfig",
@@ -114,7 +113,7 @@ def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
 
 # the keys a config may use: top level, then per section
 _CONFIG_KEYS = {
-    None: {"geometry", "t_grid", "pairs", "seed", "workers", "caps", "sampler", "verify",
+    None: {"geometry", "t_grid", "pairs", "seed", "caps", "sampler", "verify",
            "base_points", "threshold_t_max", "orbit", "format"},
     "geometry": {"kind", "basis", "preset"},
     "caps": {"max_candidates", "max_geodesics"},
@@ -122,6 +121,7 @@ _CONFIG_KEYS = {
     "verify": {"recursion", "recursion_t_max"},
     "orbit": {"bound_mode", "max_word_len"},
 }
+FORMATS = ("csv", "json")
 
 
 def _check_keys(raw) -> None:
@@ -141,7 +141,6 @@ class ExperimentConfig:
     t_grid: list[Fraction]
     pairs: list[tuple[RationalPoint, RationalPoint]] = field(default_factory=list)
     seed: int = 42
-    workers: int = 1
     caps: SolverCaps = field(default_factory=SolverCaps)
     sampler_count: int = 8
     sampler_denominator: int = 8
@@ -158,10 +157,23 @@ class ExperimentConfig:
         return self.geometry.get("kind") == "fuchsian"
 
     def flat_space(self) -> FlatSpace:
+        """The flat geometry of a command that runs over (pair, t) cells."""
+        if self.is_fuchsian:
+            raise ConfigError("this command runs on flat geometries only; presets take count or report")
         try:
-            return load_space(self.geometry)
+            space = load_space(self.geometry)
         except GeoBlockError as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.pairs:
+            raise ConfigError("flat geometries need a 'pairs' list")
+        return space
+
+    def cells(self):
+        """The (pair index, x, y, t) cells in canonical order: pairs as
+        listed, then t increasing (parse_t_grid guarantees it)."""
+        for pi, (x, y) in enumerate(self.pairs):
+            for t in self.t_grid:
+                yield pi, x, y, t
 
     def preset(self):
         name = self.geometry.get("preset")
@@ -198,6 +210,13 @@ class ExperimentConfig:
             )
         else:
             base = (0.03 + 0.97j, 0.03 + 0.97j)
+        orbit = raw.get("orbit", {})
+        bound_mode = orbit.get("bound_mode", "systole")
+        if bound_mode not in BOUND_MODES:
+            raise ConfigError(f"orbit.bound_mode {bound_mode!r} is not one of {BOUND_MODES}")
+        out_format = raw.get("format", "csv")
+        if out_format not in FORMATS:
+            raise ConfigError(f"format {out_format!r} is not one of {FORMATS}")
         rec_cap = verify.get("recursion_t_max")
         thr_cap = raw.get("threshold_t_max", 4)
         return cls(
@@ -205,7 +224,6 @@ class ExperimentConfig:
             t_grid=t_grid,
             pairs=pairs,
             seed=int(raw.get("seed", 42)),
-            workers=max(1, int(raw.get("workers", 1))),
             caps=caps,
             sampler_count=int(sampler.get("count", 8)),
             sampler_denominator=int(sampler.get("denominator", 8)),
@@ -213,9 +231,9 @@ class ExperimentConfig:
             recursion_t_sq_cap=_parse_fraction(rec_cap) ** 2 if rec_cap is not None else None,
             threshold_t_sq_cap=_parse_fraction(thr_cap) ** 2,
             base_points=base,
-            bound_mode=raw.get("orbit", {}).get("bound_mode", "systole"),
-            max_word_len=int(raw.get("orbit", {}).get("max_word_len", 24)),
-            out_format=raw.get("format", "csv"),
+            bound_mode=bound_mode,
+            max_word_len=int(orbit.get("max_word_len", 24)),
+            out_format=out_format,
         )
 
     @classmethod
@@ -227,14 +245,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _map_cells(fn: Callable, cells: list, workers: int) -> list:
-    """Apply fn to cells, preserving input order regardless of worker count."""
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -243,6 +253,22 @@ def _write_text(path: Path, text: str) -> None:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_table(cfg: ExperimentConfig, out_dir: Path, name: str, header: str, rows: list[dict]) -> None:
+    """<name>.csv with the points quoted and t printed by format_sig, and
+    <name>.json as well when the config asks for json."""
+
+    def cell(key: str, value) -> str:
+        if key in ("x", "y"):
+            return f'"{value}"'
+        return format_sig(value) if key == "t" else str(value)
+
+    keys = header.split(",")
+    lines = [header] + [",".join(cell(k, r[k]) for k in keys) for r in rows]
+    _write_text(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
+    if cfg.out_format == "json":
+        _write_text(out_dir / f"{name}.json", _json_text({"seed": cfg.seed, "rows": rows}))
 
 
 def _t_float(t_sq: Fraction) -> float:
@@ -274,91 +300,53 @@ def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
                 )
     else:
         space = cfg.flat_space()
-        if not cfg.pairs:
-            raise ConfigError("flat counting needs a 'pairs' list")
-        cells = [
-            (pi, t) for pi in range(len(cfg.pairs)) for t in cfg.t_grid
-        ]
-
-        def work(cell):
-            pi, t = cell
-            x, y = cfg.pairs[pi]
+        for pi, x, y, t in cfg.cells():
             fam = connecting_family(space, x, y, t * t)
-            return {
-                "pair": pi,
-                "x": str(x),
-                "y": str(y),
-                "t": float(t),
-                "n": fam.n,
-                "m": fam.m,
-                "status": "exact" if fam.corner_rejected == 0 else f"corner-rejected={fam.corner_rejected}",
-            }
-
-        rows = _map_cells(work, cells, cfg.workers)
-        rows.sort(key=lambda r: (r["pair"], r["t"]))
-
-    header = "pair,x,y,t,n,m,status"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f'{r["pair"]},"{r["x"]}","{r["y"]}",{format_sig(r["t"])},{r["n"]},{r["m"]},{r["status"]}'
-        )
-    _write_text(out_dir / "count.csv", "\n".join(lines) + "\n")
-    if cfg.out_format == "json":
-        _write_text(out_dir / "count.json", _json_text({"seed": cfg.seed, "rows": rows}))
+            rows.append(
+                {
+                    "pair": pi,
+                    "x": str(x),
+                    "y": str(y),
+                    "t": float(t),
+                    "n": fam.n,
+                    "m": fam.m,
+                    "status": "exact" if fam.corner_rejected == 0 else f"corner-rejected={fam.corner_rejected}",
+                }
+            )
+    _write_table(cfg, out_dir, "count", "pair,x,y,t,n,m,status", rows)
     return 0
 
 
 def cmd_block(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Blocking thresholds per (pair, t); writes block.csv."""
-    if cfg.is_fuchsian:
-        raise ConfigError("blocking thresholds are computed on flat geometries only")
     space = cfg.flat_space()
-    if not cfg.pairs:
-        raise ConfigError("blocking needs a 'pairs' list")
-    cells = [(pi, t) for pi in range(len(cfg.pairs)) for t in cfg.t_grid]
-
-    def work(cell):
-        pi, t = cell
-        x, y = cfg.pairs[pi]
+    rows = []
+    for pi, x, y, t in cfg.cells():
         res = blocking_threshold(space, x, y, t * t, cfg.caps)
-        return {
-            "pair": pi,
-            "x": str(x),
-            "y": str(y),
-            "t": float(t),
-            "s": res.value,
-            "optimal": int(res.certified),
-            "midpoint_upper": res.midpoint_upper if res.midpoint_upper is not None else "",
-        }
-
-    rows = _map_cells(work, cells, cfg.workers)
-    rows.sort(key=lambda r: (r["pair"], r["t"]))
-    lines = ["pair,x,y,t,s,optimal,midpoint_upper"]
-    for r in rows:
-        lines.append(
-            f'{r["pair"]},"{r["x"]}","{r["y"]}",{format_sig(r["t"])},{r["s"]},{r["optimal"]},{r["midpoint_upper"]}'
+        rows.append(
+            {
+                "pair": pi,
+                "x": str(x),
+                "y": str(y),
+                "t": float(t),
+                "s": res.value,
+                "optimal": int(res.certified),
+                "midpoint_upper": res.midpoint_upper if res.midpoint_upper is not None else "",
+            }
         )
-    _write_text(out_dir / "block.csv", "\n".join(lines) + "\n")
-    if cfg.out_format == "json":
-        _write_text(out_dir / "block.json", _json_text({"seed": cfg.seed, "rows": rows}))
+    _write_table(cfg, out_dir, "block", "pair,x,y,t,s,optimal,midpoint_upper", rows)
     return 0
 
 
 def cmd_recursion_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Halving-decomposition reports per (pair, t); writes recursion.json."""
-    if cfg.is_fuchsian:
-        raise ConfigError("the recursion check runs on flat geometries only")
     space = cfg.flat_space()
-    if not cfg.pairs:
-        raise ConfigError("the recursion check needs a 'pairs' list")
     reports = []
     failed = False
-    for pi, (x, y) in enumerate(cfg.pairs):
-        for t in cfg.t_grid:
-            rep = recursion_harness(space, x, y, t * t, cfg.caps)
-            reports.append({"pair": pi, "t": _round_sig(float(t)), "report": rep.to_json()})
-            failed = failed or not rep.passed
+    for pi, x, y, t in cfg.cells():
+        rep = recursion_harness(space, x, y, t * t, cfg.caps)
+        reports.append({"pair": pi, "t": _round_sig(float(t)), "report": rep.to_json()})
+        failed = failed or not rep.passed
     _write_text(out_dir / "recursion.json", _json_text({"seed": cfg.seed, "reports": reports}))
     return 1 if failed else 0
 
@@ -429,11 +417,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     carry a caveat (the sampled sup is a lower bound for the true sup, so a
     failure there is a finding, not a refutation) and do not fail the run.
     """
-    if cfg.is_fuchsian:
-        raise ConfigError("the inequality suite runs on flat geometries; use 'report' for presets")
     space = cfg.flat_space()
-    if not cfg.pairs:
-        raise ConfigError("verification needs a 'pairs' list")
     delta_sq = space.delta_sq
     cost = _sampled_cost_fn(cfg, space)
     checks: list[CheckRow] = []
@@ -444,26 +428,18 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         "S(t) is built from a sampled blocking cost; sampled sup <= true sup",
     ]
 
-    cells = [(pi, t) for pi in range(len(cfg.pairs)) for t in cfg.t_grid]
-
-    def work(cell):
-        pi, t = cell
-        x, y = cfg.pairs[pi]
-        thr = blocking_threshold(space, x, y, t * t, cfg.caps)
-        fam = thr.instance.family
-        return pi, t, fam.n, fam.m, thr.value, thr.certified
-
-    results = _map_cells(work, cells, cfg.workers)
-    for pi, t, n, m, s, certified in sorted(results, key=lambda r: (r[0], r[1])):
+    for pi, x, y, t in cfg.cells():
         t_sq = t * t
+        thr = blocking_threshold(space, x, y, t_sq, cfg.caps)
+        n, m, s = thr.instance.family.n, thr.instance.family.m, thr.value
         ctx = {
             "pair": pi,
-            "x": str(cfg.pairs[pi][0]),
-            "y": str(cfg.pairs[pi][1]),
+            "x": str(x),
+            "y": str(y),
             "t": _round_sig(_t_float(t_sq)),
             "seed": cfg.seed,
         }
-        caveat_s = None if certified else "threshold not certified (solver cap)"
+        caveat_s = None if thr.certified else "threshold not certified (solver cap)"
         checks.append(
             CheckRow("chain-lower", "s_t(x,y) <= m_t(x,y)", s, m, s <= m, True, caveat_s, ctx)
         )
@@ -532,22 +508,21 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
 
     if cfg.verify_recursion:
-        for pi, (x, y) in enumerate(cfg.pairs):
-            for t in cfg.t_grid:
-                t_sq = t * t
-                if cfg.recursion_t_sq_cap is not None and t_sq > cfg.recursion_t_sq_cap:
-                    continue
-                rep = recursion_harness(space, x, y, t_sq, cfg.caps)
-                ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
-                checks.extend(
-                    replace(
-                        c,
-                        name="recursion:" + c.name,
-                        caveat=None if rep.certified else "sub-solve not certified",
-                        context={**ctx, **c.context},
-                    )
-                    for c in rep.checks
+        for pi, x, y, t in cfg.cells():
+            t_sq = t * t
+            if cfg.recursion_t_sq_cap is not None and t_sq > cfg.recursion_t_sq_cap:
+                continue
+            rep = recursion_harness(space, x, y, t_sq, cfg.caps)
+            ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
+            checks.extend(
+                replace(
+                    c,
+                    name="recursion:" + c.name,
+                    caveat=None if rep.certified else "sub-solve not certified",
+                    context={**ctx, **c.context},
                 )
+                for c in rep.checks
+            )
 
     report = VerificationReport(cfg.seed, cfg.geometry, checks, notes)
     _write_text(out_dir / "verify.json", _json_text(report.to_json()))
@@ -618,27 +593,29 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
     else:
         space = cfg.flat_space()
-        if not cfg.pairs:
-            raise ConfigError("the flat report needs a 'pairs' list")
         n_by_t: dict[float, int] = {}
         s_max = 0
-        for x, y in cfg.pairs:
-            for t in cfg.t_grid:
-                # blocking solves are quadratic in the family size; keep them
-                # on the capped prefix of the grid
-                if t * t <= cfg.threshold_t_sq_cap:
-                    thr = blocking_threshold(space, x, y, t * t, cfg.caps)
-                    s_max = max(s_max, thr.value)
-                    fam = thr.instance.family
-                else:
-                    fam = connecting_family(space, x, y, t * t)
-                tf = float(t)
-                n_by_t[tf] = max(n_by_t.get(tf, 0), fam.n)
+        for _, x, y, t in cfg.cells():
+            # blocking solves are quadratic in the family size; keep them
+            # on the capped prefix of the grid
+            if t * t <= cfg.threshold_t_sq_cap:
+                thr = blocking_threshold(space, x, y, t * t, cfg.caps)
+                s_max = max(s_max, thr.value)
+                fam = thr.instance.family
+            else:
+                fam = connecting_family(space, x, y, t * t)
+            tf = float(t)
+            n_by_t[tf] = max(n_by_t.get(tf, 0), fam.n)
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)
         verdict = "partial"
         if h_est is not None:
-            flat_ok = h_est <= 0.05 and (not space.is_torus or s_max <= 4)
+            # the exponential slope of c*t^2 is about 2/t, so on a short grid
+            # h_est alone cannot tell zero entropy; the growth class can
+            growth = classify_growth(GrowthSeries.from_pairs(pos)).kind
+            flat_ok = growth not in ("exponential", "super-exponential") and (
+                not space.is_torus or s_max <= 4
+            )
             verdict = (
                 "consistent with zero entropy and uniform security at desk scale"
                 if flat_ok

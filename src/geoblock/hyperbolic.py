@@ -49,6 +49,8 @@ __all__ = [
 _DET_TOL = 1e-12
 _MATRIX_TOL = 1e-9
 _RELATOR_TOL = 1e-9
+# the uniform_count_bound variants
+BOUND_MODES = ("rigorous", "systole", "empirical")
 
 
 def hyp_distance(z: complex, w: complex) -> float:
@@ -517,7 +519,7 @@ def uniform_count_bound(
             res = orbit_count(preset, zx, zy, [r], strict=False)
             worst = max(worst, res.ball.count_series[0][1])
         return UniformBound(float(worst), r, mode, False, {"pairs": len(pairs), "seed": seed})
-    raise DomainError(f"unknown mode {mode!r}")
+    raise DomainError(f"unknown mode {mode!r}, expected one of {BOUND_MODES}")
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,20 @@ class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="'treshold_t_max'"):
             flat_config(treshold_t_max="2")
+        with pytest.raises(ConfigError, match="'workers'"):
+            flat_config(workers=2)
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="'sampler'.*'cout'"):
             flat_config(sampler={"cout": 8})
         with pytest.raises(ConfigError, match="'geometry'"):
             flat_config(geometry={"kind": "torus", "basis": ["1", "0", "0", "1"], "bases": []})
+
+    def test_unknown_enum_value_rejected(self):
+        with pytest.raises(ConfigError, match="bound_mode 'sistole'"):
+            flat_config(orbit={"bound_mode": "sistole"})
+        with pytest.raises(ConfigError, match="format 'xml'"):
+            flat_config(format="xml")
 
     def test_shipped_configs_load(self):
         for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
@@ -127,16 +135,6 @@ class TestCount:
         lines = (tmp_path / "count.csv").read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(ln.endswith(("certified", "heuristic")) for ln in lines[1:])
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        outs = []
-        for workers, sub in ((1, "w1"), (2, "w2"), (8, "w8")):
-            cfg = flat_config()
-            cfg.workers = workers
-            out = tmp_path / sub
-            cmd_count(cfg, out)
-            outs.append((out / "count.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
 
 
 class TestBlock:
@@ -218,6 +216,20 @@ class TestReport:
         assert data["threshold_max"] <= 4
         assert data["verdict"].startswith("consistent")
 
+    def test_flat_verdict_short_grid(self, tmp_path):
+        # n_t ~ c t^2 has exponential slope about 2/t: 0.066 on t = 2..40,
+        # while its growth class is polynomial (degree 2.00)
+        cfg = flat_config(
+            geometry={"kind": "torus", "basis": ["1", "0", "1/3", "5/4"]},
+            pairs=[[["1/4", "1/8"], ["1/2", "1/8"]]],
+            t_grid="2:40:2",
+            threshold_t_max="1",
+        )
+        assert cmd_report(cfg, tmp_path) == 0
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["h_est"] > 0.05
+        assert data["verdict"].startswith("consistent with zero entropy")
+
     def test_partial_on_single_t(self, tmp_path):
         cfg = flat_config(t_grid=["1"])
         cmd_report(cfg, tmp_path)
@@ -254,6 +266,17 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["count", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert main(["count", "--out", str(tmp_path / "o2")]) == 2
+        octagon = {"geometry": {"kind": "fuchsian", "preset": "octagon_genus2"}, "t_grid": ["3", "4"]}
+        for name, extra in (("mode", {"orbit": {"bound_mode": "sistole"}}), ("fmt", {"format": "xml"})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**octagon, **extra}))
+            assert main(["report", "--config", str(path), "--out", str(tmp_path / name)]) == 2
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--config", str(cfg_path), "--workers", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     def test_seed_and_grid_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
