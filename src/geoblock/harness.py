@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class ExperimentConfig:
             raise ConfigError("flat geometries need a 'pairs' list")
         return space
 
-    def cells(self):
+    def cells(self) -> Iterator[tuple[int, RationalPoint, RationalPoint, Fraction]]:
         """The (pair index, x, y, t) cells in canonical order: pairs as
         listed, then t increasing (parse_t_grid guarantees it)."""
         for pi, (x, y) in enumerate(self.pairs):
