@@ -18,6 +18,7 @@ from .growth import GrowthSeries, TransformParams, rate_estimate, transform
 from .harness import (
     FORMATS,
     ExperimentConfig,
+    _parse_pairs,
     cmd_block,
     cmd_count,
     cmd_recursion_check,
@@ -81,8 +82,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         spec = args.t_grid
         cfg.t_grid = parse_t_grid(spec.split(",") if ("," in spec and ":" not in spec) else spec)
     if getattr(args, "pairs", None):
-        from .harness import _parse_pairs
-
         try:
             cfg.pairs = _parse_pairs(json.loads(args.pairs.read_text()))
         except (OSError, json.JSONDecodeError, ValueError) as exc:

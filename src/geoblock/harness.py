@@ -124,6 +124,24 @@ _CONFIG_KEYS = {
 FORMATS = ("csv", "json")
 
 
+def _config_int(name: str, value, least: int | None = None) -> int:
+    """A JSON integer (not a bool, float or string), at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        bound = f" >= {least}" if least is not None else ""
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _base_point(value) -> complex:
+    """An [re, im] pair of finite numbers with im > 0 (upper half-plane)."""
+    numbers = isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value
+    )
+    if not numbers or value[1] <= 0:
+        raise ConfigError(f"base point {value!r} is not [re, im] with finite numbers and im > 0")
+    return complex(value[0], value[1])
+
+
 def _check_keys(raw) -> None:
     for section, allowed in _CONFIG_KEYS.items():
         table = raw if section is None else raw.get(section, {})
@@ -197,19 +215,20 @@ class ExperimentConfig:
         pairs = _parse_pairs(raw.get("pairs", []))
         caps_raw = raw.get("caps", {})
         caps = SolverCaps(
-            max_candidates=int(caps_raw.get("max_candidates", 5000)),
-            max_geodesics=int(caps_raw.get("max_geodesics", 2000)),
+            max_candidates=_config_int("caps.max_candidates", caps_raw.get("max_candidates", 5000), 1),
+            max_geodesics=_config_int("caps.max_geodesics", caps_raw.get("max_geodesics", 2000), 1),
         )
         sampler = raw.get("sampler", {})
         verify = raw.get("verify", {})
-        base_raw = raw.get("base_points")
-        if base_raw:
-            base = (
-                complex(float(base_raw[0][0]), float(base_raw[0][1])),
-                complex(float(base_raw[1][0]), float(base_raw[1][1])),
-            )
-        else:
-            base = (0.03 + 0.97j, 0.03 + 0.97j)
+        recursion = verify.get("recursion", False)
+        if not isinstance(recursion, bool):
+            raise ConfigError(f"verify.recursion must be true or false, got {recursion!r}")
+        base = (0.03 + 0.97j, 0.03 + 0.97j)
+        if "base_points" in raw:
+            base_raw = raw["base_points"]
+            if not isinstance(base_raw, list) or len(base_raw) != 2:
+                raise ConfigError(f"base_points must be two [re, im] pairs, got {base_raw!r}")
+            base = (_base_point(base_raw[0]), _base_point(base_raw[1]))
         orbit = raw.get("orbit", {})
         bound_mode = orbit.get("bound_mode", "systole")
         if bound_mode not in BOUND_MODES:
@@ -223,16 +242,16 @@ class ExperimentConfig:
             geometry=geometry,
             t_grid=t_grid,
             pairs=pairs,
-            seed=int(raw.get("seed", 42)),
+            seed=_config_int("seed", raw.get("seed", 42)),
             caps=caps,
-            sampler_count=int(sampler.get("count", 8)),
-            sampler_denominator=int(sampler.get("denominator", 8)),
-            verify_recursion=bool(verify.get("recursion", False)),
+            sampler_count=_config_int("sampler.count", sampler.get("count", 8), 1),
+            sampler_denominator=_config_int("sampler.denominator", sampler.get("denominator", 8), 2),
+            verify_recursion=recursion,
             recursion_t_sq_cap=_parse_fraction(rec_cap) ** 2 if rec_cap is not None else None,
             threshold_t_sq_cap=_parse_fraction(thr_cap) ** 2,
             base_points=base,
             bound_mode=bound_mode,
-            max_word_len=int(orbit.get("max_word_len", 24)),
+            max_word_len=_config_int("orbit.max_word_len", orbit.get("max_word_len", 24), 1),
             out_format=out_format,
         )
 
@@ -447,34 +466,19 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             CheckRow("chain-upper", "m_t(x,y) <= n_t(x,y)", m, n, m <= n, True, None, ctx)
         )
         # counting vs blocked-counting envelope; meaningful from t >= 2*delta
-        if t_sq >= 4 * delta_sq:
-            ok = 4 * delta_sq * n <= t_sq * m
-            rhs = float(t_sq * m / (4 * delta_sq))
-            checks.append(
-                CheckRow(
-                    "count-envelope",
-                    "n_t <= (t^2/(4*delta^2)) * m_t",
-                    n,
-                    rhs,
-                    ok,
-                    True,
-                    None,
-                    ctx,
-                )
+        env = t_sq >= 4 * delta_sq
+        checks.append(
+            CheckRow(
+                "count-envelope",
+                "n_t <= (t^2/(4*delta^2)) * m_t",
+                n,
+                float(t_sq * m / (4 * delta_sq)) if env else math.nan,
+                4 * delta_sq * n <= t_sq * m if env else None,
+                True,
+                None if env else "skipped: t < 2*delta",
+                ctx,
             )
-        else:
-            checks.append(
-                CheckRow(
-                    "count-envelope",
-                    "n_t <= (t^2/(4*delta^2)) * m_t",
-                    n,
-                    math.nan,
-                    None,
-                    True,
-                    "skipped: t < 2*delta",
-                    ctx,
-                )
-            )
+        )
         S = _sampled_transform(cost, t_sq, delta_sq)
         # m <= (2t/delta) S  <=>  m^2 delta^2 <= 4 t^2 S^2 (exact squares)
         ok_m = m * m * delta_sq <= 4 * t_sq * S * S

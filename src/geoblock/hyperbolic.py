@@ -1,11 +1,13 @@
 """Orbit counting for discrete isometry groups of the hyperbolic plane.
 
-Upper half-plane model throughout, binary64 floats; the error budget grows
-linearly in word length and stays far below the 1e-9 deduplication
-tolerance for the shipped presets.  Orbit balls realize the exponential
-counting regime, and packing bounds on orbit counts turn them into
-certified lower bounds on blocking thresholds (count at t over twice the
-uniform count bound at t/2).
+Upper half-plane model throughout, binary64 floats; rounding error grows
+linearly in word length and is budgeted at 1e-9.  Cocompact orbits are
+deduplicated by orbit point: distinct elements of a torsion-free group move
+a base point at least one systole apart, and orbit_count refuses a cutoff
+at which that gap, seen in the disc centred at x, would not clear the
+budget.  Orbit balls realize the exponential counting regime, and packing
+bounds on orbit counts turn them into certified lower bounds on blocking
+thresholds (count at t over twice the uniform count bound at t/2).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,9 +48,9 @@ __all__ = [
     "count_series_to_csv",
 ]
 
-_DET_TOL = 1e-12
-_MATRIX_TOL = 1e-9
-_RELATOR_TOL = 1e-9
+# float-error budget of a word evaluation: bounds the relator check and the
+# smallest orbit-point gap the cocompact dedup may rely on
+_FLOAT_ERR = 1e-9
 # the uniform_count_bound variants
 BOUND_MODES = ("rigorous", "systole", "empirical")
 
@@ -100,7 +102,7 @@ class MobiusMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
-    def close_to(self, other: "MobiusMatrix", tol: float = _MATRIX_TOL) -> bool:
+    def close_to(self, other: "MobiusMatrix", tol: float) -> bool:
         """Equality up to sign within Frobenius tolerance."""
         s = self.as_array()
         o = other.as_array()
@@ -168,10 +170,13 @@ class FuchsianPreset:
                 raise DomainError("cocompact preset needs a relator word")
             r = self.evaluate_word(self.relator)
             ident = MobiusMatrix(1.0, 0.0, 0.0, 1.0)
-            if not r.close_to(ident, _RELATOR_TOL):
+            if not r.close_to(ident, _FLOAT_ERR):
                 raise DomainError("relator does not evaluate to +-identity")
             if self.diameter is None or self.area is None:
                 raise DomainError("cocompact preset needs diameter and area metadata")
+            # orbit_count's dedup rests on it
+            if not isinstance(self.systole, (int, float)) or not self.systole > 0:
+                raise DomainError("cocompact preset needs a positive systole")
         elif self.kind == "schottky":
             # ping-pong certificate: isometric circles of all generators and
             # inverses pairwise disjoint
@@ -262,35 +267,21 @@ class OrbitCountResult:
         return all(self.certified)
 
 
-class _MatrixDedup:
-    """Tolerance dedup for matrices up to sign.
+def _claim(cells: dict[tuple[int, int], complex], w: complex, h: float) -> bool:
+    """Store w unless a stored point lies within h of it; True iff stored.
 
-    Keys are per-entry floor quantizations; queries probe the key ranges
-    covering +-tol around both signs of the matrix, so two matrices within
-    the tolerance always collide regardless of quantization boundaries.
+    Cells are h-squares.  Stored points are at least 2h apart, so a cell
+    holds one of them and any point within h sits in the 3x3 block around
+    w's cell.
     """
-
-    def __init__(self, quantum: float = 1e-6, tol: float = _MATRIX_TOL):
-        self.q = quantum
-        self.tol = tol
-        self._seen: dict[tuple[int, int, int, int], None] = {}
-
-    def _keys_near(self, flat: np.ndarray) -> Iterable[tuple[int, int, int, int]]:
-        los = np.floor((flat - self.tol) / self.q).astype(np.int64)
-        his = np.floor((flat + self.tol) / self.q).astype(np.int64)
-        keys: list[tuple[int, ...]] = [()]
-        for lo, hi in zip(los, his):
-            keys = [k + (i,) for k in keys for i in range(lo, hi + 1)]
-        return keys  # type: ignore[return-value]
-
-    def seen_or_add(self, flat: np.ndarray) -> bool:
-        for sign in (1.0, -1.0):
-            for key in self._keys_near(sign * flat):
-                if key in self._seen:
-                    return True
-        own = tuple(np.floor(flat / self.q).astype(np.int64))
-        self._seen[own] = None
-        return False
+    i, j = math.floor(w.real / h), math.floor(w.imag / h)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            v = cells.get((i + di, j + dj))
+            if v is not None and abs(v - w) <= h:
+                return False
+    cells[(i, j)] = w
+    return True
 
 
 def _gen_arrays(preset: FuchsianPreset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -334,9 +325,15 @@ def orbit_count(
     word must already exceed t_max.  With ``strict`` a failed certificate
     raises; otherwise the result carries per-grid-point flags.
 
-    Deduplication is by word for schottky presets (ping-pong makes reduced
-    words collision-free) and by matrix up to sign within 1e-9 for
-    cocompact presets.
+    Schottky presets need no deduplication: ping-pong makes distinct
+    reduced words distinct elements.  Cocompact presets are deduplicated by
+    orbit point.  Their groups are torsion-free, so distinct elements g, h
+    give d(g y, h y) >= systole.  In the disc centred at x, w = (z - x) /
+    (z - conj x), every kept point has |w| <= tanh(cutoff/2), and there two
+    such points lie at least systole * sech^2(cutoff/2) / 2 apart.  Points
+    within half that gap are one element.  When half the gap is not above
+    the 1e-9 float-error budget (octagon at the default base point: t_max
+    about 18.8) the count raises BudgetExceededError before any expansion.
     """
     if x.imag <= 0 or y.imag <= 0:
         raise DomainError("base points must lie in the upper half-plane")
@@ -352,40 +349,38 @@ def orbit_count(
         slack = float(max(hyp_distance(y, MobiusMatrix(*m.reshape(4)).apply(y)) for m in gen_mats))
     cutoff = t_max + slack
 
-    dedup = _MatrixDedup() if preset.kind == "cocompact" else None
+    cells: dict[tuple[int, int], complex] | None = None
+    if preset.kind == "cocompact":
+        # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
+        h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
+        if h <= _FLOAT_ERR:
+            raise BudgetExceededError(
+                f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
+                f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
+            )
+        cells = {}
+        _claim(cells, (y - x) / (y - x.conjugate()), h)
 
-    ident = np.eye(2)
-    if dedup is not None:
-        dedup.seen_or_add(ident.reshape(4))
-    disp0 = hyp_distance(x, y)
-    all_words: list[str] = [""]
-    all_mats: list[np.ndarray] = [ident]
-    all_disp: list[float] = [disp0]
-
-    frontier_mats = ident.reshape(1, 2, 2)
-    frontier_words = [""]
-    frontier_last = np.array([-1])
-    frontier_disp = np.array([disp0])
-
+    # element i is element all_parent[i] followed by generator all_last[i];
+    # kept children lie within the cutoff, so the frontier is the elements
+    # from lo on, and only the identity may start out unexpandable
+    all_parent, all_last = [-1], [-1]
+    all_mats: list[np.ndarray] = [np.eye(2)]
+    all_disp = [hyp_distance(x, y)]
+    lo = 0 if all_disp[0] <= cutoff else 1
     level = 0
-    budget_frontier_min: float | None = None
-    while len(frontier_mats):
-        expandable = frontier_disp <= cutoff
+    certified_t = math.inf
+    while lo < len(all_mats):
         if level >= max_word_len:
-            if expandable.any():
-                budget_frontier_min = float(frontier_disp[expandable].min())
-            break
-        frontier_mats = frontier_mats[expandable]
-        frontier_words = [w for w, e in zip(frontier_words, expandable) if e]
-        frontier_last = frontier_last[expandable]
-        if not len(frontier_mats):
+            certified_t = min(all_disp[lo:])
             break
         level += 1
 
-        n_f, n_g = len(frontier_mats), len(letters)
-        children = np.einsum("fij,gjk->fgik", frontier_mats, gen_mats)
+        hi, n_g = len(all_mats), len(letters)
+        children = np.einsum("fij,gjk->fgik", np.array(all_mats[lo:]), gen_mats)
         # no immediate backtracking: skip the inverse of the last letter
-        mask = np.ones((n_f, n_g), dtype=bool)
+        mask = np.ones((hi - lo, n_g), dtype=bool)
+        frontier_last = np.array(all_last[lo:])
         has_last = frontier_last >= 0
         mask[np.nonzero(has_last)[0], inv_index[frontier_last[has_last]]] = False
 
@@ -393,41 +388,33 @@ def orbit_count(
         children = children[keep_f, keep_g]
         pts = _apply_batch(children, y)
         d = _distances(x, pts)
-
-        new_mats, new_words, new_last, new_disp = [], [], [], []
+        disc = (pts - x) / (pts - x.conjugate())
         for idx in range(len(children)):
             if d[idx] > cutoff:
                 continue
-            word = frontier_words[keep_f[idx]]
-            letter = int(keep_g[idx])
-            if dedup is not None and dedup.seen_or_add(children[idx].reshape(4)):
+            if cells is not None and not _claim(cells, complex(disc[idx]), h):
                 continue
-            w = (word + " " + letters[letter]).strip()
-            new_mats.append(children[idx])
-            new_words.append(w)
-            new_last.append(letter)
-            new_disp.append(float(d[idx]))
-        all_words.extend(new_words)
-        all_mats.extend(new_mats)
-        all_disp.extend(new_disp)
-        frontier_mats = np.array(new_mats).reshape(-1, 2, 2)
-        frontier_words = new_words
-        frontier_last = np.array(new_last, dtype=int)
-        frontier_disp = np.array(new_disp)
+            all_parent.append(lo + int(keep_f[idx]))
+            all_last.append(int(keep_g[idx]))
+            all_mats.append(children[idx])
+            all_disp.append(float(d[idx]))
+        lo = hi
 
-    if budget_frontier_min is None:
-        certified_t = math.inf
-    else:
-        certified_t = budget_frontier_min
     if strict and certified_t <= t_max:
         raise BudgetExceededError(
             f"word budget {max_word_len} exhausted; counts certified only for "
             f"t < {certified_t:.6g}"
         )
 
+    def word(i: int) -> str:
+        out = []
+        while i > 0:
+            out.append(letters[all_last[i]])
+            i = all_parent[i]
+        return " ".join(reversed(out))
+
     order = np.argsort(all_disp, kind="stable")
     disp_sorted = np.array(all_disp)[order]
-    words_sorted = tuple(all_words[i] for i in order)
     mats_sorted = np.array(all_mats)[order]
 
     in_ball = disp_sorted <= t_max
@@ -438,7 +425,7 @@ def orbit_count(
         x=x,
         y=y,
         radius=t_max,
-        words=tuple(w for w, keep in zip(words_sorted, in_ball) if keep),
+        words=tuple(word(int(i)) for i in order[in_ball]),
         matrices=mats_sorted[in_ball],
         displacements=disp_sorted[in_ball],
         count_series=series_pairs,

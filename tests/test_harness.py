@@ -265,6 +265,26 @@ class TestCli:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({**octagon, **extra}))
             assert main(["report", "--config", str(path), "--out", str(tmp_path / name)]) == 2
+        # malformed numbers and points: each crashed, was coerced or exited 3
+        for name, extra in (
+            ("base_im", {"base_points": [[0.0, 1.0], [0.0, -1.0]]}),
+            ("base_short", {"base_points": [[1]]}),
+            ("word_len", {"orbit": {"max_word_len": "ten"}}),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**octagon, **extra}))
+            assert main(["count", "--config", str(path), "--out", str(tmp_path / name)]) == 2
+        for name, extra in (
+            ("seed_str", {"seed": "abc"}),
+            ("seed_float", {"seed": 1.5}),
+            ("cap_str", {"caps": {"max_candidates": "x"}}),
+            ("count_list", {"sampler": {"count": [1]}}),
+            ("recursion_str", {"verify": {"recursion": "no"}}),
+            ("denominator", {"geometry": {"kind": "billiard"}, "pairs": [[["1/3", "1/3"], ["2/3", "1/5"]]],
+                             "sampler": {"count": 2, "denominator": 1}}),
+        ):
+            cfg_path = write_config(tmp_path, **extra)
+            assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

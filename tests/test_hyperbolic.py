@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from geoblock.hyperbolic import (
     uniform_count_bound,
     word_growth,
 )
+
+
+def octagon_data():
+    """The shipped octagon preset as its JSON dict, to edit one key."""
+    return json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
 
 
 def brute_reduced_words(rank, n):
@@ -124,6 +131,15 @@ class TestPresets:
         }
         with pytest.raises(DomainError):
             FuchsianPreset.from_json(data)
+
+    def test_cocompact_needs_positive_systole(self):
+        # the orbit-point dedup derives its tolerance from the systole
+        data = octagon_data()
+        del data["systole"]
+        with pytest.raises(DomainError, match="systole"):
+            FuchsianPreset.from_json(data)
+        with pytest.raises(DomainError, match="systole"):
+            FuchsianPreset.from_json({**data, "systole": 0.0})
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
@@ -231,6 +247,20 @@ class TestCocompactOrbit:
             d = np.minimum(d_plus, d_minus)
             d[i] = np.inf
             assert d.min() > 1e-3
+
+    def test_tiny_systole_trips_dedup_guard(self):
+        # a systole of 1e-12 would put the dedup tolerance below the float
+        # error, so the count refuses to run instead of merging elements
+        preset = FuchsianPreset.from_json({**octagon_data(), "systole": 1e-12})
+        with pytest.raises(BudgetExceededError, match="dedup"):
+            orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, [3.0])
+
+    def test_count_at_10_matches_lattice_asymptotic(self):
+        # Lax-Phillips: N(t) ~ pi e^t / A with A = 4 pi
+        preset = load_preset("octagon_genus2")
+        res = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, [10.0])
+        assert res.ball.count_series == ((10.0, 5465),)
+        assert res.ball.count_series[0][1] == pytest.approx(math.exp(10) / 4, rel=0.01)
 
     def test_csv_export(self, octagon_ball, tmp_path):
         _, res = octagon_ball

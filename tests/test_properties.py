@@ -1,6 +1,7 @@
 """Property tests for the invariances of (n_t, m_t, s_t) on the flat
 geometries: translation on the torus, swapping the endpoints, monotonicity
-in t, and the symmetries of the square billiard table.
+in t, and the symmetries of the square billiard table; and of the octagon
+orbit counts under swapping the base points and moving both by a generator.
 
 Thresholds stay at t^2 <= 4 so each example solves in well under a second.
 """
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from geoblock.blocker import blocking_threshold
 from geoblock.flatspace import FlatSpace, RationalPoint
+from geoblock.hyperbolic import load_preset, orbit_count
 
 F = Fraction
 TORI = [FlatSpace.unit_torus(), FlatSpace.torus(("1", "0"), ("1/3", "5/4"))]
 BILLIARD = FlatSpace.square_billiard()
+OCTAGON = load_preset("octagon_genus2")
 PROPERTY = settings(max_examples=15, deadline=None)
 
 tori = st.sampled_from(TORI)
@@ -76,3 +79,20 @@ def test_billiard_square_symmetries(x, y, t_sq):
     want = nms(BILLIARD, x, y, t_sq)
     for gx, gy in zip(square_symmetries(x), square_symmetries(y)):
         assert nms(BILLIARD, gx, gy, t_sq) == want
+
+
+def orbit_counts(x, y, t):
+    return orbit_count(OCTAGON, x, y, [t / 2, t], strict=True).ball.count_series
+
+
+near_base = st.builds(complex, st.floats(-0.02, 0.08), st.floats(0.92, 1.02))
+
+
+@settings(max_examples=5, deadline=None)
+@given(near_base, near_base, st.floats(2.0, 5.0), st.integers(0, 3))
+def test_octagon_swap_and_isometry(x, y, t, k):
+    # N(x, y) = N(y, x) = N(g x, g y): each moves the disc the dedup works in
+    want = orbit_counts(x, y, t)
+    g = OCTAGON.generators[k]
+    assert orbit_counts(y, x, t) == want
+    assert orbit_counts(g.apply(x), g.apply(y), t) == want
