@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, GeoBlockError
 from .flatspace import (
@@ -27,11 +27,12 @@ from .flatspace import (
     GeodesicFamily,
     GeodesicSegment,
     RationalPoint,
+    _check_blocking_point,
     _segment_hits,
     connecting_family,
     intersection_candidates,
-    point_on_geodesic,
 )
+from .growth import kappa_from_squares
 
 __all__ = [
     "SolverCaps",
@@ -55,7 +56,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverCaps:
-    """Instance-size caps that keep exact solving interactive."""
+    """Instance-size caps that keep exact solving interactive: build_instance
+    refuses a family over max_geodesics, solve_exact falls back to greedy
+    over max_candidates."""
 
     max_candidates: int = 5000
     max_geodesics: int = 2000
@@ -144,22 +147,15 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
     if m > caps.max_geodesics:
         raise GeoBlockError(f"connecting family size {m} exceeds cap {caps.max_geodesics}")
 
-    x_red = space.reduce_point(family.x)
-    y_red = space.reduce_point(family.y)
+    # every recorded point is interior to a connecting segment, so none is x or y
     records: dict[RationalPoint, set[int]] = {}
-
-    def record(point: RationalPoint, covered: Iterable[int]) -> None:
-        if point == x_red or point == y_red:
-            return
-        records.setdefault(point, set()).update(covered)
-
     half = Fraction(1, 2)
     for i, seg in enumerate(segs):
-        record(seg.point_at(half), (i,))
+        records.setdefault(seg.point_at(half), set()).add(i)
     for i in range(m):
         for j in range(i + 1, m):
             for hit in intersection_candidates(space, segs[i], segs[j]):
-                record(hit.point, (i, j))
+                records.setdefault(hit.point, set()).update((i, j))
 
     # complete the cover sets for collinear clusters: a point recorded from one
     # pair can sit inside another parallel segment's overlap without being that
@@ -261,9 +257,9 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     the greedy cover when greedy is optimal, else the first optimal cover in
     depth-first order, whatever bound is used.
 
-    The bounds are computed before the caps are applied: an instance over
-    the caps returns the greedy cover, ``optimal`` exactly when the root
-    bound meets it, and ``[lower, greedy]`` otherwise.
+    The bounds are computed before the candidate cap is applied: an
+    instance over it returns the greedy cover, ``optimal`` exactly when the
+    root bound meets it, and ``[lower, greedy]`` otherwise.
     """
     m = instance.num_geodesics
     if m == 0:
@@ -271,7 +267,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     full = (1 << m) - 1
 
     greedy = _greedy_cover(instance.covers, full)
-    capped = m > caps.max_geodesics or len(instance.covers) > caps.max_candidates
+    capped = len(instance.covers) > caps.max_candidates
     kept = list(range(len(instance.covers)))
     if not capped:
         # dominance reduction: keep only candidates whose cover set is maximal
@@ -335,18 +331,18 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     return BlockingSolution(pts, len(pts), True, len(greedy), lower)
 
 
-def verify_cover(instance: IncidenceInstance, points: Sequence[RationalPoint]) -> bool:
-    """Re-check a solution against the geometry with exact arithmetic."""
-    space = instance.family.space
-    for seg in instance.family.connecting_segments():
-        if not any(point_on_geodesic(space, p, seg) for p in points):
-            return False
-    return True
+def verify_cover(instance: IncidenceInstance | GeodesicFamily, points: Sequence[RationalPoint]) -> bool:
+    """Whether every connecting segment passes through one of the points,
+    re-checked against the geometry in exact arithmetic.
 
-
-def _blocks(family: GeodesicFamily, points: Sequence[RationalPoint]) -> bool:
-    """Every connecting segment passes through one of the points (exact
-    incidence; the points are known not to be endpoints)."""
+    Takes an instance or its family.  Each point must lie in the table and
+    differ from both endpoints (as for :func:`point_on_geodesic`).
+    """
+    family = instance.family if isinstance(instance, IncidenceInstance) else instance
+    space = family.space
+    ends = (space.reduce_point(family.x), space.reduce_point(family.y))
+    for p in points:
+        _check_blocking_point(space, p, ends)
     return all(any(_segment_hits(seg, p) for p in points) for seg in family.connecting_segments())
 
 
@@ -373,7 +369,7 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
             p = space.reduce_point(RationalPoint(base.x + off[0], base.y + off[1]))
             if p != x_red and p != y_red and p not in pts:
                 pts.append(p)
-    if not _blocks(family, pts):
+    if not verify_cover(family, pts):
         raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
     return sorted(pts)
 
@@ -401,15 +397,15 @@ def blocking_threshold(
 ) -> ThresholdResult:
     """Certified minimal blocking-set size for the connecting family.
 
-    Falls over to the greedy upper bound (``certified=False``) when the
-    instance exceeds the solver caps.
+    Falls over to the greedy upper bound (``certified=False``, unless the
+    root bound meets it) when the instance exceeds the candidate cap.
     """
     instance = build_instance(space, x, y, t_sq, caps)
     mid_upper = None
     if space.is_torus and instance.num_geodesics > 0:
         mid_upper = len(midpoint_cover(instance.family))
     sol = solve_exact(instance, caps)
-    if not _blocks(instance.family, sol.points):
+    if not verify_cover(instance, sol.points):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if mid_upper is not None and sol.optimal and sol.size > mid_upper:
         raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
@@ -510,18 +506,6 @@ def blocking_cost_sampled(
         certified = certified and res.certified
     value = max(values) if values else 0
     return SampledBlockingCost(value, certified, tuple(pairs), tuple(values))
-
-
-def kappa_from_squares(t_sq: Fraction, delta_sq: Fraction) -> int:
-    """Least k with t/2**k < delta, computed from squared lengths."""
-    if t_sq <= 0 or delta_sq <= 0:
-        raise DomainError("squared lengths must be positive")
-    k = 0
-    cur = Fraction(t_sq)
-    while cur >= delta_sq:
-        cur /= 4
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Command-line interface.
 
 Subcommands: count, block, recursion-check, transform, entropy, verify,
-report.  Exit codes: 0 ok, 1 check failure, 2 configuration error,
-3 resource cap or budget exceeded.
+report.  Exit codes: 0 ok, 1 check failure, 2 configuration error (for
+transform and entropy also an unreadable or malformed input CSV, or an
+option outside its domain), 3 resource cap or budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, ConfigError, GeoBlockError, RangeError
+from .errors import BudgetExceededError, ConfigError, DomainError, GeoBlockError, RangeError
 from .growth import GrowthSeries, TransformParams, rate_estimate, transform
 from .harness import (
     FORMATS,
@@ -24,7 +24,6 @@ from .harness import (
     cmd_recursion_check,
     cmd_report,
     cmd_verify,
-    format_sig,
     parse_t_grid,
 )
 
@@ -89,48 +88,27 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _read_series_csv(path: Path) -> GrowthSeries:
-    """A series from a CSV with a header and a t column.
-
-    The values are the n column when there is one (count.csv: the largest n
-    over the pairs at each t), else the column after t ('t,value',
-    't,count,certified').  Non-positive values are dropped.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "t" not in fields[:-1]:
-            raise ConfigError(f"{path}: needs a header with a t column and a value column")
-        column = "n" if "n" in fields else fields[fields.index("t") + 1]
-        best: dict[float, float] = {}
-        for row in reader:
-            t, v = float(row["t"]), float(row[column])
-            best[t] = max(best.get(t, v), v)
-    return GrowthSeries.from_pairs([(t, v) for t, v in best.items() if v > 0])
-
-
 def _run_transform(args: argparse.Namespace) -> int:
-    series = _read_series_csv(args.infile)
+    series = GrowthSeries.from_csv(args.infile)
     params = TransformParams(args.delta)
-    out_lines = ["t,value"]
-    skipped = 0
+    rows = []
     for t, _ in series.samples:
         try:
-            val = transform(series, params, t)
+            rows.append((t, float(transform(series, params, t))))
         except RangeError:
-            skipped += 1
             continue
-        out_lines.append(f"{format_sig(t)},{format_sig(float(val))}")
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text("\n".join(out_lines) + "\n")
+    skipped = len(series.samples) - len(rows)
     if skipped:
         print(f"skipped {skipped} rows whose halved arguments fall outside the sampled range",
               file=sys.stderr)
+    # with every row skipped the series is empty: a DomainError, so exit 2
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    GrowthSeries.from_pairs(rows).to_csv(args.out)
     return 0
 
 
 def _run_entropy(args: argparse.Namespace) -> int:
-    series = _read_series_csv(args.infile)
+    series = GrowthSeries.from_csv(args.infile)
     cls = rate_estimate(series, args.mode, args.window)
     text = json.dumps(cls.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -141,14 +119,19 @@ def _run_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
+_SERIES_COMMANDS = {"transform": _run_transform, "entropy": _run_entropy}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "transform":
-            return _run_transform(args)
-        if args.command == "entropy":
-            return _run_entropy(args)
+        if args.command in _SERIES_COMMANDS:
+            try:
+                return _SERIES_COMMANDS[args.command](args)
+            except (OSError, DomainError) as exc:
+                # the input CSV and the options are these commands' configuration
+                raise ConfigError(str(exc)) from exc
         cfg = _load_config(args)
         return _CONFIG_COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

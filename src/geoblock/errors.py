@@ -10,7 +10,7 @@ class DomainError(GeoBlockError, ValueError):
 
 
 class RangeError(GeoBlockError, ValueError):
-    """Evaluation requested outside a sampled range without extrapolation."""
+    """Evaluation requested outside a sampled range."""
 
 
 class InsufficientDataError(GeoBlockError, ValueError):

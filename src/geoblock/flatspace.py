@@ -15,12 +15,10 @@ there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
-from pathlib import Path
 from typing import Sequence
 
 from .errors import DomainError, UnsupportedInputError
@@ -43,7 +41,6 @@ __all__ = [
     "point_on_geodesic",
     "intersection_candidates",
     "load_space",
-    "family_to_csv",
 ]
 
 
@@ -445,17 +442,22 @@ def count(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> tuple[i
     return fam.n, fam.m
 
 
+def _check_blocking_point(space: FlatSpace, z: RationalPoint, ends: Sequence[RationalPoint]) -> None:
+    """Raise unless z can block a segment between the reduced endpoints
+    ``ends``: it lies in the table (blocking points may sit on its walls,
+    unlike endpoints) and is neither endpoint."""
+    if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
+        raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
+    if space.reduce_point(z) in ends:
+        raise DomainError("z must differ from both endpoints")
+
+
 def point_on_geodesic(space: FlatSpace, z: RationalPoint, segment: GeodesicSegment) -> list[Fraction]:
     """Interior parameters s in (0,1) where the segment passes through z.
 
     Empty list means z does not block this segment.
     """
-    # blocking points may sit on the walls (reflection points), unlike endpoints
-    if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
-        raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
-    zr = space.reduce_point(z)
-    if zr in (space.reduce_point(segment.x), space.reduce_point(segment.y)):
-        raise DomainError("z must differ from both endpoints")
+    _check_blocking_point(space, z, (segment.point_at(Fraction(0)), segment.point_at(Fraction(1))))
     return _segment_hits(segment, z)
 
 
@@ -540,8 +542,9 @@ def intersection_candidates(
 ) -> list[IntersectionHit]:
     """All points interior to both segments, exact.
 
-    De-duplicated by the folded point; the endpoints x and y never appear
-    (interior parameters only).
+    De-duplicated by the folded point.  The endpoints x and y, folded into
+    the fundamental domain, never appear, even where a segment passes
+    through one of them.
     """
     if g1.space is not g2.space or g1.x != g2.x or g1.y != g2.y:
         raise DomainError("segments must come from one (space, x, y) family")
@@ -550,8 +553,8 @@ def intersection_candidates(
     seen: dict[RationalPoint, IntersectionHit] = {}
     for hit in sorted(_intersections(g1, g2), key=lambda h: (h.point.x, h.point.y, h.s)):
         seen.setdefault(hit.point, hit)
-    out = [h for p, h in sorted(seen.items(), key=lambda kv: (kv[0].x, kv[0].y))]
-    return [h for h in out if h.point != g1.x and h.point != g1.y]
+    ends = (g1.point_at(Fraction(0)), g1.point_at(Fraction(1)))
+    return [h for p, h in sorted(seen.items(), key=lambda kv: (kv[0].x, kv[0].y)) if p not in ends]
 
 
 def load_space(cfg: dict) -> FlatSpace:
@@ -570,19 +573,3 @@ def load_space(cfg: dict) -> FlatSpace:
         vals = [_frac(v) for v in basis]
         return FlatSpace.torus((vals[0], vals[1]), (vals[2], vals[3]))
     raise DomainError(f"unknown flat geometry kind {kind!r}")
-
-
-def family_to_csv(family: GeodesicFamily, path: str | Path) -> None:
-    connecting = set(family.connecting)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vx", "vy", "len2", "class"])
-        for i, seg in enumerate(family.segments):
-            writer.writerow(
-                [
-                    str(seg.displacement[0]),
-                    str(seg.displacement[1]),
-                    str(seg.sq_length),
-                    "connecting" if i in connecting else "passes-through-endpoint",
-                ]
-            )

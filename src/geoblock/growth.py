@@ -34,6 +34,8 @@ __all__ = [
     "BoundCheckParams",
     "BoundCheckReport",
     "kappa",
+    "kappa_from_squares",
+    "format_sig",
     "transform",
     "rate_estimate",
     "classify_growth",
@@ -43,52 +45,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Scale parameter of the halving transform (a length, strictly positive)."""
+    """Scale parameter of the halving transform (a length, finite and strictly positive)."""
 
     delta: Real = 1
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
+        _positive(self.delta, "delta")
 
 
 def _is_rational(x: Real) -> bool:
     return isinstance(x, Rational)
 
 
-def kappa(t: Real, params: TransformParams) -> int:
-    """Least k >= 0 with t / 2**k < delta.
+def _positive(x: Real, name: str) -> Fraction:
+    """x as an exact Fraction (binary floats convert exactly), finite and > 0."""
+    try:
+        q = Fraction(x)
+    except (OverflowError, ValueError):  # inf, nan
+        q = None
+    if q is None or q <= 0:
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+    return q
 
-    Exact for rational inputs.  Float inputs are handled exactly as well:
-    halving a binary float is lossless, so the comparisons below never see
-    rounding noise.
+
+def _halving_depth(ratio: Fraction, power: int) -> int:
+    """Least k >= 0 with ratio < 2**(power*k), for ratio = (t/delta)**power.
+
+    2**(power*k) is an integer, so it exceeds ratio iff it exceeds floor(ratio),
+    which holds iff power*k >= floor(ratio).bit_length().
     """
-    delta = params.delta
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    if _is_rational(t) and _is_rational(delta):
-        ratio = Fraction(t) / Fraction(delta)
-        if ratio < 1:
-            return 0
-        # smallest k with 2**k > ratio
-        return (ratio.numerator // ratio.denominator).bit_length()
-    tf, df = float(t), float(delta)
-    if tf < df:
-        return 0
-    k = max(0, math.frexp(tf / df)[1])
-    while k > 0 and tf / (2.0 ** (k - 1)) < df:
-        k -= 1
-    while tf / (2.0**k) >= df:
-        k += 1
-    return k
+    return -(-(ratio.numerator // ratio.denominator).bit_length() // power)
+
+
+def kappa(t: Real, params: TransformParams) -> int:
+    """Least k >= 0 with t / 2**k < delta, exact for rationals and floats."""
+    return _halving_depth(_positive(t, "t") / Fraction(params.delta), 1)
+
+
+def kappa_from_squares(t_sq: Real, delta_sq: Real) -> int:
+    """Least k >= 0 with t / 2**k < delta, from the squared lengths."""
+    return _halving_depth(_positive(t_sq, "t^2") / _positive(delta_sq, "delta^2"), 2)
+
+
+def format_sig(x: float) -> str:
+    """Decimal with 12 significant digits, no exponent notation; x is finite."""
+    if float(x) == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return np.format_float_positional(
+        float(x), precision=12, unique=False, fractional=False, trim="-"
+    )
 
 
 @dataclass(frozen=True)
 class ClosedForm:
     """Positive shape c * t**degree, kept exact under the transform.
 
-    Covers the named forms needed for equality tests: constants, the
-    identity, and integer-power monomials.
+    The named forms are the constants and the identity; other shapes are
+    built from the fields.
     """
 
     coeff: Fraction
@@ -108,10 +121,6 @@ class ClosedForm:
     def linear(cls) -> "ClosedForm":
         return cls(Fraction(1), 1)
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: Real = 1) -> "ClosedForm":
-        return cls(Fraction(coeff), int(degree))
-
     def __call__(self, t: Real) -> Real:
         if _is_rational(t):
             return self.coeff * Fraction(t) ** self.degree
@@ -120,7 +129,7 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Sampled positive function of t, with strictly increasing sample points."""
+    """Sampled positive function of t, with finite, strictly increasing sample points."""
 
     samples: tuple[tuple[float, float], ...]
     monotone: bool = False
@@ -131,6 +140,8 @@ class GrowthSeries:
         prev_t = 0.0
         prev_v = None
         for t, v in self.samples:
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise DomainError(f"samples must be finite, got ({t}, {v})")
             if t <= prev_t:
                 raise DomainError("sample points must be positive and strictly increasing")
             if v <= 0:
@@ -161,11 +172,11 @@ class GrowthSeries:
     def t_range(self) -> tuple[float, float]:
         return self.samples[0][0], self.samples[-1][0]
 
-    def value_at(self, t: float, extrapolate: bool = False) -> float:
-        """Piecewise-linear interpolation in (t, log value)."""
+    def value_at(self, t: float) -> float:
+        """Piecewise-linear interpolation in (t, log value) inside the sampled range."""
         t = float(t)
         lo, hi = self.t_range
-        if (t < lo or t > hi) and not extrapolate:
+        if t < lo or t > hi:
             raise RangeError(f"t={t} outside sampled range [{lo}, {hi}]")
         pts = self.samples
         if len(pts) == 1:
@@ -177,19 +188,36 @@ class GrowthSeries:
         return math.exp((1 - w) * math.log(v0) + w * math.log(v1))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in self.samples:
-                writer.writerow([repr(t), repr(v)])
+        """A 't,value' CSV, LF line endings, numbers by :func:`format_sig`."""
+        lines = ["t,value"] + [f"{format_sig(t)},{format_sig(v)}" for t, v in self.samples]
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path: str | Path, monotone: bool = False) -> "GrowthSeries":
+        """A series from a CSV with a header naming a t column.
+
+        The values are the n column when there is one (count.csv: the largest
+        n over the pairs at each t), else the column after t ('t,value',
+        't,count,certified').  Each t keeps its largest value, and
+        non-positive values are dropped.
+        """
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0][:2]] != ["t", "value"]:
-            raise DomainError(f"{path}: expected a 't,value' header")
-        return cls.from_pairs(((float(r[0]), float(r[1])) for r in rows[1:] if r), monotone=monotone)
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            if "t" not in fields[:-1]:
+                raise DomainError(f"{path}: needs a header with a t column and a value column")
+            column = "n" if "n" in fields else fields[fields.index("t") + 1]
+            best: dict[float, float] = {}
+            for row in reader:
+                try:
+                    t, v = float(row["t"]), float(row[column])
+                except (TypeError, ValueError):  # a short row reads None
+                    t = v = math.nan
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise DomainError(f"{path}, line {reader.line_num}: t and {column} must be finite numbers")
+                best[t] = max(best.get(t, v), v)
+        return cls.from_pairs([(t, v) for t, v in best.items() if v > 0], monotone=monotone)
 
 
 Evaluatable = Union[GrowthSeries, ClosedForm, Callable[[float], float]]
@@ -206,9 +234,7 @@ def transform(
     The empty product (K == 0) is 1.  With a :class:`ClosedForm` and rational
     inputs the result is an exact Fraction.
     """
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    full_k = kappa(t, params)
+    full_k = kappa(t, params)  # validates t
     if k_stop is None:
         depth = full_k
     else:

@@ -16,8 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .blocker import (
     CheckRow,
     PairSampler,
@@ -25,12 +23,11 @@ from .blocker import (
     _round_sig,
     blocking_cost_sampled,
     blocking_threshold,
-    kappa_from_squares,
     recursion_harness,
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
 from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_space
-from .growth import GrowthSeries, classify_growth, rate_estimate
+from .growth import GrowthSeries, classify_growth, format_sig, kappa_from_squares, rate_estimate
 from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, orbit_count
 
 __all__ = [
@@ -44,17 +41,6 @@ __all__ = [
     "cmd_verify",
     "cmd_report",
 ]
-
-
-def format_sig(x: float) -> str:
-    """Decimal with 12 significant digits, no exponent notation."""
-    if x != x or x in (math.inf, -math.inf):
-        return str(x)
-    if float(x) == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return np.format_float_positional(
-        float(x), precision=12, unique=False, fractional=False, trim="-"
-    )
 
 
 def _parse_fraction(v) -> Fraction:

@@ -45,14 +45,14 @@ __all__ = [
     "certified_blocking_lower_bound",
     "blocking_lower_bound_series",
     "word_growth",
-    "count_series_to_csv",
 ]
 
 # float-error budget of a word evaluation: bounds the relator check and the
 # smallest orbit-point gap the cocompact dedup may rely on
 _FLOAT_ERR = 1e-9
-# the uniform_count_bound variants
+# the uniform_count_bound variants, and the base-point pairs "empirical" samples
 BOUND_MODES = ("rigorous", "systole", "empirical")
+_EMPIRICAL_PAIRS = 3
 
 
 def hyp_distance(z: complex, w: complex) -> float:
@@ -113,13 +113,6 @@ class MobiusMatrix:
         if self.c == 0:
             raise DomainError("isometric circle undefined for c == 0")
         return (-self.d / self.c, 1.0 / abs(self.c))
-
-
-def _translation_length(m: MobiusMatrix) -> float:
-    half = abs(m.trace) / 2.0
-    if half <= 1.0:
-        return 0.0
-    return 2.0 * math.acosh(half)
 
 
 @dataclass(frozen=True)
@@ -460,7 +453,6 @@ def uniform_count_bound(
     r: float,
     mode: str = "rigorous",
     seed: int = 0,
-    sample_pairs: int = 3,
 ) -> UniformBound:
     """Bound sup over base-point pairs of the orbit count at radius r.
 
@@ -498,14 +490,12 @@ def uniform_count_bound(
     if mode == "empirical":
         rng = random.Random(seed)
         worst = 1
-        pairs = []
-        for _ in range(sample_pairs):
+        for _ in range(_EMPIRICAL_PAIRS):
             zx = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
             zy = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
-            pairs.append((zx, zy))
             res = orbit_count(preset, zx, zy, [r], strict=False)
             worst = max(worst, res.ball.count_series[0][1])
-        return UniformBound(float(worst), r, mode, False, {"pairs": len(pairs), "seed": seed})
+        return UniformBound(float(worst), r, mode, False, {"pairs": _EMPIRICAL_PAIRS, "seed": seed})
     raise DomainError(f"unknown mode {mode!r}, expected one of {BOUND_MODES}")
 
 
@@ -515,7 +505,7 @@ class BlockingBound:
 
     value = N(t) / (2 * U(t/2)); the numerator counts all homotopy classes
     (classes through an endpoint are not excluded; for generic base points
-    none occur, and `endpoint_hits` records the check when it was run).
+    none occur).
     """
 
     t: float
@@ -524,32 +514,6 @@ class BlockingBound:
     count: int
     denominator_bound: float
     bound_mode: str
-    endpoint_hits: int | None
-
-
-def _endpoint_hit_count(ball: OrbitBall, tol: float = 1e-9) -> int:
-    """Classes whose geodesic passes through an orbit point of an endpoint.
-
-    Betweenness test: w is interior to the segment [x, g y] iff
-    d(x, w) + d(w, g y) = d(x, g y).  Quadratic in the ball size, intended
-    for moderate balls.
-    """
-    x = ball.x
-    pts = np.array([MobiusMatrix(*m.reshape(4)).apply(ball.y) for m in ball.matrices])
-    hits = 0
-    for i, g_pt in enumerate(pts):
-        d_total = hyp_distance(x, g_pt)
-        if d_total <= tol:
-            continue
-        for j, w_pt in enumerate(pts):
-            if j == i:
-                continue
-            dx = hyp_distance(x, complex(w_pt))
-            dy = hyp_distance(complex(w_pt), complex(g_pt))
-            if dx > tol and dy > tol and abs(dx + dy - d_total) <= tol:
-                hits += 1
-                break
-    return hits
 
 
 def certified_blocking_lower_bound(
@@ -559,7 +523,6 @@ def certified_blocking_lower_bound(
     t: float,
     bound_mode: str = "systole",
     orbit: OrbitCountResult | None = None,
-    check_endpoint_hits: bool = False,
 ) -> BlockingBound:
     """Certified lower bound on the blocking threshold at radius t.
 
@@ -573,13 +536,9 @@ def certified_blocking_lower_bound(
     n_t = int(np.searchsorted(orbit.ball.displacements, t, side="right"))
     count_certified = t < orbit.certified_t
     u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
-    hits = None
-    if check_endpoint_hits:
-        hits = _endpoint_hit_count(orbit.ball)
-        n_t = max(n_t - hits, 0)
     value = n_t / (2.0 * u.value)
     return BlockingBound(
-        t, value, count_certified and u.certified, n_t, u.value, bound_mode, hits
+        t, value, count_certified and u.certified, n_t, u.value, bound_mode
     )
 
 
@@ -620,10 +579,3 @@ def word_growth(kind: str, rank: int, n: int) -> int:
             total += 2**i * math.comb(rank, i) * math.comb(n, i)
         return total
     raise DomainError(f"unknown kind {kind!r}")
-
-
-def count_series_to_csv(result: OrbitCountResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,count,certified\n")
-        for (t, c), cert in zip(result.ball.count_series, result.certified):
-            fh.write(f"{t!r},{c},{int(cert)}\n")

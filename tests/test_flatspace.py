@@ -12,7 +12,6 @@ from geoblock.flatspace import (
     connecting_family,
     count,
     enumerate_geodesics,
-    family_to_csv,
     intersection_candidates,
     load_space,
     point_on_geodesic,
@@ -284,6 +283,16 @@ class TestIntersections:
         g2 = next(s for s in segs if s.displacement == (F(0), F(1)))
         assert intersection_candidates(space, g1, g2) == []
 
+    def test_unreduced_endpoint_never_a_hit(self):
+        # x = (1,0) folds to (0,0); segments passing through x or y must not report them
+        space = FlatSpace.unit_torus()
+        x, y = P(1, 0), P("1/2", 0)
+        ends = {space.reduce_point(x), space.reduce_point(y)}
+        segs = self._segments(space, x, y, 16)
+        for i, g1 in enumerate(segs):
+            for g2 in segs[i + 1:]:
+                assert not ends & {h.point for h in intersection_candidates(space, g1, g2)}
+
     def test_diagonal_crossing(self):
         space = FlatSpace.unit_torus()
         segs = self._segments(space, P(0, 0), P(0, 0), 2)
@@ -402,16 +411,6 @@ class TestConfigAndExport:
             load_space({"kind": "sphere"})
         with pytest.raises(DomainError):
             load_space({"kind": "torus", "basis": ["1", "0"]})
-
-    def test_family_csv(self, tmp_path):
-        space = FlatSpace.unit_torus()
-        fam = connecting_family(space, P(0, 0), P(0, 0), 4)
-        path = tmp_path / "family.csv"
-        family_to_csv(fam, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "vx,vy,len2,class"
-        assert len(lines) == fam.n + 1
-        assert any("passes-through-endpoint" in ln for ln in lines[1:])
 
     def test_billiard_delta_convention(self):
         assert FlatSpace.square_billiard().delta_sq == F(1, 16)

@@ -81,6 +81,11 @@ class TestKappa:
             kappa(-1.0, TransformParams(1))
         with pytest.raises(DomainError):
             TransformParams(0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                kappa(bad, TransformParams(1))
+            with pytest.raises(DomainError):
+                TransformParams(bad)
 
 
 class TestTransform:

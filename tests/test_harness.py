@@ -345,6 +345,32 @@ class TestCli:
         assert fit["kind"] == "polynomial"
         assert fit["parameter"] == pytest.approx(2.0056, abs=1e-4)
 
+    @pytest.mark.parametrize("argv,text", [
+        pytest.param(["transform"], "t,value\n1,abc\n", id="transform-bad-cell"),
+        pytest.param(["entropy"], "t,value\n1,abc\n", id="entropy-bad-cell"),
+        pytest.param(["transform"], "t,value\n1,1\n2\n", id="transform-short-row"),
+        pytest.param(["entropy"], "t,value\n1,1\n2\n", id="entropy-short-row"),
+        pytest.param(["transform"], None, id="transform-missing-file"),
+        pytest.param(["entropy"], None, id="entropy-missing-file"),
+        pytest.param(["transform"], "t,value\n1,1\ninf,2\n", id="transform-t-inf"),
+        pytest.param(["entropy"], "t,value\n1,1\ninf,2\n", id="entropy-t-inf"),
+        pytest.param(["transform"], "t,value\n1,1\nnan,2\n", id="transform-t-nan"),
+        pytest.param(["entropy"], "t,n\n1,1\n2,nan\n", id="entropy-n-nan"),
+        pytest.param(["transform", "--delta", "0"], "t,value\n1,1\n", id="delta-zero"),
+        pytest.param(["transform", "--delta", "nan"], "t,value\n1,1\n", id="delta-nan"),
+        pytest.param(["entropy", "--window", "0"], "t,value\n1,1\n", id="window-zero"),
+        pytest.param(["entropy", "--window", "1.5"], "t,value\n1,1\n", id="window-above-one"),
+    ])
+    def test_series_input_errors_exit_2(self, tmp_path, capsys, argv, text):
+        # a bad cell, a short row, a missing file, a non-finite number or an
+        # option outside its domain: one line on stderr, exit 2
+        src = tmp_path / "in.csv"
+        if text is not None:
+            src.write_text(text)
+        assert main([*argv, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_entropy_cli(self, tmp_path):
         import math
 

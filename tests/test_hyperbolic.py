@@ -14,7 +14,6 @@ from geoblock.hyperbolic import (
     blocking_lower_bound_series,
     builtin_presets,
     certified_blocking_lower_bound,
-    count_series_to_csv,
     entropy_estimate,
     hyp_distance,
     load_preset,
@@ -262,13 +261,6 @@ class TestCocompactOrbit:
         assert res.ball.count_series == ((10.0, 5465),)
         assert res.ball.count_series[0][1] == pytest.approx(math.exp(10) / 4, rel=0.01)
 
-    def test_csv_export(self, octagon_ball, tmp_path):
-        _, res = octagon_ball
-        path = tmp_path / "counts.csv"
-        count_series_to_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,count,certified"
-        assert len(lines) == len(res.ball.count_series) + 1
 
 
 class TestEntropy:
@@ -375,10 +367,3 @@ class TestBlockingLowerBound:
         values = [b.value for b in bounds]
         tail = values[-6:]
         assert tail == sorted(tail)
-
-    def test_endpoint_hit_check_runs(self):
-        preset = load_preset("octagon_genus2")
-        b = certified_blocking_lower_bound(
-            preset, 0.03 + 0.97j, 0.03 + 0.97j, 4.0, check_endpoint_hits=True
-        )
-        assert b.endpoint_hits == 0  # generic base point
