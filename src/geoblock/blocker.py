@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import DomainError, GeoBlockError
@@ -28,9 +29,9 @@ from .flatspace import (
     GeodesicSegment,
     RationalPoint,
     _check_blocking_point,
+    _intersections,
     _segment_hits,
     connecting_family,
-    intersection_candidates,
 )
 from .growth import kappa_from_squares
 
@@ -70,8 +71,8 @@ class IncidenceInstance:
 
     ``covers[c]`` is the bitmask of connecting-geodesic slots blocked by
     candidate ``c``.  Candidates are sorted by point and deduplicated: exact
-    point dedup first, then candidates with identical cover sets collapse to
-    the lexicographically smallest representative.
+    point dedup first (on integer keys), then candidates with identical
+    cover sets collapse to the lexicographically smallest representative.
     """
 
     family: GeodesicFamily
@@ -119,6 +120,17 @@ def _direction_class_key(space: FlatSpace, seg: GeodesicSegment) -> tuple:
     return max(key for s1, s2 in space.group for key in ((s1 * a1, s2 * a2), (-s1 * a1, -s2 * a2)))
 
 
+def _plane_cmp(p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
+    """Order of points (X/D, Y/D) (``FlatSpace._key_plane``), exact in integers."""
+    (x1, y1, d1), (x2, y2, d2) = p, q
+    dx = x1 * d2 - x2 * d1
+    dy = y1 * d2 - y2 * d1
+    return (dx > 0) - (dx < 0) or (dy > 0) - (dy < 0)
+
+
+_plane_order = cmp_to_key(_plane_cmp)
+
+
 def build_instance(
     space: FlatSpace,
     x: RationalPoint,
@@ -132,7 +144,8 @@ def build_instance(
     intersection names the two segments it lies on) and completed exactly:
     representatives and members of multi-segment collinear clusters are
     re-checked against every candidate with the exact incidence solver, so
-    no membership is missed.
+    no membership is missed.  Points stay integer keys (``FlatSpace._fold_key``)
+    until the kept candidates are built.
     """
     family = connecting_family(space, x, y, t_sq)
     return build_instance_from_family(family, caps)
@@ -147,15 +160,16 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
     if m > caps.max_geodesics:
         raise GeoBlockError(f"connecting family size {m} exceeds cap {caps.max_geodesics}")
 
-    # every recorded point is interior to a connecting segment, so none is x or y
-    records: dict[RationalPoint, set[int]] = {}
-    half = Fraction(1, 2)
+    # every record is interior to a connecting segment; the endpoint keys go as a guard
+    records: dict[tuple[int, int, int], set[int]] = {}
     for i, seg in enumerate(segs):
-        records.setdefault(seg.point_at(half), set()).add(i)
+        records.setdefault(seg.key_at(1, 2), set()).add(i)
     for i in range(m):
         for j in range(i + 1, m):
-            for hit in intersection_candidates(space, segs[i], segs[j]):
-                records.setdefault(hit.point, set()).update((i, j))
+            for hit in _intersections(segs[i], segs[j]):
+                records.setdefault(hit[0], set()).update((i, j))
+    for end in (segs[0].key_at(0, 1), segs[0].key_at(1, 1)):
+        records.pop(end, None)
 
     # complete the cover sets for collinear clusters: a point recorded from one
     # pair can sit inside another parallel segment's overlap without being that
@@ -166,32 +180,22 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
     classes: dict[tuple, list[int]] = {}
     for i, key in enumerate(class_key):
         classes.setdefault(key, []).append(i)
-    for point, covered in records.items():
+    for key, covered in records.items():
         keys = {class_key[i] for i in covered}
         if len(keys) != 1:
             continue
-        members = classes[next(iter(keys))]
-        for i in members:
-            if i not in covered and _segment_hits(segs[i], point):
-                covered.add(i)
+        missing = [i for i in classes[next(iter(keys))] if i not in covered]
+        if missing:
+            point = space._key_point(key)
+            covered.update(i for i in missing if _segment_hits(segs[i], point))
 
-    points = sorted(records)
-    masks = []
-    for p in points:
-        mask = 0
-        for i in records[p]:
-            mask |= 1 << i
-        masks.append(mask)
-
-    # dedup identical cover sets; keep the lexicographically smallest point
-    seen: dict[int, int] = {}
-    keep_points, keep_masks = [], []
-    for p, mask in zip(points, masks):
-        if mask in seen:
-            continue
-        seen[mask] = len(keep_points)
-        keep_points.append(p)
-        keep_masks.append(mask)
+    # dedup identical cover sets, keeping the lexicographically smallest point
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for key, covered in records.items():
+        groups.setdefault(sum(1 << i for i in covered), []).append(key)
+    least = {mask: min(map(space._key_plane, keys), key=_plane_order) for mask, keys in groups.items()}
+    keep_masks = sorted(least, key=lambda mask: _plane_order(least[mask]))
+    keep_points = [RationalPoint(Fraction(X, D), Fraction(Y, D)) for X, Y, D in map(least.get, keep_masks)]
 
     full = (1 << m) - 1
     covered_union = 0

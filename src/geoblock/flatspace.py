@@ -25,6 +25,7 @@ from .errors import DomainError, UnsupportedInputError
 
 Vec = tuple[Fraction, Fraction]
 Flip = tuple[int, int]
+Key = tuple[int, int, int]  # a folded point as integer lattice coordinates (i/d, j/d)
 
 __all__ = [
     "RationalPoint",
@@ -171,12 +172,27 @@ class FlatSpace:
         den = math.lcm(*(c.denominator for ij in coords for c in ij))
         return [(int(i * den), int(j * den)) for i, j in coords], den
 
-    def _fold(self, n1: int, n2: int, den: int) -> RationalPoint:
-        """The point with lattice coordinates (n1/den, n2/den), den > 0,
-        reduced mod the lattice and then to its least group image."""
+    def _fold_key(self, n1: int, n2: int, den: int) -> Key:
+        """The point (n1/den, n2/den) in lattice coordinates, den > 0, reduced
+        mod the lattice, then to its least group image, then by gcd(i, j, den):
+        equal points get equal keys."""
         i, j = min(((s1 * n1) % den, (s2 * n2) % den) for s1, s2 in self.group)
+        g = math.gcd(i, j, den)
+        return i // g, j // g, den // g
+
+    def _key_plane(self, key: Key) -> tuple[int, int, int]:
+        """The key's point in the plane as (X/D, Y/D), integers with D > 0."""
+        i, j, den = key
         L, b1x, b1y, b2x, b2y = self._scaled
-        return RationalPoint(Fraction(i * b1x + j * b2x, den * L), Fraction(i * b1y + j * b2y, den * L))
+        return i * b1x + j * b2x, i * b1y + j * b2y, den * L
+
+    def _key_point(self, key: Key) -> RationalPoint:
+        X, Y, D = self._key_plane(key)
+        return RationalPoint(Fraction(X, D), Fraction(Y, D))
+
+    def _fold(self, n1: int, n2: int, den: int) -> RationalPoint:
+        """The point (n1/den, n2/den), den > 0, folded into the space."""
+        return self._key_point(self._fold_key(n1, n2, den))
 
     def reduce_point(self, p: RationalPoint) -> RationalPoint:
         """Canonical fundamental-domain representative of a point."""
@@ -247,15 +263,15 @@ class GeodesicSegment:
     origin: tuple[int, int, int]
     lattice: tuple[int, int]
 
-    def point_at(self, s: Fraction) -> RationalPoint:
-        """The point at parameter s, folded back into the space."""
+    def key_at(self, p: int, q: int) -> Key:
+        """The key of the point at parameter p/q, q > 0."""
         x1, x2, den = self.origin
         a1, a2 = self.lattice
-        p, q = s.numerator, s.denominator
-        return self.space._fold(x1 * q + p * a1, x2 * q + p * a2, den * q)
+        return self.space._fold_key(x1 * q + p * a1, x2 * q + p * a2, den * q)
 
-    def sort_key(self):
-        return self.displacement
+    def point_at(self, s: Fraction) -> RationalPoint:
+        """The point at parameter s, folded back into the space."""
+        return self.space._key_point(self.key_at(s.numerator, s.denominator))
 
 
 def _affine_hits(a1, a2, c1, c2, den: int = 1) -> list[Fraction]:
@@ -368,7 +384,8 @@ def _enumerate(
                 segments.append(GeodesicSegment(
                     space, x, y, v, Fraction(sq_scaled, scale * scale), (s1, s2, i, j), origin, (a1, a2)
                 ))
-    segments.sort(key=GeodesicSegment.sort_key)
+    # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
+    segments.sort(key=lambda g: (g.lattice[0] * b1x + g.lattice[1] * b2x, g.lattice[0] * b1y + g.lattice[1] * b2y))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
     return segments, corner_rejected, ends
 
@@ -491,13 +508,18 @@ def _merge_open_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tu
     return out
 
 
-def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[IntersectionHit]:
-    """Solve x + u*b = h*(x + s*a) + lambda over the flips h, in integer
-    lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral."""
+def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple]:
+    """Common interior points as (key_at(sn, sd), sn, sd, un, s_interval).
+
+    Solves x + u*b = h*(x + s*a) + lambda over the flips h, in integer
+    lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral.  A
+    crossing is at s = sn/sd, u = un/sd, sd > 0; an overlap is reported at
+    the midpoint s = sn/sd of each maximal interval, with un None.
+    """
     x1, x2, den = g1.origin
     a1, a2 = g1.lattice
     b1, b2 = g2.lattice
-    hits: list[IntersectionHit] = []
+    hits = []
     overlaps: list[tuple[Fraction, Fraction]] = []
     for s1, s2 in g1.space.group:
         h1, h2 = s1 * a1, s2 * a2
@@ -508,21 +530,22 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[Intersectio
         k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
         k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
         cross = b1 * h2 - b2 * h1
-        lo_n, hi_n = (0, cross) if cross > 0 else (cross, 0)
+        # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over the
+        # positive denominator sd = |cross| so that the fold sees den > 0
+        sign = 1 if cross > 0 else -1
+        sd = sign * cross
         for k1 in range(k1_lo, k1_hi + 1):
             r1 = c1 + k1 * den
             for k2 in range(k2_lo, k2_hi + 1):
                 r2 = c2 + k2 * den
                 if cross:
-                    # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross
-                    sn = r1 * b2 - r2 * b1
-                    if not lo_n < sn < hi_n:
+                    sn = sign * (r1 * b2 - r2 * b1)
+                    if not 0 < sn < sd:
                         continue
-                    un = r1 * h2 - r2 * h1
-                    if not lo_n < un < hi_n:
+                    un = sign * (r1 * h2 - r2 * h1)
+                    if not 0 < un < sd:
                         continue
-                    s = Fraction(sn, cross)
-                    hits.append(IntersectionHit(g1.point_at(s), s, Fraction(un, cross)))
+                    hits.append((g1.key_at(sn, sd), sn, sd, un, None))
                 elif r1 * h2 == r2 * h1:
                     # parallel carriers: s = u*c + tau with B = c*H and r = -tau*H
                     c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
@@ -533,28 +556,32 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[Intersectio
                         overlaps.append((lo, hi))
     for lo, hi in _merge_open_intervals(overlaps):
         mid = (lo + hi) / 2
-        hits.append(IntersectionHit(g1.point_at(mid), mid, None, s_interval=(lo, hi)))
+        hits.append((g1.key_at(mid.numerator, mid.denominator), mid.numerator, mid.denominator, None, (lo, hi)))
     return hits
 
 
 def intersection_candidates(
     space: FlatSpace, g1: GeodesicSegment, g2: GeodesicSegment
 ) -> list[IntersectionHit]:
-    """All points interior to both segments, exact.
+    """All points interior to both segments, exact, sorted by point.
 
-    De-duplicated by the folded point.  The endpoints x and y, folded into
-    the fundamental domain, never appear, even where a segment passes
-    through one of them.
+    De-duplicated by the folded point's key, keeping the least s.  The
+    endpoints x and y, folded into the fundamental domain, never appear,
+    even where a segment passes through one of them.
     """
     if g1.space is not g2.space or g1.x != g2.x or g1.y != g2.y:
         raise DomainError("segments must come from one (space, x, y) family")
     if g1.displacement == g2.displacement:
         raise DomainError("segments must be distinct")
-    seen: dict[RationalPoint, IntersectionHit] = {}
-    for hit in sorted(_intersections(g1, g2), key=lambda h: (h.point.x, h.point.y, h.s)):
-        seen.setdefault(hit.point, hit)
-    ends = (g1.point_at(Fraction(0)), g1.point_at(Fraction(1)))
-    return [h for p, h in sorted(seen.items(), key=lambda kv: (kv[0].x, kv[0].y)) if p not in ends]
+    seen: dict[Key, IntersectionHit] = {}
+    for key, sn, sd, un, interval in _intersections(g1, g2):
+        s = Fraction(sn, sd)
+        if key not in seen or s < seen[key].s:
+            u = None if un is None else Fraction(un, sd)
+            seen[key] = IntersectionHit(g1.space._key_point(key), s, u, interval)
+    for end in (g1.key_at(0, 1), g1.key_at(1, 1)):
+        seen.pop(end, None)
+    return sorted(seen.values(), key=lambda h: (h.point.x, h.point.y))
 
 
 def load_space(cfg: dict) -> FlatSpace:

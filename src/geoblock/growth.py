@@ -181,7 +181,7 @@ class GrowthSeries:
         pts = self.samples
         if len(pts) == 1:
             return pts[0][1]
-        i = bisect_left([p[0] for p in pts], t)
+        i = bisect_left(pts, t, key=lambda p: p[0])
         i = min(max(i, 1), len(pts) - 1)
         (t0, v0), (t1, v1) = pts[i - 1], pts[i]
         w = (t - t0) / (t1 - t0)

@@ -86,3 +86,32 @@ def milp_minimum(instance):
                integrality=np.ones(n), bounds=Bounds(0, 1))
     assert res.success, res.message
     return round(res.fun)
+
+
+def reference_instance(family):
+    """Candidates and covers of the family's hitting-set instance, built the
+    plain way: RationalPoint records from the public pairwise intersections
+    and each segment's midpoint, the collinear completion, a sort of every
+    recorded point, and the first point per cover set."""
+    from geoblock.blocker import _direction_class_key
+    from geoblock.flatspace import _segment_hits, intersection_candidates
+
+    space, segs = family.space, family.connecting_segments()
+    records = {}
+    for i, seg in enumerate(segs):
+        records.setdefault(seg.point_at(Fraction(1, 2)), set()).add(i)
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        for hit in intersection_candidates(space, segs[i], segs[j]):
+            records.setdefault(hit.point, set()).update((i, j))
+    classes = [_direction_class_key(space, seg) for seg in segs]
+    for point, covered in records.items():
+        if len({classes[i] for i in covered}) == 1:
+            cls = classes[next(iter(covered))]
+            covered.update(i for i, c in enumerate(classes) if c == cls and _segment_hits(segs[i], point))
+    candidates, covers = [], []
+    for point in sorted(records):
+        mask = sum(1 << i for i in records[point])
+        if mask not in covers:
+            candidates.append(point)
+            covers.append(mask)
+    return tuple(candidates), tuple(covers)

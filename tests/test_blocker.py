@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from geoblock.blocker import (
     blocking_cost_sampled,
     blocking_threshold,
     build_instance,
+    build_instance_from_family,
     kappa_from_squares,
     midpoint_cover,
     recursion_harness,
@@ -28,7 +30,7 @@ from geoblock.flatspace import (
     _segment_hits,
 )
 from geoblock.harness import ExperimentConfig
-from oracles import milp_minimum
+from oracles import milp_minimum, reference_instance
 
 P = RationalPoint.of
 F = Fraction
@@ -126,6 +128,42 @@ class TestBuildInstance:
             xr, yr = space.reduce_point(x), space.reduce_point(y)
             assert xr not in inst.candidates
             assert yr not in inst.candidates
+
+
+    def test_matches_reference_build(self):
+        # the integer-key build against the RationalPoint-keyed reference,
+        # with torus base points often outside the fundamental domain
+        spaces = [
+            FlatSpace.unit_torus(),
+            FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+            FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6))),
+            FlatSpace.square_billiard(),
+        ]
+        rng = random.Random(59)
+        for k in range(40):
+            space = spaces[k % 4]
+            if space.is_torus:
+                x = RationalPoint(F(rng.randint(-12, 17), 6), F(rng.randint(-12, 17), 6))
+                y = random_point(rng)
+            else:
+                x, y = interior_point(rng), interior_point(rng)
+            family = connecting_family(space, x, y, F(rng.randint(1, 16)))
+            inst = build_instance_from_family(family)
+            assert (inst.candidates, inst.covers) == reference_instance(family)
+
+    @pytest.mark.parametrize("space,x,y,t_sq,m,n,digest", [
+        # the capped torus t=6 instance of the torus-verify benchmark
+        (FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 36, 108, 5691,
+         "6bcc4cae4c54e2e950054721a250b9107c7aedb1c9e059c4674d30d4f7fd8413"),
+        (FlatSpace.square_billiard(), HARD_X, HARD_Y, 9, 27, 299,
+         "777e7408fddac757ad2c081e9fbfe032f0df22739d9ea234290d6170ab353b1b"),
+    ])
+    def test_largest_instances_pinned(self, space, x, y, t_sq, m, n, digest):
+        # digests of the instances as built with RationalPoint keys throughout
+        inst = build_instance(space, x, y, t_sq)
+        assert (inst.num_geodesics, inst.num_candidates) == (m, n)
+        text = repr(([str(p) for p in inst.candidates], inst.covers))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSolveExact:

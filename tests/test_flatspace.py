@@ -103,6 +103,39 @@ class TestShortestVector:
             FlatSpace.torus((1, 2), (2, 4))
 
 
+class TestFoldKey:
+    SPACES = [
+        FlatSpace.unit_torus(),
+        FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6))),
+        FlatSpace.square_billiard(),
+    ]
+
+    def test_invariant_under_scaling_lattice_shifts_and_flips(self):
+        rng = random.Random(61)
+        for space in self.SPACES:
+            for _ in range(200):
+                den = rng.randint(1, 40)
+                n1, n2 = rng.randint(-5 * den, 5 * den), rng.randint(-5 * den, 5 * den)
+                key = space._fold_key(n1, n2, den)
+                i, j, d = key
+                assert 0 <= i < d and 0 <= j < d and math.gcd(i, j, d) == 1
+                k = rng.randint(2, 9)
+                assert space._fold_key(k * n1, k * n2, k * den) == key
+                m1, m2 = rng.randint(-4, 4), rng.randint(-4, 4)
+                assert space._fold_key(n1 + m1 * den, n2 + m2 * den, den) == key
+                for s1, s2 in space.group:
+                    assert space._fold_key(s1 * n1, s2 * n2, den) == key
+
+    def test_key_point_is_reduce_point(self):
+        rng = random.Random(67)
+        for space in self.SPACES:
+            for _ in range(200):
+                den = rng.randint(1, 30)
+                n1, n2 = rng.randint(-3 * den, 3 * den), rng.randint(-3 * den, 3 * den)
+                v = space.from_lattice(F(n1, den), F(n2, den))
+                assert space._key_point(space._fold_key(n1, n2, den)) == space.reduce_point(P(*v))
+
+
 class TestEnumerate:
     def test_two_segment_example(self):
         space = FlatSpace.unit_torus()

@@ -129,6 +129,16 @@ class TestTransform:
         with pytest.raises(RangeError):
             transform(series, TransformParams(0.25), 8.0)
 
+    def test_value_at_samples_and_midpoints(self):
+        ts = np.cumsum(np.random.default_rng(71).uniform(0.1, 2.0, 300))
+        series = GrowthSeries.from_function(lambda t: 1.0 + t * t, ts)
+        pts = series.samples
+        for t, v in pts:
+            assert series.value_at(t) == pytest.approx(v, rel=1e-12)
+        # log-linear interpolation: the geometric mean halfway between samples
+        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+            assert series.value_at((t0 + t1) / 2) == pytest.approx(math.sqrt(v0 * v1), rel=1e-12)
+
     @given(st.integers(1, 400), st.integers(1, 8))
     @settings(max_examples=120, deadline=None)
     def test_multiplicative(self, num, den):
