@@ -27,8 +27,9 @@ from .flatspace import (
     FlatSpace,
     GeodesicFamily,
     GeodesicSegment,
+    Key,
     RationalPoint,
-    _check_blocking_point,
+    _blocking_key,
     _intersections,
     _segment_hits,
     connecting_family,
@@ -161,7 +162,7 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
         raise GeoBlockError(f"connecting family size {m} exceeds cap {caps.max_geodesics}")
 
     # every record is interior to a connecting segment; the endpoint keys go as a guard
-    records: dict[tuple[int, int, int], set[int]] = {}
+    records: dict[Key, set[int]] = {}
     for i, seg in enumerate(segs):
         records.setdefault(seg.key_at(1, 2), set()).add(i)
     for i in range(m):
@@ -185,17 +186,19 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
         if len(keys) != 1:
             continue
         missing = [i for i in classes[next(iter(keys))] if i not in covered]
-        if missing:
-            point = space._key_point(key)
-            covered.update(i for i in missing if _segment_hits(segs[i], point))
+        covered.update(i for i in missing if _segment_hits(segs[i], key))
 
     # dedup identical cover sets, keeping the lexicographically smallest point
-    groups: dict[int, list[tuple[int, int, int]]] = {}
+    groups: dict[int, list[Key]] = {}
     for key, covered in records.items():
         groups.setdefault(sum(1 << i for i in covered), []).append(key)
-    least = {mask: min(map(space._key_plane, keys), key=_plane_order) for mask, keys in groups.items()}
-    keep_masks = sorted(least, key=lambda mask: _plane_order(least[mask]))
-    keep_points = [RationalPoint(Fraction(X, D), Fraction(Y, D)) for X, Y, D in map(least.get, keep_masks)]
+
+    def order(key: Key):
+        return _plane_order(space._key_plane(key))
+
+    least = {mask: min(keys, key=order) for mask, keys in groups.items()}
+    keep_masks = sorted(least, key=lambda mask: order(least[mask]))
+    keep_points = [space._key_point(least[mask]) for mask in keep_masks]
 
     full = (1 << m) - 1
     covered_union = 0
@@ -344,10 +347,9 @@ def verify_cover(instance: IncidenceInstance | GeodesicFamily, points: Sequence[
     """
     family = instance.family if isinstance(instance, IncidenceInstance) else instance
     space = family.space
-    ends = (space.reduce_point(family.x), space.reduce_point(family.y))
-    for p in points:
-        _check_blocking_point(space, p, ends)
-    return all(any(_segment_hits(seg, p) for p in points) for seg in family.connecting_segments())
+    ends = (space.key(family.x), space.key(family.y))
+    keys = [_blocking_key(space, p, ends) for p in points]
+    return all(any(_segment_hits(seg, z) for z in keys) for seg in family.connecting_segments())
 
 
 def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
@@ -361,21 +363,13 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
     space = family.space
     if not space.is_torus:
         raise DomainError("the midpoint cover exists on the torus only")
-    base = RationalPoint(
-        (family.x.x + family.y.x) / 2, (family.x.y + family.y.y) / 2
-    )
-    x_red = space.reduce_point(family.x)
-    y_red = space.reduce_point(family.y)
-    pts = []
-    for a in (0, 1):
-        for b in (0, 1):
-            off = space.from_lattice(Fraction(a, 2), Fraction(b, 2))
-            p = space.reduce_point(RationalPoint(base.x + off[0], base.y + off[1]))
-            if p != x_red and p != y_red and p not in pts:
-                pts.append(p)
+    [(x1, x2), (y1, y2)], den = space._lattice_ints(family.x, family.y)
+    keys = {space._fold_key(x1 + y1 + a * den, x2 + y2 + b * den, 2 * den) for a in (0, 1) for b in (0, 1)}
+    keys -= {space._fold_key(x1, x2, den), space._fold_key(y1, y2, den)}
+    pts = sorted(map(space._key_point, keys))
     if not verify_cover(family, pts):
         raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
-    return sorted(pts)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -489,19 +483,20 @@ def blocking_cost_sampled(
     t_sq,
     sampler: PairSampler,
     caps: SolverCaps = SolverCaps(),
-    include_near: bool = False,
 ) -> SampledBlockingCost:
+    """The largest threshold at t_sq over the sampler's pairs and, after
+    them, each pair's near pair (``_near_pair``) not already sampled.  The
+    near pairs keep the lower bound informative at the halved thresholds the
+    transform visits."""
     t_sq = Fraction(t_sq)
-    pairs = sampler.pairs(space)
-    if include_near:
-        extra = []
-        seen = set(pairs)
-        for p, q in pairs:
-            near = _near_pair(space, p, q, t_sq)
-            if near and near not in seen:
-                seen.add(near)
-                extra.append(near)
-        pairs = pairs + extra
+    sampled = sampler.pairs(space)
+    pairs = list(sampled)
+    seen = set(sampled)
+    for p, q in sampled:
+        near = _near_pair(space, p, q, t_sq)
+        if near and near not in seen:
+            seen.add(near)
+            pairs.append(near)
     values = []
     certified = True
     for p, q in pairs:

@@ -79,7 +79,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.out_format = args.format
     if getattr(args, "t_grid", None):
         spec = args.t_grid
-        cfg.t_grid = parse_t_grid(spec.split(",") if ("," in spec and ":" not in spec) else spec)
+        cfg.t_grid = parse_t_grid(spec if ":" in spec else spec.split(","))
     if getattr(args, "pairs", None):
         try:
             cfg.pairs = _parse_pairs(json.loads(args.pairs.read_text()))

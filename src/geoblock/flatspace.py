@@ -64,9 +64,6 @@ class RationalPoint:
     def of(cls, x, y) -> "RationalPoint":
         return cls(_frac(x), _frac(y))
 
-    def as_tuple(self) -> Vec:
-        return (self.x, self.y)
-
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
 
@@ -158,17 +155,13 @@ class FlatSpace:
     def is_torus(self) -> bool:
         return self.kind == "torus"
 
-    def to_lattice(self, v: Vec) -> Vec:
-        """Coordinates of a plane vector in the lattice basis."""
-        m = self._inv
-        return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
-
     def from_lattice(self, i: Fraction, j: Fraction) -> Vec:
         return (i * self.b1[0] + j * self.b2[0], i * self.b1[1] + j * self.b2[1])
 
     def _lattice_ints(self, *points: RationalPoint) -> tuple[list[tuple[int, int]], int]:
         """Lattice coordinates of the points as integers over one denominator."""
-        coords = [self.to_lattice(p.as_tuple()) for p in points]
+        m = self._inv
+        coords = [(m[0] * p.x + m[1] * p.y, m[2] * p.x + m[3] * p.y) for p in points]
         den = math.lcm(*(c.denominator for ij in coords for c in ij))
         return [(int(i * den), int(j * den)) for i, j in coords], den
 
@@ -190,14 +183,14 @@ class FlatSpace:
         X, Y, D = self._key_plane(key)
         return RationalPoint(Fraction(X, D), Fraction(Y, D))
 
-    def _fold(self, n1: int, n2: int, den: int) -> RationalPoint:
-        """The point (n1/den, n2/den), den > 0, folded into the space."""
-        return self._key_point(self._fold_key(n1, n2, den))
+    def key(self, p: RationalPoint) -> Key:
+        """The point's key: its lattice coordinates, folded by ``_fold_key``."""
+        [(n1, n2)], den = self._lattice_ints(p)
+        return self._fold_key(n1, n2, den)
 
     def reduce_point(self, p: RationalPoint) -> RationalPoint:
         """Canonical fundamental-domain representative of a point."""
-        [(n1, n2)], den = self._lattice_ints(p)
-        return self._fold(n1, n2, den)
+        return self._key_point(self.key(p))
 
     def admits_endpoint(self, p: RationalPoint) -> bool:
         """Whether p can be a segment endpoint: any point of a torus, an
@@ -246,22 +239,30 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
 class GeodesicSegment:
     """One oriented connecting segment.
 
-    ``displacement`` is the plane vector from x to the image g*y + lambda of
-    y, and ``image`` holds (sigma1, sigma2, m, n): the flip g and the lattice
-    vector lambda = m*b1 + n*b2.  On the billiard the unfolded endpoint is
+    ``image`` holds (sigma1, sigma2, m, n): the flip g and the lattice vector
+    lambda = m*b1 + n*b2 of the image g*y + lambda of y that the segment
+    joins x to.  On the billiard the unfolded endpoint is
     (sigma1*y.x + 2m, sigma2*y.y + 2n).  ``origin`` is x in lattice
     coordinates as (X1, X2, D), meaning (X1/D, X2/D), and ``lattice`` is the
-    displacement in lattice coordinates over the same D.
+    displacement g*y + lambda - x in lattice coordinates over the same D.
     """
 
     space: FlatSpace
     x: RationalPoint
     y: RationalPoint
-    displacement: Vec
-    sq_length: Fraction
     image: tuple[int, int, int, int]
     origin: tuple[int, int, int]
     lattice: tuple[int, int]
+
+    @property
+    def displacement(self) -> Vec:
+        """The plane vector from x to the image of y."""
+        vx, vy, d = self.space._key_plane((*self.lattice, self.origin[2]))
+        return Fraction(vx, d), Fraction(vy, d)
+
+    @property
+    def sq_length(self) -> Fraction:
+        return _sq(self.displacement)
 
     def key_at(self, p: int, q: int) -> Key:
         """The key of the point at parameter p/q, q > 0."""
@@ -274,29 +275,24 @@ class GeodesicSegment:
         return self.space._key_point(self.key_at(s.numerator, s.denominator))
 
 
-def _affine_hits(a1, a2, c1, c2, den: int = 1) -> list[Fraction]:
+def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> list[Fraction]:
     """All s in (0,1) with (s*a1 - c1)/den and (s*a2 - c2)/den both integers.
 
-    The inputs are integers or Fractions, and (a1, a2) != (0, 0) is
-    required; a zero component turns its congruence into a plain integrality
-    condition on c.  Over a common denominator q the two conditions read
-    s*Aj = Cj (mod q); the first parametrizes s = (C1+iq)/A1 and the second
-    becomes a linear congruence in i, so the work is proportional to the
-    number of hits, not to |a1|.
+    The inputs are integers, den > 0 and (a1, a2) != (0, 0); a zero component
+    turns its congruence into a plain integrality condition on c.  The
+    conditions read s*aj = cj (mod den); the first parametrizes
+    s = (c1 + i*den)/a1 and the second becomes a linear congruence in i, so the
+    work is proportional to the number of hits, not to |a1|.
     """
     if a1 == 0 and a2 == 0:
         raise DomainError("degenerate direction in incidence solve")
     if a1 == 0:
         a1, a2, c1, c2 = a2, a1, c2, c1
-    scale = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
-    q = den * scale
-    A1, A2 = int(a1 * scale), int(a2 * scale)
-    C1, C2 = int(c1 * scale), int(c2 * scale)
 
-    # second condition: i * (q A2) = C2 A1 - C1 A2  (mod |q A1|)
-    mod = abs(q * A1)
-    rhs = (C2 * A1 - C1 * A2) % mod
-    coef = (q * A2) % mod
+    # second condition: i * (den a2) = c2 a1 - c1 a2  (mod |den a1|)
+    mod = abs(den * a1)
+    rhs = (c2 * a1 - c1 * a2) % mod
+    coef = (den * a2) % mod
     g = math.gcd(coef, mod)
     if rhs % g:
         return []
@@ -306,32 +302,33 @@ def _affine_hits(a1, a2, c1, c2, den: int = 1) -> list[Fraction]:
     else:
         i0 = (rhs // g * pow(coef // g, -1, step)) % step
 
-    # s in (0,1): C1 + i q strictly between 0 and A1 (orientation by sign)
-    lo, hi = (0, A1) if A1 > 0 else (A1, 0)
-    # lo < C1 + i q < hi
-    i_min = (lo - C1) // q + 1
-    i_max = -((-(hi - C1)) // q) - 1
+    # s in (0,1): c1 + i den strictly between 0 and a1 (orientation by sign)
+    lo, hi = (0, a1) if a1 > 0 else (a1, 0)
+    # lo < c1 + i den < hi
+    i_min = (lo - c1) // den + 1
+    i_max = -((-(hi - c1)) // den) - 1
     first = i_min + (i0 - i_min) % step
     hits = []
     for i in range(first, i_max + 1, step):
-        val = C1 + i * q
+        val = c1 + i * den
         if lo < val < hi:
-            hits.append(Fraction(val, A1))
+            hits.append(Fraction(val, a1))
     hits.sort()
     return hits
 
 
-def _segment_hits(segment: GeodesicSegment, z: RationalPoint) -> list[Fraction]:
-    """Interior parameters where the segment passes through the point z:
-    s*a - (g*z - x) is a lattice vector for some flip g."""
-    space = segment.space
+def _segment_hits(segment: GeodesicSegment, z: Key) -> list[Fraction]:
+    """Interior parameters where the segment passes through the point with
+    key z: s*a - (g*z - x) is a lattice vector for some flip g.  The flips
+    and lattice vectors range over groups, so every representative of the
+    point gives the same parameters."""
     x1, x2, den = segment.origin
     a1, a2 = segment.lattice
-    [(z1, z2)], zden = space._lattice_ints(z)
+    z1, z2, zden = z
     q = math.lcm(den, zden)
     f, fz = q // den, q // zden
     hits: set[Fraction] = set()
-    for s1, s2 in space.group:
+    for s1, s2 in segment.space.group:
         hits.update(_affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q))
     return sorted(hits)
 
@@ -380,10 +377,7 @@ def _enumerate(
                 if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
                     corner_rejected += 1
                     continue
-                v = (Fraction(vx, scale), Fraction(vy, scale))
-                segments.append(GeodesicSegment(
-                    space, x, y, v, Fraction(sq_scaled, scale * scale), (s1, s2, i, j), origin, (a1, a2)
-                ))
+                segments.append(GeodesicSegment(space, x, y, (s1, s2, i, j), origin, (a1, a2)))
     # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
     segments.sort(key=lambda g: (g.lattice[0] * b1x + g.lattice[1] * b2x, g.lattice[0] * b1y + g.lattice[1] * b2y))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
@@ -413,8 +407,8 @@ class Classification:
 
 def classify(segment: GeodesicSegment) -> Classification:
     """Flag segments whose interior passes through either endpoint."""
-    x_hits = tuple(_segment_hits(segment, segment.x))
-    y_hits = tuple(_segment_hits(segment, segment.y))
+    x_hits = tuple(_segment_hits(segment, segment.key_at(0, 1)))
+    y_hits = tuple(_segment_hits(segment, segment.key_at(1, 1)))
     kind = "passes-through-endpoint" if (x_hits or y_hits) else "connecting"
     return Classification(kind, x_hits, y_hits)
 
@@ -459,14 +453,16 @@ def count(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> tuple[i
     return fam.n, fam.m
 
 
-def _check_blocking_point(space: FlatSpace, z: RationalPoint, ends: Sequence[RationalPoint]) -> None:
-    """Raise unless z can block a segment between the reduced endpoints
-    ``ends``: it lies in the table (blocking points may sit on its walls,
-    unlike endpoints) and is neither endpoint."""
+def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Key:
+    """The key of z, checked to be able to block a segment between the
+    endpoints with keys ``ends``: z lies in the table (blocking points may
+    sit on its walls, unlike endpoints) and is neither endpoint."""
     if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
         raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
-    if space.reduce_point(z) in ends:
+    key = space.key(z)
+    if key in ends:
         raise DomainError("z must differ from both endpoints")
+    return key
 
 
 def point_on_geodesic(space: FlatSpace, z: RationalPoint, segment: GeodesicSegment) -> list[Fraction]:
@@ -474,8 +470,7 @@ def point_on_geodesic(space: FlatSpace, z: RationalPoint, segment: GeodesicSegme
 
     Empty list means z does not block this segment.
     """
-    _check_blocking_point(space, z, (segment.point_at(Fraction(0)), segment.point_at(Fraction(1))))
-    return _segment_hits(segment, z)
+    return _segment_hits(segment, _blocking_key(space, z, (segment.key_at(0, 1), segment.key_at(1, 1))))
 
 
 @dataclass(frozen=True)
@@ -571,7 +566,7 @@ def intersection_candidates(
     """
     if g1.space is not g2.space or g1.x != g2.x or g1.y != g2.y:
         raise DomainError("segments must come from one (space, x, y) family")
-    if g1.displacement == g2.displacement:
+    if g1.lattice == g2.lattice:
         raise DomainError("segments must be distinct")
     seen: dict[Key, IntersectionHit] = {}
     for key, sn, sd, un, interval in _intersections(g1, g2):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -66,6 +66,8 @@ def parse_t_grid(spec) -> list[Fraction]:
             raise ConfigError(f"t grid mapping missing key {exc}") from None
     elif isinstance(spec, Sequence):
         grid = [_parse_fraction(v) for v in spec]
+        if not grid:
+            raise ConfigError("t grid must be nonempty")
         if any(t <= 0 for t in grid) or sorted(grid) != grid or len(set(grid)) != len(grid):
             raise ConfigError("t grid must be positive and strictly increasing")
         return grid
@@ -118,6 +120,14 @@ def _config_int(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _config_t_sq(name: str, value) -> Fraction:
+    """The square of a non-negative exact rational t."""
+    t = _parse_fraction(value)
+    if t < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value!r}")
+    return t * t
+
+
 def _base_point(value) -> complex:
     """An [re, im] pair of finite numbers with im > 0 (upper half-plane)."""
     numbers = isinstance(value, list) and len(value) == 2 and all(
@@ -141,20 +151,23 @@ def _check_keys(raw) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment; ``from_dict`` builds it and holds the default
+    of every optional key."""
+
     geometry: dict
     t_grid: list[Fraction]
-    pairs: list[tuple[RationalPoint, RationalPoint]] = field(default_factory=list)
-    seed: int = 42
-    caps: SolverCaps = field(default_factory=SolverCaps)
-    sampler_count: int = 8
-    sampler_denominator: int = 8
-    verify_recursion: bool = False
-    recursion_t_sq_cap: Fraction | None = None
-    threshold_t_sq_cap: Fraction = Fraction(16)  # blocking solves stay desk-scale
-    base_points: tuple[complex, complex] = (0.03 + 0.97j, 0.03 + 0.97j)
-    bound_mode: str = "systole"
-    max_word_len: int = 24
-    out_format: str = "csv"
+    pairs: list[tuple[RationalPoint, RationalPoint]]
+    seed: int
+    caps: SolverCaps
+    sampler_count: int
+    sampler_denominator: int
+    verify_recursion: bool
+    recursion_t_sq_cap: Fraction | None
+    threshold_t_sq_cap: Fraction
+    base_points: tuple[complex, complex]
+    bound_mode: str
+    max_word_len: int
+    out_format: str
 
     @property
     def is_fuchsian(self) -> bool:
@@ -199,22 +212,18 @@ class ExperimentConfig:
         if not isinstance(geometry, dict) or "kind" not in geometry:
             raise ConfigError("geometry must be a mapping with a 'kind'")
         pairs = _parse_pairs(raw.get("pairs", []))
-        caps_raw = raw.get("caps", {})
-        caps = SolverCaps(
-            max_candidates=_config_int("caps.max_candidates", caps_raw.get("max_candidates", 5000), 1),
-            max_geodesics=_config_int("caps.max_geodesics", caps_raw.get("max_geodesics", 2000), 1),
-        )
+        # the caps the config leaves out keep the SolverCaps defaults
+        caps = SolverCaps(**{
+            name: _config_int(f"caps.{name}", value, 1) for name, value in raw.get("caps", {}).items()
+        })
         sampler = raw.get("sampler", {})
         verify = raw.get("verify", {})
         recursion = verify.get("recursion", False)
         if not isinstance(recursion, bool):
             raise ConfigError(f"verify.recursion must be true or false, got {recursion!r}")
-        base = (0.03 + 0.97j, 0.03 + 0.97j)
-        if "base_points" in raw:
-            base_raw = raw["base_points"]
-            if not isinstance(base_raw, list) or len(base_raw) != 2:
-                raise ConfigError(f"base_points must be two [re, im] pairs, got {base_raw!r}")
-            base = (_base_point(base_raw[0]), _base_point(base_raw[1]))
+        base_raw = raw.get("base_points", [[0.03, 0.97], [0.03, 0.97]])
+        if not isinstance(base_raw, list) or len(base_raw) != 2:
+            raise ConfigError(f"base_points must be two [re, im] pairs, got {base_raw!r}")
         orbit = raw.get("orbit", {})
         bound_mode = orbit.get("bound_mode", "systole")
         if bound_mode not in BOUND_MODES:
@@ -223,7 +232,6 @@ class ExperimentConfig:
         if out_format not in FORMATS:
             raise ConfigError(f"format {out_format!r} is not one of {FORMATS}")
         rec_cap = verify.get("recursion_t_max")
-        thr_cap = raw.get("threshold_t_max", 4)
         return cls(
             geometry=geometry,
             t_grid=t_grid,
@@ -233,9 +241,10 @@ class ExperimentConfig:
             sampler_count=_config_int("sampler.count", sampler.get("count", 8), 1),
             sampler_denominator=_config_int("sampler.denominator", sampler.get("denominator", 8), 2),
             verify_recursion=recursion,
-            recursion_t_sq_cap=_parse_fraction(rec_cap) ** 2 if rec_cap is not None else None,
-            threshold_t_sq_cap=_parse_fraction(thr_cap) ** 2,
-            base_points=base,
+            recursion_t_sq_cap=None if rec_cap is None else _config_t_sq("verify.recursion_t_max", rec_cap),
+            # blocking solves in report stay desk-scale
+            threshold_t_sq_cap=_config_t_sq("threshold_t_max", raw.get("threshold_t_max", 4)),
+            base_points=(_base_point(base_raw[0]), _base_point(base_raw[1])),
             bound_mode=bound_mode,
             max_word_len=_config_int("orbit.max_word_len", orbit.get("max_word_len", 24), 1),
             out_format=out_format,
@@ -285,24 +294,22 @@ def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows: list[dict] = []
     if cfg.is_fuchsian:
         preset = cfg.preset()
-        grid = [float(t) for t in cfg.t_grid]
-        if grid:
-            res = orbit_count(
-                preset, cfg.base_points[0], cfg.base_points[1], grid,
-                max_word_len=cfg.max_word_len, strict=False,
+        res = orbit_count(
+            preset, cfg.base_points[0], cfg.base_points[1], [float(t) for t in cfg.t_grid],
+            max_word_len=cfg.max_word_len, strict=False,
+        )
+        for (t, c), cert in zip(res.ball.count_series, res.certified):
+            rows.append(
+                {
+                    "pair": 0,
+                    "x": str(cfg.base_points[0]),
+                    "y": str(cfg.base_points[1]),
+                    "t": t,
+                    "n": c,
+                    "m": "",
+                    "status": "certified" if cert else "heuristic",
+                }
             )
-            for (t, c), cert in zip(res.ball.count_series, res.certified):
-                rows.append(
-                    {
-                        "pair": 0,
-                        "x": str(cfg.base_points[0]),
-                        "y": str(cfg.base_points[1]),
-                        "t": t,
-                        "n": c,
-                        "m": "",
-                        "status": "certified" if cert else "heuristic",
-                    }
-                )
     else:
         space = cfg.flat_space()
         for pi, x, y, t in cfg.cells():
@@ -393,11 +400,7 @@ def _sampled_cost_fn(cfg: ExperimentConfig, space: FlatSpace):
 
     def cost(t_sq: Fraction) -> int:
         if t_sq not in cache:
-            # near-pair enrichment keeps the lower bound informative at the
-            # halved thresholds the transform visits
-            cache[t_sq] = blocking_cost_sampled(
-                space, t_sq, sampler, cfg.caps, include_near=True
-            ).value
+            cache[t_sq] = blocking_cost_sampled(space, t_sq, sampler, cfg.caps).value
         return cache[t_sq]
 
     return cost

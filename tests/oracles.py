@@ -107,7 +107,7 @@ def reference_instance(family):
     for point, covered in records.items():
         if len({classes[i] for i in covered}) == 1:
             cls = classes[next(iter(covered))]
-            covered.update(i for i, c in enumerate(classes) if c == cls and _segment_hits(segs[i], point))
+            covered.update(i for i, c in enumerate(classes) if c == cls and _segment_hits(segs[i], space.key(point)))
     candidates, covers = [], []
     for point in sorted(records):
         mask = sum(1 << i for i in records[point])

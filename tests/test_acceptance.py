@@ -159,9 +159,7 @@ def test_criterion_5_recursion_verification(chain_log):
 
         def sampled_cost(t_sq):
             if t_sq not in cost_cache:
-                cost_cache[t_sq] = blocking_cost_sampled(
-                    space, t_sq, sampler, include_near=True
-                ).value
+                cost_cache[t_sq] = blocking_cost_sampled(space, t_sq, sampler).value
             return cost_cache[t_sq]
 
         instances = 0

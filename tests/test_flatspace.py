@@ -256,12 +256,15 @@ class TestAffineHits:
                 continue
             c1 = F(rng.randint(-8, 8), rng.randint(1, 4))
             c2 = F(rng.randint(-8, 8), rng.randint(1, 4))
-            assert _affine_hits(a1, a2, c1, c2) == affine_hits_scan_oracle(a1, a2, c1, c2)
+            # the solver takes integers over their common denominator
+            den = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
+            ints = (int(v * den) for v in (a1, a2, c1, c2))
+            assert _affine_hits(*ints, den=den) == affine_hits_scan_oracle(a1, a2, c1, c2)
 
     def test_large_direction_stays_fast(self):
         from geoblock.flatspace import _affine_hits
 
-        hits = _affine_hits(F(10**6), F(10**6 - 1), F(0), F(0))
+        hits = _affine_hits(10**6, 10**6 - 1, 0, 0)
         assert hits == affine_hits_scan_oracle_large()
 
 
@@ -271,7 +274,88 @@ def affine_hits_scan_oracle_large():
     return []
 
 
+def incidence_scan_oracle(seg, z):
+    """Parameters s in (0,1) with x + s*v = g*z + lambda, by a plain Fraction
+    scan over the flips g (sign changes of the plane coordinates: the
+    billiard's basis is diagonal) and a box of lattice vectors lambda.  The
+    box holds the lattice coordinates of x + s*v - g*z for s in [0, 1]."""
+    space, x, v = seg.space, seg.x, seg.displacement
+    (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+    det = b1x * b2y - b2x * b1y
+
+    def coords(wx, wy):
+        return (b2y * wx - b2x * wy) / det, (b1x * wy - b1y * wx) / det
+
+    hits = set()
+    for s1, s2 in space.group:
+        gz = (s1 * z.x, s2 * z.y)
+        start = coords(x.x - gz[0], x.y - gz[1])
+        end = coords(x.x + v[0] - gz[0], x.y + v[1] - gz[1])
+        box = [range(math.floor(min(a, b)), math.ceil(max(a, b)) + 1) for a, b in zip(start, end)]
+        for i in box[0]:
+            for j in box[1]:
+                wx = gz[0] + i * b1x + j * b2x - x.x
+                wy = gz[1] + i * b1y + j * b2y - x.y
+                if wx * v[1] == wy * v[0]:
+                    s = (wx * v[0] + wy * v[1]) / (v[0] * v[0] + v[1] * v[1])
+                    if 0 < s < 1:
+                        hits.add(s)
+    return sorted(hits)
+
+
+def table_fold(c):
+    """A billiard coordinate folded into [0, 1]: mod 2, then reflected."""
+    c %= 2
+    return 2 - c if c > 1 else c
+
+
 class TestPointOnGeodesic:
+    @pytest.mark.parametrize("space", [
+        FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+        FlatSpace.square_billiard(),
+    ])
+    def test_against_scan_oracle(self, space):
+        from geoblock.flatspace import _segment_hits
+
+        rng = random.Random(37)
+        nonempty = 0
+        for _ in range(150):
+            if space.is_torus:
+                x, y = random_point(rng, space), random_point(rng, space)
+            else:
+                x, y = (P(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7)) for _ in range(2))
+            segs = enumerate_geodesics(space, x, y, F(rng.randint(1, 6)))
+            if not segs:
+                continue
+            seg = rng.choice(segs)
+            if rng.random() < 0.5:
+                s = F(rng.randint(1, 5), 6)
+                z = P(x.x + s * seg.displacement[0], x.y + s * seg.displacement[1])
+            else:
+                z = P(F(rng.randint(0, 12), 12), F(rng.randint(0, 12), 12))
+            if not space.is_torus:
+                z = P(table_fold(z.x), table_fold(z.y))
+            # another representative: a lattice translate, on the billiard of a flip image
+            i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+            s1, s2 = rng.choice(space.group)
+            rep = P(s1 * z.x + i * space.b1[0] + j * space.b2[0], s2 * z.y + i * space.b1[1] + j * space.b2[1])
+            if space.reduce_point(z) in (space.reduce_point(x), space.reduce_point(y)):
+                with pytest.raises(DomainError):
+                    point_on_geodesic(space, z, seg)
+                continue
+            expected = incidence_scan_oracle(seg, z)
+            assert incidence_scan_oracle(seg, rep) == expected
+            assert point_on_geodesic(space, z, seg) == expected
+            if space.is_torus:
+                assert point_on_geodesic(space, rep, seg) == expected
+            else:
+                assert _segment_hits(seg, space.key(rep)) == expected
+                if not (0 <= rep.x <= 1 and 0 <= rep.y <= 1):
+                    with pytest.raises(UnsupportedInputError):
+                        point_on_geodesic(space, rep, seg)
+            nonempty += bool(expected)
+        assert nonempty >= 40
+
     def test_midpoint_of_short_arc(self):
         space = FlatSpace.unit_torus()
         segs = enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 4))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from geoblock.blocker import SolverCaps
 from geoblock.cli import main
 from geoblock.errors import ConfigError
 from geoblock.harness import (
@@ -63,6 +64,8 @@ class TestConfig:
             parse_t_grid(["2", "1"])
         with pytest.raises(ConfigError):
             parse_t_grid("1:2")
+        with pytest.raises(ConfigError, match="nonempty"):
+            parse_t_grid([])
 
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
@@ -93,6 +96,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'geometry'"):
             flat_config(geometry={"kind": "torus", "basis": ["1", "0", "0", "1"], "bases": []})
 
+    def test_minimal_config_defaults(self):
+        cfg = ExperimentConfig.from_dict({"geometry": {"kind": "billiard"}, "t_grid": "1:2:1"})
+        assert vars(cfg) == {
+            "geometry": {"kind": "billiard"},
+            "t_grid": [F(1), F(2)],
+            "pairs": [],
+            "seed": 42,
+            "caps": SolverCaps(max_candidates=5000, max_geodesics=2000),
+            "sampler_count": 8,
+            "sampler_denominator": 8,
+            "verify_recursion": False,
+            "recursion_t_sq_cap": None,
+            "threshold_t_sq_cap": F(16),
+            "base_points": (0.03 + 0.97j, 0.03 + 0.97j),
+            "bound_mode": "systole",
+            "max_word_len": 24,
+            "out_format": "csv",
+        }
+
     def test_shipped_configs_load(self):
         for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
             ExperimentConfig.from_file(path)
@@ -111,12 +133,6 @@ class TestCount:
         assert lines[0] == "pair,x,y,t,n,m,status"
         assert lines[1] == '0,"(0,0)","(1/2,0)",0.4,0,0,exact'
         assert lines[2] == '0,"(0,0)","(1/2,0)",1,2,2,exact'
-
-    def test_empty_grid_header_only(self, tmp_path):
-        cfg = flat_config(t_grid=[])
-        cfg.t_grid = []
-        assert cmd_count(cfg, tmp_path) == 0
-        assert (tmp_path / "count.csv").read_text() == "pair,x,y,t,n,m,status\n"
 
     def test_fuchsian_rows_flagged(self, tmp_path):
         raw = {
@@ -280,6 +296,10 @@ class TestCli:
             ("cap_str", {"caps": {"max_candidates": "x"}}),
             ("count_list", {"sampler": {"count": [1]}}),
             ("recursion_str", {"verify": {"recursion": "no"}}),
+            # a negative t was squared into a positive cap; an empty grid loaded
+            ("threshold_neg", {"threshold_t_max": "-3"}),
+            ("recursion_neg", {"verify": {"recursion": True, "recursion_t_max": "-1"}}),
+            ("grid_empty", {"t_grid": []}),
             ("denominator", {"geometry": {"kind": "billiard"}, "pairs": [[["1/3", "1/3"], ["2/3", "1/5"]]],
                              "sampler": {"count": 2, "denominator": 1}}),
         ):
@@ -303,6 +323,10 @@ class TestCli:
         data = json.loads((out / "verify.json").read_text())
         assert data["seed"] == 7
         assert {c["context"]["t"] for c in data["checks"]} == {1.0}
+        # a single value is a one-element comma list
+        one = tmp_path / "one"
+        assert main(["verify", "--config", str(cfg_path), "--seed", "7", "--t-grid", "1", "--out", str(one)]) == 0
+        assert (one / "verify.json").read_bytes() == (out / "verify.json").read_bytes()
 
     def test_pairs_file_override(self, tmp_path):
         cfg_path = write_config(tmp_path)
