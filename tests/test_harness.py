@@ -134,6 +134,13 @@ class TestCount:
         assert lines[1] == '0,"(0,0)","(1/2,0)",0.4,0,0,exact'
         assert lines[2] == '0,"(0,0)","(1/2,0)",1,2,2,exact'
 
+    def test_empty_grid_header_only(self, tmp_path):
+        # the loader rejects an empty grid; a config emptied in memory still writes the header
+        cfg = flat_config()
+        cfg.t_grid = []
+        assert cmd_count(cfg, tmp_path) == 0
+        assert (tmp_path / "count.csv").read_text() == "pair,x,y,t,n,m,status\n"
+
     def test_fuchsian_rows_flagged(self, tmp_path):
         raw = {
             "geometry": {"kind": "fuchsian", "preset": "octagon_genus2"},
