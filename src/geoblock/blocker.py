@@ -88,27 +88,6 @@ class IncidenceInstance:
     def num_candidates(self) -> int:
         return len(self.candidates)
 
-    def to_json(self) -> dict:
-        segs = self.family.connecting_segments()
-        return {
-            "geodesics": [
-                {
-                    "vx": str(s.displacement[0]),
-                    "vy": str(s.displacement[1]),
-                    "len2": str(s.sq_length),
-                }
-                for s in segs
-            ],
-            "candidates": [
-                {
-                    "x": str(p.x),
-                    "y": str(p.y),
-                    "covers": [i for i in range(self.num_geodesics) if cov >> i & 1],
-                }
-                for p, cov in zip(self.candidates, self.covers)
-            ],
-        }
-
 
 def _direction_class_key(space: FlatSpace, seg: GeodesicSegment) -> tuple:
     """Carrier-direction key: segments with equal keys may share a carrier.
@@ -216,14 +195,6 @@ class BlockingSolution:
     optimal: bool
     greedy_upper: int
     lower_bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "points": [{"x": str(p.x), "y": str(p.y)} for p in self.points],
-            "size": self.size,
-            "optimal": self.optimal,
-            "bounds": {"greedy_upper": self.greedy_upper, "lower": self.lower_bound},
-        }
 
 
 def _greedy_cover(covers: Sequence[int], full: int) -> list[int]:
@@ -380,11 +351,6 @@ class ThresholdResult:
     instance: IncidenceInstance
     midpoint_upper: int | None  # torus only
 
-    def to_json(self) -> dict:
-        out = self.instance.to_json()
-        out["solution"] = self.solution.to_json()
-        return out
-
 
 def blocking_threshold(
     space: FlatSpace,
@@ -514,7 +480,6 @@ class LevelRecord:
     pairs: tuple[tuple[RationalPoint, RationalPoint], ...]
     counts: tuple[int, ...]  # m at this level's threshold, per pair
     blocking_sizes: tuple[int, ...] | None  # None on the terminal level
-    blocking_sets: tuple[tuple[RationalPoint, ...], ...] | None
     observed_max_threshold: int | None
 
 
@@ -658,7 +623,6 @@ def recursion_harness(
                 tuple(pairs),
                 tuple(counts),
                 tuple(blocking_sizes) if blocking_sizes is not None else None,
-                tuple(blocking_sets) if blocking_sets is not None else None,
                 observed_max[k] if not terminal else None,
             )
         )

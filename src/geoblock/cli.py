@@ -77,10 +77,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.seed = args.seed
     if args.format is not None:
         cfg.out_format = args.format
-    if getattr(args, "t_grid", None):
+    if args.t_grid is not None:
         spec = args.t_grid
         cfg.t_grid = parse_t_grid(spec if ":" in spec else spec.split(","))
-    if getattr(args, "pairs", None):
+    if args.pairs is not None:
         try:
             cfg.pairs = _parse_pairs(json.loads(args.pairs.read_text()))
         except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -194,7 +194,7 @@ class GrowthSeries:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def from_csv(cls, path: str | Path, monotone: bool = False) -> "GrowthSeries":
+    def from_csv(cls, path: str | Path) -> "GrowthSeries":
         """A series from a CSV with a header naming a t column.
 
         The values are the n column when there is one (count.csv: the largest
@@ -217,31 +217,21 @@ class GrowthSeries:
                 if not (math.isfinite(t) and math.isfinite(v)):
                     raise DomainError(f"{path}, line {reader.line_num}: t and {column} must be finite numbers")
                 best[t] = max(best.get(t, v), v)
-        return cls.from_pairs([(t, v) for t, v in best.items() if v > 0], monotone=monotone)
+        return cls.from_pairs([(t, v) for t, v in best.items() if v > 0])
 
 
 Evaluatable = Union[GrowthSeries, ClosedForm, Callable[[float], float]]
 
 
-def transform(
-    f: Evaluatable,
-    params: TransformParams,
-    t: Real,
-    k_stop: int | None = None,
-) -> Real:
-    """Product of f(t / 2**k) for k = 0 .. K-1, K = kappa(t) unless k_stop is given.
+def transform(f: Evaluatable, params: TransformParams, t: Real) -> Real:
+    """Product of f(t / 2**k) for k = 0 .. kappa(t) - 1.
 
-    The empty product (K == 0) is 1.  With a :class:`ClosedForm` and rational
-    inputs the result is an exact Fraction.
+    The empty product (t < delta) is 1.  With a :class:`ClosedForm` and
+    rational t the result is an exact Fraction; otherwise a float.  A
+    :class:`GrowthSeries` is evaluated by :meth:`GrowthSeries.value_at`, so
+    every halved argument must lie in its sampled range.
     """
-    full_k = kappa(t, params)  # validates t
-    if k_stop is None:
-        depth = full_k
-    else:
-        if k_stop < 0:
-            raise DomainError("k_stop must be >= 0")
-        depth = int(k_stop)
-
+    depth = kappa(t, params)  # validates t
     exact = isinstance(f, ClosedForm) and _is_rational(t)
     if exact:
         acc: Real = Fraction(1)
@@ -274,7 +264,6 @@ class GrowthClass:
     parameter: float | None
     residual: float
     window: tuple[float, float]
-    max_slope: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -299,8 +288,9 @@ def rate_estimate(f: GrowthSeries, mode: str = "exponential", window: float = 0.
     """Least-squares growth rate over the tail window.
 
     exponential: slope of log f vs t;  polynomial: vs log t;
-    quasi-polynomial: vs (log t)^2.  The limsup is approximated by the fit
-    plus a max-slope diagnostic over consecutive tail samples.
+    quasi-polynomial: vs (log t)^2.  The fit is over the last ``window``
+    fraction of the sampled t range, which needs at least 8 samples; the
+    residual is the root-mean-square deviation of log f from the fitted line.
     """
     if mode not in _MODES:
         raise DomainError(f"unknown mode {mode!r}, expected one of {_MODES}")
@@ -318,14 +308,7 @@ def rate_estimate(f: GrowthSeries, mode: str = "exponential", window: float = 0.
         x = np.log(ts) ** 2
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    local = np.diff(y) / np.diff(x)
-    return GrowthClass(
-        kind=mode,
-        parameter=float(slope),
-        residual=resid,
-        window=(float(ts[0]), float(ts[-1])),
-        max_slope=float(np.max(local)) if len(local) else None,
-    )
+    return GrowthClass(mode, float(slope), resid, (float(ts[0]), float(ts[-1])))
 
 
 def classify_growth(f: GrowthSeries, window: float = 0.5) -> GrowthClass:
@@ -347,7 +330,7 @@ def classify_growth(f: GrowthSeries, window: float = 0.5) -> GrowthClass:
     r2 = np.polyfit(ts[half:], y[half:], 1)[0] if len(ts) - half >= 2 else 0.0
     if r1 > 1e-9 and r2 > 1.25 * r1 + 0.05:
         best = fits["exponential"]
-        return GrowthClass("super-exponential", None, best.residual, best.window, best.max_slope)
+        return GrowthClass("super-exponential", None, best.residual, best.window)
     best_mode = min(_MODES, key=lambda m: fits[m].residual)
     return fits[best_mode]
 

@@ -9,6 +9,7 @@ are sorted.  Every output records the seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,7 +33,6 @@ from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, o
 
 __all__ = [
     "ExperimentConfig",
-    "VerificationReport",
     "CheckRow",
     "format_sig",
     "cmd_count",
@@ -84,6 +84,8 @@ def parse_t_grid(spec) -> list[Fraction]:
 
 
 def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"pairs must be a list of [[x1,y1],[x2,y2]] entries, got {raw!r}")
     pairs = []
     for entry in raw:
         try:
@@ -363,61 +365,6 @@ def cmd_recursion_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 1 if failed else 0
 
 
-@dataclass
-class VerificationReport:
-    seed: int
-    geometry: dict
-    checks: list[CheckRow]
-    notes: list[str]
-
-    @property
-    def hard_failures(self) -> int:
-        return sum(1 for c in self.checks if c.hard and c.passed is False)
-
-    def summary(self) -> dict:
-        return {
-            "pass": sum(1 for c in self.checks if c.passed is True),
-            "fail": sum(1 for c in self.checks if c.passed is False),
-            "skipped": sum(1 for c in self.checks if c.passed is None),
-            "hard_failures": self.hard_failures,
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "geometry": self.geometry,
-            "summary": self.summary(),
-            "notes": self.notes,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
-def _sampled_cost_fn(cfg: ExperimentConfig, space: FlatSpace):
-    """Sampled blocking cost by squared threshold, cached; a lower bound for
-    the true sup over pairs."""
-    cache: dict[Fraction, int] = {}
-    sampler = PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator)
-
-    def cost(t_sq: Fraction) -> int:
-        if t_sq not in cache:
-            cache[t_sq] = blocking_cost_sampled(space, t_sq, sampler, cfg.caps).value
-        return cache[t_sq]
-
-    return cost
-
-
-def _sampled_transform(cost, t_sq: Fraction, delta_sq: Fraction) -> int:
-    """Product of the sampled cost at t, t/2, ..., down to the injectivity
-    radius (the halving transform of the sampled cost function)."""
-    k = kappa_from_squares(t_sq, delta_sq)
-    total = 1
-    cur = Fraction(t_sq)
-    for _ in range(k):
-        total *= cost(cur)
-        cur /= 4
-    return total
-
-
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Evaluate the full inequality suite on computed data; writes verify.json.
 
@@ -427,7 +374,13 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     """
     space = cfg.flat_space()
     delta_sq = space.delta_sq
-    cost = _sampled_cost_fn(cfg, space)
+    sampler = PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator)
+
+    @functools.cache
+    def cost(t_sq: Fraction) -> int:
+        """Sampled blocking cost at t_sq, a lower bound for the true sup over pairs."""
+        return blocking_cost_sampled(space, t_sq, sampler, cfg.caps).value
+
     checks: list[CheckRow] = []
     notes = [
         "delta convention: " + (
@@ -468,7 +421,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
                 ctx,
             )
         )
-        S = _sampled_transform(cost, t_sq, delta_sq)
+        # the halving transform of the sampled cost: its product at t, t/2, ... above delta
+        S = math.prod(cost(t_sq / 4**k) for k in range(kappa_from_squares(t_sq, delta_sq)))
         # m <= (2t/delta) S  <=>  m^2 delta^2 <= 4 t^2 S^2 (exact squares)
         ok_m = m * m * delta_sq <= 4 * t_sq * S * S
         rhs_m = 2.0 * _t_float(t_sq) / _t_float(delta_sq) * S
@@ -517,9 +471,22 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
                 for c in rep.checks
             )
 
-    report = VerificationReport(cfg.seed, cfg.geometry, checks, notes)
-    _write_text(out_dir / "verify.json", _json_text(report.to_json()))
-    return 1 if report.hard_failures else 0
+    hard_failures = sum(1 for c in checks if c.hard and c.passed is False)
+    summary = {
+        "pass": sum(1 for c in checks if c.passed is True),
+        "fail": sum(1 for c in checks if c.passed is False),
+        "skipped": sum(1 for c in checks if c.passed is None),
+        "hard_failures": hard_failures,
+    }
+    payload = {
+        "seed": cfg.seed,
+        "geometry": cfg.geometry,
+        "summary": summary,
+        "notes": notes,
+        "checks": [c.to_json() for c in checks],
+    }
+    _write_text(out_dir / "verify.json", _json_text(payload))
+    return 1 if hard_failures else 0
 
 
 def _try_rate(pairs: list[tuple[float, float]]) -> float | None:

@@ -218,30 +218,33 @@ def builtin_presets() -> list[str]:
 
 
 def load_preset(name_or_path: str | Path) -> FuchsianPreset:
-    """Load and validate a preset from the built-in set or a JSON file."""
+    """Load and validate a preset from the built-in set or a JSON file.
+
+    A file that cannot be read, is not JSON, lacks a key or holds a
+    malformed generator row raises DomainError naming the file.
+    """
     path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        data = json.loads(path.read_text())
-    else:
-        res = resources.files("geoblock.presets") / f"{name_or_path}.json"
-        try:
-            data = json.loads(res.read_text())
-        except FileNotFoundError:
-            raise DomainError(
-                f"unknown preset {name_or_path!r}; built-ins: {builtin_presets()}"
-            ) from None
-    return FuchsianPreset.from_json(data)
+    if path.suffix != ".json" or not path.exists():
+        path = resources.files("geoblock.presets") / f"{name_or_path}.json"
+    try:
+        return FuchsianPreset.from_json(json.loads(path.read_text()))
+    except FileNotFoundError:
+        raise DomainError(
+            f"unknown preset {name_or_path!r}; built-ins: {builtin_presets()}"
+        ) from None
+    except DomainError:
+        raise
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"cannot load preset {path}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class OrbitBall:
-    """Group elements g with d(x, g y) <= radius, as reduced words plus
-    matrices, with the count series over the grid."""
+    """Group elements g with d(x, g y) <= t_max, the largest grid value, as
+    reduced words plus matrices, with the count series over the grid."""
 
-    preset_name: str
     x: complex
     y: complex
-    radius: float
     words: tuple[str, ...]
     matrices: np.ndarray  # (N, 2, 2)
     displacements: np.ndarray  # (N,), sorted ascending
@@ -414,10 +417,8 @@ def orbit_count(
     counts = [int(np.searchsorted(disp_sorted, t, side="right")) for t in t_grid]
     series_pairs = tuple((t, c) for t, c in zip(t_grid, counts))
     ball = OrbitBall(
-        preset_name=preset.name,
         x=x,
         y=y,
-        radius=t_max,
         words=tuple(word(int(i)) for i in order[in_ball]),
         matrices=mats_sorted[in_ball],
         displacements=disp_sorted[in_ball],
@@ -442,10 +443,7 @@ class UniformBound:
     """Upper bound on orbit counts uniform over base-point pairs."""
 
     value: float
-    r: float
-    mode: str
     certified: bool
-    detail: dict
 
 
 def uniform_count_bound(
@@ -456,7 +454,7 @@ def uniform_count_bound(
 ) -> UniformBound:
     """Bound sup over base-point pairs of the orbit count at radius r.
 
-    rigorous: area comparison; orbit points of any pair lie withinr + 2D of
+    rigorous: area comparison; orbit points of any pair lie within r + 2D of
     a fixed point, one fundamental domain each, so
     U = 2*pi*(cosh(r + 2D) - 1)/A.  Cocompact presets only.
 
@@ -478,15 +476,13 @@ def uniform_count_bound(
                 "rigorous mode needs a cocompact preset with diameter and area"
             )
         raw = 2.0 * math.pi * (math.cosh(r + 2.0 * preset.diameter) - 1.0) / preset.area
-        return UniformBound(
-            max(raw, 1.0), r, mode, True, {"D": preset.diameter, "A": preset.area}
-        )
+        return UniformBound(max(raw, 1.0), True)
     if mode == "systole":
         if not preset.systole or preset.systole <= 0:
             raise UnsupportedInputError("systole mode needs a positive systole bound")
         h = preset.systole / 2.0
         raw = (math.cosh(r + h) - 1.0) / (math.cosh(h) - 1.0)
-        return UniformBound(max(raw, 1.0), r, mode, True, {"systole": preset.systole})
+        return UniformBound(max(raw, 1.0), True)
     if mode == "empirical":
         rng = random.Random(seed)
         worst = 1
@@ -495,7 +491,7 @@ def uniform_count_bound(
             zy = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
             res = orbit_count(preset, zx, zy, [r], strict=False)
             worst = max(worst, res.ball.count_series[0][1])
-        return UniformBound(float(worst), r, mode, False, {"pairs": _EMPIRICAL_PAIRS, "seed": seed})
+        return UniformBound(float(worst), False)
     raise DomainError(f"unknown mode {mode!r}, expected one of {BOUND_MODES}")
 
 
@@ -512,8 +508,6 @@ class BlockingBound:
     value: float
     certified: bool
     count: int
-    denominator_bound: float
-    bound_mode: str
 
 
 def certified_blocking_lower_bound(
@@ -537,9 +531,7 @@ def certified_blocking_lower_bound(
     count_certified = t < orbit.certified_t
     u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
     value = n_t / (2.0 * u.value)
-    return BlockingBound(
-        t, value, count_certified and u.certified, n_t, u.value, bound_mode
-    )
+    return BlockingBound(t, value, count_certified and u.certified, n_t)
 
 
 def blocking_lower_bound_series(

@@ -389,27 +389,6 @@ class TestRecursion:
 
 
 class TestExports:
-    def test_instance_json_shape(self):
-        space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), 1)
-        data = inst.to_json()
-        assert set(data) == {"geodesics", "candidates"}
-        assert all(set(c) == {"x", "y", "covers"} for c in data["candidates"])
-
-    def test_solution_json_shape(self):
-        space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), 1)
-        sol = solve_exact(inst)
-        data = sol.to_json()
-        assert set(data) == {"points", "size", "optimal", "bounds"}
-
-    def test_threshold_json_combines_instance_and_solution(self):
-        space = FlatSpace.unit_torus()
-        res = blocking_threshold(space, P(0, 0), P("1/2", 0), 1)
-        data = res.to_json()
-        assert set(data) == {"geodesics", "candidates", "solution"}
-        assert data["solution"]["size"] == 2
-
     def test_recursion_json_inequalities(self):
         space = FlatSpace.unit_torus()
         rep = recursion_harness(space, P(0, 0), P("1/2", 0), 1)

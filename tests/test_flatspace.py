@@ -187,6 +187,7 @@ class TestClassify:
         cls = classify(seg)
         assert cls.kind == "passes-through-endpoint"
         assert cls.x_hits == (F(1, 2),)
+        assert cls.y_hits == cls.x_hits
 
     def test_primitive_wrap_connecting(self):
         space = FlatSpace.unit_torus()

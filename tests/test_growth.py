@@ -102,15 +102,6 @@ class TestTransform:
     def test_empty_product_below_delta(self):
         assert transform(ClosedForm.linear(), TransformParams(1), Fraction(1, 2)) == 1
 
-    def test_k_stop_partial_products(self):
-        f = ClosedForm.linear()
-        p = TransformParams(1)
-        acc = Fraction(1)
-        t = Fraction(13, 2)
-        for k in range(kappa(t, p) + 1):
-            assert transform(f, p, t, k_stop=k) == acc
-            acc *= t / 2**k
-
     def test_exact_closed_form_for_linear(self):
         # independent oracle: t^kappa * 2^(-kappa(kappa-1)/2)
         p = TransformParams(Fraction(1))
@@ -308,7 +299,7 @@ class TestSeriesIO:
         series = GrowthSeries.from_function(lambda t: 2.0 * t, [1, 2, 4, 8], monotone=True)
         path = tmp_path / "series.csv"
         series.to_csv(path)
-        back = GrowthSeries.from_csv(path, monotone=True)
+        back = GrowthSeries.from_csv(path)
         assert back.samples == series.samples
         assert path.read_text().splitlines()[0] == "t,value"
 

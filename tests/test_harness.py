@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import geoblock.harness as harness
 from geoblock.blocker import SolverCaps
 from geoblock.cli import main
 from geoblock.errors import ConfigError
@@ -19,6 +20,7 @@ from geoblock.harness import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def flat_config(**overrides):
@@ -116,7 +118,7 @@ class TestConfig:
         }
 
     def test_shipped_configs_load(self):
-        for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+        for path in sorted((ROOT / "configs").glob("*.json")):
             ExperimentConfig.from_file(path)
 
     def test_format_sig(self):
@@ -209,6 +211,20 @@ class TestVerify:
         for c in data["checks"]:
             assert c["law"]
             assert {"pair", "t", "seed"} <= set(c["context"])
+
+    def test_sampled_cost_solved_once_per_threshold(self, monkeypatch, tmp_path):
+        calls = []
+        sampled = harness.blocking_cost_sampled
+
+        def counted(space, t_sq, sampler, caps):
+            calls.append(t_sq)
+            return sampled(space, t_sq, sampler, caps)
+
+        monkeypatch.setattr(harness, "blocking_cost_sampled", counted)
+        cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
+        # t = 1..4 halved down to delta = 1/2: seven distinct t^2
+        expected = [F(16), F(9), F(4), F(9, 4), F(1), F(9, 16), F(1, 4)]
+        assert sorted(calls) == sorted(expected)
 
 
 class TestRecursionCheck:
@@ -307,11 +323,29 @@ class TestCli:
             ("threshold_neg", {"threshold_t_max": "-3"}),
             ("recursion_neg", {"verify": {"recursion": True, "recursion_t_max": "-1"}}),
             ("grid_empty", {"t_grid": []}),
+            # pairs that are not a list
+            ("pairs_int", {"pairs": 5}),
+            ("pairs_null", {"pairs": None}),
             ("denominator", {"geometry": {"kind": "billiard"}, "pairs": [[["1/3", "1/3"], ["2/3", "1/5"]]],
                              "sampler": {"count": 2, "denominator": 1}}),
         ):
             cfg_path = write_config(tmp_path, **extra)
             assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
+        pairs_path = tmp_path / "pairs_int.json"
+        pairs_path.write_text("5")
+        assert main(["count", "--config", str(write_config(tmp_path)), "--pairs", str(pairs_path),
+                     "--out", str(tmp_path / "pairs_file")]) == 2
+        # preset files that are not JSON, lack the generators, or hold a three-number row
+        for name, text in (
+            ("preset_text", "{not json"),
+            ("preset_no_generators", json.dumps({"name": "p", "kind": "schottky"})),
+            ("preset_short_row", json.dumps({"name": "p", "kind": "schottky", "generators": [[2, 0, 0]]})),
+        ):
+            preset_path = tmp_path / f"{name}.json"
+            preset_path.write_text(text)
+            cfg_path = tmp_path / f"{name}_config.json"
+            cfg_path.write_text(json.dumps({**octagon, "geometry": {"kind": "fuchsian", "preset": str(preset_path)}}))
+            assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -334,6 +368,10 @@ class TestCli:
         one = tmp_path / "one"
         assert main(["verify", "--config", str(cfg_path), "--seed", "7", "--t-grid", "1", "--out", str(one)]) == 0
         assert (one / "verify.json").read_bytes() == (out / "verify.json").read_bytes()
+        # an empty override is an empty grid, not the config's grid
+        empty = tmp_path / "empty"
+        assert main(["verify", "--config", str(cfg_path), "--t-grid", "", "--out", str(empty)]) == 2
+        assert not empty.exists()
 
     def test_pairs_file_override(self, tmp_path):
         cfg_path = write_config(tmp_path)
