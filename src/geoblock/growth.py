@@ -151,12 +151,6 @@ class GrowthSeries:
             prev_t, prev_v = t, v
 
     @classmethod
-    def from_function(
-        cls, fn: Callable[[float], float], ts: Iterable[float], monotone: bool = False
-    ) -> "GrowthSeries":
-        return cls(tuple((float(t), float(fn(t))) for t in ts), monotone=monotone)
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]], monotone: bool = False) -> "GrowthSeries":
         return cls(tuple((float(t), float(v)) for t, v in pairs), monotone=monotone)
 

@@ -1,13 +1,19 @@
 """Orbit counting for discrete isometry groups of the hyperbolic plane.
 
 Upper half-plane model throughout, binary64 floats; rounding error grows
-linearly in word length and is budgeted at 1e-9.  Cocompact orbits are
-deduplicated by orbit point: distinct elements of a torsion-free group move
-a base point at least one systole apart, and orbit_count refuses a cutoff
-at which that gap, seen in the disc centred at x, would not clear the
-budget.  Orbit balls realize the exponential counting regime, and packing
-bounds on orbit counts turn them into certified lower bounds on blocking
-thresholds (count at t over twice the uniform count bound at t/2).
+linearly in word length and is budgeted at 1e-9.  A cocompact orbit search
+is complete by a tile-chain argument: with F a fundamental polygon of
+centre c and circumradius R whose sides the generators pair, the path
+c -> x -> g y -> g c crosses side-adjacent tiles from F to g F, each
+holding a point of the path, so every g with d(x, g y) <= t is reached
+through elements within max(d(x, c), t + d(y, c)) + R + d(y, c).
+Cocompact orbits are deduplicated by orbit point: distinct elements of a
+torsion-free group move a base point at least one systole apart, and
+orbit_count refuses a cutoff at which that gap, seen in the disc centred at
+x, would not clear the budget.  Orbit balls realize the exponential
+counting regime, and packing bounds on orbit counts turn them into
+certified lower bounds on blocking thresholds (count at t over twice the
+uniform count bound at t/2).
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ _FLOAT_ERR = 1e-9
 # the uniform_count_bound variants, and the base-point pairs "empirical" samples
 BOUND_MODES = ("rigorous", "systole", "empirical")
 _EMPIRICAL_PAIRS = 3
+# frontier elements expanded per batch of the orbit BFS: bounds the memory
+# of one level's children
+_SLICE = 4096
 
 
 def hyp_distance(z: complex, w: complex) -> float:
@@ -123,7 +132,9 @@ class FuchsianPreset:
     ``diameter`` and ``area`` are quotient-surface metadata used by the
     rigorous counting bounds (cocompact presets only); ``systole`` is a
     lower bound on the shortest translation length and is valid for both
-    kinds.
+    kinds.  Cocompact presets also carry the ``centre`` of a fundamental
+    polygon whose sides the generators pair, and an upper bound on its
+    ``circumradius``; orbit_count's search cutoff rests on them.
     """
 
     name: str
@@ -134,6 +145,8 @@ class FuchsianPreset:
     diameter: float | None
     area: float | None
     systole: float | None
+    centre: complex | None
+    circumradius: float | None
 
     def gens_with_inverses(self) -> list[tuple[str, MobiusMatrix]]:
         out = []
@@ -170,6 +183,17 @@ class FuchsianPreset:
             # orbit_count's dedup rests on it
             if not isinstance(self.systole, (int, float)) or not self.systole > 0:
                 raise DomainError("cocompact preset needs a positive systole")
+            # and its search cutoff on these
+            if self.centre is None or not isinstance(self.circumradius, (int, float)):
+                raise DomainError("cocompact preset needs its polygon centre and circumradius")
+            if not self.centre.imag > 0 or not self.circumradius > 0:
+                raise DomainError("polygon centre must lie in the upper half-plane, circumradius > 0")
+            # the side neighbours g F of the polygon F touch F
+            for name, g in self.gens_with_inverses():
+                if hyp_distance(self.centre, g.apply(self.centre)) > 2.0 * self.circumradius:
+                    raise DomainError(
+                        f"generator {name} moves the polygon centre more than twice the circumradius"
+                    )
         elif self.kind == "schottky":
             # ping-pong certificate: isometric circles of all generators and
             # inverses pairwise disjoint
@@ -201,6 +225,8 @@ class FuchsianPreset:
             diameter=data.get("D"),
             area=data.get("A"),
             systole=data.get("systole"),
+            centre=complex(*data["centre"]) if "centre" in data else None,
+            circumradius=data.get("circumradius"),
         )
         preset.validate()
         return preset
@@ -243,8 +269,6 @@ class OrbitBall:
     """Group elements g with d(x, g y) <= t_max, the largest grid value, as
     reduced words plus matrices, with the count series over the grid."""
 
-    x: complex
-    y: complex
     words: tuple[str, ...]
     matrices: np.ndarray  # (N, 2, 2)
     displacements: np.ndarray  # (N,), sorted ascending
@@ -261,23 +285,6 @@ class OrbitCountResult:
     @property
     def fully_certified(self) -> bool:
         return all(self.certified)
-
-
-def _claim(cells: dict[tuple[int, int], complex], w: complex, h: float) -> bool:
-    """Store w unless a stored point lies within h of it; True iff stored.
-
-    Cells are h-squares.  Stored points are at least 2h apart, so a cell
-    holds one of them and any point within h sits in the 3x3 block around
-    w's cell.
-    """
-    i, j = math.floor(w.real / h), math.floor(w.imag / h)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            v = cells.get((i + di, j + dj))
-            if v is not None and abs(v - w) <= h:
-                return False
-    cells[(i, j)] = w
-    return True
 
 
 def _gen_arrays(preset: FuchsianPreset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -303,23 +310,90 @@ def _distances(x: complex, pts: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsinh(np.abs(pts - x) / (2.0 * np.sqrt(pts.imag * x.imag)))
 
 
+def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
+    """mats[f] @ gen_mats[g] for every pair, shape (F, G, 2, 2).
+
+    Each entry is rounded as np.einsum("fij,gjk->fgik") rounds it: the two
+    products added to a zero-initialised sum in binary64, with no fused
+    multiply-add (a test checks the two agree bit for bit).
+    """
+    m, g = mats.reshape(-1, 4), gen_mats.reshape(-1, 4)
+    out = np.empty((len(m), len(g), 2, 2))
+    for i in range(2):
+        for k in range(2):
+            out[:, :, i, k] = (0.0 + np.multiply.outer(m[:, 2 * i], g[:, k])) + np.multiply.outer(
+                m[:, 2 * i + 1], g[:, 2 + k]
+            )
+    return out
+
+
+def _words(numbers: np.ndarray, parent: np.ndarray, last: np.ndarray, letters: list[str]) -> tuple[str, ...]:
+    """The reduced word of each element number, traced back through the parents."""
+    steps = []
+    while numbers.any():
+        steps.append(np.where(numbers > 0, last[numbers], -1))
+        numbers = np.where(numbers > 0, parent[numbers], 0)
+    rows = np.array(steps[::-1], dtype=int).reshape(len(steps), len(numbers)).T.tolist()
+    return tuple(" ".join([letters[g] for g in row if g >= 0]) for row in rows)
+
+
+def _claimed(
+    keys: np.ndarray, pts: np.ndarray, store_keys: np.ndarray, store_pts: np.ndarray,
+    h: float, width: int, rank: np.ndarray | None = None,
+) -> np.ndarray:
+    """True where a stored point lies within h of the point.
+
+    Cells are h-squares keyed row * width + column, and the store is sorted
+    by key.  Stored points are at least 2h apart, so a cell holds one of
+    them and any point within h sits in the 3x3 block around the point's
+    cell: per row of that block, the first three stored keys from the
+    block's left cell on.  With ``rank`` only stored points of lower rank
+    than the point's own index count.
+    """
+    out = np.zeros(len(keys), dtype=bool)
+    n = len(store_keys)
+    if not n:
+        return out
+    for row in (-width, 0, width):
+        left = keys + (row - 1)
+        pos = np.searchsorted(store_keys, left)
+        for step in range(3):
+            q = np.minimum(pos + step, n - 1)
+            k = store_keys[q]
+            near = (k >= left) & (k <= left + 2) & (np.abs(store_pts[q] - pts) <= h)
+            if rank is not None:
+                near &= rank[q] < np.arange(len(keys))
+            out |= near
+    return out
+
+
 def orbit_count(
     preset: FuchsianPreset,
     x: complex,
     y: complex,
     t_grid: Sequence[float],
     max_word_len: int = 24,
-    slack: float | None = None,
     strict: bool = True,
 ) -> OrbitCountResult:
     """Exact count of distinct group elements with displacement <= t.
 
-    Breadth-first expansion over reduced words; a word is expanded only
-    while its displacement stays within t_max + slack, where slack defaults
-    to the maximal generator displacement at the base point.  Completeness
-    at the word budget is certified by the final frontier: every unexpanded
-    word must already exceed t_max.  With ``strict`` a failed certificate
-    raises; otherwise the result carries per-grid-point flags.
+    Breadth-first expansion over reduced words, one level per word length;
+    a word is expanded only while its displacement stays within a cutoff.
+    Completeness at the word budget is certified by the final frontier:
+    every unexpanded word must already exceed t_max.  With ``strict`` a
+    failed certificate raises; otherwise the result carries per-grid-point
+    flags.
+
+    Cocompact cutoff, from tile chains.  Let F be the preset's polygon with
+    centre c and circumradius R, and let d(x, g y) <= t_max.  The path
+    c -> x -> g y -> g c crosses a chain of side-adjacent tiles from F to
+    g F (around a vertex it passes the tiles sharing that vertex), and
+    consecutive tiles differ by one generator.  Each tile g_i F of the chain
+    holds a point p of the path, so d(x, g_i y) <= d(x, p) + R + d(y, c),
+    and d(x, p) <= max(d(x, c), t_max + d(y, c)).  Every element of the
+    ball is thus reached through elements within
+    max(d(x, c), t_max + d(y, c)) + R + d(y, c).  Schottky presets expand
+    within t_max plus the largest generator displacement at y.
 
     Schottky presets need no deduplication: ping-pong makes distinct
     reduced words distinct elements.  Cocompact presets are deduplicated by
@@ -327,9 +401,10 @@ def orbit_count(
     give d(g y, h y) >= systole.  In the disc centred at x, w = (z - x) /
     (z - conj x), every kept point has |w| <= tanh(cutoff/2), and there two
     such points lie at least systole * sech^2(cutoff/2) / 2 apart.  Points
-    within half that gap are one element.  When half the gap is not above
-    the 1e-9 float-error budget (octagon at the default base point: t_max
-    about 18.8) the count raises BudgetExceededError before any expansion.
+    within half that gap are one element; within a level the first in
+    (parent, generator) order is kept.  When half the gap is not above the
+    1e-9 float-error budget (octagon at the default base point: t_max about
+    19.3) the count raises BudgetExceededError before any expansion.
     """
     if x.imag <= 0 or y.imag <= 0:
         raise DomainError("base points must lie in the upper half-plane")
@@ -341,12 +416,10 @@ def orbit_count(
     t_max = t_grid[-1]
 
     letters, gen_mats, inv_index = _gen_arrays(preset)
-    if slack is None:
-        slack = float(max(hyp_distance(y, MobiusMatrix(*m.reshape(4)).apply(y)) for m in gen_mats))
-    cutoff = t_max + slack
-
-    cells: dict[tuple[int, int], complex] | None = None
-    if preset.kind == "cocompact":
+    dedup = preset.kind == "cocompact"
+    if dedup:
+        r_y = hyp_distance(y, preset.centre)
+        cutoff = max(hyp_distance(x, preset.centre), t_max + r_y) + preset.circumradius + r_y
         # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
         h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
         if h <= _FLOAT_ERR:
@@ -354,47 +427,77 @@ def orbit_count(
                 f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
                 f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
             )
-        cells = {}
-        _claim(cells, (y - x) / (y - x.conjugate()), h)
+        # |w| < 1, so cell coordinates lie within +-(1/h + 1) and keys fit int64
+        offset = int(1.0 / h) + 2
+        width = 2 * offset + 1
 
-    # element i is element all_parent[i] followed by generator all_last[i];
-    # kept children lie within the cutoff, so the frontier is the elements
-    # from lo on, and only the identity may start out unexpandable
-    all_parent, all_last = [-1], [-1]
-    all_mats: list[np.ndarray] = [np.eye(2)]
-    all_disp = [hyp_distance(x, y)]
-    lo = 0 if all_disp[0] <= cutoff else 1
+        def cell_keys(w: np.ndarray) -> np.ndarray:
+            i = np.floor(w.real / h).astype(np.int64) + offset
+            j = np.floor(w.imag / h).astype(np.int64) + offset
+            return i * width + j
+
+        store_pts = np.array([(y - x) / (y - x.conjugate())])
+        store_keys = cell_keys(store_pts)
+    else:
+        cutoff = t_max + max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
+
+    # elements are numbered level by level; every element keeps its parent's
+    # number and its last letter, and the elements within t_max keep their
+    # matrices and displacements.  The frontier is the last level, or nothing
+    # when the identity lies beyond the cutoff.
+    mats, disp, last = np.eye(2)[None], np.array([hyp_distance(x, y)]), np.array([-1])
+    parents, lasts = [last], [last]
+    inside = np.nonzero(disp <= t_max)[0]
+    kept = [(inside, mats[inside], disp[inside])]
+    if disp[0] > cutoff:
+        mats = mats[:0]
+    start, count = 0, 1  # the frontier's first number, and the number of elements
     level = 0
     certified_t = math.inf
-    while lo < len(all_mats):
+    while len(mats):
         if level >= max_word_len:
-            certified_t = min(all_disp[lo:])
+            certified_t = float(disp.min())
             break
         level += 1
 
-        hi, n_g = len(all_mats), len(letters)
-        children = np.einsum("fij,gjk->fgik", np.array(all_mats[lo:]), gen_mats)
         # no immediate backtracking: skip the inverse of the last letter
-        mask = np.ones((hi - lo, n_g), dtype=bool)
-        frontier_last = np.array(all_last[lo:])
-        has_last = frontier_last >= 0
-        mask[np.nonzero(has_last)[0], inv_index[frontier_last[has_last]]] = False
+        forbid = np.where(last >= 0, inv_index[last], -1)
+        parts = []
+        for lo in range(0, len(mats), _SLICE):
+            children = _products(mats[lo:lo + _SLICE], gen_mats)
+            keep_f, keep_g = np.nonzero(np.arange(len(letters)) != forbid[lo:lo + _SLICE, None])
+            children = children[keep_f, keep_g]
+            pts = _apply_batch(children, y)
+            d = _distances(x, pts)
+            sel = np.nonzero(d <= cutoff)[0]
+            part = [children[sel], d[sel], start + lo + keep_f[sel], keep_g[sel]]
+            if dedup:
+                w = (pts[sel] - x) / (pts[sel] - x.conjugate())
+                keys = cell_keys(w)
+                new = ~_claimed(keys, w, store_keys, store_pts, h, width)
+                part = [a[new] for a in part] + [keys[new], w[new]]
+            parts.append(part)
+        mats, disp, parent, last, *rest = (np.concatenate(a) for a in zip(*parts))
 
-        keep_f, keep_g = np.nonzero(mask)
-        children = children[keep_f, keep_g]
-        pts = _apply_batch(children, y)
-        d = _distances(x, pts)
-        disc = (pts - x) / (pts - x.conjugate())
-        for idx in range(len(children)):
-            if d[idx] > cutoff:
-                continue
-            if cells is not None and not _claim(cells, complex(disc[idx]), h):
-                continue
-            all_parent.append(lo + int(keep_f[idx]))
-            all_last.append(int(keep_g[idx]))
-            all_mats.append(children[idx])
-            all_disp.append(float(d[idx]))
-        lo = hi
+        if dedup:
+            keys, w = rest
+            # the first child in each cell has the cell's lowest index; a
+            # child is new iff no lower-indexed child lies within h of it
+            order = np.argsort(keys, kind="stable")
+            first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
+            new = ~_claimed(keys, w, keys[first], w[first], h, width, rank=first)
+            mats, disp, parent, last = mats[new], disp[new], parent[new], last[new]
+            keys, w = keys[new], w[new]
+            order = np.argsort(keys)
+            at = np.searchsorted(store_keys, keys[order])
+            store_keys = np.insert(store_keys, at, keys[order])
+            store_pts = np.insert(store_pts, at, w[order])
+
+        start, count = count, count + len(mats)
+        parents.append(parent)
+        lasts.append(last)
+        inside = np.nonzero(disp <= t_max)[0]
+        kept.append((start + inside, mats[inside], disp[inside]))
 
     if strict and certified_t <= t_max:
         raise BudgetExceededError(
@@ -402,26 +505,15 @@ def orbit_count(
             f"t < {certified_t:.6g}"
         )
 
-    def word(i: int) -> str:
-        out = []
-        while i > 0:
-            out.append(letters[all_last[i]])
-            i = all_parent[i]
-        return " ".join(reversed(out))
-
-    order = np.argsort(all_disp, kind="stable")
-    disp_sorted = np.array(all_disp)[order]
-    mats_sorted = np.array(all_mats)[order]
-
-    in_ball = disp_sorted <= t_max
-    counts = [int(np.searchsorted(disp_sorted, t, side="right")) for t in t_grid]
+    numbers, mats, disp = (np.concatenate(a) for a in zip(*kept))
+    order = np.argsort(disp, kind="stable")
+    disp = disp[order]
+    counts = [int(np.searchsorted(disp, t, side="right")) for t in t_grid]
     series_pairs = tuple((t, c) for t, c in zip(t_grid, counts))
     ball = OrbitBall(
-        x=x,
-        y=y,
-        words=tuple(word(int(i)) for i in order[in_ball]),
-        matrices=mats_sorted[in_ball],
-        displacements=disp_sorted[in_ball],
+        words=_words(numbers[order], np.concatenate(parents), np.concatenate(lasts), letters),
+        matrices=mats[order],
+        displacements=disp,
         count_series=series_pairs,
     )
     certified = tuple(t < certified_t for t in t_grid)

@@ -115,3 +115,88 @@ def reference_instance(family):
             candidates.append(point)
             covers.append(mask)
     return tuple(candidates), tuple(covers)
+
+
+def _claim(cells, w, h):
+    """Store w unless a stored point lies within h of it; True iff stored.
+    Cells are h-squares; stored points are at least 2h apart, so a point
+    within h of w sits in the 3x3 block around w's cell."""
+    i, j = math.floor(w.real / h), math.floor(w.imag / h)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            v = cells.get((i + di, j + dj))
+            if v is not None and abs(v - w) <= h:
+                return False
+    cells[(i, j)] = w
+    return True
+
+
+def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
+    """Orbit ball of displacement <= t_max, one child at a time.
+
+    Every element is expanded while its displacement stays within t_max plus
+    the largest generator displacement at y plus ``margin``, a wider search
+    than the library's; cocompact children are deduplicated one by one
+    against every stored orbit point.  It shares the library's point and
+    distance formulas, so outputs compare bit for bit.  Returns
+    (words, matrices, displacements, certified_t), sorted by displacement
+    as ``OrbitBall`` is."""
+    import numpy as np
+
+    from geoblock.hyperbolic import _apply_batch, _distances, _gen_arrays, hyp_distance
+
+    letters, gen_mats, inv_index = _gen_arrays(preset)
+    slack = max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
+    cutoff = t_max + slack + margin
+    cells = None
+    if preset.kind == "cocompact":
+        h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
+        cells = {}
+        _claim(cells, (y - x) / (y - x.conjugate()), h)
+
+    all_parent, all_last = [-1], [-1]
+    all_mats = [np.eye(2)]
+    all_disp = [hyp_distance(x, y)]
+    lo = 0 if all_disp[0] <= cutoff else 1
+    level = 0
+    certified_t = math.inf
+    while lo < len(all_mats):
+        if level >= max_word_len:
+            certified_t = min(all_disp[lo:])
+            break
+        level += 1
+        hi, n_g = len(all_mats), len(letters)
+        children = np.einsum("fij,gjk->fgik", np.array(all_mats[lo:]), gen_mats)
+        mask = np.ones((hi - lo, n_g), dtype=bool)
+        frontier_last = np.array(all_last[lo:])
+        has_last = frontier_last >= 0
+        mask[np.nonzero(has_last)[0], inv_index[frontier_last[has_last]]] = False
+        keep_f, keep_g = np.nonzero(mask)
+        children = children[keep_f, keep_g]
+        pts = _apply_batch(children, y)
+        d = _distances(x, pts)
+        disc = (pts - x) / (pts - x.conjugate())
+        for idx in range(len(children)):
+            if d[idx] > cutoff:
+                continue
+            if cells is not None and not _claim(cells, complex(disc[idx]), h):
+                continue
+            all_parent.append(lo + int(keep_f[idx]))
+            all_last.append(int(keep_g[idx]))
+            all_mats.append(children[idx])
+            all_disp.append(float(d[idx]))
+        lo = hi
+
+    def word(i):
+        out = []
+        while i > 0:
+            out.append(letters[all_last[i]])
+            i = all_parent[i]
+        return " ".join(reversed(out))
+
+    order = np.argsort(all_disp, kind="stable")
+    disp = np.array(all_disp)[order]
+    keep = order[disp <= t_max]
+    words = tuple(word(int(i)) for i in keep)
+    return words, np.array(all_mats)[keep], np.array(all_disp)[keep], certified_t
+

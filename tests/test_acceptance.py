@@ -32,6 +32,7 @@ from geoblock.hyperbolic import (
     orbit_count,
     word_growth,
 )
+from helpers import series_from_function
 from oracles import (
     assert_minimum_by_exhaustion,
     brute_enumerate_displacements,
@@ -239,7 +240,7 @@ def test_criterion_7_hyperbolic_counting():
         for L in range(0, 9):
             assert sum(1 for l in lengths if l <= L) == word_growth("free", 2, L)
 
-        areas = GrowthSeries.from_function(
+        areas = series_from_function(
             lambda t: 2 * math.pi * (math.cosh(t) - 1), np.linspace(1, 20, 60)
         )
         assert entropy_estimate(areas).parameter == pytest.approx(1.0, abs=0.05)

@@ -18,6 +18,7 @@ from geoblock.growth import (
     rate_estimate,
     transform,
 )
+from helpers import series_from_function
 
 
 def kappa_oracle(t: Fraction, delta: Fraction) -> int:
@@ -114,7 +115,7 @@ class TestTransform:
             assert transform(ClosedForm.linear(), p, t) == expected
 
     def test_series_interpolation_and_range_error(self):
-        series = GrowthSeries.from_function(lambda t: t, np.linspace(1, 16, 61))
+        series = series_from_function(lambda t: t, np.linspace(1, 16, 61))
         val = transform(series, TransformParams(1), 8.0)
         assert val == pytest.approx(64.0, rel=1e-9)
         with pytest.raises(RangeError):
@@ -122,7 +123,7 @@ class TestTransform:
 
     def test_value_at_samples_and_midpoints(self):
         ts = np.cumsum(np.random.default_rng(71).uniform(0.1, 2.0, 300))
-        series = GrowthSeries.from_function(lambda t: 1.0 + t * t, ts)
+        series = series_from_function(lambda t: 1.0 + t * t, ts)
         pts = series.samples
         for t, v in pts:
             assert series.value_at(t) == pytest.approx(v, rel=1e-12)
@@ -147,8 +148,8 @@ class TestTransform:
         t = num / 10
         p = TransformParams(1)
         grid = np.linspace(0.001, 41, 400)
-        f = GrowthSeries.from_function(lambda u: 1.0 + u, grid)
-        g = GrowthSeries.from_function(lambda u: 1.5 + u + 0.1 * u * u, grid)
+        f = series_from_function(lambda u: 1.0 + u, grid)
+        g = series_from_function(lambda u: 1.5 + u + 0.1 * u * u, grid)
         assert transform(f, p, t) <= transform(g, p, t)
 
     def test_rejects_nonpositive_values(self):
@@ -158,14 +159,14 @@ class TestTransform:
 
 class TestRateEstimate:
     def test_exponential_exact(self):
-        series = GrowthSeries.from_function(lambda t: math.exp(2 * t), range(1, 51))
+        series = series_from_function(lambda t: math.exp(2 * t), range(1, 51))
         cls = rate_estimate(series, "exponential")
         assert cls.kind == "exponential"
         assert cls.parameter == pytest.approx(2.0, abs=0.01)
         assert cls.residual < 1e-9
 
     def test_polynomial_exact(self):
-        series = GrowthSeries.from_function(lambda t: t**3, range(1, 51))
+        series = series_from_function(lambda t: t**3, range(1, 51))
         cls = rate_estimate(series, "polynomial")
         assert cls.parameter == pytest.approx(3.0, abs=0.01)
 
@@ -184,33 +185,33 @@ class TestRateEstimate:
         assert cls.parameter == pytest.approx(1 / (2 * math.log(2)), abs=0.05)
 
     def test_insufficient_data(self):
-        series = GrowthSeries.from_function(lambda t: t, range(1, 8))
+        series = series_from_function(lambda t: t, range(1, 8))
         with pytest.raises(InsufficientDataError):
             rate_estimate(series, "exponential", window=0.5)
 
     def test_unknown_mode(self):
-        series = GrowthSeries.from_function(lambda t: t, range(1, 30))
+        series = series_from_function(lambda t: t, range(1, 30))
         with pytest.raises(DomainError):
             rate_estimate(series, "linear")
 
 
 class TestClassifyGrowth:
     def test_bounded(self):
-        series = GrowthSeries.from_function(lambda t: 3.0, range(1, 40))
+        series = series_from_function(lambda t: 3.0, range(1, 40))
         assert classify_growth(series).kind == "bounded"
 
     def test_exponential_beats_polynomial(self):
-        series = GrowthSeries.from_function(lambda t: math.exp(0.8 * t), range(1, 40))
+        series = series_from_function(lambda t: math.exp(0.8 * t), range(1, 40))
         assert classify_growth(series).kind == "exponential"
 
     def test_polynomial(self):
-        series = GrowthSeries.from_function(lambda t: t**2.5, range(1, 60))
+        series = series_from_function(lambda t: t**2.5, range(1, 60))
         cls = classify_growth(series)
         assert cls.kind == "polynomial"
         assert cls.parameter == pytest.approx(2.5, abs=0.05)
 
     def test_super_exponential(self):
-        series = GrowthSeries.from_function(lambda t: math.exp(0.05 * t * t), range(1, 40))
+        series = series_from_function(lambda t: math.exp(0.05 * t * t), range(1, 40))
         assert classify_growth(series).kind == "super-exponential"
 
 
@@ -221,7 +222,7 @@ class TestBoundCheck:
 
     def test_exp_rate_doubling_passes(self):
         ts = np.linspace(1, 40, 200)
-        f = GrowthSeries.from_function(lambda t: math.exp(t), ts)
+        f = series_from_function(lambda t: math.exp(t), ts)
         F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
         rep = bound_check(f, F, "exp-rate-doubling", BoundCheckParams(rate=1.0, epsilon=0.1))
         assert rep.passed
@@ -229,7 +230,7 @@ class TestBoundCheck:
 
     def test_bounded_gives_polynomial_envelope(self):
         ts = np.linspace(1, 200, 400)
-        f = GrowthSeries.from_function(lambda t: 3.0, ts)
+        f = series_from_function(lambda t: 3.0, ts)
         F = self._transform_series(ClosedForm.constant(3), 1, ts)
         rep = bound_check(f, F, "bounded-to-polynomial", BoundCheckParams(epsilon=0.01))
         assert rep.passed
@@ -238,13 +239,13 @@ class TestBoundCheck:
 
     def test_trivial_ones(self):
         ts = np.linspace(1, 50, 100)
-        one = GrowthSeries.from_function(lambda t: 1.0, ts)
+        one = series_from_function(lambda t: 1.0, ts)
         rep = bound_check(one, one, "bounded-to-polynomial", BoundCheckParams())
         assert rep.passed
 
     def test_poly_to_quasipoly(self):
         ts = np.geomspace(1, 2**16, 300)
-        f = GrowthSeries.from_function(lambda t: t, ts)
+        f = series_from_function(lambda t: t, ts)
         F = self._transform_series(lambda t: t, 1.0, ts)
         rep = bound_check(f, F, "poly-to-quasipoly", BoundCheckParams(degree=1.0, const_cap=10.0))
         assert rep.passed
@@ -252,9 +253,9 @@ class TestBoundCheck:
 
     def test_dominated_and_equivalent(self):
         ts = np.linspace(1, 30, 150)
-        f = GrowthSeries.from_function(lambda t: math.exp(t), ts)
+        f = series_from_function(lambda t: math.exp(t), ts)
         F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
-        g = GrowthSeries.from_function(lambda t: 2 * math.exp(t), ts)
+        g = series_from_function(lambda t: 2 * math.exp(t), ts)
         G = self._transform_series(lambda t: 2 * math.exp(t), 1.0, ts)
         rep = bound_check(
             f, F, "dominated", BoundCheckParams(other=g, other_transformed=G, const_cap=1e6)
@@ -267,9 +268,9 @@ class TestBoundCheck:
 
     def test_strictly_dominated(self):
         ts = np.linspace(1, 60, 200)
-        f = GrowthSeries.from_function(lambda t: math.exp(t), ts)
+        f = series_from_function(lambda t: math.exp(t), ts)
         F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
-        g = GrowthSeries.from_function(lambda t: t, ts)
+        g = series_from_function(lambda t: t, ts)
         G = self._transform_series(lambda t: t, 1.0, ts)
         rep = bound_check(
             f,
@@ -281,22 +282,22 @@ class TestBoundCheck:
 
     def test_failure_carries_witness(self):
         ts = np.linspace(1, 30, 100)
-        f = GrowthSeries.from_function(lambda t: math.exp(t), ts)
-        too_big = GrowthSeries.from_function(lambda t: math.exp(4 * t), ts)
+        f = series_from_function(lambda t: math.exp(t), ts)
+        too_big = series_from_function(lambda t: math.exp(4 * t), ts)
         rep = bound_check(f, too_big, "exp-rate-doubling", BoundCheckParams(rate=1.0, epsilon=0.1, const_cap=100.0))
         assert not rep.passed
         assert rep.witness_t is not None
 
     def test_mismatched_ranges(self):
-        a = GrowthSeries.from_function(lambda t: t, np.linspace(1, 2, 10))
-        b = GrowthSeries.from_function(lambda t: t, np.linspace(5, 6, 10))
+        a = series_from_function(lambda t: t, np.linspace(1, 2, 10))
+        b = series_from_function(lambda t: t, np.linspace(5, 6, 10))
         with pytest.raises(RangeError):
             bound_check(a, a, "dominated", BoundCheckParams(other=b, other_transformed=b))
 
 
 class TestSeriesIO:
     def test_csv_roundtrip(self, tmp_path):
-        series = GrowthSeries.from_function(lambda t: 2.0 * t, [1, 2, 4, 8], monotone=True)
+        series = series_from_function(lambda t: 2.0 * t, [1, 2, 4, 8], monotone=True)
         path = tmp_path / "series.csv"
         series.to_csv(path)
         back = GrowthSeries.from_csv(path)
@@ -312,6 +313,6 @@ class TestSeriesIO:
             GrowthSeries(((1.0, 2.0), (2.0, 1.0)), monotone=True)
 
     def test_growthclass_json_shape(self):
-        series = GrowthSeries.from_function(lambda t: math.exp(t), range(1, 30))
+        series = series_from_function(lambda t: math.exp(t), range(1, 30))
         data = rate_estimate(series).to_json()
         assert set(data) == {"kind", "parameter", "residual", "window"}

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,17 @@ class TestCli:
             cfg_path = tmp_path / f"{name}_config.json"
             cfg_path.write_text(json.dumps({**octagon, "geometry": {"kind": "fuchsian", "preset": str(preset_path)}}))
             assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
+
+    def test_wrong_preset_centre_exit_2(self, tmp_path):
+        # generator b1 moves 2 + i by 5.17, more than twice the octagon's
+        # circumradius: a polygon centred there would not touch its neighbours
+        preset = json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
+        preset_path = tmp_path / "shifted.json"
+        preset_path.write_text(json.dumps({**preset, "centre": [2.0, 1.0]}))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"geometry": {"kind": "fuchsian", "preset": str(preset_path)}, "t_grid": ["3", "4"]}))
+        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "count.csv").exists()
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -11,6 +11,8 @@ from geoblock.growth import GrowthSeries
 from geoblock.hyperbolic import (
     FuchsianPreset,
     MobiusMatrix,
+    _gen_arrays,
+    _products,
     blocking_lower_bound_series,
     builtin_presets,
     certified_blocking_lower_bound,
@@ -21,6 +23,8 @@ from geoblock.hyperbolic import (
     uniform_count_bound,
     word_growth,
 )
+from helpers import series_from_function
+from oracles import reference_orbit_count
 
 
 def octagon_data():
@@ -117,19 +121,8 @@ class TestPresets:
                 assert abs(g.trace) > 2
 
     def test_bad_relator_rejected(self):
-        preset = load_preset("octagon_genus2")
-        data = {
-            "name": "broken",
-            "kind": "cocompact",
-            "generators": [[g.a, g.b, g.c, g.d] for g in preset.generators],
-            "generator_names": list(preset.generator_names),
-            "relator": "a1 b1",
-            "D": preset.diameter,
-            "A": preset.area,
-            "systole": preset.systole,
-        }
-        with pytest.raises(DomainError):
-            FuchsianPreset.from_json(data)
+        with pytest.raises(DomainError, match="relator"):
+            FuchsianPreset.from_json({**octagon_data(), "name": "broken", "relator": "a1 b1"})
 
     def test_cocompact_needs_positive_systole(self):
         # the orbit-point dedup derives its tolerance from the systole
@@ -139,6 +132,21 @@ class TestPresets:
             FuchsianPreset.from_json(data)
         with pytest.raises(DomainError, match="systole"):
             FuchsianPreset.from_json({**data, "systole": 0.0})
+
+    def test_cocompact_needs_its_polygon(self):
+        # orbit_count's cutoff derives from the polygon's centre and circumradius
+        data = octagon_data()
+        for key in ("centre", "circumradius"):
+            with pytest.raises(DomainError, match="centre and circumradius"):
+                FuchsianPreset.from_json({k: v for k, v in data.items() if k != key})
+        with pytest.raises(DomainError, match="upper half-plane"):
+            FuchsianPreset.from_json({**data, "centre": [0.0, -1.0]})
+        # every generator moves i by 3.057: a polygon of circumradius 1.5
+        # could not touch its side neighbours, nor could one centred at 2 + i
+        with pytest.raises(DomainError, match="twice the circumradius"):
+            FuchsianPreset.from_json({**data, "circumradius": 1.5})
+        with pytest.raises(DomainError, match="twice the circumradius"):
+            FuchsianPreset.from_json({**data, "centre": [2.0, 1.0]})
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
@@ -230,11 +238,24 @@ class TestCocompactOrbit:
             assert 0.5 * model <= c <= 2.0 * model
 
     def test_counts_stable_under_bigger_slack(self):
+        # the reference expands within t_max + 4.06 at this base point, the
+        # library within t_max + 2.53
         preset = load_preset("octagon_genus2")
         grid = [3.0, 4.0, 5.0, 6.0]
-        a = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, grid)
-        b = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, grid, slack=4.5)
-        assert a.ball.count_series == b.ball.count_series
+        res = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, grid)
+        _, _, disp, _ = reference_orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, grid[-1])
+        assert res.ball.count_series == tuple((t, int(np.sum(disp <= t))) for t in grid)
+
+    def test_products_match_einsum_bitwise(self):
+        # the BFS multiplies matrices without np.einsum; the rounding, signed
+        # zeros included, must stay the einsum's
+        _, gen_mats, _ = _gen_arrays(load_preset("octagon_genus2"))
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((5000, 2, 2)) * np.exp(rng.uniform(-20, 20, (5000, 2, 2)))
+        mats[:50] = -0.0
+        mats[50:100, :, 1] = 0.0
+        want = np.einsum("fij,gjk->fgik", mats, gen_mats)
+        assert np.array_equal(_products(mats, gen_mats).view(np.int64), want.view(np.int64))
 
     def test_dedup_tolerance_robust(self, octagon_ball):
         # distinct stored elements are far apart compared to the tolerance
@@ -263,9 +284,55 @@ class TestCocompactOrbit:
 
 
 
+def _equivalence_cases():
+    """Seeded base points near the polygon's centre i and their images under
+    a generator and under a word of length two; the octagon's polygon
+    described from a point of it 1.5 from i, with base points near that
+    point; and Schottky cases.  The budget cases run out of word budget."""
+    rng = random.Random(2007)
+    octagon, schottky = load_preset("octagon_genus2"), load_preset("schottky_rank2")
+    # e^1.5 i lies inside the inscribed circle (radius 1.529), and every
+    # point of the polygon lies within its circumradius + 1.5 of e^1.5 i
+    off_centre = FuchsianPreset.from_json(
+        {**octagon_data(), "centre": [0.0, math.exp(1.5)], "circumradius": octagon.circumradius + 1.5}
+    )
+
+    def near(height=1.0):
+        # near height * i
+        return height * complex(rng.uniform(-0.1, 0.1), rng.uniform(0.9, 1.1))
+
+    g = octagon.generators[rng.randrange(4)]
+    w = octagon.evaluate_word("a1 b2")
+    return [
+        (octagon, near(), near(), 7.0, 24),
+        (octagon, near(), near(), 6.5, 3),
+        (octagon, g.apply(near()), g.apply(near()), 5.0, 24),
+        (octagon, w.apply(near()), w.apply(near()), 4.5, 24),
+        (off_centre, near(), near(math.exp(1.5)), 5.0, 24),
+        (schottky, near(), near(), 6.0, 24),
+        (schottky, near(), near(), 60.0, 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "preset, x, y, t, max_word_len", _equivalence_cases(),
+    ids=["near", "near-budget", "generator", "word2", "off-centre", "schottky", "schottky-budget"],
+)
+def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
+    # the reference searches within the generator-displacement slack plus a
+    # margin and deduplicates child by child; every output must agree bit for bit
+    res = orbit_count(preset, x, y, [t / 2, t], max_word_len=max_word_len, strict=False)
+    words, mats, disp, certified_t = reference_orbit_count(preset, x, y, t, max_word_len)
+    assert res.ball.words == words
+    assert np.array_equal(res.ball.matrices.view(np.int64), mats.view(np.int64))
+    assert np.array_equal(res.ball.displacements.view(np.int64), disp.view(np.int64))
+    assert res.certified_t == certified_t
+    assert res.ball.count_series == ((t / 2, int(np.sum(disp <= t / 2))), (t, len(words)))
+
+
 class TestEntropy:
     def test_ball_area_rate_is_one(self):
-        series = GrowthSeries.from_function(
+        series = series_from_function(
             lambda t: 2 * math.pi * (math.cosh(t) - 1), np.linspace(1, 20, 60)
         )
         cls = entropy_estimate(series)
@@ -284,24 +351,13 @@ class TestEntropy:
         assert cls.parameter <= 0.05
 
     def test_constant_series_rate_zero(self):
-        series = GrowthSeries.from_function(lambda t: 7.0, range(1, 40))
+        series = series_from_function(lambda t: 7.0, range(1, 40))
         assert entropy_estimate(series).parameter == pytest.approx(0.0, abs=1e-9)
 
 
 class TestUniformBound:
     def test_degenerate_floor(self):
-        preset = load_preset("octagon_genus2")
-        data = {
-            "name": "flat-dome",
-            "kind": "cocompact",
-            "generators": [[g.a, g.b, g.c, g.d] for g in preset.generators],
-            "generator_names": list(preset.generator_names),
-            "relator": preset.relator,
-            "D": 0.0,
-            "A": 4 * math.pi,
-            "systole": preset.systole,
-        }
-        degenerate = FuchsianPreset.from_json(data)
+        degenerate = FuchsianPreset.from_json({**octagon_data(), "name": "flat-dome", "D": 0.0})
         assert uniform_count_bound(degenerate, 0.0, "rigorous").value == 1.0
 
     def test_closed_form_genus2(self):
@@ -313,17 +369,7 @@ class TestUniformBound:
 
     def test_doubling_area_halves_bound(self):
         preset = load_preset("octagon_genus2")
-        data = {
-            "name": "double-area",
-            "kind": "cocompact",
-            "generators": [[g.a, g.b, g.c, g.d] for g in preset.generators],
-            "generator_names": list(preset.generator_names),
-            "relator": preset.relator,
-            "D": preset.diameter,
-            "A": 2 * preset.area,
-            "systole": preset.systole,
-        }
-        doubled = FuchsianPreset.from_json(data)
+        doubled = FuchsianPreset.from_json({**octagon_data(), "name": "double-area", "A": 2 * preset.area})
         u1 = uniform_count_bound(preset, 5.0, "rigorous")
         u2 = uniform_count_bound(doubled, 5.0, "rigorous")
         assert u2.value == pytest.approx(u1.value / 2, rel=1e-12)
