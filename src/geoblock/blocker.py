@@ -197,6 +197,32 @@ class BlockingSolution:
     lower_bound: int
 
 
+def _candidates_of(covers: Sequence[int], m: int) -> list[list[int]]:
+    """For each of the m geodesics, the candidates covering it, increasing."""
+    cand_of: list[list[int]] = [[] for _ in range(m)]
+    for c, mask in enumerate(covers):
+        while mask:
+            low = mask & -mask
+            cand_of[low.bit_length() - 1].append(c)
+            mask ^= low
+    return cand_of
+
+
+def _undominated(covers: Sequence[int], m: int) -> list[int]:
+    """The candidates whose cover set is maximal, increasing.
+
+    Cover sets are distinct, so c is dominated exactly when another
+    candidate covers every geodesic of c: when the AND of the candidate
+    masks of c's geodesics holds more than c itself.
+    """
+    common = [-1] * len(covers)
+    for cands in _candidates_of(covers, m):
+        mask = sum(1 << c for c in cands)
+        for c in cands:
+            common[c] &= mask
+    return [c for c, mask in enumerate(common) if mask == 1 << c]
+
+
 def _greedy_cover(covers: Sequence[int], full: int) -> list[int]:
     chosen: list[int] = []
     uncovered = full
@@ -246,24 +272,10 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
 
     greedy = _greedy_cover(instance.covers, full)
     capped = len(instance.covers) > caps.max_candidates
-    kept = list(range(len(instance.covers)))
-    if not capped:
-        # dominance reduction: keep only candidates whose cover set is maximal
-        by_size = sorted(kept, key=lambda c: (-instance.covers[c].bit_count(), c))
-        kept = []
-        for c in by_size:
-            mask = instance.covers[c]
-            if not any(mask | instance.covers[k] == instance.covers[k] for k in kept):
-                kept.append(c)
-        kept.sort()
+    kept = list(range(len(instance.covers))) if capped else _undominated(instance.covers, m)
     covers = [instance.covers[c] for c in kept]
 
-    cand_of: list[list[int]] = [[] for _ in range(m)]
-    for c, mask in enumerate(covers):
-        while mask:
-            low = mask & -mask
-            cand_of[low.bit_length() - 1].append(c)
-            mask ^= low
+    cand_of = _candidates_of(covers, m)
     geod_cand_mask = [sum(1 << c for c in cands) for cands in cand_of]
     by_few = sorted(range(m), key=lambda i: (len(cand_of[i]), i))
 

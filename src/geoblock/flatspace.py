@@ -16,6 +16,7 @@ there.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
@@ -116,7 +117,7 @@ class FlatSpace:
     covolume: Fraction
     shortest_sq: Fraction
     delta_sq: Fraction
-    _inv: tuple[Fraction, Fraction, Fraction, Fraction]  # rows of B^-1
+    _inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
     group: tuple[Flip, ...]
     _scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
 
@@ -130,6 +131,8 @@ class FlatSpace:
         if det == 0:
             raise DomainError("lattice basis is degenerate (zero determinant)")
         inv = (b2[1] / det, -b2[0] / det, -b1[1] / det, b1[0] / det)
+        d = math.lcm(*(c.denominator for c in inv))
+        inv = (*(int(c * d) for c in inv), d)
         L = math.lcm(*(c.denominator for c in b1 + b2))
         scaled = (L, *(int(c * L) for c in b1 + b2))
         zero = Fraction(0)
@@ -159,11 +162,15 @@ class FlatSpace:
         return (i * self.b1[0] + j * self.b2[0], i * self.b1[1] + j * self.b2[1])
 
     def _lattice_ints(self, *points: RationalPoint) -> tuple[list[tuple[int, int]], int]:
-        """Lattice coordinates of the points as integers over one denominator."""
-        m = self._inv
-        coords = [(m[0] * p.x + m[1] * p.y, m[2] * p.x + m[3] * p.y) for p in points]
-        den = math.lcm(*(c.denominator for ij in coords for c in ij))
-        return [(int(i * den), int(j * den)) for i, j in coords], den
+        """Lattice coordinates of the points as integers over their least
+        common denominator."""
+        m0, m1, m2, m3, d = self._inv
+        # each point is (a, c)/q with a, c integers
+        q = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+        ac = [(p.x.numerator * (q // p.x.denominator), p.y.numerator * (q // p.y.denominator)) for p in points]
+        ints = [(m0 * a + m1 * c, m2 * a + m3 * c) for a, c in ac]
+        g = math.gcd(d * q, *(n for ij in ints for n in ij))
+        return [(i // g, j // g) for i, j in ints], d * q // g
 
     def _fold_key(self, n1: int, n2: int, den: int) -> Key:
         """The point (n1/den, n2/den) in lattice coordinates, den > 0, reduced
@@ -335,10 +342,11 @@ def _segment_hits(segment: GeodesicSegment, z: Key) -> list[Fraction]:
 
 def _enumerate(
     space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq: Fraction
-) -> tuple[list[GeodesicSegment], int, list[tuple[int, int]]]:
-    """Joining segments, the corner-rejected count, and the endpoint offsets
-    g*x - x and g*y - x in lattice coordinates over the segments' common
-    denominator."""
+) -> tuple[list[GeodesicSegment], list[int], list[int], int, list[tuple[int, int]]]:
+    """Joining segments; their squared lengths and those of the
+    corner-rejected segments, as integers over one scale; that scale; and the
+    endpoint offsets g*x - x and g*y - x in lattice coordinates over the
+    segments' common denominator."""
     space.validate_point(x)
     space.validate_point(y)
     [(x1, x2), (y1, y2)], den = space._lattice_ints(x, y)
@@ -348,14 +356,14 @@ def _enumerate(
     bound_num = t_sq.numerator * scale * scale
     bound_den = t_sq.denominator
     # a lattice coordinate of a displacement v is row_k(B^-1) . v, bounded by |row_k| t
-    m = space._inv
-    reach1 = rat_sqrt_upper((m[0] * m[0] + m[1] * m[1]) * t_sq)
-    reach2 = rat_sqrt_upper((m[2] * m[2] + m[3] * m[3]) * t_sq)
+    m0, m1, m2, m3, d = space._inv
+    reach1 = rat_sqrt_upper(Fraction(m0 * m0 + m1 * m1, d * d) * t_sq)
+    reach2 = rat_sqrt_upper(Fraction(m2 * m2 + m3 * m3, d * d) * t_sq)
     half_turn = (-1, -1) in space.group
     step_x, step_y = den * b2x, den * b2y
 
-    segments = []
-    corner_rejected = 0
+    found = []
+    rejected = []
     for s1, s2 in space.group:
         # lattice coordinates of g*y - x + (i, j), over den
         c1, c2 = s1 * y1 - x1, s2 * y2 - x2
@@ -375,13 +383,13 @@ def _enumerate(
                 a2 = c2 + j * den
                 # points fixed by the half-turn have 2*(lattice coordinates) integral
                 if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
-                    corner_rejected += 1
+                    rejected.append(sq_scaled)
                     continue
-                segments.append(GeodesicSegment(space, x, y, (s1, s2, i, j), origin, (a1, a2)))
+                found.append((vx, vy, sq_scaled, GeodesicSegment(space, x, y, (s1, s2, i, j), origin, (a1, a2))))
     # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
-    segments.sort(key=lambda g: (g.lattice[0] * b1x + g.lattice[1] * b2x, g.lattice[0] * b1y + g.lattice[1] * b2y))
+    found.sort(key=lambda r: (r[0], r[1]))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
-    return segments, corner_rejected, ends
+    return [r[3] for r in found], [r[2] for r in found], rejected, scale * scale, ends
 
 
 def _positive_t_sq(t_sq) -> Fraction:
@@ -415,7 +423,13 @@ def classify(segment: GeodesicSegment) -> Classification:
 
 @dataclass(frozen=True)
 class GeodesicFamily:
-    """All joining geodesics G plus the connecting subfamily Gamma."""
+    """All joining geodesics G plus the connecting subfamily Gamma.
+
+    ``sq_lengths`` holds the sorted squared lengths of the joining, the
+    connecting and the corner-rejected segments, as integers over
+    ``sq_scale``: enough to count the family at any smaller t, since whether
+    a segment connects or is corner-rejected does not depend on t.
+    """
 
     space: FlatSpace
     x: RationalPoint
@@ -423,7 +437,8 @@ class GeodesicFamily:
     t_sq: Fraction
     segments: tuple[GeodesicSegment, ...]
     connecting: tuple[int, ...]
-    corner_rejected: int
+    sq_lengths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    sq_scale: int
 
     @property
     def n(self) -> int:
@@ -436,21 +451,33 @@ class GeodesicFamily:
     def connecting_segments(self) -> list[GeodesicSegment]:
         return [self.segments[i] for i in self.connecting]
 
+    def counts_at(self, t_sq) -> tuple[int, int, int]:
+        """(n, m, corner_rejected) of the family at t_sq <= self.t_sq: the
+        segments of squared length at most t_sq."""
+        t_sq = _positive_t_sq(t_sq)
+        if t_sq > self.t_sq:
+            raise DomainError(f"t^2 = {t_sq} exceeds the family's t^2 = {self.t_sq}")
+        bound = t_sq.numerator * self.sq_scale // t_sq.denominator
+        return tuple(bisect_right(lengths, bound) for lengths in self.sq_lengths)
+
 
 def connecting_family(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> GeodesicFamily:
     t_sq = _positive_t_sq(t_sq)
-    segments, rejected, ends = _enumerate(space, x, y, t_sq)
+    segments, lengths, rejected, scale, ends = _enumerate(space, x, y, t_sq)
     connecting = tuple(
         k for k, seg in enumerate(segments)
         if not any(_affine_hits(*seg.lattice, c1, c2, seg.origin[2]) for c1, c2 in ends)
     )
-    return GeodesicFamily(space, x, y, t_sq, tuple(segments), connecting, rejected)
+    sq_lengths = (
+        tuple(sorted(lengths)), tuple(sorted(lengths[k] for k in connecting)), tuple(sorted(rejected))
+    )
+    return GeodesicFamily(space, x, y, t_sq, tuple(segments), connecting, sq_lengths, scale)
 
 
 def count(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> tuple[int, int]:
     """(n, m): all joining geodesics, and those not passing through x or y."""
-    fam = connecting_family(space, x, y, t_sq)
-    return fam.n, fam.m
+    n, m, _ = connecting_family(space, x, y, t_sq).counts_at(t_sq)
+    return n, m
 
 
 def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Key:

@@ -291,8 +291,28 @@ def _t_float(t_sq: Fraction) -> float:
     return math.sqrt(float(t_sq))
 
 
+def _counted_cells(
+    cfg: ExperimentConfig, space: FlatSpace
+) -> Iterator[tuple[int, RationalPoint, RationalPoint, Fraction, tuple[int, int, int]]]:
+    """The cells in ``cells`` order, each with its (n, m, corner_rejected).
+
+    Each pair is enumerated once, at its largest t; the counts at every grid
+    t are read from that one family by squared length.
+    """
+    if not cfg.t_grid:
+        return
+    for pi, (x, y) in enumerate(cfg.pairs):
+        fam = connecting_family(space, x, y, cfg.t_grid[-1] ** 2)
+        for t in cfg.t_grid:
+            yield pi, x, y, t, fam.counts_at(t * t)
+
+
 def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Counting series per pair; writes count.csv (and count.json when asked)."""
+    """Counting series per pair; writes count.csv (and count.json when asked).
+
+    A flat pair is enumerated once, at its largest t, so a grid costs about
+    as much as its largest t.
+    """
     rows: list[dict] = []
     if cfg.is_fuchsian:
         preset = cfg.preset()
@@ -314,17 +334,16 @@ def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
     else:
         space = cfg.flat_space()
-        for pi, x, y, t in cfg.cells():
-            fam = connecting_family(space, x, y, t * t)
+        for pi, x, y, t, (n, m, rejected) in _counted_cells(cfg, space):
             rows.append(
                 {
                     "pair": pi,
                     "x": str(x),
                     "y": str(y),
                     "t": float(t),
-                    "n": fam.n,
-                    "m": fam.m,
-                    "status": "exact" if fam.corner_rejected == 0 else f"corner-rejected={fam.corner_rejected}",
+                    "n": n,
+                    "m": m,
+                    "status": "exact" if rejected == 0 else f"corner-rejected={rejected}",
                 }
             )
     _write_table(cfg, out_dir, "count", "pair,x,y,t,n,m,status", rows)
@@ -503,7 +522,9 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Link measured rates to the expected growth laws; writes report.json.
 
     Verdicts are desk-scale consistency statements computed from fitted
-    rates, never proofs.
+    rates, never proofs.  On a flat geometry the counts come from one
+    enumeration per pair, at its largest t, and the blocking thresholds are
+    solved only up to ``threshold_t_max``.
     """
     payload: dict = {"seed": cfg.seed, "geometry": cfg.geometry}
     if cfg.is_fuchsian:
@@ -555,17 +576,13 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         space = cfg.flat_space()
         n_by_t: dict[float, int] = {}
         s_max = 0
-        for _, x, y, t in cfg.cells():
+        for _, x, y, t, (n, _m, _rejected) in _counted_cells(cfg, space):
             # blocking solves are quadratic in the family size; keep them
             # on the capped prefix of the grid
             if t * t <= cfg.threshold_t_sq_cap:
-                thr = blocking_threshold(space, x, y, t * t, cfg.caps)
-                s_max = max(s_max, thr.value)
-                fam = thr.instance.family
-            else:
-                fam = connecting_family(space, x, y, t * t)
+                s_max = max(s_max, blocking_threshold(space, x, y, t * t, cfg.caps).value)
             tf = float(t)
-            n_by_t[tf] = max(n_by_t.get(tf, 0), fam.n)
+            n_by_t[tf] = max(n_by_t.get(tf, 0), n)
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)
         verdict = "partial"

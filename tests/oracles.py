@@ -16,7 +16,9 @@ def brute_enumerate_displacements(space, x, y, t_sq):
     d = (y.x - x.x, y.y - x.y)
     t = math.sqrt(float(t_sq))
     reach = t + math.hypot(float(d[0]), float(d[1]))
-    inv = space._inv
+    (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+    det = b1x * b2y - b1y * b2x
+    inv = (b2y / det, -b2x / det, -b1y / det, b1x / det)  # rows of B^-1
     r1 = math.hypot(float(inv[0]), float(inv[1]))
     r2 = math.hypot(float(inv[2]), float(inv[3]))
     imax = int(r1 * reach * 1.01) + 2
@@ -86,6 +88,16 @@ def milp_minimum(instance):
                integrality=np.ones(n), bounds=Bounds(0, 1))
     assert res.success, res.message
     return round(res.fun)
+
+
+def pairwise_undominated(covers):
+    """Candidates whose cover set no kept candidate contains, tested pair by
+    pair from the largest cover set down (ties by index), increasing."""
+    kept = []
+    for c in sorted(range(len(covers)), key=lambda c: (-covers[c].bit_count(), c)):
+        if not any(covers[c] | covers[k] == covers[k] for k in kept):
+            kept.append(c)
+    return sorted(kept)
 
 
 def reference_instance(family):

@@ -30,7 +30,7 @@ from geoblock.flatspace import (
     _segment_hits,
 )
 from geoblock.harness import ExperimentConfig
-from oracles import milp_minimum, reference_instance
+from oracles import milp_minimum, pairwise_undominated, reference_instance
 
 P = RationalPoint.of
 F = Fraction
@@ -226,6 +226,20 @@ class TestSolveExact:
         assert sol.optimal
         assert sol.size == sol.lower_bound == 4
         assert verify_cover(inst, sol.points)
+
+    def test_dominance_reduction_matches_pairwise_rule(self):
+        rng = random.Random(61)
+        for space, point in ((FlatSpace.unit_torus(), random_point),
+                             (FlatSpace.square_billiard(), interior_point)):
+            checked = 0
+            while checked < 20:
+                x, y = point(rng), point(rng)
+                if x == y:
+                    continue
+                inst = build_instance(space, x, y, F(rng.randint(1, 12)))
+                kept = blocker._undominated(inst.covers, inst.num_geodesics)
+                assert kept == pairwise_undominated(inst.covers), (x, y)
+                checked += 1
 
     def test_lower_bound_sound(self):
         rng = random.Random(59)

@@ -41,7 +41,9 @@ def brute_enumerate(space, x, y, t_sq):
     d = (y.x - x.x, y.y - x.y)
     t = math.sqrt(float(t_sq))
     reach = t + math.hypot(float(d[0]), float(d[1]))
-    inv = space._inv
+    (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+    det = b1x * b2y - b1y * b2x
+    inv = (b2y / det, -b2x / det, -b1y / det, b1x / det)  # rows of B^-1
     r1 = math.hypot(float(inv[0]), float(inv[1]))
     r2 = math.hypot(float(inv[2]), float(inv[3]))
     imax = int(r1 * reach * 1.01) + 2
@@ -228,6 +230,61 @@ class TestCount:
         space = FlatSpace.unit_torus()
         n, _ = count(space, P(0, 0), P(0, 0), 15 * 15)
         assert abs(n * 1 / (math.pi * 225) - 1) <= 0.1
+
+
+class TestCountsAt:
+    """A family read at a smaller t agrees with a fresh family there."""
+
+    @pytest.mark.parametrize("space", [FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), FlatSpace.square_billiard()])
+    def test_every_length_boundary(self, space):
+        rng = random.Random(67)
+        pairs = [(P("1/4", "1/4"), P("3/4", "3/4"))] if not space.is_torus else []
+        while len(pairs) < 4:
+            x, y = (P(F(rng.randint(1, 7), 8), F(rng.randint(1, 7), 8)) for _ in range(2))
+            if x != y:
+                pairs.append((x, y))
+        rejected_seen = False
+        for x, y in pairs:
+            fam = connecting_family(space, x, y, 9)
+            # every squared length the family holds, and points just below and between them
+            lengths = {F(q, fam.sq_scale) for group in fam.sq_lengths for q in group}
+            probes = lengths | {q - F(1, 10**6) for q in lengths} | {F(rng.randint(1, 900), 100) for _ in range(5)}
+            for t_sq in sorted(q for q in probes if q > 0):
+                fresh = connecting_family(space, x, y, t_sq)
+                assert fam.counts_at(t_sq) == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t_sq)
+                rejected_seen = rejected_seen or bool(fresh.sq_lengths[2])
+        assert rejected_seen or space.is_torus
+
+    def test_above_family_rejected(self):
+        fam = connecting_family(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 4)
+        assert fam.counts_at(4) == (fam.n, fam.m, 0)
+        with pytest.raises(DomainError):
+            fam.counts_at(F(401, 100))
+        with pytest.raises(DomainError):
+            fam.counts_at(0)
+
+
+class TestLatticeInts:
+    @staticmethod
+    def fraction_formula(space, points):
+        (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+        det = b1x * b2y - b1y * b2x
+        coords = [((b2y * p.x - b2x * p.y) / det, (b1x * p.y - b1y * p.x) / det) for p in points]
+        den = math.lcm(*(c.denominator for ij in coords for c in ij))
+        return [(int(i * den), int(j * den)) for i, j in coords], den
+
+    def test_matches_fraction_formula(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            while True:
+                entries = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+                if entries[0] * entries[3] != entries[1] * entries[2]:
+                    break
+            space = FlatSpace.torus(entries[:2], entries[2:])
+            for k in (1, 2, 3):
+                points = [P(F(rng.randint(-20, 20), rng.randint(1, 12)), F(rng.randint(-20, 20), rng.randint(1, 12)))
+                          for _ in range(k)]
+                assert space._lattice_ints(*points) == self.fraction_formula(space, points)
 
 
 def affine_hits_scan_oracle(a1, a2, c1, c2):
@@ -476,7 +533,7 @@ class TestBilliard:
         space = FlatSpace.square_billiard()
         x = P("1/4", "1/4")
         fam = connecting_family(space, x, x, 5)
-        assert fam.corner_rejected >= 1
+        assert len(fam.sq_lengths[2]) >= 1
         assert all(s.image != (-1, -1, 1, 1) for s in fam.segments)
 
     def test_four_image_torus_consistency(self):
@@ -492,7 +549,7 @@ class TestBilliard:
             y = P(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
             t_sq = F(rng.randint(1, 16))
             fam = connecting_family(billiard, x, y, t_sq)
-            if fam.corner_rejected:
+            if fam.sq_lengths[2]:
                 continue
             total = 0
             for s1 in (1, -1):

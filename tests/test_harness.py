@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,7 @@ import geoblock.harness as harness
 from geoblock.blocker import SolverCaps
 from geoblock.cli import main
 from geoblock.errors import ConfigError
+from geoblock.flatspace import RationalPoint, connecting_family, load_space
 from geoblock.harness import (
     ExperimentConfig,
     cmd_block,
@@ -143,6 +146,45 @@ class TestCount:
         cfg.t_grid = []
         assert cmd_count(cfg, tmp_path) == 0
         assert (tmp_path / "count.csv").read_text() == "pair,x,y,t,n,m,status\n"
+
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "torus", "basis": ["1", "0", "1/3", "5/4"]},
+        {"kind": "billiard"},
+    ])
+    def test_one_enumeration_matches_fresh_families(self, geometry, monkeypatch):
+        rng = random.Random(73)
+        # horizontal pairs have segments of rational length, so a grid t can sit on one exactly
+        pairs = [[["1/4", "1/2"], ["3/4", "1/2"]], [["1/8", "3/8"], ["7/8", "3/8"]], [["1/4", "1/4"], ["3/4", "3/4"]]]
+        while len(pairs) < 5:
+            a, b, c, d = (rng.randint(1, 7) for _ in range(4))
+            if (a, b) != (c, d):
+                pairs.append([[f"{a}/8", f"{b}/8"], [f"{c}/8", f"{d}/8"]])
+        space = load_space(geometry)
+        exact = set()
+        for (x1, y1), (x2, y2) in pairs:
+            for seg in connecting_family(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25).segments:
+                num, den = seg.sq_length.numerator, seg.sq_length.denominator
+                if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+                    exact.add(F(math.isqrt(num), math.isqrt(den)))
+        grids = [
+            sorted(set(rng.sample(sorted(exact), 4)) | {F(rng.randint(1, 50), 10) for _ in range(4)}),
+            [rng.choice(sorted(exact))],
+            [F(7, 3)],
+            [],
+        ]
+        calls = []
+        monkeypatch.setattr(harness, "connecting_family", lambda *a: calls.append(a) or connecting_family(*a))
+        for grid in grids:
+            cfg = flat_config(geometry=geometry, pairs=pairs)
+            cfg.t_grid = grid
+            calls.clear()
+            cells = list(harness._counted_cells(cfg, space))
+            assert [(pi, t) for pi, _, _, t, _ in cells] == [(pi, t) for pi, _, _, t in cfg.cells()]
+            assert len(calls) == (len(pairs) if grid else 0)
+            for _, x, y, t, counts in cells:
+                fresh = connecting_family(space, x, y, t * t)
+                assert counts == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t)
+        assert any(t in exact for t in grids[0]) and grids[1][0] in exact
 
     def test_fuchsian_rows_flagged(self, tmp_path):
         raw = {
