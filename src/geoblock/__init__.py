@@ -18,20 +18,15 @@ from .flatspace import (
     FlatSpace,
     GeodesicSegment,
     RationalPoint,
-    classify,
     connecting_family,
     count,
-    enumerate_geodesics,
     intersection_candidates,
-    point_on_geodesic,
     shortest_vector,
 )
 from .growth import (
-    ClosedForm,
     GrowthClass,
     GrowthSeries,
     TransformParams,
-    bound_check,
     classify_growth,
     kappa,
     rate_estimate,
@@ -42,7 +37,6 @@ from .hyperbolic import (
     MobiusMatrix,
     blocking_lower_bound_series,
     certified_blocking_lower_bound,
-    entropy_estimate,
     hyp_distance,
     load_preset,
     orbit_count,

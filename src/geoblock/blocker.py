@@ -52,7 +52,6 @@ __all__ = [
     "blocking_threshold",
     "blocking_cost_sampled",
     "recursion_harness",
-    "kappa_from_squares",
 ]
 
 
@@ -326,7 +325,7 @@ def verify_cover(instance: IncidenceInstance | GeodesicFamily, points: Sequence[
     re-checked against the geometry in exact arithmetic.
 
     Takes an instance or its family.  Each point must lie in the table and
-    differ from both endpoints (as for :func:`point_on_geodesic`).
+    differ from both endpoints.
     """
     family = instance.family if isinstance(instance, IncidenceInstance) else instance
     space = family.space

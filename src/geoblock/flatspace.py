@@ -32,15 +32,11 @@ __all__ = [
     "RationalPoint",
     "FlatSpace",
     "GeodesicSegment",
-    "Classification",
     "IntersectionHit",
     "GeodesicFamily",
     "shortest_vector",
-    "enumerate_geodesics",
     "connecting_family",
-    "classify",
     "count",
-    "point_on_geodesic",
     "intersection_candidates",
     "load_space",
 ]
@@ -261,25 +257,11 @@ class GeodesicSegment:
     origin: tuple[int, int, int]
     lattice: tuple[int, int]
 
-    @property
-    def displacement(self) -> Vec:
-        """The plane vector from x to the image of y."""
-        vx, vy, d = self.space._key_plane((*self.lattice, self.origin[2]))
-        return Fraction(vx, d), Fraction(vy, d)
-
-    @property
-    def sq_length(self) -> Fraction:
-        return _sq(self.displacement)
-
     def key_at(self, p: int, q: int) -> Key:
         """The key of the point at parameter p/q, q > 0."""
         x1, x2, den = self.origin
         a1, a2 = self.lattice
         return self.space._fold_key(x1 * q + p * a1, x2 * q + p * a2, den * q)
-
-    def point_at(self, s: Fraction) -> RationalPoint:
-        """The point at parameter s, folded back into the space."""
-        return self.space._key_point(self.key_at(s.numerator, s.denominator))
 
 
 def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> list[Fraction]:
@@ -399,28 +381,6 @@ def _positive_t_sq(t_sq) -> Fraction:
     return t_sq
 
 
-def enumerate_geodesics(
-    space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq
-) -> list[GeodesicSegment]:
-    """All joining geodesics of squared length in (0, t_sq], duplicate-free."""
-    return _enumerate(space, x, y, _positive_t_sq(t_sq))[0]
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "connecting" | "passes-through-endpoint"
-    x_hits: tuple[Fraction, ...]
-    y_hits: tuple[Fraction, ...]
-
-
-def classify(segment: GeodesicSegment) -> Classification:
-    """Flag segments whose interior passes through either endpoint."""
-    x_hits = tuple(_segment_hits(segment, segment.key_at(0, 1)))
-    y_hits = tuple(_segment_hits(segment, segment.key_at(1, 1)))
-    kind = "passes-through-endpoint" if (x_hits or y_hits) else "connecting"
-    return Classification(kind, x_hits, y_hits)
-
-
 @dataclass(frozen=True)
 class GeodesicFamily:
     """All joining geodesics G plus the connecting subfamily Gamma.
@@ -490,14 +450,6 @@ def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Ke
     if key in ends:
         raise DomainError("z must differ from both endpoints")
     return key
-
-
-def point_on_geodesic(space: FlatSpace, z: RationalPoint, segment: GeodesicSegment) -> list[Fraction]:
-    """Interior parameters s in (0,1) where the segment passes through z.
-
-    Empty list means z does not block this segment.
-    """
-    return _segment_hits(segment, _blocking_key(space, z, (segment.key_at(0, 1), segment.key_at(1, 1))))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ scale parameter ``delta``, a function ``f`` is mapped to the partial product
 of its values at ``t, t/2, t/4, ...`` down to the first argument below
 ``delta``.  The transform doubles exponential rates, turns bounded functions
 into polynomially bounded ones, and turns polynomially bounded functions
-into quasi-polynomial ones; :func:`bound_check` verifies those envelopes
-numerically on sampled data and :func:`rate_estimate` measures rates.
+into quasi-polynomial ones.  :func:`transform` evaluates it, exactly for
+rational t and exact f, and :func:`rate_estimate` and
+:func:`classify_growth` measure the growth of sampled series.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ __all__ = [
     "TransformParams",
     "GrowthSeries",
     "GrowthClass",
-    "ClosedForm",
-    "BoundCheckParams",
-    "BoundCheckReport",
     "kappa",
     "kappa_from_squares",
     "format_sig",
     "transform",
     "rate_estimate",
     "classify_growth",
-    "bound_check",
 ]
 
 
@@ -51,10 +48,6 @@ class TransformParams:
 
     def __post_init__(self) -> None:
         _positive(self.delta, "delta")
-
-
-def _is_rational(x: Real) -> bool:
-    return isinstance(x, Rational)
 
 
 def _positive(x: Real, name: str) -> Fraction:
@@ -94,37 +87,6 @@ def format_sig(x: float) -> str:
     return np.format_float_positional(
         float(x), precision=12, unique=False, fractional=False, trim="-"
     )
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """Positive shape c * t**degree, kept exact under the transform.
-
-    The named forms are the constants and the identity; other shapes are
-    built from the fields.
-    """
-
-    coeff: Fraction
-    degree: int
-
-    def __post_init__(self) -> None:
-        if self.coeff <= 0:
-            raise DomainError("closed form must be positive")
-        if self.degree < 0:
-            raise DomainError("closed form degree must be >= 0")
-
-    @classmethod
-    def constant(cls, c: Real) -> "ClosedForm":
-        return cls(Fraction(c), 0)
-
-    @classmethod
-    def linear(cls) -> "ClosedForm":
-        return cls(Fraction(1), 1)
-
-    def __call__(self, t: Real) -> Real:
-        if _is_rational(t):
-            return self.coeff * Fraction(t) ** self.degree
-        return float(self.coeff) * float(t) ** self.degree
 
 
 @dataclass(frozen=True)
@@ -214,20 +176,23 @@ class GrowthSeries:
         return cls.from_pairs([(t, v) for t, v in best.items() if v > 0])
 
 
-Evaluatable = Union[GrowthSeries, ClosedForm, Callable[[float], float]]
+Evaluatable = Union[GrowthSeries, Callable[[Real], Real]]
 
 
 def transform(f: Evaluatable, params: TransformParams, t: Real) -> Real:
     """Product of f(t / 2**k) for k = 0 .. kappa(t) - 1.
 
-    The empty product (t < delta) is 1.  With a :class:`ClosedForm` and
-    rational t the result is an exact Fraction; otherwise a float.  A
+    The empty product (t < delta) is 1.  With rational t (an int or a
+    Fraction) f receives the halved arguments as exact Fractions, so an f
+    that keeps Fractions exact (such as ``lambda u: u``) gives an exact
+    Fraction, and the empty product is ``Fraction(1)``; an f that needs
+    floats, such as ``np.exp``, must be called with ``float(t)``.  With a
+    float t every argument and the result are floats.  A
     :class:`GrowthSeries` is evaluated by :meth:`GrowthSeries.value_at`, so
     every halved argument must lie in its sampled range.
     """
     depth = kappa(t, params)  # validates t
-    exact = isinstance(f, ClosedForm) and _is_rational(t)
-    if exact:
+    if isinstance(t, Rational):
         acc: Real = Fraction(1)
         tk: Real = Fraction(t)
     else:
@@ -327,207 +292,3 @@ def classify_growth(f: GrowthSeries, window: float = 0.5) -> GrowthClass:
         return GrowthClass("super-exponential", None, best.residual, best.window)
     best_mode = min(_MODES, key=lambda m: fits[m].residual)
     return fits[best_mode]
-
-
-_CLAIMS = (
-    "exp-rate-doubling",
-    "bounded-to-polynomial",
-    "poly-to-quasipoly",
-    "dominated",
-    "strictly-dominated",
-    "equivalent",
-)
-
-
-@dataclass(frozen=True)
-class BoundCheckParams:
-    """Knobs for :func:`bound_check`.
-
-    ``rate``/``degree`` give the premise envelope of f; ``other`` and
-    ``other_transformed`` carry the second pair (g, G) for the domination
-    claims.  Envelopes use (t/delta) as the base so they stay meaningful for
-    t below 1.
-    """
-
-    delta: Real = 1
-    rate: float | None = None
-    degree: float | None = None
-    epsilon: float = 0.1
-    alpha_cap: float = 64.0
-    const_cap: float = 1e9
-    betas: tuple[float, ...] = (0.0, -1.0, -2.0)
-    other: GrowthSeries | None = None
-    other_transformed: GrowthSeries | None = None
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    claim: str
-    passed: bool
-    constant: float | None
-    alpha: float | None
-    witness_t: float | None
-    premise_ok: bool
-    details: dict
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "passed": self.passed,
-            "constant": self.constant,
-            "alpha": self.alpha,
-            "witness_t": self.witness_t,
-            "premise_ok": self.premise_ok,
-            "details": self.details,
-        }
-
-
-def _shared_points(primary: GrowthSeries, other: GrowthSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primary's sample points restricted to the overlap, other interpolated."""
-    lo = max(primary.t_range[0], other.t_range[0])
-    hi = min(primary.t_range[1], other.t_range[1])
-    if lo > hi:
-        raise RangeError("series do not cover a shared t range")
-    ts = primary.ts
-    mask = (ts >= lo) & (ts <= hi)
-    ts = ts[mask]
-    pv = primary.values[mask]
-    ov = np.array([other.value_at(t) for t in ts])
-    return ts, pv, ov
-
-
-def _smallest_constant(num: np.ndarray, env: np.ndarray, ts: np.ndarray) -> tuple[float, float]:
-    ratios = num / env
-    i = int(np.argmax(ratios))
-    return float(ratios[i]), float(ts[i])
-
-
-def _smallest_alpha(
-    ts: np.ndarray, num: np.ndarray, base: np.ndarray, exponent_of_alpha: np.ndarray, params: BoundCheckParams
-) -> tuple[float | None, float, float]:
-    """Binary search the least alpha with max(num / (base^... )) <= const_cap.
-
-    The envelope is base**(alpha * exponent_of_alpha); the ratio decreases in
-    alpha wherever exponent_of_alpha >= 0.
-    """
-
-    log_num = np.log(num)
-    log_base = np.log(base)
-
-    def worst(alpha: float) -> tuple[float, float]:
-        log_ratio = log_num - alpha * exponent_of_alpha * log_base
-        i = int(np.argmax(log_ratio))
-        return float(np.exp(min(log_ratio[i], 700.0))), float(ts[i])
-
-    c_hi, w_hi = worst(params.alpha_cap)
-    if c_hi > params.const_cap:
-        return None, c_hi, w_hi
-    lo, hi = 0.0, params.alpha_cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        c_mid, _ = worst(mid)
-        if c_mid <= params.const_cap:
-            hi = mid
-        else:
-            lo = mid
-    c, w = worst(hi)
-    return hi, c, w
-
-
-def bound_check(
-    f: GrowthSeries, F: GrowthSeries, claim: str, params: BoundCheckParams = BoundCheckParams()
-) -> BoundCheckReport:
-    """Verify one of the transform's envelope laws on sampled data.
-
-    The claims relate a function ``f`` (premise envelope) to its transform
-    ``F`` (conclusion envelope), or a pair (g, G) against (f, F) for the
-    domination claims.  Verification searches for the smallest admissible
-    constant on the shared sampled range; a failure carries the witness t
-    where no constant within ``const_cap`` works.
-    """
-    if claim not in _CLAIMS:
-        raise DomainError(f"unknown claim {claim!r}, expected one of {_CLAIMS}")
-    delta = float(params.delta)
-    details: dict = {}
-
-    if claim == "exp-rate-doubling":
-        if params.rate is None:
-            raise DomainError("exp-rate-doubling needs params.rate (the premise rate a)")
-        a = params.rate
-        c_f, _ = _smallest_constant(f.values, np.exp(a * f.ts), f.ts)
-        premise_ok = c_f <= params.const_cap
-        env = np.exp((2 * a + params.epsilon) * F.ts)
-        c, w = _smallest_constant(F.values, env, F.ts)
-        passed = premise_ok and c <= params.const_cap
-        details = {"premise_constant": c_f, "envelope_rate": 2 * a + params.epsilon}
-        return BoundCheckReport(claim, passed, c, None, None if passed else w, premise_ok, details)
-
-    if claim == "bounded-to-polynomial":
-        c_bound = float(np.max(f.values))
-        degree = math.log2(c_bound) + params.epsilon if c_bound > 0 else params.epsilon
-        base = F.ts / delta
-        env = np.power(np.maximum(base, 1.0), degree)
-        c, w = _smallest_constant(F.values, env, F.ts)
-        passed = c <= params.const_cap
-        details = {"premise_constant": c_bound, "envelope_degree": degree}
-        return BoundCheckReport(claim, passed, c, None, None if passed else w, True, details)
-
-    if claim == "poly-to-quasipoly":
-        if params.degree is None:
-            raise DomainError("poly-to-quasipoly needs params.degree (the premise degree r)")
-        base_f = np.maximum(f.ts / delta, 1.0)
-        c_f, _ = _smallest_constant(f.values, np.power(base_f, params.degree), f.ts)
-        premise_ok = c_f <= params.const_cap
-        base = np.maximum(F.ts / delta, 1.0)
-        alpha, c, w = _smallest_alpha(F.ts, F.values, base, np.log2(base), params)
-        passed = premise_ok and alpha is not None
-        details = {"premise_constant": c_f}
-        return BoundCheckReport(claim, passed, c, alpha, None if passed else w, premise_ok, details)
-
-    if params.other is None or params.other_transformed is None:
-        raise DomainError(f"claim {claim!r} needs params.other and params.other_transformed (g and G)")
-    g, G = params.other, params.other_transformed
-
-    def dominated(f1: GrowthSeries, F1: GrowthSeries, g1: GrowthSeries, G1: GrowthSeries):
-        ts, gv, fv = _shared_points(g1, f1)
-        c_p, _ = _smallest_constant(gv, fv, ts)
-        premise_ok = c_p <= params.const_cap
-        ts2, Gv, Fv = _shared_points(G1, F1)
-        base = np.maximum(ts2 / delta, 1.0)
-        alpha, c, w = _smallest_alpha(ts2, Gv / Fv, base, np.ones_like(ts2), params)
-        return premise_ok, c_p, alpha, c, w
-
-    if claim == "dominated":
-        premise_ok, c_p, alpha, c, w = dominated(f, F, g, G)
-        passed = premise_ok and alpha is not None
-        return BoundCheckReport(claim, passed, c, alpha, None if passed else w, premise_ok, {"premise_constant": c_p})
-
-    if claim == "strictly-dominated":
-        ts, gv, fv = _shared_points(g, f)
-        tail = ts >= ts[0] + 0.5 * (ts[-1] - ts[0])
-        ratio_drop = float(np.max((gv / fv)[tail])) <= 0.5 * float(np.max(gv / fv))
-        ts2, Gv, Fv = _shared_points(G, F)
-        base = np.maximum(ts2 / delta, 1.0)
-        worst_beta = {}
-        passed = True
-        witness = None
-        for beta in params.betas:
-            env = np.power(base, beta)
-            c, w = _smallest_constant(Gv / Fv, env, ts2)
-            worst_beta[beta] = c
-            if c > params.const_cap:
-                passed = False
-                witness = w
-        details = {"constants_by_beta": worst_beta, "premise_ratio_decays": ratio_drop}
-        return BoundCheckReport(claim, passed, max(worst_beta.values()), None, witness, ratio_drop, details)
-
-    # equivalent: domination both ways
-    ok1, c1, alpha1, cc1, w1 = dominated(f, F, g, G)
-    ok2, c2, alpha2, cc2, w2 = dominated(g, G, f, F)
-    passed = ok1 and ok2 and alpha1 is not None and alpha2 is not None
-    details = {
-        "forward": {"premise_constant": c1, "alpha": alpha1, "constant": cc1},
-        "backward": {"premise_constant": c2, "alpha": alpha2, "constant": cc2},
-    }
-    witness = None if passed else (w1 if alpha1 is None else w2)
-    return BoundCheckReport(claim, passed, max(cc1, cc2), alpha1, witness, ok1 and ok2, details)

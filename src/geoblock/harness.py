@@ -33,8 +33,6 @@ from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, o
 
 __all__ = [
     "ExperimentConfig",
-    "CheckRow",
-    "format_sig",
     "cmd_count",
     "cmd_block",
     "cmd_recursion_check",

@@ -33,7 +33,7 @@ from .errors import (
     DomainError,
     UnsupportedInputError,
 )
-from .growth import GrowthClass, GrowthSeries, rate_estimate
+from .growth import GrowthSeries
 
 __all__ = [
     "MobiusMatrix",
@@ -46,7 +46,6 @@ __all__ = [
     "load_preset",
     "builtin_presets",
     "orbit_count",
-    "entropy_estimate",
     "uniform_count_bound",
     "certified_blocking_lower_bound",
     "blocking_lower_bound_series",
@@ -165,10 +164,8 @@ class FuchsianPreset:
         return acc
 
     def validate(self) -> None:
+        # MobiusMatrix has already checked each determinant
         for name, g in zip(self.generator_names, self.generators):
-            det = g.a * g.d - g.b * g.c
-            if abs(det - 1.0) > 1e-9:
-                raise DomainError(f"generator {name}: determinant {det} != 1")
             if abs(g.trace) <= 2.0:
                 raise DomainError(f"generator {name} is not hyperbolic (|trace| <= 2)")
         if self.kind == "cocompact":
@@ -281,10 +278,6 @@ class OrbitCountResult:
     series: GrowthSeries
     certified: tuple[bool, ...]
     certified_t: float
-
-    @property
-    def fully_certified(self) -> bool:
-        return all(self.certified)
 
 
 def _gen_arrays(preset: FuchsianPreset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -523,11 +516,6 @@ def orbit_count(
         positive = [(max(t_max, 1e-9), 1)]
     series = GrowthSeries.from_pairs(positive, monotone=True)
     return OrbitCountResult(ball, series, certified, certified_t)
-
-
-def entropy_estimate(series: GrowthSeries, window: float = 0.5) -> GrowthClass:
-    """Exponential growth rate of a count series (the entropy proxy)."""
-    return rate_estimate(series, "exponential", window)
 
 
 @dataclass(frozen=True)

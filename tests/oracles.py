@@ -7,7 +7,53 @@ subset search.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+
+def displacement(seg):
+    """The plane vector from a segment's x to the image of y it joins."""
+    vx, vy, d = seg.space._key_plane((*seg.lattice, seg.origin[2]))
+    return Fraction(vx, d), Fraction(vy, d)
+
+
+def sq_length(seg):
+    vx, vy = displacement(seg)
+    return vx * vx + vy * vy
+
+
+def point_at(seg, s):
+    """The point at parameter s of a segment, folded back into the space."""
+    return seg.space._key_point(seg.key_at(s.numerator, s.denominator))
+
+
+@dataclass(frozen=True)
+class Classification:
+    kind: str  # "connecting" | "passes-through-endpoint"
+    x_hits: tuple
+    y_hits: tuple
+
+
+def classify(segment):
+    """Flag a segment whose interior passes through either endpoint: the
+    per-flip incidence solve on each endpoint's folded key, not the
+    endpoint offsets that ``connecting_family`` tests against."""
+    from geoblock.flatspace import _segment_hits
+
+    x_hits = tuple(_segment_hits(segment, segment.key_at(0, 1)))
+    y_hits = tuple(_segment_hits(segment, segment.key_at(1, 1)))
+    kind = "passes-through-endpoint" if (x_hits or y_hits) else "connecting"
+    return Classification(kind, x_hits, y_hits)
+
+
+def point_on_geodesic(space, z, segment):
+    """Interior parameters s in (0,1) where the segment passes through z; an
+    empty list means z does not block it.  z must lie in the table and
+    differ from both endpoints."""
+    from geoblock.flatspace import _blocking_key, _segment_hits
+
+    ends = (segment.key_at(0, 1), segment.key_at(1, 1))
+    return _segment_hits(segment, _blocking_key(space, z, ends))
 
 
 def brute_enumerate_displacements(space, x, y, t_sq):
@@ -111,7 +157,7 @@ def reference_instance(family):
     space, segs = family.space, family.connecting_segments()
     records = {}
     for i, seg in enumerate(segs):
-        records.setdefault(seg.point_at(Fraction(1, 2)), set()).add(i)
+        records.setdefault(point_at(seg, Fraction(1, 2)), set()).add(i)
     for i, j in itertools.combinations(range(len(segs)), 2):
         for hit in intersection_candidates(space, segs[i], segs[j]):
             records.setdefault(hit.point, set()).update((i, j))

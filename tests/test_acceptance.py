@@ -16,18 +16,16 @@ from geoblock.blocker import (
     blocking_cost_sampled,
     blocking_threshold,
     build_instance_from_family,
-    kappa_from_squares,
     midpoint_cover,
     recursion_harness,
     solve_exact,
     verify_cover,
 )
 from geoblock.cli import main
-from geoblock.flatspace import FlatSpace, RationalPoint, connecting_family, enumerate_geodesics
-from geoblock.growth import ClosedForm, GrowthSeries, TransformParams, kappa, rate_estimate, transform
+from geoblock.flatspace import FlatSpace, RationalPoint, connecting_family
+from geoblock.growth import GrowthSeries, TransformParams, kappa, kappa_from_squares, rate_estimate, transform
 from geoblock.hyperbolic import (
     certified_blocking_lower_bound,
-    entropy_estimate,
     load_preset,
     orbit_count,
     word_growth,
@@ -36,6 +34,7 @@ from helpers import series_from_function
 from oracles import (
     assert_minimum_by_exhaustion,
     brute_enumerate_displacements,
+    displacement,
     random_rational_point,
     random_rational_torus,
 )
@@ -73,12 +72,11 @@ def test_criterion_2_transform_exactness_and_kappa_bounds():
     with criterion(2, "exact transform closed form and two-sided halving-index bounds", 5.0):
         params = TransformParams(Fraction(1))
         rng = random.Random(2)
-        linear = ClosedForm.linear()
         for _ in range(1000):
             t = Fraction(rng.randint(1, 4096), rng.randint(1, 64))
             k = kappa(t, params)
             expected = t**k / Fraction(2) ** (k * (k - 1) // 2)
-            assert transform(linear, params, t) == expected
+            assert transform(lambda u: u, params, t) == expected
         for _ in range(100_000):
             t = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
             delta = Fraction(rng.randint(1, 10**4), rng.randint(1, 100))
@@ -98,12 +96,12 @@ def test_criterion_3_flat_counting_oracle():
             x = random_rational_point(rng, space)
             y = random_rational_point(rng, space)
             t_sq = Fraction(rng.randint(1, 100))  # t <= 10
-            segs = enumerate_geodesics(space, x, y, t_sq)
-            assert {s.displacement for s in segs} == brute_enumerate_displacements(
+            segs = connecting_family(space, x, y, t_sq).segments
+            assert {displacement(s) for s in segs} == brute_enumerate_displacements(
                 space, x, y, t_sq
             )
         unit = FlatSpace.unit_torus()
-        n = len(enumerate_geodesics(unit, P(0, 0), P(0, 0), 2500))
+        n = len(connecting_family(unit, P(0, 0), P(0, 0), 2500).segments)
         assert abs(n * float(unit.covolume) / (math.pi * 2500) - 1) <= 0.1
 
 
@@ -243,12 +241,12 @@ def test_criterion_7_hyperbolic_counting():
         areas = series_from_function(
             lambda t: 2 * math.pi * (math.cosh(t) - 1), np.linspace(1, 20, 60)
         )
-        assert entropy_estimate(areas).parameter == pytest.approx(1.0, abs=0.05)
+        assert rate_estimate(areas, "exponential").parameter == pytest.approx(1.0, abs=0.05)
 
         preset, grid, orbit = octagon_orbit()
         assert grid[-1] >= 9.0
-        assert orbit.fully_certified
-        rate = entropy_estimate(orbit.series).parameter
+        assert all(orbit.certified)
+        rate = rate_estimate(orbit.series, "exponential").parameter
         assert 0.8 <= rate <= 1.2, rate
 
 
@@ -270,7 +268,7 @@ def test_criterion_8_certified_insecurity_trend():
             GrowthSeries.from_pairs([(b.t, b.value) for b in bounds if b.value > 0]),
             "exponential",
         ).parameter
-        n_rate = entropy_estimate(orbit.series).parameter
+        n_rate = rate_estimate(orbit.series, "exponential").parameter
         assert lb_rate >= 0.3 * n_rate, (lb_rate, n_rate)
 
 

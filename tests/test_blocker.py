@@ -15,7 +15,6 @@ from geoblock.blocker import (
     blocking_threshold,
     build_instance,
     build_instance_from_family,
-    kappa_from_squares,
     midpoint_cover,
     recursion_harness,
     solve_exact,
@@ -26,11 +25,11 @@ from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
     connecting_family,
-    point_on_geodesic,
     _segment_hits,
 )
+from geoblock.growth import kappa_from_squares
 from geoblock.harness import ExperimentConfig
-from oracles import milp_minimum, pairwise_undominated, reference_instance
+from oracles import milp_minimum, pairwise_undominated, point_on_geodesic, reference_instance
 
 P = RationalPoint.of
 F = Fraction

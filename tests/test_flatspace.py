@@ -8,15 +8,13 @@ from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
-    classify,
     connecting_family,
     count,
-    enumerate_geodesics,
     intersection_candidates,
     load_space,
-    point_on_geodesic,
     shortest_vector,
 )
+from oracles import classify, displacement, point_at, point_on_geodesic, sq_length
 
 P = RationalPoint.of
 F = Fraction
@@ -141,13 +139,13 @@ class TestFoldKey:
 class TestEnumerate:
     def test_two_segment_example(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P("1/2", 0), 1)
-        assert sorted(s.displacement for s in segs) == [(F(-1, 2), F(0)), (F(1, 2), F(0))]
+        segs = connecting_family(space, P(0, 0), P("1/2", 0), 1).segments
+        assert sorted(displacement(s) for s in segs) == [(F(-1, 2), F(0)), (F(1, 2), F(0))]
 
     def test_self_pair_example(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P(0, 0), 1)
-        assert sorted(s.displacement for s in segs) == [
+        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        assert sorted(displacement(s) for s in segs) == [
             (F(-1), F(0)),
             (F(0), F(-1)),
             (F(0), F(1)),
@@ -156,7 +154,7 @@ class TestEnumerate:
 
     def test_empty_below_minimal_length(self):
         space = FlatSpace.unit_torus()
-        assert enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 100)) == []
+        assert connecting_family(space, P(0, 0), P("1/2", 0), F(1, 100)).segments == ()
 
     def test_against_brute_force(self):
         rng = random.Random(11)
@@ -164,28 +162,28 @@ class TestEnumerate:
             space = random_torus(rng)
             x, y = random_point(rng, space), random_point(rng, space)
             t_sq = F(rng.randint(1, 16))
-            segs = enumerate_geodesics(space, x, y, t_sq)
-            got = {s.displacement for s in segs}
+            segs = connecting_family(space, x, y, t_sq).segments
+            got = {displacement(s) for s in segs}
             assert got == brute_enumerate(space, x, y, t_sq)
             assert len(segs) == len(got)
-            assert all(0 < s.sq_length <= t_sq for s in segs)
+            assert all(0 < sq_length(s) <= t_sq for s in segs)
 
     def test_canonical_ordering(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P(0, 0), 4)
-        assert [s.displacement for s in segs] == sorted(s.displacement for s in segs)
+        segs = connecting_family(space, P(0, 0), P(0, 0), 4).segments
+        assert [displacement(s) for s in segs] == sorted(displacement(s) for s in segs)
 
 
 class TestClassify:
     def test_short_arc_connecting(self):
         space = FlatSpace.unit_torus()
-        seg = enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 4))[0]
+        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         assert classify(seg).kind == "connecting"
 
     def test_double_wrap_passes_through_endpoint(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P(0, 0), 4)
-        seg = next(s for s in segs if s.displacement == (F(2), F(0)))
+        segs = connecting_family(space, P(0, 0), P(0, 0), 4).segments
+        seg = next(s for s in segs if displacement(s) == (F(2), F(0)))
         cls = classify(seg)
         assert cls.kind == "passes-through-endpoint"
         assert cls.x_hits == (F(1, 2),)
@@ -193,9 +191,29 @@ class TestClassify:
 
     def test_primitive_wrap_connecting(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P(0, 0), 1)
-        seg = next(s for s in segs if s.displacement == (F(1), F(0)))
+        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
         assert classify(seg).kind == "connecting"
+
+    @pytest.mark.parametrize("billiard", [False, True])
+    def test_agrees_with_connecting_family(self, billiard):
+        # the oracle solves each endpoint's incidence per flip; the family
+        # tests the segment against the endpoints' offsets
+        rng = random.Random(53)
+        kinds = {"connecting": 0, "passes-through-endpoint": 0}
+        for _ in range(30):
+            if billiard:
+                space = FlatSpace.square_billiard()
+                x, y = (P(F(rng.randint(1, 3), 4), F(rng.randint(1, 3), 4)) for _ in range(2))
+            else:
+                space = random_torus(rng)
+                x, y = random_point(rng, space), random_point(rng, space)
+            fam = connecting_family(space, x, y, F(rng.randint(1, 9)))
+            for i, seg in enumerate(fam.segments):
+                kind = classify(seg).kind
+                assert (kind == "connecting") == (i in fam.connecting)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestCount:
@@ -337,7 +355,7 @@ def incidence_scan_oracle(seg, z):
     scan over the flips g (sign changes of the plane coordinates: the
     billiard's basis is diagonal) and a box of lattice vectors lambda.  The
     box holds the lattice coordinates of x + s*v - g*z for s in [0, 1]."""
-    space, x, v = seg.space, seg.x, seg.displacement
+    space, x, v = seg.space, seg.x, displacement(seg)
     (b1x, b1y), (b2x, b2y) = space.b1, space.b2
     det = b1x * b2y - b2x * b1y
 
@@ -382,13 +400,13 @@ class TestPointOnGeodesic:
                 x, y = random_point(rng, space), random_point(rng, space)
             else:
                 x, y = (P(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7)) for _ in range(2))
-            segs = enumerate_geodesics(space, x, y, F(rng.randint(1, 6)))
+            segs = connecting_family(space, x, y, F(rng.randint(1, 6))).segments
             if not segs:
                 continue
             seg = rng.choice(segs)
             if rng.random() < 0.5:
                 s = F(rng.randint(1, 5), 6)
-                z = P(x.x + s * seg.displacement[0], x.y + s * seg.displacement[1])
+                z = P(x.x + s * displacement(seg)[0], x.y + s * displacement(seg)[1])
             else:
                 z = P(F(rng.randint(0, 12), 12), F(rng.randint(0, 12), 12))
             if not space.is_torus:
@@ -416,34 +434,34 @@ class TestPointOnGeodesic:
 
     def test_midpoint_of_short_arc(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 4))
-        seg = next(s for s in segs if s.displacement == (F(1, 2), F(0)))
+        segs = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments
+        seg = next(s for s in segs if displacement(s) == (F(1, 2), F(0)))
         assert point_on_geodesic(space, P("1/4", 0), seg) == [F(1, 2)]
         # the opposite arc misses it
-        other = next(s for s in segs if s.displacement == (F(-1, 2), F(0)))
+        other = next(s for s in segs if displacement(s) == (F(-1, 2), F(0)))
         assert point_on_geodesic(space, P("1/4", 0), other) == []
 
     def test_wraparound_hit(self):
         space = FlatSpace.unit_torus()
-        segs = enumerate_geodesics(space, P(0, 0), P(0, 0), 1)
-        seg = next(s for s in segs if s.displacement == (F(1), F(0)))
+        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
         assert point_on_geodesic(space, P("1/2", 0), seg) == [F(1, 2)]
 
     def test_off_carrier(self):
         space = FlatSpace.unit_torus()
-        seg = enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 4))[0]
+        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         assert point_on_geodesic(space, P(0, "1/2"), seg) == []
 
     def test_endpoint_rejected(self):
         space = FlatSpace.unit_torus()
-        seg = enumerate_geodesics(space, P(0, 0), P("1/2", 0), F(1, 4))[0]
+        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         with pytest.raises(DomainError):
             point_on_geodesic(space, P(0, 0), seg)
 
 
 class TestIntersections:
     def _segments(self, space, x, y, t_sq):
-        return enumerate_geodesics(space, x, y, t_sq)
+        return connecting_family(space, x, y, t_sq).segments
 
     def test_disjoint_interiors(self):
         space = FlatSpace.unit_torus()
@@ -454,8 +472,8 @@ class TestIntersections:
     def test_common_endpoint_not_interior(self):
         space = FlatSpace.unit_torus()
         segs = self._segments(space, P(0, 0), P(0, 0), 1)
-        g1 = next(s for s in segs if s.displacement == (F(1), F(0)))
-        g2 = next(s for s in segs if s.displacement == (F(0), F(1)))
+        g1 = next(s for s in segs if displacement(s) == (F(1), F(0)))
+        g2 = next(s for s in segs if displacement(s) == (F(0), F(1)))
         assert intersection_candidates(space, g1, g2) == []
 
     def test_unreduced_endpoint_never_a_hit(self):
@@ -471,8 +489,8 @@ class TestIntersections:
     def test_diagonal_crossing(self):
         space = FlatSpace.unit_torus()
         segs = self._segments(space, P(0, 0), P(0, 0), 2)
-        g1 = next(s for s in segs if s.displacement == (F(1), F(1)))
-        g2 = next(s for s in segs if s.displacement == (F(1), F(-1)))
+        g1 = next(s for s in segs if displacement(s) == (F(1), F(1)))
+        g2 = next(s for s in segs if displacement(s) == (F(1), F(-1)))
         hits = intersection_candidates(space, g1, g2)
         assert [h.point for h in hits] == [P("1/2", "1/2")]
         assert hits[0].s == F(1, 2) and hits[0].u == F(1, 2)
@@ -480,8 +498,8 @@ class TestIntersections:
     def test_full_overlap_of_opposite_wraps(self):
         space = FlatSpace.unit_torus()
         segs = self._segments(space, P(0, 0), P(0, 0), 1)
-        g1 = next(s for s in segs if s.displacement == (F(1), F(0)))
-        g2 = next(s for s in segs if s.displacement == (F(-1), F(0)))
+        g1 = next(s for s in segs if displacement(s) == (F(1), F(0)))
+        g2 = next(s for s in segs if displacement(s) == (F(-1), F(0)))
         hits = intersection_candidates(space, g1, g2)
         assert len(hits) == 1
         assert hits[0].s_interval == (F(0), F(1))
@@ -497,12 +515,12 @@ class TestIntersections:
             if len(segs) < 2:
                 continue
             g1, g2 = rng.sample(segs, 2)
-            v, w = g1.displacement, g2.displacement
+            v, w = displacement(g1), displacement(g2)
             if v[0] * w[1] - v[1] * w[0] == 0:
                 continue
             got = {(h.s, h.u) for h in intersection_candidates(space, g1, g2)}
             expected = set()
-            lam_bound = int(math.sqrt(2 * float(g1.sq_length + g2.sq_length))) + 2
+            lam_bound = int(math.sqrt(2 * float(sq_length(g1) + sq_length(g2)))) + 2
             for i in range(-lam_bound, lam_bound + 1):
                 for j in range(-lam_bound, lam_bound + 1):
                     det = v[0] * (-w[1]) - (-w[0]) * v[1]
@@ -526,7 +544,7 @@ class TestBilliard:
     def test_boundary_endpoint_rejected(self):
         space = FlatSpace.square_billiard()
         with pytest.raises(UnsupportedInputError):
-            enumerate_geodesics(space, P(0, "1/2"), P("1/2", "1/2"), 1)
+            connecting_family(space, P(0, "1/2"), P("1/2", "1/2"), 1).segments
 
     def test_corner_hit_rejected(self):
         # from (1/4,1/4) to the (-,-,1,1) image of itself: passes (1,1) at s=1/2
@@ -562,16 +580,16 @@ class TestBilliard:
     def test_billiard_blocking_hits(self):
         # the straight arc from (1/4,1/2) to (3/4,1/2) is blocked at the center
         space = FlatSpace.square_billiard()
-        segs = enumerate_geodesics(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4))
+        segs = connecting_family(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4)).segments
         direct = next(s for s in segs if s.image == (1, 1, 0, 0))
         assert point_on_geodesic(space, P("1/2", "1/2"), direct) == [F(1, 2)]
 
     def test_reflected_segment_folds_back(self):
         # one bounce off the right wall: x=(1/2,1/4), y=(1/2,3/4) via image (-,+,1,0)
         space = FlatSpace.square_billiard()
-        segs = enumerate_geodesics(space, P("1/2", "1/4"), P("1/2", "3/4"), 4)
+        segs = connecting_family(space, P("1/2", "1/4"), P("1/2", "3/4"), 4).segments
         bounced = next(s for s in segs if s.image == (-1, 1, 1, 0))
-        mid = bounced.point_at(F(1, 2))
+        mid = point_at(bounced, F(1, 2))
         assert mid == P(1 - F(1, 2), F(1, 2)) or mid.x <= 1
         hits = point_on_geodesic(space, mid, bounced)
         assert F(1, 2) in hits

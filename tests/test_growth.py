@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from geoblock.errors import DomainError, InsufficientDataError, RangeError
 from geoblock.growth import (
-    BoundCheckParams,
-    ClosedForm,
     GrowthSeries,
     TransformParams,
-    bound_check,
     classify_growth,
     kappa,
     rate_estimate,
@@ -91,17 +88,17 @@ class TestKappa:
 
 class TestTransform:
     def test_constant_one(self):
-        assert transform(ClosedForm.constant(1), TransformParams(1), 8) == 1
+        assert transform(lambda u: 1, TransformParams(1), 8) == 1
 
     def test_linear_example(self):
         # 8 * 4 * 2 * 1 by direct product
-        assert transform(ClosedForm.linear(), TransformParams(1), 8) == 64
+        assert transform(lambda u: u, TransformParams(1), 8) == 64
 
     def test_constant_two_example(self):
-        assert transform(ClosedForm.constant(2), TransformParams(1), 8) == 16
+        assert transform(lambda u: 2, TransformParams(1), 8) == 16
 
     def test_empty_product_below_delta(self):
-        assert transform(ClosedForm.linear(), TransformParams(1), Fraction(1, 2)) == 1
+        assert transform(lambda u: u, TransformParams(1), Fraction(1, 2)) == 1
 
     def test_exact_closed_form_for_linear(self):
         # independent oracle: t^kappa * 2^(-kappa(kappa-1)/2)
@@ -112,7 +109,7 @@ class TestTransform:
             expected = t**k * Fraction(2) ** Fraction(-k * (k - 1), 2) if k * (k - 1) % 2 == 0 else None
             assert k * (k - 1) % 2 == 0  # product of consecutive ints is even
             expected = t**k / 2 ** (k * (k - 1) // 2)
-            assert transform(ClosedForm.linear(), p, t) == expected
+            assert transform(lambda u: u, p, t) == expected
 
     def test_series_interpolation_and_range_error(self):
         series = series_from_function(lambda t: t, np.linspace(1, 16, 61))
@@ -213,86 +210,6 @@ class TestClassifyGrowth:
     def test_super_exponential(self):
         series = series_from_function(lambda t: math.exp(0.05 * t * t), range(1, 40))
         assert classify_growth(series).kind == "super-exponential"
-
-
-class TestBoundCheck:
-    def _transform_series(self, fn, delta, ts):
-        p = TransformParams(delta)
-        return GrowthSeries.from_pairs([(float(t), float(transform(fn, p, float(t)))) for t in ts])
-
-    def test_exp_rate_doubling_passes(self):
-        ts = np.linspace(1, 40, 200)
-        f = series_from_function(lambda t: math.exp(t), ts)
-        F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
-        rep = bound_check(f, F, "exp-rate-doubling", BoundCheckParams(rate=1.0, epsilon=0.1))
-        assert rep.passed
-        assert rate_estimate(F, "exponential").parameter <= 2.1
-
-    def test_bounded_gives_polynomial_envelope(self):
-        ts = np.linspace(1, 200, 400)
-        f = series_from_function(lambda t: 3.0, ts)
-        F = self._transform_series(ClosedForm.constant(3), 1, ts)
-        rep = bound_check(f, F, "bounded-to-polynomial", BoundCheckParams(epsilon=0.01))
-        assert rep.passed
-        # 3^kappa <= 3 * t^(log2 3): the constant stays tame
-        assert rep.constant <= 3.0 + 1e-9
-
-    def test_trivial_ones(self):
-        ts = np.linspace(1, 50, 100)
-        one = series_from_function(lambda t: 1.0, ts)
-        rep = bound_check(one, one, "bounded-to-polynomial", BoundCheckParams())
-        assert rep.passed
-
-    def test_poly_to_quasipoly(self):
-        ts = np.geomspace(1, 2**16, 300)
-        f = series_from_function(lambda t: t, ts)
-        F = self._transform_series(lambda t: t, 1.0, ts)
-        rep = bound_check(f, F, "poly-to-quasipoly", BoundCheckParams(degree=1.0, const_cap=10.0))
-        assert rep.passed
-        assert rep.alpha is not None and 0 < rep.alpha < 2
-
-    def test_dominated_and_equivalent(self):
-        ts = np.linspace(1, 30, 150)
-        f = series_from_function(lambda t: math.exp(t), ts)
-        F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
-        g = series_from_function(lambda t: 2 * math.exp(t), ts)
-        G = self._transform_series(lambda t: 2 * math.exp(t), 1.0, ts)
-        rep = bound_check(
-            f, F, "dominated", BoundCheckParams(other=g, other_transformed=G, const_cap=1e6)
-        )
-        assert rep.passed
-        rep2 = bound_check(
-            f, F, "equivalent", BoundCheckParams(other=g, other_transformed=G, const_cap=1e6)
-        )
-        assert rep2.passed
-
-    def test_strictly_dominated(self):
-        ts = np.linspace(1, 60, 200)
-        f = series_from_function(lambda t: math.exp(t), ts)
-        F = self._transform_series(lambda t: math.exp(t), 1.0, ts)
-        g = series_from_function(lambda t: t, ts)
-        G = self._transform_series(lambda t: t, 1.0, ts)
-        rep = bound_check(
-            f,
-            F,
-            "strictly-dominated",
-            BoundCheckParams(other=g, other_transformed=G, betas=(0.0,), const_cap=10.0),
-        )
-        assert rep.passed
-
-    def test_failure_carries_witness(self):
-        ts = np.linspace(1, 30, 100)
-        f = series_from_function(lambda t: math.exp(t), ts)
-        too_big = series_from_function(lambda t: math.exp(4 * t), ts)
-        rep = bound_check(f, too_big, "exp-rate-doubling", BoundCheckParams(rate=1.0, epsilon=0.1, const_cap=100.0))
-        assert not rep.passed
-        assert rep.witness_t is not None
-
-    def test_mismatched_ranges(self):
-        a = series_from_function(lambda t: t, np.linspace(1, 2, 10))
-        b = series_from_function(lambda t: t, np.linspace(5, 6, 10))
-        with pytest.raises(RangeError):
-            bound_check(a, a, "dominated", BoundCheckParams(other=b, other_transformed=b))
 
 
 class TestSeriesIO:

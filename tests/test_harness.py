@@ -12,6 +12,7 @@ from geoblock.blocker import SolverCaps
 from geoblock.cli import main
 from geoblock.errors import ConfigError
 from geoblock.flatspace import RationalPoint, connecting_family, load_space
+from geoblock.growth import format_sig
 from geoblock.harness import (
     ExperimentConfig,
     cmd_block,
@@ -19,9 +20,9 @@ from geoblock.harness import (
     cmd_recursion_check,
     cmd_report,
     cmd_verify,
-    format_sig,
     parse_t_grid,
 )
+from oracles import sq_length
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,7 +164,8 @@ class TestCount:
         exact = set()
         for (x1, y1), (x2, y2) in pairs:
             for seg in connecting_family(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25).segments:
-                num, den = seg.sq_length.numerator, seg.sq_length.denominator
+                sq = sq_length(seg)
+                num, den = sq.numerator, sq.denominator
                 if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
                     exact.add(F(math.isqrt(num), math.isqrt(den)))
         grids = [

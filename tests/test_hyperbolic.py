@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geoblock.errors import BudgetExceededError, DomainError, UnsupportedInputError
-from geoblock.growth import GrowthSeries
+from geoblock.growth import GrowthSeries, rate_estimate
 from geoblock.hyperbolic import (
     FuchsianPreset,
     MobiusMatrix,
@@ -16,7 +16,6 @@ from geoblock.hyperbolic import (
     blocking_lower_bound_series,
     builtin_presets,
     certified_blocking_lower_bound,
-    entropy_estimate,
     hyp_distance,
     load_preset,
     orbit_count,
@@ -152,6 +151,16 @@ class TestPresets:
         with pytest.raises(DomainError):
             load_preset("no_such_preset")
 
+    def test_bad_determinant_rejected(self, tmp_path):
+        # doubling a generator's first row doubles its determinant to 2
+        data = octagon_data()
+        a, b, c, d = data["generators"][0]
+        data["generators"][0] = [2 * a, 2 * b, c, d]
+        path = tmp_path / "bad_det.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DomainError, match="determinant"):
+            load_preset(path)
+
 
 class TestWordGrowth:
     @pytest.mark.parametrize("n,expected", [(0, 1), (1, 5), (3, 53)])
@@ -226,7 +235,7 @@ def octagon_ball():
 class TestCocompactOrbit:
     def test_fully_certified(self, octagon_ball):
         _, res = octagon_ball
-        assert res.fully_certified
+        assert all(res.certified)
 
     def test_counts_track_ball_area(self, octagon_ball):
         # area model: N(t) ~ 2 pi (cosh t - 1) / (4 pi)
@@ -335,7 +344,7 @@ class TestEntropy:
         series = series_from_function(
             lambda t: 2 * math.pi * (math.cosh(t) - 1), np.linspace(1, 20, 60)
         )
-        cls = entropy_estimate(series)
+        cls = rate_estimate(series, "exponential")
         assert cls.parameter == pytest.approx(1.0, abs=0.05)
 
     def test_flat_counts_rate_near_zero(self):
@@ -347,12 +356,12 @@ class TestEntropy:
         for t in range(5, 101, 5):
             n, _ = count(space, origin, origin, t * t)
             pairs.append((float(t), float(n)))
-        cls = entropy_estimate(GrowthSeries.from_pairs(pairs))
+        cls = rate_estimate(GrowthSeries.from_pairs(pairs), "exponential")
         assert cls.parameter <= 0.05
 
     def test_constant_series_rate_zero(self):
         series = series_from_function(lambda t: 7.0, range(1, 40))
-        assert entropy_estimate(series).parameter == pytest.approx(0.0, abs=1e-9)
+        assert rate_estimate(series, "exponential").parameter == pytest.approx(0.0, abs=1e-9)
 
 
 class TestUniformBound:
