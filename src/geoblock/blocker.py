@@ -19,8 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, GeoBlockError
 from .flatspace import (
@@ -99,15 +98,24 @@ def _direction_class_key(space: FlatSpace, seg: GeodesicSegment) -> tuple:
     return max(key for s1, s2 in space.group for key in ((s1 * a1, s2 * a2), (-s1 * a1, -s2 * a2)))
 
 
-def _plane_cmp(p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
-    """Order of points (X/D, Y/D) (``FlatSpace._key_plane``), exact in integers."""
-    (x1, y1, d1), (x2, y2, d2) = p, q
-    dx = x1 * d2 - x2 * d1
-    dy = y1 * d2 - y2 * d1
-    return (dx > 0) - (dx < 0) or (dy > 0) - (dy < 0)
+def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], object]:
+    """A sort key giving the exact point order on ``keys``.
 
+    It is the correctly rounded float coordinates when they are exact:
+    distinct coordinates over denominators at most D differ by at least
+    1/D^2, more than rounding can close while D^2 * |coordinate| < 2^51.
+    Otherwise it is the exact point.
+    """
+    L, b1x, b1y, b2x, b2y = space._scaled
+    top = L * max(key[2] for key in keys)
+    if top * top * max(abs(b1x) + abs(b2x), abs(b1y) + abs(b2y)) >= L << 51:
+        return space._key_point
 
-_plane_order = cmp_to_key(_plane_cmp)
+    def approx(key: Key) -> tuple[float, float]:
+        i, j, den = key
+        return (i * b1x + j * b2x) / (den * L), (i * b1y + j * b2y) / (den * L)
+
+    return approx
 
 
 def build_instance(
@@ -119,12 +127,14 @@ def build_instance(
 ) -> IncidenceInstance:
     """Reduce geometric blocking of the connecting family to a hitting set.
 
-    Cover sets are assembled from the construction records (each pairwise
-    intersection names the two segments it lies on) and completed exactly:
+    Cover sets are bitmasks over the connecting segments, assembled from the
+    construction records (each pairwise intersection names the two segments
+    it lies on; ``flatspace._intersections`` steps through one solved k2
+    interval per row, so a pair costs about its hits) and completed exactly:
     representatives and members of multi-segment collinear clusters are
     re-checked against every candidate with the exact incidence solver, so
-    no membership is missed.  Points stay integer keys (``FlatSpace._fold_key``)
-    until the kept candidates are built.
+    no membership is missed.  Points stay integer keys
+    (``FlatSpace._fold_key``) until the kept candidates are built.
     """
     family = connecting_family(space, x, y, t_sq)
     return build_instance_from_family(family, caps)
@@ -140,13 +150,15 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
         raise GeoBlockError(f"connecting family size {m} exceeds cap {caps.max_geodesics}")
 
     # every record is interior to a connecting segment; the endpoint keys go as a guard
-    records: dict[Key, set[int]] = {}
+    records: dict[Key, int] = {}
     for i, seg in enumerate(segs):
-        records.setdefault(seg.key_at(1, 2), set()).add(i)
+        key = seg.key_at(1, 2)
+        records[key] = records.get(key, 0) | 1 << i
     for i in range(m):
         for j in range(i + 1, m):
+            pair = 1 << i | 1 << j
             for hit in _intersections(segs[i], segs[j]):
-                records.setdefault(hit[0], set()).update((i, j))
+                records[hit[0]] = records.get(hit[0], 0) | pair
     for end in (segs[0].key_at(0, 1), segs[0].key_at(1, 1)):
         records.pop(end, None)
 
@@ -155,25 +167,22 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
     # pair's interval representative.  A transversal neighbor would have named
     # the point itself, so only candidates whose records are all mutually
     # parallel can miss a membership, and only within that one cluster.
-    class_key = [_direction_class_key(space, seg) for seg in segs]
     classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(class_key):
-        classes.setdefault(key, []).append(i)
-    for key, covered in records.items():
-        keys = {class_key[i] for i in covered}
-        if len(keys) != 1:
-            continue
-        missing = [i for i in classes[next(iter(keys))] if i not in covered]
-        covered.update(i for i in missing if _segment_hits(segs[i], key))
+    for i, seg in enumerate(segs):
+        classes.setdefault(_direction_class_key(space, seg), []).append(i)
+    # each segment's cluster: its members and their mask
+    cluster = {i: (members, sum(1 << j for j in members)) for members in classes.values() for i in members}
+    for key, mask in records.items():
+        members, same = cluster[(mask & -mask).bit_length() - 1]
+        if not mask & ~same:
+            missing = (i for i in members if not mask >> i & 1)
+            records[key] = mask | sum(1 << i for i in missing if _segment_hits(segs[i], key))
 
     # dedup identical cover sets, keeping the lexicographically smallest point
     groups: dict[int, list[Key]] = {}
-    for key, covered in records.items():
-        groups.setdefault(sum(1 << i for i in covered), []).append(key)
-
-    def order(key: Key):
-        return _plane_order(space._key_plane(key))
-
+    for key, mask in records.items():
+        groups.setdefault(mask, []).append(key)
+    order = _point_order(space, records)
     least = {mask: min(keys, key=order) for mask, keys in groups.items()}
     keep_masks = sorted(least, key=lambda mask: order(least[mask]))
     keep_points = [space._key_point(least[mask]) for mask in keep_masks]
@@ -375,9 +384,13 @@ def blocking_threshold(
     Falls over to the greedy upper bound (``certified=False``, unless the
     root bound meets it) when the instance exceeds the candidate cap.
     """
-    instance = build_instance(space, x, y, t_sq, caps)
+    return _threshold(build_instance(space, x, y, t_sq, caps), caps)
+
+
+def _threshold(instance: IncidenceInstance, caps: SolverCaps) -> ThresholdResult:
+    """``blocking_threshold`` of a built instance."""
     mid_upper = None
-    if space.is_torus and instance.num_geodesics > 0:
+    if instance.family.space.is_torus and instance.num_geodesics > 0:
         mid_upper = len(midpoint_cover(instance.family))
     sol = solve_exact(instance, caps)
     if not verify_cover(instance, sol.points):

@@ -116,6 +116,7 @@ class FlatSpace:
     _inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
     group: tuple[Flip, ...]
     _scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
+    _flips: tuple[bool, bool]  # whether the group flips each axis; it is the product of these sign sets
 
     BILLIARD_DELTA_CONVENTION = "delta=1/4 (conservative; shortest unfolded closed displacement is 2)"
 
@@ -131,8 +132,9 @@ class FlatSpace:
         inv = (*(int(c * d) for c in inv), d)
         L = math.lcm(*(c.denominator for c in b1 + b2))
         scaled = (L, *(int(c * L) for c in b1 + b2))
+        flips = tuple(any(g[k] < 0 for g in group) for k in (0, 1))
         zero = Fraction(0)
-        return cls(kind, b1, b2, abs(det) / len(group), zero, zero, inv, group, scaled)
+        return cls(kind, b1, b2, abs(det) / len(group), zero, zero, inv, group, scaled, flips)
 
     @classmethod
     def torus(cls, b1, b2) -> "FlatSpace":
@@ -171,8 +173,11 @@ class FlatSpace:
     def _fold_key(self, n1: int, n2: int, den: int) -> Key:
         """The point (n1/den, n2/den) in lattice coordinates, den > 0, reduced
         mod the lattice, then to its least group image, then by gcd(i, j, den):
-        equal points get equal keys."""
-        i, j = min(((s1 * n1) % den, (s2 * n2) % den) for s1, s2 in self.group)
+        equal points get equal keys.  The group is a product of per-axis sign
+        sets, so its least image is the least image on each axis."""
+        flip1, flip2 = self._flips
+        i, j = n1 % den, n2 % den
+        i, j = min(i, den - i) if flip1 else i, min(j, den - j) if flip2 else j
         g = math.gcd(i, j, den)
         return i // g, j // g, den // g
 
@@ -420,6 +425,24 @@ class GeodesicFamily:
         bound = t_sq.numerator * self.sq_scale // t_sq.denominator
         return tuple(bisect_right(lengths, bound) for lengths in self.sq_lengths)
 
+    def within(self, t_sq) -> "GeodesicFamily":
+        """The family at t_sq <= self.t_sq, equal to a fresh enumeration there:
+        the segments of squared length at most t_sq, in their order."""
+        counts = self.counts_at(t_sq)
+        top = self.sq_lengths[0][counts[0] - 1] if counts[0] else -1
+        index: dict[int, int] = {}
+        for k, seg in enumerate(self.segments):
+            vx, vy, _ = self.space._key_plane((*seg.lattice, seg.origin[2]))
+            if vx * vx + vy * vy <= top:
+                index[k] = len(index)
+        return replace(
+            self,
+            t_sq=_positive_t_sq(t_sq),
+            segments=tuple(self.segments[k] for k in index),
+            connecting=tuple(index[k] for k in self.connecting if k in index),
+            sq_lengths=tuple(lengths[:c] for lengths, c in zip(self.sq_lengths, counts)),
+        )
+
 
 def connecting_family(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> GeodesicFamily:
     t_sq = _positive_t_sq(t_sq)
@@ -489,6 +512,10 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple]:
     lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral.  A
     crossing is at s = sn/sd, u = un/sd, sd > 0; an overlap is reported at
     the midpoint s = sn/sd of each maximal interval, with un None.
+
+    Crossings cost about their hits: sn and un are affine in k, so each k1
+    row of the box solves for the k2 interval that keeps one of them in
+    (0, sd) and tests only the k2 in it.
     """
     x1, x2, den = g1.origin
     a1, a2 = g1.lattice
@@ -501,26 +528,37 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple]:
         # r = u*B - s*H over s, u in [0, 1] stays in this box
         k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
         k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
+        cross = b1 * h2 - b2 * h1
+        if cross:
+            # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over
+            # the positive denominator sd = |cross| so that the fold sees den > 0
+            sign = 1 if cross > 0 else -1
+            sd = sign * cross
+            # on a k1 row sn = sn0 + ds*k2 and un = un0 + du*k2; the next row adds dsr, dur
+            ds, du, dsr, dur = -sign * b1 * den, -sign * h1 * den, sign * b2 * den, sign * h2 * den
+            r1 = c1 + k1_lo * den
+            sn0, un0 = sign * (r1 * b2 - c2 * b1), sign * (r1 * h2 - c2 * h1)
+            # step through the k2 interval where the steeper of sn, un lies in
+            # (0, sd), keeping the points where the other does too
+            a, r, b = (sn0, dsr, ds) if abs(ds) >= abs(du) else (un0, dur, du)
+            if b < 0:
+                a, r, b = sd - a, -r, -b
+            for _ in range(k1_hi - k1_lo + 1):
+                lo, hi = -a // b + 1, (sd - 1 - a) // b
+                sn, un = sn0 + lo * ds, un0 + lo * du
+                for _ in range(hi - lo + 1):
+                    if 0 < sn < sd and 0 < un < sd:
+                        hits.append((g1.key_at(sn, sd), sn, sd, un, None))
+                    sn, un = sn + ds, un + du
+                sn0, un0, a = sn0 + dsr, un0 + dur, a + r
+            continue
         k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
         k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
-        cross = b1 * h2 - b2 * h1
-        # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over the
-        # positive denominator sd = |cross| so that the fold sees den > 0
-        sign = 1 if cross > 0 else -1
-        sd = sign * cross
         for k1 in range(k1_lo, k1_hi + 1):
             r1 = c1 + k1 * den
             for k2 in range(k2_lo, k2_hi + 1):
                 r2 = c2 + k2 * den
-                if cross:
-                    sn = sign * (r1 * b2 - r2 * b1)
-                    if not 0 < sn < sd:
-                        continue
-                    un = sign * (r1 * h2 - r2 * h1)
-                    if not 0 < un < sd:
-                        continue
-                    hits.append((g1.key_at(sn, sd), sn, sd, un, None))
-                elif r1 * h2 == r2 * h1:
+                if r1 * h2 == r2 * h1:
                     # parallel carriers: s = u*c + tau with B = c*H and r = -tau*H
                     c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
                     tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)

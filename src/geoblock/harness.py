@@ -22,8 +22,10 @@ from .blocker import (
     PairSampler,
     SolverCaps,
     _round_sig,
+    _threshold,
     blocking_cost_sampled,
     blocking_threshold,
+    build_instance_from_family,
     recursion_harness,
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
@@ -297,12 +299,15 @@ def _counted_cells(
     Each pair is enumerated once, at its largest t; the counts at every grid
     t are read from that one family by squared length.
     """
-    if not cfg.t_grid:
-        return
-    for pi, (x, y) in enumerate(cfg.pairs):
-        fam = connecting_family(space, x, y, cfg.t_grid[-1] ** 2)
+    for pi, x, y, fam in _pair_families(cfg, space):
         for t in cfg.t_grid:
             yield pi, x, y, t, fam.counts_at(t * t)
+
+
+def _pair_families(cfg: ExperimentConfig, space: FlatSpace) -> Iterator[tuple]:
+    """(pair index, x, y, family) per pair, enumerated at the grid's largest t."""
+    for pi, (x, y) in enumerate(cfg.pairs if cfg.t_grid else ()):
+        yield pi, x, y, connecting_family(space, x, y, cfg.t_grid[-1] ** 2)
 
 
 def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -574,13 +579,14 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         space = cfg.flat_space()
         n_by_t: dict[float, int] = {}
         s_max = 0
-        for _, x, y, t, (n, _m, _rejected) in _counted_cells(cfg, space):
-            # blocking solves are quadratic in the family size; keep them
-            # on the capped prefix of the grid
-            if t * t <= cfg.threshold_t_sq_cap:
-                s_max = max(s_max, blocking_threshold(space, x, y, t * t, cfg.caps).value)
-            tf = float(t)
-            n_by_t[tf] = max(n_by_t.get(tf, 0), n)
+        for _, x, y, fam in _pair_families(cfg, space):
+            for t in cfg.t_grid:
+                # blocking solves are quadratic in the family size; keep them
+                # on the capped prefix of the grid
+                if t * t <= cfg.threshold_t_sq_cap:
+                    instance = build_instance_from_family(fam.within(t * t), cfg.caps)
+                    s_max = max(s_max, _threshold(instance, cfg.caps).value)
+                n_by_t[float(t)] = max(n_by_t.get(float(t), 0), fam.counts_at(t * t)[0])
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)
         verdict = "partial"

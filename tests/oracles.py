@@ -146,21 +146,69 @@ def pairwise_undominated(covers):
     return sorted(kept)
 
 
+def reference_intersections(g1, g2):
+    """Common interior points of two segments as (key, sn, sd, un, interval),
+    the tuples ``flatspace._intersections`` returns, by scanning every cell
+    of the integer box that holds u*B - s*H for s, u in [0, 1] and folding
+    each crossing through ``key_at``."""
+    from geoblock.flatspace import _merge_open_intervals
+
+    x1, x2, den = g1.origin
+    a1, a2 = g1.lattice
+    b1, b2 = g2.lattice
+    hits = []
+    overlaps = []
+    for s1, s2 in g1.space.group:
+        h1, h2 = s1 * a1, s2 * a2
+        c1, c2 = s1 * x1 - x1, s2 * x2 - x2
+        k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
+        k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
+        k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
+        k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
+        cross = b1 * h2 - b2 * h1
+        sign = 1 if cross > 0 else -1
+        sd = sign * cross
+        for k1 in range(k1_lo, k1_hi + 1):
+            r1 = c1 + k1 * den
+            for k2 in range(k2_lo, k2_hi + 1):
+                r2 = c2 + k2 * den
+                if cross:
+                    sn = sign * (r1 * b2 - r2 * b1)
+                    un = sign * (r1 * h2 - r2 * h1)
+                    if 0 < sn < sd and 0 < un < sd:
+                        hits.append((g1.key_at(sn, sd), sn, sd, un, None))
+                elif r1 * h2 == r2 * h1:
+                    c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
+                    tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)
+                    lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
+                    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+                    if lo < hi:
+                        overlaps.append((lo, hi))
+    for lo, hi in _merge_open_intervals(overlaps):
+        mid = (lo + hi) / 2
+        hits.append((g1.key_at(mid.numerator, mid.denominator), mid.numerator, mid.denominator, None, (lo, hi)))
+    return hits
+
+
 def reference_instance(family):
     """Candidates and covers of the family's hitting-set instance, built the
-    plain way: RationalPoint records from the public pairwise intersections
-    and each segment's midpoint, the collinear completion, a sort of every
-    recorded point, and the first point per cover set."""
+    plain way: RationalPoint records from the box-scan intersections
+    (``reference_intersections``) and each segment's midpoint, the collinear
+    completion, a sort of every recorded point, and the first point per
+    cover set."""
     from geoblock.blocker import _direction_class_key
-    from geoblock.flatspace import _segment_hits, intersection_candidates
+    from geoblock.flatspace import _segment_hits
 
     space, segs = family.space, family.connecting_segments()
     records = {}
     for i, seg in enumerate(segs):
         records.setdefault(point_at(seg, Fraction(1, 2)), set()).add(i)
+    ends = {space.reduce_point(family.x), space.reduce_point(family.y)}
     for i, j in itertools.combinations(range(len(segs)), 2):
-        for hit in intersection_candidates(space, segs[i], segs[j]):
-            records.setdefault(hit.point, set()).update((i, j))
+        for key, *_ in reference_intersections(segs[i], segs[j]):
+            point = space._key_point(key)
+            if point not in ends:
+                records.setdefault(point, set()).update((i, j))
     classes = [_direction_class_key(space, seg) for seg in segs]
     for point, covered in records.items():
         if len({classes[i] for i in covered}) == 1:

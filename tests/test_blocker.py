@@ -151,6 +151,42 @@ class TestBuildInstance:
             inst = build_instance_from_family(family)
             assert (inst.candidates, inst.covers) == reference_instance(family)
 
+    def test_point_order_exact_under_float_ties(self):
+        # keys over a denominator near 10^20: the plane x-coordinates of a and
+        # b differ by about 10^-20 and round to one double, so only the exact
+        # order tells them apart.  On the diagonal bases b's y is larger,
+        # which misleads a float order; on the skew basis the floats tie.
+        den = 10**20 + 1
+        i = den // 3
+        skew = FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6)))
+        for space, jb in ((FlatSpace.unit_torus(), den - 7), (FlatSpace.square_billiard(), den - 7), (skew, 5)):
+            a, b, c = (i + 1, 5, den), (i, jb, den), (i + 2, 1, den)
+
+            def approx(key):
+                X, Y, D = space._key_plane(key)
+                return X / D, Y / D
+
+            assert approx(a)[0] == approx(b)[0]
+            exact = sorted((a, b, c), key=space._key_point)
+            assert sorted((a, b, c), key=approx) != exact
+            # the build takes the least point per cover set and sorts candidates by this key
+            order = blocker._point_order(space, (a, b, c))
+            assert sorted((a, b, c), key=order) == exact
+            assert min((a, b), key=order) == b
+
+    def test_point_order_random_small_denominators(self):
+        rng = random.Random(73)
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6))),
+                      FlatSpace.square_billiard()):
+            for _ in range(20):
+                keys = set()
+                for _ in range(rng.randint(1, 60)):
+                    den = rng.randint(1, 500)
+                    keys.add(space._fold_key(rng.randrange(den), rng.randrange(den), den))
+                order = blocker._point_order(space, keys)
+                assert order is not space._key_point
+                assert sorted(keys, key=order) == sorted(keys, key=space._key_point)
+
     @pytest.mark.parametrize("space,x,y,t_sq,m,n,digest", [
         # the capped torus t=6 instance of the torus-verify benchmark
         (FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 36, 108, 5691,

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,14 @@ from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
+    _intersections,
     connecting_family,
     count,
     intersection_candidates,
     load_space,
     shortest_vector,
 )
-from oracles import classify, displacement, point_at, point_on_geodesic, sq_length
+from oracles import classify, displacement, point_at, point_on_geodesic, reference_intersections, sq_length
 
 P = RationalPoint.of
 F = Fraction
@@ -67,10 +70,15 @@ def random_torus(rng):
 
 
 def random_point(rng, space):
+    if not space.is_torus:  # an interior table point
+        return P(F(rng.randint(1, 7), 8), F(rng.randint(1, 7), 8))
     i = F(rng.randint(0, 11), 12)
     j = F(rng.randint(0, 11), 12)
     v = space.from_lattice(i, j)
     return RationalPoint(v[0], v[1])
+
+
+SKEW = FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6)))
 
 
 class TestShortestVector:
@@ -125,6 +133,17 @@ class TestFoldKey:
                 assert space._fold_key(n1 + m1 * den, n2 + m2 * den, den) == key
                 for s1, s2 in space.group:
                     assert space._fold_key(s1 * n1, s2 * n2, den) == key
+
+    def test_per_axis_fold_is_least_group_image(self):
+        # the definition: the least (i, j) over the group's images mod den
+        rng = random.Random(71)
+        for space in self.SPACES:
+            for _ in range(300):
+                den = rng.randint(1, 40)
+                n1, n2 = rng.randint(-5 * den, 5 * den), rng.randint(-5 * den, 5 * den)
+                i, j = min(((s1 * n1) % den, (s2 * n2) % den) for s1, s2 in space.group)
+                g = math.gcd(i, j, den)
+                assert space._fold_key(n1, n2, den) == (i // g, j // g, den // g)
 
     def test_key_point_is_reduce_point(self):
         rng = random.Random(67)
@@ -251,7 +270,7 @@ class TestCount:
 
 
 class TestCountsAt:
-    """A family read at a smaller t agrees with a fresh family there."""
+    """A family read or cut at a smaller t agrees with a fresh family there."""
 
     @pytest.mark.parametrize("space", [FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), FlatSpace.square_billiard()])
     def test_every_length_boundary(self, space):
@@ -270,16 +289,19 @@ class TestCountsAt:
             for t_sq in sorted(q for q in probes if q > 0):
                 fresh = connecting_family(space, x, y, t_sq)
                 assert fam.counts_at(t_sq) == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t_sq)
+                assert fam.within(t_sq) == fresh, (x, y, t_sq)
                 rejected_seen = rejected_seen or bool(fresh.sq_lengths[2])
         assert rejected_seen or space.is_torus
 
     def test_above_family_rejected(self):
         fam = connecting_family(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 4)
         assert fam.counts_at(4) == (fam.n, fam.m, 0)
-        with pytest.raises(DomainError):
-            fam.counts_at(F(401, 100))
-        with pytest.raises(DomainError):
-            fam.counts_at(0)
+        assert fam.within(4) == fam
+        for read in (fam.counts_at, fam.within):
+            with pytest.raises(DomainError):
+                read(F(401, 100))
+            with pytest.raises(DomainError):
+                read(0)
 
 
 class TestLatticeInts:
@@ -506,31 +528,57 @@ class TestIntersections:
         assert hits[0].point == P("1/2", 0)
 
     def test_transversal_against_slow_oracle(self):
+        # solve u*w - s*h(v) = h(x) - x + lambda in the plane, flip by flip,
+        # over a box of lattice vectors lambda
         rng = random.Random(23)
-        space = FlatSpace.unit_torus()
-        checked = 0
-        for _ in range(25):
-            x, y = random_point(rng, space), random_point(rng, space)
-            segs = self._segments(space, x, y, F(rng.randint(2, 8)))
-            if len(segs) < 2:
-                continue
-            g1, g2 = rng.sample(segs, 2)
-            v, w = displacement(g1), displacement(g2)
-            if v[0] * w[1] - v[1] * w[0] == 0:
-                continue
-            got = {(h.s, h.u) for h in intersection_candidates(space, g1, g2)}
-            expected = set()
-            lam_bound = int(math.sqrt(2 * float(sq_length(g1) + sq_length(g2)))) + 2
-            for i in range(-lam_bound, lam_bound + 1):
-                for j in range(-lam_bound, lam_bound + 1):
-                    det = v[0] * (-w[1]) - (-w[0]) * v[1]
-                    s = (i * (-w[1]) + w[0] * j) / det
-                    u = (v[0] * j - v[1] * i) / det
-                    if 0 < s < 1 and 0 < u < 1 and s * v[0] - u * w[0] == i and s * v[1] - u * w[1] == j:
-                        expected.add((s, u))
-            assert got == expected
-            checked += 1
-        assert checked >= 10
+        for space in (FlatSpace.unit_torus(), SKEW, FlatSpace.square_billiard()):
+            (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+            det = b1x * b2y - b1y * b2x
+            inv_norm = math.hypot(*(float(c / det) for c in (b1x, b1y, b2x, b2y)))
+            checked = 0
+            for _ in range(25):
+                x, y = random_point(rng, space), random_point(rng, space)
+                segs = self._segments(space, x, y, F(rng.randint(2, 8)))
+                if len(segs) < 2:
+                    continue
+                g1, g2 = rng.sample(segs, 2)
+                v, w = displacement(g1), displacement(g2)
+                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un, _ in _intersections(g1, g2) if un is not None}
+                expected = set()
+                for e1, e2 in space.group:
+                    hv = (e1 * v[0], e2 * v[1])
+                    cross = hv[0] * w[1] - hv[1] * w[0]
+                    if cross == 0:
+                        continue
+                    off = (e1 * x.x - x.x, e2 * x.y - x.y)
+                    reach = math.hypot(*map(float, v)) + math.hypot(*map(float, w)) + math.hypot(*map(float, off))
+                    bound = int(inv_norm * reach) + 2
+                    for i in range(-bound, bound + 1):
+                        for j in range(-bound, bound + 1):
+                            r = (off[0] + i * b1x + j * b2x, off[1] + i * b1y + j * b2y)
+                            # u*w - s*hv = r by Cramer's rule
+                            s = (w[0] * r[1] - w[1] * r[0]) / cross
+                            u = (hv[0] * r[1] - hv[1] * r[0]) / cross
+                            if 0 < s < 1 and 0 < u < 1:
+                                expected.add((s, u))
+                assert got == expected
+                checked += bool(expected)
+            assert checked >= 10
+
+    def test_kernel_matches_box_scan_oracle(self):
+        rng = random.Random(31)
+        overlaps = 0
+        for space in (FlatSpace.unit_torus(), SKEW, FlatSpace.square_billiard()):
+            for _ in range(6):
+                x = random_point(rng, space)
+                # y = x gives opposite wraps on one carrier: parallel overlaps
+                y = x if rng.random() < 0.3 else random_point(rng, space)
+                segs = self._segments(space, x, y, F(rng.randint(1, 10)))
+                for g1, g2 in itertools.permutations(segs, 2):
+                    hits = _intersections(g1, g2)
+                    assert Counter(hits) == Counter(reference_intersections(g1, g2))
+                    overlaps += sum(h[3] is None for h in hits)
+        assert overlaps > 0
 
     def test_rejects_mixed_families(self):
         space = FlatSpace.unit_torus()

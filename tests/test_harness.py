@@ -294,6 +294,25 @@ class TestReport:
         assert data["threshold_max"] <= 4
         assert data["verdict"].startswith("consistent")
 
+    def test_one_enumeration_per_pair(self, monkeypatch, tmp_path):
+        # the thresholds cut the pair's one family instead of enumerating
+        # their own: 3 pairs, so 3 enumerations, and the same report.json
+        import geoblock.blocker as blocker
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return connecting_family(*args)
+
+        for module in (harness, blocker):
+            monkeypatch.setattr(module, "connecting_family", counted)
+        cfg = ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json")
+        assert cmd_report(cfg, tmp_path) == 0
+        assert len(calls) == len(cfg.pairs) == 3
+        golden = ROOT / "tests" / "golden" / "unit_torus" / "report.json"
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
     def test_flat_verdict_short_grid(self, tmp_path):
         # n_t ~ c t^2 has exponential slope about 2/t: 0.066 on t = 2..40,
         # while its growth class is polynomial (degree 2.00)
