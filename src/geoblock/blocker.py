@@ -201,7 +201,6 @@ class BlockingSolution:
     points: tuple[RationalPoint, ...]
     size: int
     optimal: bool
-    greedy_upper: int
     lower_bound: int
 
 
@@ -275,7 +274,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     """
     m = instance.num_geodesics
     if m == 0:
-        return BlockingSolution((), 0, True, 0, 0)
+        return BlockingSolution((), 0, True, 0)
     full = (1 << m) - 1
 
     greedy = _greedy_cover(instance.covers, full)
@@ -303,7 +302,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     lower = bound(full)
     if capped:
         pts = tuple(instance.candidates[c] for c in sorted(greedy))
-        return BlockingSolution(pts, len(greedy), lower == len(greedy), len(greedy), lower)
+        return BlockingSolution(pts, len(greedy), lower == len(greedy), lower)
 
     best: list[int] = list(greedy)  # indices into instance.covers
 
@@ -326,7 +325,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     if lower < len(best):
         bnb(full, [])
     pts = tuple(instance.candidates[c] for c in sorted(set(best)))
-    return BlockingSolution(pts, len(pts), True, len(greedy), lower)
+    return BlockingSolution(pts, len(pts), True, lower)
 
 
 def verify_cover(instance: IncidenceInstance | GeodesicFamily, points: Sequence[RationalPoint]) -> bool:
@@ -444,9 +443,7 @@ class SampledBlockingCost:
     sup over all pairs."""
 
     value: int
-    certified: bool
     pairs: tuple[tuple[RationalPoint, RationalPoint], ...]
-    per_pair: tuple[int, ...]
 
 
 def _near_pair(
@@ -487,14 +484,8 @@ def blocking_cost_sampled(
         if near and near not in seen:
             seen.add(near)
             pairs.append(near)
-    values = []
-    certified = True
-    for p, q in pairs:
-        res = blocking_threshold(space, p, q, t_sq, caps)
-        values.append(res.value)
-        certified = certified and res.certified
-    value = max(values) if values else 0
-    return SampledBlockingCost(value, certified, tuple(pairs), tuple(values))
+    value = max((blocking_threshold(space, p, q, t_sq, caps).value for p, q in pairs), default=0)
+    return SampledBlockingCost(value, tuple(pairs))
 
 
 @dataclass(frozen=True)

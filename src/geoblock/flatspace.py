@@ -100,18 +100,15 @@ class FlatSpace:
     corners.  The flips act on lattice coordinates by the same signs, which
     holds because the only non-trivial group comes with a diagonal basis.
 
-    covolume is the area of the quotient.  delta_sq is the squared
-    injectivity radius: a quarter of the shortest nonzero lattice vector's
-    squared length for the torus.  For the billiard table only the inequality
-    verifier consumes delta; the conservative convention delta = 1/4 is used
-    and recorded in reports.
+    delta_sq is the squared injectivity radius: a quarter of the shortest
+    nonzero lattice vector's squared length for the torus.  For the billiard
+    table only the inequality verifier consumes delta; the conservative
+    convention delta = 1/4 is used and recorded in reports.
     """
 
     kind: str  # "torus" | "billiard"
     b1: Vec
     b2: Vec
-    covolume: Fraction
-    shortest_sq: Fraction
     delta_sq: Fraction
     _inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
     group: tuple[Flip, ...]
@@ -133,14 +130,13 @@ class FlatSpace:
         L = math.lcm(*(c.denominator for c in b1 + b2))
         scaled = (L, *(int(c * L) for c in b1 + b2))
         flips = tuple(any(g[k] < 0 for g in group) for k in (0, 1))
-        zero = Fraction(0)
-        return cls(kind, b1, b2, abs(det) / len(group), zero, zero, inv, group, scaled, flips)
+        return cls(kind, b1, b2, Fraction(0), inv, group, scaled, flips)
 
     @classmethod
     def torus(cls, b1, b2) -> "FlatSpace":
         space = cls._quotient("torus", b1, b2, ((1, 1),))
         _, sq = shortest_vector(space)
-        return replace(space, shortest_sq=sq, delta_sq=sq / 4)
+        return replace(space, delta_sq=sq / 4)
 
     @classmethod
     def unit_torus(cls) -> "FlatSpace":
@@ -150,7 +146,7 @@ class FlatSpace:
     def square_billiard(cls) -> "FlatSpace":
         space = cls._quotient("billiard", (2, 0), (0, 2), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
         # shortest periodic unfolded closed displacement is 2
-        return replace(space, shortest_sq=Fraction(4), delta_sq=Fraction(1, 16))
+        return replace(space, delta_sq=Fraction(1, 16))
 
     @property
     def is_torus(self) -> bool:
@@ -245,20 +241,17 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
 
 @dataclass(frozen=True)
 class GeodesicSegment:
-    """One oriented connecting segment.
+    """One oriented connecting segment, from x to an image g*y + lambda of y
+    under a flip g and a lattice vector lambda.
 
-    ``image`` holds (sigma1, sigma2, m, n): the flip g and the lattice vector
-    lambda = m*b1 + n*b2 of the image g*y + lambda of y that the segment
-    joins x to.  On the billiard the unfolded endpoint is
-    (sigma1*y.x + 2m, sigma2*y.y + 2n).  ``origin`` is x in lattice
-    coordinates as (X1, X2, D), meaning (X1/D, X2/D), and ``lattice`` is the
-    displacement g*y + lambda - x in lattice coordinates over the same D.
+    ``origin`` is x in lattice coordinates as (X1, X2, D), meaning
+    (X1/D, X2/D), and ``lattice`` is the displacement g*y + lambda - x in
+    lattice coordinates over the same D.
     """
 
     space: FlatSpace
     x: RationalPoint
     y: RationalPoint
-    image: tuple[int, int, int, int]
     origin: tuple[int, int, int]
     lattice: tuple[int, int]
 
@@ -372,7 +365,7 @@ def _enumerate(
                 if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
                     rejected.append(sq_scaled)
                     continue
-                found.append((vx, vy, sq_scaled, GeodesicSegment(space, x, y, (s1, s2, i, j), origin, (a1, a2))))
+                found.append((vx, vy, sq_scaled, GeodesicSegment(space, x, y, origin, (a1, a2))))
     # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
     found.sort(key=lambda r: (r[0], r[1]))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
@@ -477,17 +470,14 @@ def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Ke
 
 @dataclass(frozen=True)
 class IntersectionHit:
-    """A common interior point of two segments.
+    """A common interior point of two segments, at parameter s of the first.
 
-    Transversal crossings carry the two parameters; a parallel overlap is
-    reported once per maximal interval with the representative at its
-    midpoint and the interval bounds in the first segment's parameter.
+    A parallel overlap is reported once per maximal interval, at its
+    midpoint.
     """
 
     point: RationalPoint
     s: Fraction
-    u: Fraction | None
-    s_interval: tuple[Fraction, Fraction] | None = None
 
 
 def _merge_open_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -586,11 +576,10 @@ def intersection_candidates(
     if g1.lattice == g2.lattice:
         raise DomainError("segments must be distinct")
     seen: dict[Key, IntersectionHit] = {}
-    for key, sn, sd, un, interval in _intersections(g1, g2):
+    for key, sn, sd, _, _ in _intersections(g1, g2):
         s = Fraction(sn, sd)
         if key not in seen or s < seen[key].s:
-            u = None if un is None else Fraction(un, sd)
-            seen[key] = IntersectionHit(g1.space._key_point(key), s, u, interval)
+            seen[key] = IntersectionHit(g1.space._key_point(key), s)
     for end in (g1.key_at(0, 1), g1.key_at(1, 1)):
         seen.pop(end, None)
     return sorted(seen.values(), key=lambda h: (h.point.x, h.point.y))

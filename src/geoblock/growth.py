@@ -94,13 +94,11 @@ class GrowthSeries:
     """Sampled positive function of t, with finite, strictly increasing sample points."""
 
     samples: tuple[tuple[float, float], ...]
-    monotone: bool = False
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise DomainError("a growth series needs at least one sample")
         prev_t = 0.0
-        prev_v = None
         for t, v in self.samples:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise DomainError(f"samples must be finite, got ({t}, {v})")
@@ -108,13 +106,11 @@ class GrowthSeries:
                 raise DomainError("sample points must be positive and strictly increasing")
             if v <= 0:
                 raise DomainError("sample values must be strictly positive")
-            if self.monotone and prev_v is not None and v < prev_v:
-                raise DomainError("series flagged monotone but values decrease")
-            prev_t, prev_v = t, v
+            prev_t = t
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]], monotone: bool = False) -> "GrowthSeries":
-        return cls(tuple((float(t), float(v)) for t, v in pairs), monotone=monotone)
+    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "GrowthSeries":
+        return cls(tuple((float(t), float(v)) for t, v in pairs))
 
     @property
     def ts(self) -> np.ndarray:
@@ -270,19 +266,19 @@ def rate_estimate(f: GrowthSeries, mode: str = "exponential", window: float = 0.
     return GrowthClass(mode, float(slope), resid, (float(ts[0]), float(ts[-1])))
 
 
-def classify_growth(f: GrowthSeries, window: float = 0.5) -> GrowthClass:
+def classify_growth(f: GrowthSeries) -> GrowthClass:
     """Pick the best-fitting growth kind at desk scale.
 
-    Heuristic: a flat tail is bounded; a rising local exponential rate is
-    super-exponential; otherwise the smallest-residual fit among the three
-    modes wins.
+    Heuristic, over the last half of the sampled t range: a flat tail is
+    bounded; a rising local exponential rate is super-exponential; otherwise
+    the smallest-residual fit among the three modes wins.
     """
-    ts, vs = _tail(f, window)
+    ts, vs = _tail(f, 0.5)
     if len(ts) < 8:
         raise InsufficientDataError(f"need >= 8 samples in the fit window, got {len(ts)}")
     if vs.max() <= vs.min() * 1.05:
         return GrowthClass("bounded", None, 0.0, (float(ts[0]), float(ts[-1])))
-    fits = {mode: rate_estimate(f, mode, window) for mode in _MODES}
+    fits = {mode: rate_estimate(f, mode) for mode in _MODES}
     half = len(ts) // 2
     y = np.log(vs)
     r1 = np.polyfit(ts[:half], y[:half], 1)[0] if half >= 2 else 0.0

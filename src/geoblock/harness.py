@@ -176,11 +176,15 @@ class ExperimentConfig:
         return self.geometry.get("kind") == "fuchsian"
 
     def flat_space(self) -> FlatSpace:
-        """The flat geometry of a command that runs over (pair, t) cells."""
+        """The flat geometry of a command that runs over (pair, t) cells,
+        checked to take every point of every pair as an endpoint."""
         if self.is_fuchsian:
             raise ConfigError("this command runs on flat geometries only; presets take count or report")
         try:
             space = load_space(self.geometry)
+            for pair in self.pairs:
+                for p in pair:
+                    space.validate_point(p)
         except GeoBlockError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.pairs:
@@ -321,7 +325,7 @@ def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
         preset = cfg.preset()
         res = orbit_count(
             preset, cfg.base_points[0], cfg.base_points[1], [float(t) for t in cfg.t_grid],
-            max_word_len=cfg.max_word_len, strict=False,
+            max_word_len=cfg.max_word_len,
         )
         for (t, c), cert in zip(res.ball.count_series, res.certified):
             rows.append(
@@ -540,7 +544,6 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
             grid,
             bound_mode=cfg.bound_mode,
             max_word_len=cfg.max_word_len,
-            strict=False,
         )
         counts = [(b.t, b.count) for b in bounds]
         positive = [(t, c) for t, c in counts if c > 0]

@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     UnsupportedInputError,
 )
-from .growth import GrowthSeries
 
 __all__ = [
     "MobiusMatrix",
@@ -263,34 +262,29 @@ def load_preset(name_or_path: str | Path) -> FuchsianPreset:
 
 @dataclass(frozen=True)
 class OrbitBall:
-    """Group elements g with d(x, g y) <= t_max, the largest grid value, as
-    reduced words plus matrices, with the count series over the grid."""
+    """The group elements g with d(x, g y) <= t_max, the largest grid value,
+    as their displacements d(x, g y), with the count series over the grid."""
 
-    words: tuple[str, ...]
-    matrices: np.ndarray  # (N, 2, 2)
     displacements: np.ndarray  # (N,), sorted ascending
     count_series: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
 class OrbitCountResult:
+    """The ball, and per grid point whether its count is certified: the
+    counts are exact below ``certified_t``."""
+
     ball: OrbitBall
-    series: GrowthSeries
     certified: tuple[bool, ...]
     certified_t: float
 
 
-def _gen_arrays(preset: FuchsianPreset) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Generator letters, their matrices, and the index of each inverse."""
-    letters, mats = [], []
-    for name, g in preset.gens_with_inverses():
-        letters.append(name)
-        mats.append(g.as_array())
-    inv_index = np.empty(len(letters), dtype=int)
-    for i in range(0, len(letters), 2):
-        inv_index[i] = i + 1
-        inv_index[i + 1] = i
-    return letters, np.stack(mats), inv_index
+def _gen_arrays(preset: FuchsianPreset) -> tuple[np.ndarray, np.ndarray]:
+    """The generators and their inverses as matrices, and the index of each
+    one's inverse."""
+    mats = np.stack([g.as_array() for _, g in preset.gens_with_inverses()])
+    inv_index = np.arange(len(mats)) ^ 1
+    return mats, inv_index
 
 
 def _apply_batch(mats: np.ndarray, z: complex) -> np.ndarray:
@@ -318,16 +312,6 @@ def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
                 m[:, 2 * i + 1], g[:, 2 + k]
             )
     return out
-
-
-def _words(numbers: np.ndarray, parent: np.ndarray, last: np.ndarray, letters: list[str]) -> tuple[str, ...]:
-    """The reduced word of each element number, traced back through the parents."""
-    steps = []
-    while numbers.any():
-        steps.append(np.where(numbers > 0, last[numbers], -1))
-        numbers = np.where(numbers > 0, parent[numbers], 0)
-    rows = np.array(steps[::-1], dtype=int).reshape(len(steps), len(numbers)).T.tolist()
-    return tuple(" ".join([letters[g] for g in row if g >= 0]) for row in rows)
 
 
 def _claimed(
@@ -366,16 +350,16 @@ def orbit_count(
     y: complex,
     t_grid: Sequence[float],
     max_word_len: int = 24,
-    strict: bool = True,
 ) -> OrbitCountResult:
     """Exact count of distinct group elements with displacement <= t.
 
     Breadth-first expansion over reduced words, one level per word length;
     a word is expanded only while its displacement stays within a cutoff.
-    Completeness at the word budget is certified by the final frontier:
-    every unexpanded word must already exceed t_max.  With ``strict`` a
-    failed certificate raises; otherwise the result carries per-grid-point
-    flags.
+    Only the frontier's matrices and last letters are kept, and each level's
+    displacements within t_max.  When the word budget runs out before the
+    frontier does, the unexpanded words may still reach the ball: the
+    counts are certified only below the least displacement of that final
+    frontier, ``certified_t``, and each grid point carries its flag.
 
     Cocompact cutoff, from tile chains.  Let F be the preset's polygon with
     centre c and circumradius R, and let d(x, g y) <= t_max.  The path
@@ -408,7 +392,7 @@ def orbit_count(
         raise DomainError("t grid must be sorted ascending")
     t_max = t_grid[-1]
 
-    letters, gen_mats, inv_index = _gen_arrays(preset)
+    gen_mats, inv_index = _gen_arrays(preset)
     dedup = preset.kind == "cocompact"
     if dedup:
         r_y = hyp_distance(y, preset.centre)
@@ -434,17 +418,13 @@ def orbit_count(
     else:
         cutoff = t_max + max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
 
-    # elements are numbered level by level; every element keeps its parent's
-    # number and its last letter, and the elements within t_max keep their
-    # matrices and displacements.  The frontier is the last level, or nothing
-    # when the identity lies beyond the cutoff.
+    # the frontier is the last level, as matrices, displacements and last
+    # letters, or nothing when the identity lies beyond the cutoff; every
+    # level keeps its displacements within t_max
     mats, disp, last = np.eye(2)[None], np.array([hyp_distance(x, y)]), np.array([-1])
-    parents, lasts = [last], [last]
-    inside = np.nonzero(disp <= t_max)[0]
-    kept = [(inside, mats[inside], disp[inside])]
+    kept = [disp[disp <= t_max]]
     if disp[0] > cutoff:
         mats = mats[:0]
-    start, count = 0, 1  # the frontier's first number, and the number of elements
     level = 0
     certified_t = math.inf
     while len(mats):
@@ -458,19 +438,19 @@ def orbit_count(
         parts = []
         for lo in range(0, len(mats), _SLICE):
             children = _products(mats[lo:lo + _SLICE], gen_mats)
-            keep_f, keep_g = np.nonzero(np.arange(len(letters)) != forbid[lo:lo + _SLICE, None])
+            keep_f, keep_g = np.nonzero(np.arange(len(gen_mats)) != forbid[lo:lo + _SLICE, None])
             children = children[keep_f, keep_g]
             pts = _apply_batch(children, y)
             d = _distances(x, pts)
             sel = np.nonzero(d <= cutoff)[0]
-            part = [children[sel], d[sel], start + lo + keep_f[sel], keep_g[sel]]
+            part = [children[sel], d[sel], keep_g[sel]]
             if dedup:
                 w = (pts[sel] - x) / (pts[sel] - x.conjugate())
                 keys = cell_keys(w)
                 new = ~_claimed(keys, w, store_keys, store_pts, h, width)
                 part = [a[new] for a in part] + [keys[new], w[new]]
             parts.append(part)
-        mats, disp, parent, last, *rest = (np.concatenate(a) for a in zip(*parts))
+        mats, disp, last, *rest = (np.concatenate(a) for a in zip(*parts))
 
         if dedup:
             keys, w = rest
@@ -479,43 +459,19 @@ def orbit_count(
             order = np.argsort(keys, kind="stable")
             first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
             new = ~_claimed(keys, w, keys[first], w[first], h, width, rank=first)
-            mats, disp, parent, last = mats[new], disp[new], parent[new], last[new]
+            mats, disp, last = mats[new], disp[new], last[new]
             keys, w = keys[new], w[new]
             order = np.argsort(keys)
             at = np.searchsorted(store_keys, keys[order])
             store_keys = np.insert(store_keys, at, keys[order])
             store_pts = np.insert(store_pts, at, w[order])
 
-        start, count = count, count + len(mats)
-        parents.append(parent)
-        lasts.append(last)
-        inside = np.nonzero(disp <= t_max)[0]
-        kept.append((start + inside, mats[inside], disp[inside]))
+        kept.append(disp[disp <= t_max])
 
-    if strict and certified_t <= t_max:
-        raise BudgetExceededError(
-            f"word budget {max_word_len} exhausted; counts certified only for "
-            f"t < {certified_t:.6g}"
-        )
-
-    numbers, mats, disp = (np.concatenate(a) for a in zip(*kept))
-    order = np.argsort(disp, kind="stable")
-    disp = disp[order]
-    counts = [int(np.searchsorted(disp, t, side="right")) for t in t_grid]
-    series_pairs = tuple((t, c) for t, c in zip(t_grid, counts))
-    ball = OrbitBall(
-        words=_words(numbers[order], np.concatenate(parents), np.concatenate(lasts), letters),
-        matrices=mats[order],
-        displacements=disp,
-        count_series=series_pairs,
-    )
+    disp = np.sort(np.concatenate(kept))
+    counts = tuple((t, int(np.searchsorted(disp, t, side="right"))) for t in t_grid)
     certified = tuple(t < certified_t for t in t_grid)
-    # zero counts and t = 0 cannot live on a log scale; the raw series keeps them
-    positive = [(t, c) for t, c in series_pairs if c > 0 and t > 0]
-    if not positive:
-        positive = [(max(t_max, 1e-9), 1)]
-    series = GrowthSeries.from_pairs(positive, monotone=True)
-    return OrbitCountResult(ball, series, certified, certified_t)
+    return OrbitCountResult(OrbitBall(disp, counts), certified, certified_t)
 
 
 @dataclass(frozen=True)
@@ -530,7 +486,6 @@ def uniform_count_bound(
     preset: FuchsianPreset,
     r: float,
     mode: str = "rigorous",
-    seed: int = 0,
 ) -> UniformBound:
     """Bound sup over base-point pairs of the orbit count at radius r.
 
@@ -543,8 +498,8 @@ def uniform_count_bound(
     ball of radius r + systole/2.  Valid for both kinds and much sharper at
     desk scale.
 
-    empirical: max orbit count over a seeded sample of base-point pairs,
-    flagged heuristic.
+    empirical: max orbit count over a fixed sample of base-point pairs (seed
+    0), flagged heuristic.
 
     All variants are floored at 1 (the identity always counts).
     """
@@ -564,12 +519,12 @@ def uniform_count_bound(
         raw = (math.cosh(r + h) - 1.0) / (math.cosh(h) - 1.0)
         return UniformBound(max(raw, 1.0), True)
     if mode == "empirical":
-        rng = random.Random(seed)
+        rng = random.Random(0)
         worst = 1
         for _ in range(_EMPIRICAL_PAIRS):
             zx = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
             zy = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
-            res = orbit_count(preset, zx, zy, [r], strict=False)
+            res = orbit_count(preset, zx, zy, [r])
             worst = max(worst, res.ball.count_series[0][1])
         return UniformBound(float(worst), False)
     raise DomainError(f"unknown mode {mode!r}, expected one of {BOUND_MODES}")
@@ -606,7 +561,7 @@ def certified_blocking_lower_bound(
     rigorous modes.
     """
     if orbit is None:
-        orbit = orbit_count(preset, x, y, [t], strict=False)
+        orbit = orbit_count(preset, x, y, [t])
     n_t = int(np.searchsorted(orbit.ball.displacements, t, side="right"))
     count_certified = t < orbit.certified_t
     u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
@@ -621,9 +576,8 @@ def blocking_lower_bound_series(
     t_grid: Sequence[float],
     bound_mode: str = "systole",
     max_word_len: int = 24,
-    strict: bool = True,
 ) -> list[BlockingBound]:
-    orbit = orbit_count(preset, x, y, t_grid, max_word_len=max_word_len, strict=strict)
+    orbit = orbit_count(preset, x, y, t_grid, max_word_len=max_word_len)
     return [
         certified_blocking_lower_bound(preset, x, y, t, bound_mode=bound_mode, orbit=orbit)
         for t in t_grid

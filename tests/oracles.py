@@ -245,13 +245,13 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
     than the library's; cocompact children are deduplicated one by one
     against every stored orbit point.  It shares the library's point and
     distance formulas, so outputs compare bit for bit.  Returns
-    (words, matrices, displacements, certified_t), sorted by displacement
-    as ``OrbitBall`` is."""
+    (matrices, displacements, certified_t), sorted by displacement as
+    ``OrbitBall`` is."""
     import numpy as np
 
     from geoblock.hyperbolic import _apply_batch, _distances, _gen_arrays, hyp_distance
 
-    letters, gen_mats, inv_index = _gen_arrays(preset)
+    gen_mats, inv_index = _gen_arrays(preset)
     slack = max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
     cutoff = t_max + slack + margin
     cells = None
@@ -260,7 +260,7 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
         cells = {}
         _claim(cells, (y - x) / (y - x.conjugate()), h)
 
-    all_parent, all_last = [-1], [-1]
+    all_last = [-1]
     all_mats = [np.eye(2)]
     all_disp = [hyp_distance(x, y)]
     lo = 0 if all_disp[0] <= cutoff else 1
@@ -271,7 +271,7 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
             certified_t = min(all_disp[lo:])
             break
         level += 1
-        hi, n_g = len(all_mats), len(letters)
+        hi, n_g = len(all_mats), len(gen_mats)
         children = np.einsum("fij,gjk->fgik", np.array(all_mats[lo:]), gen_mats)
         mask = np.ones((hi - lo, n_g), dtype=bool)
         frontier_last = np.array(all_last[lo:])
@@ -287,22 +287,12 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
                 continue
             if cells is not None and not _claim(cells, complex(disc[idx]), h):
                 continue
-            all_parent.append(lo + int(keep_f[idx]))
             all_last.append(int(keep_g[idx]))
             all_mats.append(children[idx])
             all_disp.append(float(d[idx]))
         lo = hi
 
-    def word(i):
-        out = []
-        while i > 0:
-            out.append(letters[all_last[i]])
-            i = all_parent[i]
-        return " ".join(reversed(out))
-
     order = np.argsort(all_disp, kind="stable")
-    disp = np.array(all_disp)[order]
-    keep = order[disp <= t_max]
-    words = tuple(word(int(i)) for i in keep)
-    return words, np.array(all_mats)[keep], np.array(all_disp)[keep], certified_t
+    keep = order[np.array(all_disp)[order] <= t_max]
+    return np.array(all_mats)[keep], np.array(all_disp)[keep], certified_t
 

@@ -225,7 +225,8 @@ class TestSolveExact:
                 inst = build_instance(space, x, y, t_sq)
                 sol = solve_exact(inst)
                 assert sol.optimal
-                assert sol.size == exhaustive_minimum(inst, sol.greedy_upper)
+                greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
+                assert sol.size == exhaustive_minimum(inst, greedy)
                 assert verify_cover(inst, sol.points)
                 checked += 1
 
@@ -285,7 +286,8 @@ class TestSolveExact:
                 continue
             inst = build_instance(space, x, y, F(rng.randint(1, 5)))
             sol = solve_exact(inst)
-            assert sol.lower_bound <= sol.size <= sol.greedy_upper
+            greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
+            assert sol.lower_bound <= sol.size <= greedy
 
 
 class TestThresholds:
@@ -378,8 +380,9 @@ class TestSampledCost:
         b = blocking_cost_sampled(space, 16, sampler)
         assert a.value == b.value
         assert a.pairs == b.pairs
-        assert a.per_pair == b.per_pair
-        assert a.certified
+        per_pair = [blocking_threshold(space, p, q, 16) for p, q in a.pairs]
+        assert all(res.certified for res in per_pair)
+        assert a.value == max(res.value for res in per_pair)
         assert a.value <= 4
 
     def test_tiny_threshold_keeps_a_near_pair(self):
@@ -394,8 +397,9 @@ class TestSampledCost:
         space = FlatSpace.unit_torus()
         sampler = PairSampler(seed=7, count=10)
         res = blocking_cost_sampled(space, 1, sampler)
-        assert all(v <= 4 for v in res.per_pair)
-        assert res.value == max(res.per_pair)
+        per_pair = [blocking_threshold(space, p, q, 1).value for p, q in res.pairs]
+        assert all(v <= 4 for v in per_pair)
+        assert res.value == max(per_pair)
 
 
 class TestRecursion:

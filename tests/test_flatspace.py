@@ -515,7 +515,11 @@ class TestIntersections:
         g2 = next(s for s in segs if displacement(s) == (F(1), F(-1)))
         hits = intersection_candidates(space, g1, g2)
         assert [h.point for h in hits] == [P("1/2", "1/2")]
-        assert hits[0].s == F(1, 2) and hits[0].u == F(1, 2)
+        assert hits[0].s == F(1, 2)
+        # both segments cross there at their midpoints
+        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un, _ in _intersections(g1, g2)
+                     if space._key_point(key) == P("1/2", "1/2")}
+        assert crossings == {(F(1, 2), F(1, 2))}
 
     def test_full_overlap_of_opposite_wraps(self):
         space = FlatSpace.unit_torus()
@@ -524,7 +528,7 @@ class TestIntersections:
         g2 = next(s for s in segs if displacement(s) == (F(-1), F(0)))
         hits = intersection_candidates(space, g1, g2)
         assert len(hits) == 1
-        assert hits[0].s_interval == (F(0), F(1))
+        assert [interval for *_, interval in _intersections(g1, g2) if interval] == [(F(0), F(1))]
         assert hits[0].point == P("1/2", 0)
 
     def test_transversal_against_slow_oracle(self):
@@ -600,7 +604,9 @@ class TestBilliard:
         x = P("1/4", "1/4")
         fam = connecting_family(space, x, x, 5)
         assert len(fam.sq_lengths[2]) >= 1
-        assert all(s.image != (-1, -1, 1, 1) for s in fam.segments)
+        # the image (-,-,1,1) is (7/4,7/4): displacement (3/2,3/2), lattice
+        # coordinates (3/4,3/4), over x's denominator 8
+        assert all(s.lattice != (6, 6) for s in fam.segments)
 
     def test_four_image_torus_consistency(self):
         # billiard joining counts = sum of 2x2-torus counts over the four
@@ -629,14 +635,17 @@ class TestBilliard:
         # the straight arc from (1/4,1/2) to (3/4,1/2) is blocked at the center
         space = FlatSpace.square_billiard()
         segs = connecting_family(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4)).segments
-        direct = next(s for s in segs if s.image == (1, 1, 0, 0))
+        # the image y itself: displacement (1/2,0), lattice coordinates (1/4,0) over 8
+        direct = next(s for s in segs if s.lattice == (2, 0))
         assert point_on_geodesic(space, P("1/2", "1/2"), direct) == [F(1, 2)]
 
     def test_reflected_segment_folds_back(self):
         # one bounce off the right wall: x=(1/2,1/4), y=(1/2,3/4) via image (-,+,1,0)
         space = FlatSpace.square_billiard()
         segs = connecting_family(space, P("1/2", "1/4"), P("1/2", "3/4"), 4).segments
-        bounced = next(s for s in segs if s.image == (-1, 1, 1, 0))
+        # the image (-,+,1,0) is (3/2,3/4): displacement (1,1/2), lattice
+        # coordinates (1/2,1/4) over 8
+        bounced = next(s for s in segs if s.lattice == (4, 2))
         mid = point_at(bounced, F(1, 2))
         assert mid == P(1 - F(1, 2), F(1, 2)) or mid.x <= 1
         hits = point_on_geodesic(space, mid, bounced)
@@ -646,7 +655,7 @@ class TestBilliard:
 class TestConfigAndExport:
     def test_load_space(self):
         sp = load_space({"kind": "torus", "basis": ["1", "0", "1/2", "1/2"]})
-        assert sp.shortest_sq == F(1, 2)
+        assert shortest_vector(sp)[1] == F(1, 2)
         assert load_space({"kind": "billiard"}).kind == "billiard"
         with pytest.raises(DomainError):
             load_space({"kind": "sphere"})

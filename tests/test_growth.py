@@ -214,7 +214,7 @@ class TestClassifyGrowth:
 
 class TestSeriesIO:
     def test_csv_roundtrip(self, tmp_path):
-        series = series_from_function(lambda t: 2.0 * t, [1, 2, 4, 8], monotone=True)
+        series = series_from_function(lambda t: 2.0 * t, [1, 2, 4, 8])
         path = tmp_path / "series.csv"
         series.to_csv(path)
         back = GrowthSeries.from_csv(path)
@@ -226,8 +226,6 @@ class TestSeriesIO:
             GrowthSeries(((1.0, 1.0), (1.0, 2.0)))
         with pytest.raises(DomainError):
             GrowthSeries(((1.0, 0.0),))
-        with pytest.raises(DomainError):
-            GrowthSeries(((1.0, 2.0), (2.0, 1.0)), monotone=True)
 
     def test_growthclass_json_shape(self):
         series = series_from_function(lambda t: math.exp(t), range(1, 30))

@@ -399,6 +399,21 @@ class TestCli:
         pairs_path.write_text("5")
         assert main(["count", "--config", str(write_config(tmp_path)), "--pairs", str(pairs_path),
                      "--out", str(tmp_path / "pairs_file")]) == 2
+        # billiard pairs with a point the table cannot take as an endpoint, a
+        # wall point or a point off the table, in the config or a --pairs file:
+        # each exited 3, as if a cap had run out
+        billiard = {"kind": "billiard"}
+        for name, pair in (
+            ("wall_point", [["0", "1/2"], ["1/2", "1/3"]]),
+            ("off_table", [["1/3", "1/3"], ["3/2", "1/2"]]),
+        ):
+            cfg_path = write_config(tmp_path, geometry=billiard, pairs=[pair])
+            for command in ("count", "block"):
+                assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
+        pairs_path.write_text(json.dumps([[["0", "1/2"], ["1/2", "1/3"]]]))
+        cfg_path = write_config(tmp_path, geometry=billiard, pairs=[[["1/3", "1/3"], ["2/3", "1/5"]]])
+        assert main(["count", "--config", str(cfg_path), "--pairs", str(pairs_path),
+                     "--out", str(tmp_path / "wall_pairs_file")]) == 2
         # preset files that are not JSON, lack the generators, or hold a three-number row
         for name, text in (
             ("preset_text", "{not json"),
