@@ -32,16 +32,5 @@ from .growth import (
     rate_estimate,
     transform,
 )
-from .hyperbolic import (
-    FuchsianPreset,
-    MobiusMatrix,
-    blocking_lower_bound_series,
-    certified_blocking_lower_bound,
-    hyp_distance,
-    load_preset,
-    orbit_count,
-    uniform_count_bound,
-    word_growth,
-)
 
 __version__ = "0.1.0"

@@ -69,13 +69,14 @@ class IncidenceInstance:
     """Finite hitting-set instance for one connecting family.
 
     ``covers[c]`` is the bitmask of connecting-geodesic slots blocked by
-    candidate ``c``.  Candidates are sorted by point and deduplicated: exact
-    point dedup first (on integer keys), then candidates with identical
-    cover sets collapse to the lexicographically smallest representative.
+    candidate ``c``.  Candidates are the folded points' integer keys
+    (``FlatSpace._fold_key``), sorted by point and deduplicated: exact point
+    dedup first, then candidates with identical cover sets collapse to the
+    lexicographically smallest representative.
     """
 
     family: GeodesicFamily
-    candidates: tuple[RationalPoint, ...]
+    candidates: tuple[Key, ...]
     covers: tuple[int, ...]
 
     @property
@@ -133,8 +134,8 @@ def build_instance(
     interval per row, so a pair costs about its hits) and completed exactly:
     representatives and members of multi-segment collinear clusters are
     re-checked against every candidate with the exact incidence solver, so
-    no membership is missed.  Points stay integer keys
-    (``FlatSpace._fold_key``) until the kept candidates are built.
+    no membership is missed.  Candidates stay integer keys
+    (``FlatSpace._fold_key``); only a returned cover becomes points.
     """
     family = connecting_family(space, x, y, t_sq)
     return build_instance_from_family(family, caps)
@@ -185,7 +186,6 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
     order = _point_order(space, records)
     least = {mask: min(keys, key=order) for mask, keys in groups.items()}
     keep_masks = sorted(least, key=lambda mask: order(least[mask]))
-    keep_points = [space._key_point(least[mask]) for mask in keep_masks]
 
     full = (1 << m) - 1
     covered_union = 0
@@ -193,7 +193,7 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
         covered_union |= mask
     if covered_union != full:
         raise GeoBlockError("internal: some geodesic lost its representative candidate")
-    return IncidenceInstance(family, tuple(keep_points), tuple(keep_masks))
+    return IncidenceInstance(family, tuple(least[mask] for mask in keep_masks), tuple(keep_masks))
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,12 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
                 per_load[load] = per_load.get(load, 0) + 1
         return max(packing, math.ceil(sum(Fraction(n, load) for load, n in per_load.items())))
 
+    def points(chosen: Iterable[int]) -> tuple[RationalPoint, ...]:
+        return tuple(instance.family.space._key_point(instance.candidates[c]) for c in sorted(chosen))
+
     lower = bound(full)
     if capped:
-        pts = tuple(instance.candidates[c] for c in sorted(greedy))
-        return BlockingSolution(pts, len(greedy), lower == len(greedy), lower)
+        return BlockingSolution(points(greedy), len(greedy), lower == len(greedy), lower)
 
     best: list[int] = list(greedy)  # indices into instance.covers
 
@@ -324,7 +326,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
 
     if lower < len(best):
         bnb(full, [])
-    pts = tuple(instance.candidates[c] for c in sorted(set(best)))
+    pts = points(set(best))
     return BlockingSolution(pts, len(pts), True, lower)
 
 

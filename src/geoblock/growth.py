@@ -16,14 +16,16 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
-from typing import Callable, Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 from .errors import DomainError, InsufficientDataError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Real = Union[int, float, Fraction]
 
@@ -84,9 +86,9 @@ def format_sig(x: float) -> str:
     """Decimal with 12 significant digits, no exponent notation; x is finite."""
     if float(x) == int(x) and abs(x) < 1e15:
         return str(int(x))
-    return np.format_float_positional(
-        float(x), precision=12, unique=False, fractional=False, trim="-"
-    )
+    # '%e' rounds correctly to 12 digits; Decimal spells them out positionally
+    text = format(Decimal("%.11e" % float(x)), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 @dataclass(frozen=True)
@@ -111,14 +113,6 @@ class GrowthSeries:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "GrowthSeries":
         return cls(tuple((float(t), float(v)) for t, v in pairs))
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples])
 
     @property
     def t_range(self) -> tuple[float, float]:
@@ -233,7 +227,10 @@ _MODES = ("exponential", "polynomial", "quasi-polynomial")
 
 
 def _tail(f: GrowthSeries, window: float) -> tuple[np.ndarray, np.ndarray]:
-    ts, vs = f.ts, f.values
+    """The samples in the last ``window`` fraction of the t range, as arrays."""
+    import numpy as np
+    ts = np.array([t for t, _ in f.samples])
+    vs = np.array([v for _, v in f.samples])
     lo = ts[0] + (1.0 - window) * (ts[-1] - ts[0])
     mask = ts >= lo
     return ts[mask], vs[mask]
@@ -251,6 +248,7 @@ def rate_estimate(f: GrowthSeries, mode: str = "exponential", window: float = 0.
         raise DomainError(f"unknown mode {mode!r}, expected one of {_MODES}")
     if not 0 < window <= 1:
         raise DomainError("window must be a fraction in (0, 1]")
+    import numpy as np
     ts, vs = _tail(f, window)
     if len(ts) < 8:
         raise InsufficientDataError(f"need >= 8 samples in the fit window, got {len(ts)}")
@@ -273,6 +271,7 @@ def classify_growth(f: GrowthSeries) -> GrowthClass:
     bounded; a rising local exponential rate is super-exponential; otherwise
     the smallest-residual fit among the three modes wins.
     """
+    import numpy as np
     ts, vs = _tail(f, 0.5)
     if len(ts) < 8:
         raise InsufficientDataError(f"need >= 8 samples in the fit window, got {len(ts)}")

@@ -31,6 +31,8 @@ from .blocker import (
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
 from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_space
 from .growth import GrowthSeries, classify_growth, format_sig, kappa_from_squares, rate_estimate
+# loaded by every command (bench/tracing.py wraps its functions); numpy is
+# imported only inside the hyperbolic functions that use it
 from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, orbit_count
 
 __all__ = [

@@ -24,15 +24,16 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BudgetExceededError,
     DomainError,
     UnsupportedInputError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MobiusMatrix",
@@ -107,13 +108,14 @@ class MobiusMatrix:
         return self.a + self.d
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
     def close_to(self, other: "MobiusMatrix", tol: float) -> bool:
         """Equality up to sign within Frobenius tolerance."""
         s = self.as_array()
         o = other.as_array()
-        return min(np.abs(s - o).max(), np.abs(s + o).max()) <= tol
+        return min(abs(s - o).max(), abs(s + o).max()) <= tol
 
     def isometric_circle(self) -> tuple[float, float]:
         """(center, radius) on the real line; requires c != 0."""
@@ -282,6 +284,7 @@ class OrbitCountResult:
 def _gen_arrays(preset: FuchsianPreset) -> tuple[np.ndarray, np.ndarray]:
     """The generators and their inverses as matrices, and the index of each
     one's inverse."""
+    import numpy as np
     mats = np.stack([g.as_array() for _, g in preset.gens_with_inverses()])
     inv_index = np.arange(len(mats)) ^ 1
     return mats, inv_index
@@ -294,6 +297,7 @@ def _apply_batch(mats: np.ndarray, z: complex) -> np.ndarray:
 
 
 def _distances(x: complex, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
     return 2.0 * np.arcsinh(np.abs(pts - x) / (2.0 * np.sqrt(pts.imag * x.imag)))
 
 
@@ -304,6 +308,7 @@ def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     products added to a zero-initialised sum in binary64, with no fused
     multiply-add (a test checks the two agree bit for bit).
     """
+    import numpy as np
     m, g = mats.reshape(-1, 4), gen_mats.reshape(-1, 4)
     out = np.empty((len(m), len(g), 2, 2))
     for i in range(2):
@@ -327,6 +332,7 @@ def _claimed(
     block's left cell on.  With ``rank`` only stored points of lower rank
     than the point's own index count.
     """
+    import numpy as np
     out = np.zeros(len(keys), dtype=bool)
     n = len(store_keys)
     if not n:
@@ -383,6 +389,7 @@ def orbit_count(
     1e-9 float-error budget (octagon at the default base point: t_max about
     19.3) the count raises BudgetExceededError before any expansion.
     """
+    import numpy as np
     if x.imag <= 0 or y.imag <= 0:
         raise DomainError("base points must lie in the upper half-plane")
     t_grid = [float(t) for t in t_grid]
@@ -562,7 +569,7 @@ def certified_blocking_lower_bound(
     """
     if orbit is None:
         orbit = orbit_count(preset, x, y, [t])
-    n_t = int(np.searchsorted(orbit.ball.displacements, t, side="right"))
+    n_t = int(orbit.ball.displacements.searchsorted(t, side="right"))
     count_certified = t < orbit.certified_t
     u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
     value = n_t / (2.0 * u.value)

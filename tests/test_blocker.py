@@ -56,7 +56,7 @@ def recompute_covers(instance):
     space = instance.family.space
     segs = instance.family.connecting_segments()
     out = []
-    for p in instance.candidates:
+    for p in map(space._key_point, instance.candidates):
         mask = 0
         for i, seg in enumerate(segs):
             if _segment_hits(seg, space.key(p)):
@@ -94,7 +94,7 @@ class TestBuildInstance:
     def test_diagonal_candidate_present(self):
         space = FlatSpace.unit_torus()
         inst = build_instance(space, P(0, 0), P(0, 0), F(21, 10))
-        assert P("1/2", "1/2") in inst.candidates
+        assert P("1/2", "1/2") in map(space._key_point, inst.candidates)
 
     def test_covers_match_exact_recomputation(self):
         rng = random.Random(41)
@@ -125,9 +125,9 @@ class TestBuildInstance:
         for _ in range(10):
             x, y = random_point(rng), random_point(rng)
             inst = build_instance(space, x, y, F(rng.randint(1, 8)))
-            xr, yr = space.reduce_point(x), space.reduce_point(y)
-            assert xr not in inst.candidates
-            assert yr not in inst.candidates
+            points = set(map(space._key_point, inst.candidates))
+            assert space.reduce_point(x) not in points
+            assert space.reduce_point(y) not in points
 
 
     def test_matches_reference_build(self):
@@ -149,7 +149,7 @@ class TestBuildInstance:
                 x, y = interior_point(rng), interior_point(rng)
             family = connecting_family(space, x, y, F(rng.randint(1, 16)))
             inst = build_instance_from_family(family)
-            assert (inst.candidates, inst.covers) == reference_instance(family)
+            assert (tuple(map(space._key_point, inst.candidates)), inst.covers) == reference_instance(family)
 
     def test_point_order_exact_under_float_ties(self):
         # keys over a denominator near 10^20: the plane x-coordinates of a and
@@ -198,7 +198,7 @@ class TestBuildInstance:
         # digests of the instances as built with RationalPoint keys throughout
         inst = build_instance(space, x, y, t_sq)
         assert (inst.num_geodesics, inst.num_candidates) == (m, n)
-        text = repr(([str(p) for p in inst.candidates], inst.covers))
+        text = repr(([str(space._key_point(key)) for key in inst.candidates], inst.covers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from geoblock.growth import (
     GrowthSeries,
     TransformParams,
     classify_growth,
+    format_sig,
     kappa,
     rate_estimate,
     transform,
@@ -231,3 +233,49 @@ class TestSeriesIO:
         series = series_from_function(lambda t: math.exp(t), range(1, 30))
         data = rate_estimate(series).to_json()
         assert set(data) == {"kind", "parameter", "residual", "window"}
+
+
+def numpy_sig(x: float) -> str:
+    """12 significant digits, positional, trailing zeros and point trimmed, as numpy prints them."""
+    return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="-")
+
+
+# every finite float, by its bit pattern
+bit_floats = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+# k + j/2^p with 13 significant digits ending in 5 when j is odd: exact ties at 12 digits
+tie_floats = st.integers(1, 4).flatmap(
+    lambda p: st.builds(lambda k, j: k + j / 2**p, st.integers(10 ** (12 - p), 10 ** (13 - p) - 1), st.integers(1, 2**p - 1))
+)
+
+
+class TestFormatSig:
+    """format_sig prints integers below 1e15 exactly and every other finite
+    float as numpy does, from the interpreter's own '%e' and Decimal."""
+
+    @pytest.mark.parametrize("x,text", [
+        (5e-324, "0." + "0" * 323 + "494065645841"),  # the least subnormal
+        (2.5e-310, "0." + "0" * 309 + "25"),
+        (-0.0, "0"),
+        (1e15, "1000000000000000"),
+        (1e16, "10000000000000000"),
+        (-1e16, "-10000000000000000"),
+        (1.5e300, "15" + "0" * 299),
+        (123456789012.5, "123456789012"),  # a tie, rounded to even
+        (123456789013.5, "123456789014"),
+        (0.5, "0.5"),
+        (1 / 3, "0.333333333333"),
+        (-2 / 3, "-0.666666666667"),
+        (123456789012345.0, "123456789012345"),
+    ])
+    def test_pinned(self, x, text):
+        assert format_sig(x) == text
+        if not (x == int(x) and abs(x) < 1e15):
+            assert numpy_sig(x) == text
+
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), bit_floats, tie_floats, tie_floats.map(float.__neg__)))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_numpy(self, x):
+        if x == int(x) and abs(x) < 1e15:
+            assert format_sig(x) == str(int(x))
+        else:
+            assert format_sig(x) == numpy_sig(x)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -541,3 +544,46 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["kind"] == "exponential"
         assert abs(data["parameter"] - 1.0) < 0.01
+
+
+# run in a fresh interpreter: after each step, record its exit code and
+# whether numpy is loaded
+_NUMPY_PROBE = """
+import json, sys
+runs, record = json.loads(sys.argv[1]), sys.argv[2]
+steps = []
+import geoblock
+steps.append(["import geoblock", None, "numpy" in sys.modules])
+import geoblock.cli
+steps.append(["import geoblock.cli", None, "numpy" in sys.modules])
+for argv in runs:
+    steps.append([argv[0], geoblock.cli.main(argv), "numpy" in sys.modules])
+open(record, "w").write(json.dumps(steps))
+"""
+
+
+def test_flat_commands_never_import_numpy(tmp_path):
+    # count, block, verify and recursion-check on the flat configs, and
+    # transform, run without numpy; the billiard recursion-check exits 3 (a
+    # wall blocking point), so only the modules are asserted
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n" + "".join(f"{t},{2 * t}\n" for t in range(1, 9)))
+    runs = [
+        [command, "--config", str(ROOT / "configs" / f"{config}.json"), "--out", str(tmp_path / config)]
+        for config in ("unit_torus", "billiard")
+        for command in ("count", "block", "verify", "recursion-check")
+    ]
+    runs.append(["transform", "--in", str(series), "--out", str(tmp_path / "transformed.csv")])
+    # last, a fuchsian count: it loads numpy, so the probe can see it
+    octagon = tmp_path / "octagon"
+    runs.append(["count", "--config", str(ROOT / "configs" / "octagon.json"), "--out", str(octagon)])
+    record = tmp_path / "steps.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs), str(record)],
+                   env=env, check=True, capture_output=True)
+    *flat, fuchsian = json.loads(record.read_text())
+    assert len(flat) == len(runs) + 1
+    for step, code, numpy_loaded in flat:
+        assert not numpy_loaded, f"{step} (exit {code}) loaded numpy"
+    assert fuchsian == ["count", 0, True]
+    assert (octagon / "count.csv").read_bytes() == (ROOT / "tests" / "golden" / "octagon" / "count.csv").read_bytes()
