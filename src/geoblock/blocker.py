@@ -11,6 +11,14 @@ hence appears among the pairwise intersections (or inside a recorded
 overlap interval, any point of which covers the same collinear segments);
 a point covering exactly one segment can be slid to that segment's own
 representative without uncovering anything.
+
+Early certificates on a torus.  The midpoint cover (at most |Λ/2Λ| = 4
+points) bounds s_t above by its size c.  A prefix of the connecting family
+(the family at a smaller t) is blocked by every set blocking the whole, so a
+certified lower bound on it bounds s_t below; once that reaches c, s_t = c
+with the midpoint cover as the set, and the full instance is never built.
+``recursion_harness`` keeps the full solve: its next level is built from the
+solver's first optimal set.
 """
 
 from __future__ import annotations
@@ -350,7 +358,8 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
     Every torus geodesic from x to y passes through one of them at parameter
     1/2, so after removing x and y they block the whole connecting family
     (a connecting segment whose midpoint were x or y would pass through an
-    endpoint and not be connecting).  Verified before use.
+    endpoint and not be connecting).  Verified before use, in O(m): every
+    connecting segment's midpoint ``key_at(1, 2)``, interior to it, is a key.
     """
     space = family.space
     if not space.is_torus:
@@ -358,10 +367,9 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
     [(x1, x2), (y1, y2)], den = space._lattice_ints(family.x, family.y)
     keys = {space._fold_key(x1 + y1 + a * den, x2 + y2 + b * den, 2 * den) for a in (0, 1) for b in (0, 1)}
     keys -= {space._fold_key(x1, x2, den), space._fold_key(y1, y2, den)}
-    pts = sorted(map(space._key_point, keys))
-    if not verify_cover(family, pts):
+    if any(seg.key_at(1, 2) not in keys for seg in family.connecting_segments()):
         raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
-    return pts
+    return sorted(map(space._key_point, keys))
 
 
 @dataclass(frozen=True)
@@ -369,8 +377,9 @@ class ThresholdResult:
     value: int
     certified: bool
     solution: BlockingSolution
-    instance: IncidenceInstance
+    instance: IncidenceInstance  # the one solved: the family's own, or a certifying prefix's
     midpoint_upper: int | None  # torus only
+    family: GeodesicFamily  # the full connecting family
 
 
 def blocking_threshold(
@@ -383,22 +392,45 @@ def blocking_threshold(
     """Certified minimal blocking-set size for the connecting family.
 
     Falls over to the greedy upper bound (``certified=False``, unless the
-    root bound meets it) when the instance exceeds the candidate cap.
+    root bound meets it) when the instance exceeds the candidate cap.  On a
+    torus a prefix may certify the midpoint cover (see the module docstring).
     """
-    return _threshold(build_instance(space, x, y, t_sq, caps), caps)
+    return _family_threshold(connecting_family(space, x, y, t_sq), caps)
 
 
-def _threshold(instance: IncidenceInstance, caps: SolverCaps) -> ThresholdResult:
-    """``blocking_threshold`` of a built instance."""
-    mid_upper = None
-    if instance.family.space.is_torus and instance.num_geodesics > 0:
-        mid_upper = len(midpoint_cover(instance.family))
+def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResult:
+    """``blocking_threshold`` of a family: first the proper prefixes at t/8,
+    t/4 and t/2, one per size, that hold at least c = |midpoint cover| geodesics."""
+    cover = _torus_cover(family)
+    if cover and family.m <= caps.max_geodesics:
+        c = len(cover)
+        rungs = {family.counts_at(t_sq)[1]: t_sq for t_sq in (family.t_sq / 64, family.t_sq / 16, family.t_sq / 4)}
+        for m, t_sq in rungs.items():
+            if c <= m < family.m:
+                instance = build_instance_from_family(family.within(t_sq), caps)
+                sol = solve_exact(instance, caps)
+                if (sol.size if sol.optimal else sol.lower_bound) >= c:
+                    return ThresholdResult(c, True, BlockingSolution(tuple(cover), c, True, c), instance, c, family)
+    return _threshold(build_instance_from_family(family, caps), caps, cover)
+
+
+def _torus_cover(family: GeodesicFamily) -> list[RationalPoint] | None:
+    """The midpoint cover on a torus; None off a torus or on an empty family."""
+    return midpoint_cover(family) if family.space.is_torus and family.m else None
+
+
+def _threshold(instance: IncidenceInstance, caps: SolverCaps, cover: list[RationalPoint] | None) -> ThresholdResult:
+    """The full solve of a built instance; a capped greedy cover larger than
+    the family's midpoint ``cover`` (``_torus_cover``) gives way to it."""
     sol = solve_exact(instance, caps)
     if not verify_cover(instance, sol.points):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
-    if mid_upper is not None and sol.optimal and sol.size > mid_upper:
-        raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
-    return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper)
+    if cover is not None and sol.size > len(cover):
+        if sol.optimal:
+            raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
+        sol = BlockingSolution(tuple(cover), len(cover), sol.lower_bound >= len(cover), sol.lower_bound)
+    mid_upper = len(cover) if cover is not None else None
+    return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, instance.family)
 
 
 @dataclass(frozen=True)
@@ -476,7 +508,7 @@ def blocking_cost_sampled(
     """The largest threshold at t_sq over the sampler's pairs and, after
     them, each pair's near pair (``_near_pair``) not already sampled.  The
     near pairs keep the lower bound informative at the halved thresholds the
-    transform visits."""
+    transform visits.  On a torus the max stops at its ceiling 4."""
     t_sq = Fraction(t_sq)
     sampled = sampler.pairs(space)
     pairs = list(sampled)
@@ -486,7 +518,11 @@ def blocking_cost_sampled(
         if near and near not in seen:
             seen.add(near)
             pairs.append(near)
-    value = max((blocking_threshold(space, p, q, t_sq, caps).value for p, q in pairs), default=0)
+    value = 0
+    for p, q in pairs:  # no torus value exceeds its midpoint cover, at most |Λ/2Λ| = 4 points
+        value = max(value, blocking_threshold(space, p, q, t_sq, caps).value)
+        if space.is_torus and value == 4:
+            break
     return SampledBlockingCost(value, tuple(pairs))
 
 
@@ -624,9 +660,10 @@ def recursion_harness(
         if terminal:
             counts = [connecting_family(space, p, q, level_t_sq).m for p, q in pairs]
         else:
-            results = [blocking_threshold(space, p, q, level_t_sq, caps) for p, q in pairs]
+            instances = [build_instance(space, p, q, level_t_sq, caps) for p, q in pairs]
+            results = [_threshold(inst, caps, _torus_cover(inst.family)) for inst in instances]
             certified = certified and all(res.certified for res in results)
-            counts = [res.instance.family.m for res in results]
+            counts = [res.family.m for res in results]
             blocking_sizes = [res.value for res in results]
             blocking_sets = [res.solution.points for res in results]
             observed_max.append(max(blocking_sizes) if blocking_sizes else 0)

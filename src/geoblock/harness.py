@@ -21,11 +21,10 @@ from .blocker import (
     CheckRow,
     PairSampler,
     SolverCaps,
+    _family_threshold,
     _round_sig,
-    _threshold,
     blocking_cost_sampled,
     blocking_threshold,
-    build_instance_from_family,
     recursion_harness,
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
@@ -420,7 +419,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     for pi, x, y, t in cfg.cells():
         t_sq = t * t
         thr = blocking_threshold(space, x, y, t_sq, cfg.caps)
-        n, m, s = thr.instance.family.n, thr.instance.family.m, thr.value
+        n, m, s = thr.family.n, thr.family.m, thr.value
         ctx = {
             "pair": pi,
             "x": str(x),
@@ -589,8 +588,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
                 # blocking solves are quadratic in the family size; keep them
                 # on the capped prefix of the grid
                 if t * t <= cfg.threshold_t_sq_cap:
-                    instance = build_instance_from_family(fam.within(t * t), cfg.caps)
-                    s_max = max(s_max, _threshold(instance, cfg.caps).value)
+                    s_max = max(s_max, _family_threshold(fam.within(t * t), cfg.caps).value)
                 n_by_t[float(t)] = max(n_by_t.get(float(t), 0), fam.counts_at(t * t)[0])
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)

@@ -402,6 +402,114 @@ class TestSampledCost:
         assert res.value == max(per_pair)
 
 
+# the tori of the early-certificate tests: unit, skew and the (1/2,1/2) lattice
+EARLY_TORI = (((1, 0), (0, 1)), ((1, 0), (F(1, 3), F(5, 4))), ((1, 0), (F(1, 2), F(1, 2))))
+
+
+def full_threshold(space, x, y, t_sq, caps=SolverCaps()):
+    """The threshold by the full build and solve, with no prefix certificate."""
+    inst = build_instance(space, x, y, t_sq, caps)
+    return blocker._threshold(inst, caps, blocker._torus_cover(inst.family))
+
+
+class TestEarlyCertificate:
+    def test_value_path_matches_full_solve(self):
+        rng = random.Random(83)
+        early = 0
+        for basis in EARLY_TORI:
+            space = FlatSpace.torus(*basis)
+            for _ in range(10):
+                x = random_point(rng, 4)
+                y = x if rng.random() < 0.2 else random_point(rng, 4)
+                t_sq = F(rng.randint(1, 16))
+                res = blocking_threshold(space, x, y, t_sq)
+                full = full_threshold(space, x, y, t_sq)
+                assert res.value == full.value, (basis, x, y, t_sq)
+                assert res.certified or not full.certified
+                assert res.family == full.family
+                assert res.midpoint_upper == full.midpoint_upper
+                # a prefix over the candidate cap certifies through its root bound only
+                capped = blocking_threshold(space, x, y, t_sq, SolverCaps(max_candidates=2))
+                assert capped.value >= full.value and (capped.value == full.value or not capped.certified)
+                if res.instance.family.t_sq < t_sq:
+                    # certified by a prefix: the midpoint cover blocks the full family
+                    early += 1
+                    assert res.certified and res.value == res.midpoint_upper
+                    assert verify_cover(res.family, res.solution.points)
+        assert early >= 5
+
+    def test_shipped_pairs_at_t8_certified_at_four(self):
+        space = FlatSpace.unit_torus()
+        for x, y in ((P(0, 0), P("1/2", 0)), (P(0, 0), P("1/2", "1/2")), (P("1/8", "1/8"), P("5/8", "3/8"))):
+            res = blocking_threshold(space, x, y, 64)
+            assert (res.value, res.certified) == (4, True)
+            assert verify_cover(res.family, res.solution.points)
+
+    def test_capped_torus_value_at_most_midpoint_cover(self):
+        rng = random.Random(89)
+        caps = SolverCaps(max_candidates=2)
+        gave_way = 0
+        for basis in EARLY_TORI:
+            space = FlatSpace.torus(*basis)
+            for _ in range(12):
+                den = rng.choice((3, 5, 6))
+                x = random_point(rng, den)
+                y = x if rng.random() < 0.2 else random_point(rng, den)
+                res = full_threshold(space, x, y, F(rng.randint(1, 12)), caps)
+                if res.midpoint_upper is None:
+                    continue
+                assert res.value <= res.midpoint_upper
+                assert res.certified == (res.solution.lower_bound >= res.value)
+                assert verify_cover(res.family, res.solution.points)
+                gave_way += solve_exact(res.instance, caps).size > res.value
+        assert gave_way > 0
+
+    def test_midpoint_key_check_matches_incidence(self):
+        rng = random.Random(97)
+        for basis in EARLY_TORI:
+            space = FlatSpace.torus(*basis)
+            for trial in range(12):
+                x = random_point(rng, 6)
+                y = x if trial % 4 == 0 else random_point(rng, 6)
+                fam = connecting_family(space, x, y, F(rng.randint(1, 12)))
+                cover = midpoint_cover(fam)
+                assert len(cover) == 3 if space.key(x) == space.key(y) else 3 <= len(cover) <= 4
+                keys = [space.key(p) for p in cover]
+                mids = [seg.key_at(1, 2) for seg in fam.connecting_segments()]
+                assert all(mid in keys for mid in mids) and verify_cover(fam, cover)
+                # on any subset the key check stays sound: it implies blocking
+                for drop in range(len(cover)):
+                    kept = keys[:drop] + keys[drop + 1:]
+                    if all(mid in kept for mid in mids):
+                        assert verify_cover(fam, cover[:drop] + cover[drop + 1:])
+
+    def test_sampled_cost_is_max_of_full_thresholds(self):
+        for basis in EARLY_TORI:
+            space = FlatSpace.torus(*basis)
+            for t_sq in (F(1, 4), 1, 2, 4):
+                res = blocking_cost_sampled(space, t_sq, PairSampler(seed=11, count=6))
+                assert res.value == max(full_threshold(space, p, q, t_sq).value for p, q in res.pairs)
+
+    def test_prefix_certifies_through_its_lower_bound_only(self, monkeypatch):
+        solve = blocker.solve_exact
+
+        def loose(instance, caps=SolverCaps()):
+            # the same cover, reported as a capped one under a weak root bound
+            return dataclasses.replace(solve(instance, caps), optimal=False, lower_bound=0)
+
+        monkeypatch.setattr(blocker, "solve_exact", loose)
+        res = blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 16)
+        assert res.instance.family == res.family and not res.certified
+
+    def test_family_over_geodesic_cap_raises_before_solving(self, monkeypatch):
+        def no_solve(instance, caps=SolverCaps()):
+            raise AssertionError("a prefix was solved")
+
+        monkeypatch.setattr(blocker, "solve_exact", no_solve)
+        with pytest.raises(GeoBlockError, match="exceeds cap"):
+            blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 16, SolverCaps(max_geodesics=10))
+
+
 class TestRecursion:
     def test_below_injectivity_radius_vacuous(self):
         space = FlatSpace.unit_torus()

@@ -33,7 +33,7 @@ def nms(space, x, y, t_sq):
     """(n_t, m_t, s_t) from one certified threshold computation."""
     thr = blocking_threshold(space, x, y, t_sq)
     assert thr.certified
-    fam = thr.instance.family
+    fam = thr.family
     return fam.n, fam.m, thr.value
 
 
