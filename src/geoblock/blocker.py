@@ -2,15 +2,24 @@
 halving decomposition and its inequality checks.
 
 Reduction to a finite instance.  For a family of connecting geodesics the
-candidate blocking points are (a) every pairwise interior intersection
-point, (b) one interior representative per segment (parameter 1/2), and
-(c) one representative per maximal overlap interval of collinear clusters.
-This preserves the optimum by an exchange argument: a blocking point
-covering two or more segments is a common interior point of two of them,
-hence appears among the pairwise intersections (or inside a recorded
-overlap interval, any point of which covers the same collinear segments);
-a point covering exactly one segment can be slid to that segment's own
+candidate blocking points are (a) every pairwise transversal crossing and
+(b) one interior representative per segment (parameter 1/2).  This
+preserves the optimum by an exchange argument: a blocking point covering
+two or more segments lies on two of them, which cross there, so it appears
+among the pairwise crossings, or share a carrier there (below); a point
+covering exactly one segment can be slid to that segment's own
 representative without uncovering anything.
+
+Connecting segments never overlap.  Unfold to the torus R^2/Λ and mark the
+points G·x ∪ G·y.  A connecting segment and its images under G have no mark
+inside, so each is an arc between consecutive marks of a closed geodesic,
+and two such arcs coincide or have disjoint interiors.  Coinciding with one
+orientation, both start at x, so they are one segment: an admitted endpoint
+has a trivial stabilizer.  Coinciding reversed, they make x ∈ G·y, so
+x = y and they are a loop and its reverse: their midpoints fold to one key,
+and they cross every other segment at the same points.  So a point on such
+a pair alone covers what the pair's midpoint covers, and every recorded
+point's cover holds all the segments through it.
 
 Early certificates on a torus.  The midpoint cover (at most |Λ/2Λ| = 4
 points) bounds s_t above by its size c.  A prefix of the connecting family
@@ -33,7 +42,6 @@ from .errors import DomainError, GeoBlockError
 from .flatspace import (
     FlatSpace,
     GeodesicFamily,
-    GeodesicSegment,
     Key,
     RationalPoint,
     _blocking_key,
@@ -96,17 +104,6 @@ class IncidenceInstance:
         return len(self.candidates)
 
 
-def _direction_class_key(space: FlatSpace, seg: GeodesicSegment) -> tuple:
-    """Carrier-direction key: segments with equal keys may share a carrier.
-
-    The primitive lattice direction, up to reversal and the group's flips
-    (folding reflects directions)."""
-    a1, a2 = seg.lattice
-    g = math.gcd(a1, a2)
-    a1, a2 = a1 // g, a2 // g
-    return max(key for s1, s2 in space.group for key in ((s1 * a1, s2 * a2), (-s1 * a1, -s2 * a2)))
-
-
 def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], object]:
     """A sort key giving the exact point order on ``keys``.
 
@@ -137,12 +134,11 @@ def build_instance(
     """Reduce geometric blocking of the connecting family to a hitting set.
 
     Cover sets are bitmasks over the connecting segments, assembled from the
-    construction records (each pairwise intersection names the two segments
-    it lies on; ``flatspace._intersections`` steps through one solved k2
-    interval per row, so a pair costs about its hits) and completed exactly:
-    representatives and members of multi-segment collinear clusters are
-    re-checked against every candidate with the exact incidence solver, so
-    no membership is missed.  Candidates stay integer keys
+    construction records: each midpoint names its segment, and each pairwise
+    crossing the two segments it lies on (``flatspace._intersections`` steps
+    through one solved k2 interval per row, so a pair costs about its hits).
+    Since connecting segments never overlap (module docstring), a record
+    names every segment through its point.  Candidates stay integer keys
     (``FlatSpace._fold_key``); only a returned cover becomes points.
     """
     family = connecting_family(space, x, y, t_sq)
@@ -170,22 +166,6 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
                 records[hit[0]] = records.get(hit[0], 0) | pair
     for end in (segs[0].key_at(0, 1), segs[0].key_at(1, 1)):
         records.pop(end, None)
-
-    # complete the cover sets for collinear clusters: a point recorded from one
-    # pair can sit inside another parallel segment's overlap without being that
-    # pair's interval representative.  A transversal neighbor would have named
-    # the point itself, so only candidates whose records are all mutually
-    # parallel can miss a membership, and only within that one cluster.
-    classes: dict[tuple, list[int]] = {}
-    for i, seg in enumerate(segs):
-        classes.setdefault(_direction_class_key(space, seg), []).append(i)
-    # each segment's cluster: its members and their mask
-    cluster = {i: (members, sum(1 << j for j in members)) for members in classes.values() for i in members}
-    for key, mask in records.items():
-        members, same = cluster[(mask & -mask).bit_length() - 1]
-        if not mask & ~same:
-            missing = (i for i in members if not mask >> i & 1)
-            records[key] = mask | sum(1 << i for i in missing if _segment_hits(segs[i], key))
 
     # dedup identical cover sets, keeping the lexicographically smallest point
     groups: dict[int, list[Key]] = {}

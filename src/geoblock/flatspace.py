@@ -470,38 +470,19 @@ def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Ke
 
 @dataclass(frozen=True)
 class IntersectionHit:
-    """A common interior point of two segments, at parameter s of the first.
-
-    A parallel overlap is reported once per maximal interval, at its
-    midpoint.
-    """
+    """A transversal crossing of two segments, at parameter s of the first."""
 
     point: RationalPoint
     s: Fraction
 
 
-def _merge_open_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Union of open intervals as maximal open components.
-
-    Abutting intervals (a,b),(b,c) stay separate: the shared endpoint is not
-    in the union.
-    """
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo < out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple]:
-    """Common interior points as (key_at(sn, sd), sn, sd, un, s_interval).
+def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple[Key, int, int, int]]:
+    """Transversal crossings in both interiors as (key_at(sn, sd), sn, sd, un).
 
     Solves x + u*b = h*(x + s*a) + lambda over the flips h, in integer
     lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral.  A
-    crossing is at s = sn/sd, u = un/sd, sd > 0; an overlap is reported at
-    the midpoint s = sn/sd of each maximal interval, with un None.
+    crossing is at s = sn/sd, u = un/sd, sd > 0.  A flip making the two
+    parallel yields nothing: connecting segments never overlap (``blocker``).
 
     Crossings cost about their hits: sn and un are affine in k, so each k1
     row of the box solves for the k2 interval that keeps one of them in
@@ -511,61 +492,44 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple]:
     a1, a2 = g1.lattice
     b1, b2 = g2.lattice
     hits = []
-    overlaps: list[tuple[Fraction, Fraction]] = []
     for s1, s2 in g1.space.group:
         h1, h2 = s1 * a1, s2 * a2
+        cross = b1 * h2 - b2 * h1
+        if not cross:
+            continue
         c1, c2 = s1 * x1 - x1, s2 * x2 - x2
         # r = u*B - s*H over s, u in [0, 1] stays in this box
         k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
         k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
-        cross = b1 * h2 - b2 * h1
-        if cross:
-            # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over
-            # the positive denominator sd = |cross| so that the fold sees den > 0
-            sign = 1 if cross > 0 else -1
-            sd = sign * cross
-            # on a k1 row sn = sn0 + ds*k2 and un = un0 + du*k2; the next row adds dsr, dur
-            ds, du, dsr, dur = -sign * b1 * den, -sign * h1 * den, sign * b2 * den, sign * h2 * den
-            r1 = c1 + k1_lo * den
-            sn0, un0 = sign * (r1 * b2 - c2 * b1), sign * (r1 * h2 - c2 * h1)
-            # step through the k2 interval where the steeper of sn, un lies in
-            # (0, sd), keeping the points where the other does too
-            a, r, b = (sn0, dsr, ds) if abs(ds) >= abs(du) else (un0, dur, du)
-            if b < 0:
-                a, r, b = sd - a, -r, -b
-            for _ in range(k1_hi - k1_lo + 1):
-                lo, hi = -a // b + 1, (sd - 1 - a) // b
-                sn, un = sn0 + lo * ds, un0 + lo * du
-                for _ in range(hi - lo + 1):
-                    if 0 < sn < sd and 0 < un < sd:
-                        hits.append((g1.key_at(sn, sd), sn, sd, un, None))
-                    sn, un = sn + ds, un + du
-                sn0, un0, a = sn0 + dsr, un0 + dur, a + r
-            continue
-        k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
-        k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
-        for k1 in range(k1_lo, k1_hi + 1):
-            r1 = c1 + k1 * den
-            for k2 in range(k2_lo, k2_hi + 1):
-                r2 = c2 + k2 * den
-                if r1 * h2 == r2 * h1:
-                    # parallel carriers: s = u*c + tau with B = c*H and r = -tau*H
-                    c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
-                    tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)
-                    lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
-                    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-                    if lo < hi:
-                        overlaps.append((lo, hi))
-    for lo, hi in _merge_open_intervals(overlaps):
-        mid = (lo + hi) / 2
-        hits.append((g1.key_at(mid.numerator, mid.denominator), mid.numerator, mid.denominator, None, (lo, hi)))
+        # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over
+        # the positive denominator sd = |cross| so that the fold sees den > 0
+        sign = 1 if cross > 0 else -1
+        sd = sign * cross
+        # on a k1 row sn = sn0 + ds*k2 and un = un0 + du*k2; the next row adds dsr, dur
+        ds, du, dsr, dur = -sign * b1 * den, -sign * h1 * den, sign * b2 * den, sign * h2 * den
+        r1 = c1 + k1_lo * den
+        sn0, un0 = sign * (r1 * b2 - c2 * b1), sign * (r1 * h2 - c2 * h1)
+        # step through the k2 interval where the steeper of sn, un lies in
+        # (0, sd), keeping the points where the other does too
+        a, r, b = (sn0, dsr, ds) if abs(ds) >= abs(du) else (un0, dur, du)
+        if b < 0:
+            a, r, b = sd - a, -r, -b
+        for _ in range(k1_hi - k1_lo + 1):
+            lo, hi = -a // b + 1, (sd - 1 - a) // b
+            sn, un = sn0 + lo * ds, un0 + lo * du
+            for _ in range(hi - lo + 1):
+                if 0 < sn < sd and 0 < un < sd:
+                    hits.append((g1.key_at(sn, sd), sn, sd, un))
+                sn, un = sn + ds, un + du
+            sn0, un0, a = sn0 + dsr, un0 + dur, a + r
     return hits
 
 
 def intersection_candidates(
     space: FlatSpace, g1: GeodesicSegment, g2: GeodesicSegment
 ) -> list[IntersectionHit]:
-    """All points interior to both segments, exact, sorted by point.
+    """All transversal crossings interior to both segments, exact, sorted by
+    point; segments on one carrier yield none.
 
     De-duplicated by the folded point's key, keeping the least s.  The
     endpoints x and y, folded into the fundamental domain, never appear,
@@ -576,7 +540,7 @@ def intersection_candidates(
     if g1.lattice == g2.lattice:
         raise DomainError("segments must be distinct")
     seen: dict[Key, IntersectionHit] = {}
-    for key, sn, sd, _, _ in _intersections(g1, g2):
+    for key, sn, sd, _ in _intersections(g1, g2):
         s = Fraction(sn, sd)
         if key not in seen or s < seen[key].s:
             seen[key] = IntersectionHit(g1.space._key_point(key), s)

@@ -146,18 +146,13 @@ def pairwise_undominated(covers):
     return sorted(kept)
 
 
-def reference_intersections(g1, g2):
-    """Common interior points of two segments as (key, sn, sd, un, interval),
-    the tuples ``flatspace._intersections`` returns, by scanning every cell
-    of the integer box that holds u*B - s*H for s, u in [0, 1] and folding
-    each crossing through ``key_at``."""
-    from geoblock.flatspace import _merge_open_intervals
-
+def _scan_box(g1, g2):
+    """For each flip h, yield H = h*A, the lattice direction of h*g1, and
+    the cells r = (h*X - X) + D*k of the integer box that holds u*B - s*H
+    for s, u in [0, 1], over the segments' D."""
     x1, x2, den = g1.origin
     a1, a2 = g1.lattice
     b1, b2 = g2.lattice
-    hits = []
-    overlaps = []
     for s1, s2 in g1.space.group:
         h1, h2 = s1 * a1, s2 * a2
         c1, c2 = s1 * x1 - x1, s2 * x2 - x2
@@ -165,62 +160,97 @@ def reference_intersections(g1, g2):
         k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
         k2_lo = (min(0, b2) + min(0, -h2) - c2) // den
         k2_hi = -((c2 - max(0, b2) - max(0, -h2)) // den)
+        cells = ((c1 + k1 * den, c2 + k2 * den) for k1 in range(k1_lo, k1_hi + 1) for k2 in range(k2_lo, k2_hi + 1))
+        yield (h1, h2), cells
+
+
+def reference_intersections(g1, g2):
+    """Transversal crossings in both interiors as (key, sn, sd, un), the
+    tuples ``flatspace._intersections`` returns, by solving every cell of
+    the box scan and folding each crossing through ``key_at``."""
+    b1, b2 = g2.lattice
+    hits = []
+    for (h1, h2), cells in _scan_box(g1, g2):
         cross = b1 * h2 - b2 * h1
+        if not cross:
+            continue
         sign = 1 if cross > 0 else -1
         sd = sign * cross
-        for k1 in range(k1_lo, k1_hi + 1):
-            r1 = c1 + k1 * den
-            for k2 in range(k2_lo, k2_hi + 1):
-                r2 = c2 + k2 * den
-                if cross:
-                    sn = sign * (r1 * b2 - r2 * b1)
-                    un = sign * (r1 * h2 - r2 * h1)
-                    if 0 < sn < sd and 0 < un < sd:
-                        hits.append((g1.key_at(sn, sd), sn, sd, un, None))
-                elif r1 * h2 == r2 * h1:
-                    c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
-                    tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)
-                    lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
-                    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-                    if lo < hi:
-                        overlaps.append((lo, hi))
-    for lo, hi in _merge_open_intervals(overlaps):
-        mid = (lo + hi) / 2
-        hits.append((g1.key_at(mid.numerator, mid.denominator), mid.numerator, mid.denominator, None, (lo, hi)))
+        for r1, r2 in cells:
+            sn = sign * (r1 * b2 - r2 * b1)
+            un = sign * (r1 * h2 - r2 * h1)
+            if 0 < sn < sd and 0 < un < sd:
+                hits.append((g1.key_at(sn, sd), sn, sd, un))
     return hits
+
+
+def reference_overlaps(g1, g2):
+    """The open intervals of g1's parameter s on which g1 runs along an image
+    of g2, one per cell of the box scan that puts the two on one carrier,
+    unmerged."""
+    b1, b2 = g2.lattice
+    overlaps = []
+    for (h1, h2), cells in _scan_box(g1, g2):
+        if b1 * h2 != b2 * h1:
+            continue
+        for r1, r2 in cells:
+            if r1 * h2 == r2 * h1:
+                # one carrier: s = u*c + tau with B = c*H and r = -tau*H
+                c = Fraction(b1, h1) if h1 else Fraction(b2, h2)
+                tau = -Fraction(r1, h1) if h1 else -Fraction(r2, h2)
+                lo, hi = (tau, tau + c) if c > 0 else (tau + c, tau)
+                lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+                if lo < hi:
+                    overlaps.append((lo, hi))
+    return overlaps
 
 
 def reference_instance(family):
     """Candidates and covers of the family's hitting-set instance, built the
-    plain way: RationalPoint records from the box-scan intersections
-    (``reference_intersections``) and each segment's midpoint, the collinear
-    completion, a sort of every recorded point, and the first point per
-    cover set."""
-    from geoblock.blocker import _direction_class_key
+    plain way: RationalPoint records from each segment's midpoint and the
+    box-scan crossings (``reference_intersections``), each record's cover
+    completed by exact incidence with every other connecting segment, and
+    the least point per cover set, sorted."""
     from geoblock.flatspace import _segment_hits
 
     space, segs = family.space, family.connecting_segments()
     records = {}
     for i, seg in enumerate(segs):
-        records.setdefault(point_at(seg, Fraction(1, 2)), set()).add(i)
-    ends = {space.reduce_point(family.x), space.reduce_point(family.y)}
-    for i, j in itertools.combinations(range(len(segs)), 2):
-        for key, *_ in reference_intersections(segs[i], segs[j]):
+        point = point_at(seg, Fraction(1, 2))
+        records[point] = records.get(point, 0) | 1 << i
+    for (i, g1), (j, g2) in itertools.combinations(enumerate(segs), 2):
+        for key, *_ in reference_intersections(g1, g2):
             point = space._key_point(key)
-            if point not in ends:
-                records.setdefault(point, set()).update((i, j))
-    classes = [_direction_class_key(space, seg) for seg in segs]
-    for point, covered in records.items():
-        if len({classes[i] for i in covered}) == 1:
-            cls = classes[next(iter(covered))]
-            covered.update(i for i, c in enumerate(classes) if c == cls and _segment_hits(segs[i], space.key(point)))
-    candidates, covers = [], []
-    for point in sorted(records):
-        mask = sum(1 << i for i in records[point])
-        if mask not in covers:
-            candidates.append(point)
-            covers.append(mask)
-    return tuple(candidates), tuple(covers)
+            records[point] = records.get(point, 0) | 1 << i | 1 << j
+    for end in (family.x, family.y):
+        records.pop(space.reduce_point(end), None)
+    # z can lie on a segment from x with primitive lattice direction p only
+    # if cross(p, g*z - x) is an integer for some flip g; the incidence solve
+    # runs only where that holds
+    x1, x2, den = segs[0].origin if segs else (0, 0, 1)
+    lines = []
+    for seg in segs:
+        g = math.gcd(*seg.lattice)
+        p1, p2 = seg.lattice[0] // g, seg.lattice[1] // g
+        lines.append((p1, p2, p1 * x2 - p2 * x1))
+    groups = {}
+    for point, mask in records.items():
+        key = space.key(point)
+        z1, z2, zden = key
+        q = math.lcm(den, zden)
+        fz, fx = q // zden, q // den
+        images = [(s1 * z1 * fz, s2 * z2 * fz) for s1, s2 in space.group]
+        for i, (p1, p2, c) in enumerate(lines):
+            if mask >> i & 1:
+                continue
+            for w1, w2 in images:
+                if (p1 * w2 - p2 * w1 - c * fx) % q == 0:
+                    if _segment_hits(segs[i], key):
+                        mask |= 1 << i
+                    break
+        groups.setdefault(mask, []).append(point)
+    least = sorted((min(group), mask) for mask, group in groups.items())
+    return tuple(point for point, _ in least), tuple(mask for _, mask in least)
 
 
 def _claim(cells, w, h):

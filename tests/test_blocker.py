@@ -99,10 +99,10 @@ class TestBuildInstance:
     def test_covers_match_exact_recomputation(self):
         rng = random.Random(41)
         space = FlatSpace.unit_torus()
-        for _ in range(20):
-            x, y = random_point(rng), random_point(rng)
-            if x == y:
-                continue
+        for k in range(30):
+            x = random_point(rng)
+            # the last ten are loops, x = y: opposite wraps share their carrier
+            y = random_point(rng) if k < 20 else x
             inst = build_instance(space, x, y, F(rng.randint(1, 6)))
             recomputed = recompute_covers(inst)
             # dedup keeps one representative per cover set, so compare as sets
@@ -112,10 +112,9 @@ class TestBuildInstance:
     def test_billiard_covers_match_exact_recomputation(self):
         rng = random.Random(43)
         space = FlatSpace.square_billiard()
-        for _ in range(10):
-            x, y = interior_point(rng), interior_point(rng)
-            if x == y:
-                continue
+        for k in range(20):
+            x = interior_point(rng)
+            y = interior_point(rng) if k < 10 else x
             inst = build_instance(space, x, y, F(rng.randint(1, 4)))
             assert inst.covers == recompute_covers(inst)
 
@@ -193,6 +192,11 @@ class TestBuildInstance:
          "6bcc4cae4c54e2e950054721a250b9107c7aedb1c9e059c4674d30d4f7fd8413"),
         (FlatSpace.square_billiard(), HARD_X, HARD_Y, 9, 27, 299,
          "777e7408fddac757ad2c081e9fbfe032f0df22739d9ea234290d6170ab353b1b"),
+        # loops, x = y: each connecting segment shares its carrier with its reverse
+        (FlatSpace.unit_torus(), P("1/8", "1/8"), P("1/8", "1/8"), 25, 48, 105,
+         "5f627d9fe4855abb16e33371a4df603af8f48473319b2f87d9e7642c07257831"),
+        (FlatSpace.square_billiard(), HARD_X, HARD_X, 9, 14, 21,
+         "0542c658f1bf72df652289a5222b7a0c56b72120ca266e7dd40440fb9f975a97"),
     ])
     def test_largest_instances_pinned(self, space, x, y, t_sq, m, n, digest):
         # digests of the instances as built with RationalPoint keys throughout

@@ -17,7 +17,15 @@ from geoblock.flatspace import (
     load_space,
     shortest_vector,
 )
-from oracles import classify, displacement, point_at, point_on_geodesic, reference_intersections, sq_length
+from oracles import (
+    classify,
+    displacement,
+    point_at,
+    point_on_geodesic,
+    reference_intersections,
+    reference_overlaps,
+    sq_length,
+)
 
 P = RationalPoint.of
 F = Fraction
@@ -517,19 +525,9 @@ class TestIntersections:
         assert [h.point for h in hits] == [P("1/2", "1/2")]
         assert hits[0].s == F(1, 2)
         # both segments cross there at their midpoints
-        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un, _ in _intersections(g1, g2)
+        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in _intersections(g1, g2)
                      if space._key_point(key) == P("1/2", "1/2")}
         assert crossings == {(F(1, 2), F(1, 2))}
-
-    def test_full_overlap_of_opposite_wraps(self):
-        space = FlatSpace.unit_torus()
-        segs = self._segments(space, P(0, 0), P(0, 0), 1)
-        g1 = next(s for s in segs if displacement(s) == (F(1), F(0)))
-        g2 = next(s for s in segs if displacement(s) == (F(-1), F(0)))
-        hits = intersection_candidates(space, g1, g2)
-        assert len(hits) == 1
-        assert [interval for *_, interval in _intersections(g1, g2) if interval] == [(F(0), F(1))]
-        assert hits[0].point == P("1/2", 0)
 
     def test_transversal_against_slow_oracle(self):
         # solve u*w - s*h(v) = h(x) - x + lambda in the plane, flip by flip,
@@ -547,7 +545,7 @@ class TestIntersections:
                     continue
                 g1, g2 = rng.sample(segs, 2)
                 v, w = displacement(g1), displacement(g2)
-                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un, _ in _intersections(g1, g2) if un is not None}
+                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un in _intersections(g1, g2)}
                 expected = set()
                 for e1, e2 in space.group:
                     hv = (e1 * v[0], e2 * v[1])
@@ -571,18 +569,48 @@ class TestIntersections:
 
     def test_kernel_matches_box_scan_oracle(self):
         rng = random.Random(31)
-        overlaps = 0
         for space in (FlatSpace.unit_torus(), SKEW, FlatSpace.square_billiard()):
             for _ in range(6):
                 x = random_point(rng, space)
-                # y = x gives opposite wraps on one carrier: parallel overlaps
+                # y = x puts opposite wraps on one carrier, where neither side reports a crossing
                 y = x if rng.random() < 0.3 else random_point(rng, space)
                 segs = self._segments(space, x, y, F(rng.randint(1, 10)))
                 for g1, g2 in itertools.permutations(segs, 2):
-                    hits = _intersections(g1, g2)
-                    assert Counter(hits) == Counter(reference_intersections(g1, g2))
-                    overlaps += sum(h[3] is None for h in hits)
-        assert overlaps > 0
+                    assert Counter(_intersections(g1, g2)) == Counter(reference_intersections(g1, g2))
+
+    def test_connecting_segments_never_overlap(self):
+        # blocker's module docstring: two connecting segments on one carrier
+        # coincide, reversed, and only when x = y.  Endpoints come from a grid
+        # with wall points, kept where the space admits them.
+        rng = random.Random(37)
+        overlapping = 0
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+                      FlatSpace.square_billiard()):
+            steps = [space.from_lattice(*c) for c in ((1, 0), (0, 1), (1, 1), (1, -1))]
+            families = 0
+            while families < 24:
+                n = rng.choice((2, 3, 4, 6))
+                x = P(F(rng.randint(0, n), n), F(rng.randint(0, n), n))
+                draw = rng.randrange(3)
+                if draw == 0:
+                    y = x
+                elif draw == 1:  # on a rational line through x
+                    v, k = rng.choice(steps), F(rng.choice((-1, 1)) * rng.randint(1, 11), 24)
+                    y = RationalPoint(x.x + k * v[0], x.y + k * v[1])
+                else:
+                    y = P(F(rng.randint(0, n), n), F(rng.randint(0, n), n))
+                if not (space.admits_endpoint(x) and space.admits_endpoint(y)):
+                    continue
+                families += 1
+                segs = connecting_family(space, x, y, rng.randint(1, 20)).connecting_segments()
+                for g1, g2 in itertools.combinations(segs, 2):
+                    overlaps = reference_overlaps(g1, g2)
+                    if overlaps:
+                        overlapping += 1
+                        assert space.key(x) == space.key(y)
+                        assert set(overlaps) == {(0, 1)}
+                        assert g1.key_at(1, 2) == g2.key_at(1, 2)
+        assert overlapping > 0
 
     def test_rejects_mixed_families(self):
         space = FlatSpace.unit_torus()
