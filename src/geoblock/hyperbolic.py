@@ -2,11 +2,13 @@
 
 Upper half-plane model throughout, binary64 floats; rounding error grows
 linearly in word length and is budgeted at 1e-9.  A cocompact orbit search
-is complete by a tile-chain argument: with F a fundamental polygon of
-centre c and circumradius R whose sides the generators pair, the path
-c -> x -> g y -> g c crosses side-adjacent tiles from F to g F, each
-holding a point of the path, so every g with d(x, g y) <= t is reached
-through elements within max(d(x, c), t + d(y, c)) + R + d(y, c).
+is complete by a Voronoi-chain argument: loading certifies that the
+generators' bisector polygon F about the preset's centre c is the
+Dirichlet domain at c, the Voronoi cell of c in its orbit, so the path
+c -> x -> g y -> g c crosses side-adjacent tiles from F to g F whose
+centres lie no farther from the path than c or g c do, and every g with
+d(x, g y) <= t is reached through elements within
+max(d(x, c) + d(y, c), t + 2 d(y, c)).
 Cocompact orbits are deduplicated by orbit point: distinct elements of a
 torsion-free group move a base point at least one systole apart, and
 orbit_count refuses a cutoff at which that gap, seen in the disc centred at
@@ -132,9 +134,10 @@ class FuchsianPreset:
     ``diameter`` and ``area`` are quotient-surface metadata used by the
     rigorous counting bounds (cocompact presets only); ``systole`` is a
     lower bound on the shortest translation length and is valid for both
-    kinds.  Cocompact presets also carry the ``centre`` of a fundamental
-    polygon whose sides the generators pair, and an upper bound on its
-    ``circumradius``; orbit_count's search cutoff rests on them.
+    kinds.  Cocompact presets also carry a ``centre`` c: loading certifies
+    that the bisector half-planes of c and s c, s a generator or inverse,
+    cut out the Dirichlet domain at c, on which orbit_count's search cutoff
+    rests.
     """
 
     name: str
@@ -146,7 +149,6 @@ class FuchsianPreset:
     area: float | None
     systole: float | None
     centre: complex | None
-    circumradius: float | None
 
     def gens_with_inverses(self) -> list[tuple[str, MobiusMatrix]]:
         out = []
@@ -181,17 +183,22 @@ class FuchsianPreset:
             # orbit_count's dedup rests on it
             if not isinstance(self.systole, (int, float)) or not self.systole > 0:
                 raise DomainError("cocompact preset needs a positive systole")
-            # and its search cutoff on these
-            if self.centre is None or not isinstance(self.circumradius, (int, float)):
-                raise DomainError("cocompact preset needs its polygon centre and circumradius")
-            if not self.centre.imag > 0 or not self.circumradius > 0:
-                raise DomainError("polygon centre must lie in the upper half-plane, circumradius > 0")
-            # the side neighbours g F of the polygon F touch F
-            for name, g in self.gens_with_inverses():
-                if hyp_distance(self.centre, g.apply(self.centre)) > 2.0 * self.circumradius:
-                    raise DomainError(
-                        f"generator {name} moves the polygon centre more than twice the circumradius"
-                    )
+            # and its search cutoff on the Dirichlet domain at the centre
+            if self.centre is None:
+                raise DomainError("cocompact preset needs its polygon centre")
+            if not self.centre.imag > 0:
+                raise DomainError("polygon centre must lie in the upper half-plane")
+            # the Dirichlet domain lies inside the bisector polygon, and a
+            # genus-g surface, relator of 4g letters, has area 4 pi (g - 1):
+            # equal areas make the two equal
+            polygon = _bisector_polygon(self.centre, self.gens_with_inverses())
+            area = (len(polygon) - 2) * math.pi - sum(angle for _, angle in polygon)
+            surface = math.pi * (len(self.relator.split()) - 4)
+            if abs(area - surface) > _FLOAT_ERR:
+                raise DomainError(
+                    f"the generators' bisector polygon about the centre has area {area:.12g}, "
+                    f"not the surface's {surface:.12g}: it is not the Dirichlet domain there"
+                )
         elif self.kind == "schottky":
             # ping-pong certificate: isometric circles of all generators and
             # inverses pairwise disjoint
@@ -224,10 +231,52 @@ class FuchsianPreset:
             area=data.get("A"),
             systole=data.get("systole"),
             centre=complex(*data["centre"]) if "centre" in data else None,
-            circumradius=data.get("circumradius"),
         )
         preset.validate()
         return preset
+
+
+def _bisector_polygon(
+    centre: complex, gens: Sequence[tuple[str, MobiusMatrix]]
+) -> list[tuple[complex, float]]:
+    """The polygon of the half-planes {p : d(p, c) <= d(p, s c)}, s over
+    ``gens``, as its vertices in the Klein disc centred at c with their
+    interior angles, counterclockwise.
+
+    In that disc the half-plane of s is k . u <= h, with u the direction of
+    s c and h = tanh(d(c, s c) / 2).  Sorted by direction, consecutive lines
+    meet at the vertices, where cos(angle) = -(u1 . u2 - h1 h2) /
+    sqrt((1 - h1^2)(1 - h2^2)).  Raises DomainError unless consecutive
+    directions turn by less than pi and every vertex lies inside the disc
+    and strictly inside every other half-plane: then the polygon is compact
+    and each s bounds exactly one side.
+    """
+    lines = []
+    for name, s in gens:
+        z = s.apply(centre)
+        w = (z - centre) / (z - centre.conjugate())  # Poincare disc: |w| = h
+        lines.append((math.atan2(w.imag, w.real), w / abs(w), abs(w), name))
+    lines.sort(key=lambda line: line[0])
+    polygon = []
+    for (_, u1, h1, n1), (_, u2, h2, n2) in zip(lines, lines[1:] + lines[:1]):
+        # the sine of the turn from u1 to u2
+        turn = u1.real * u2.imag - u1.imag * u2.real
+        vertex = math.inf
+        if turn > 0:
+            vertex = complex(h1 * u2.imag - h2 * u1.imag, h2 * u1.real - h1 * u2.real) / turn
+        if not abs(vertex) < 1 or any(
+            n not in (n1, n2) and not vertex.real * u.real + vertex.imag * u.imag < h
+            for _, u, h, n in lines
+        ):
+            raise DomainError(
+                f"the bisectors of {n1} and {n2} about the polygon centre meet at no vertex "
+                "of a compact polygon: it is not the Dirichlet domain there"
+            )
+        cos_angle = -(u1.real * u2.real + u1.imag * u2.imag - h1 * h2) / math.sqrt(
+            (1.0 - h1 * h1) * (1.0 - h2 * h2)
+        )
+        polygon.append((vertex, math.acos(cos_angle)))
+    return polygon
 
 
 def _default_names(n: int) -> list[str]:
@@ -367,15 +416,21 @@ def orbit_count(
     counts are certified only below the least displacement of that final
     frontier, ``certified_t``, and each grid point carries its flag.
 
-    Cocompact cutoff, from tile chains.  Let F be the preset's polygon with
-    centre c and circumradius R, and let d(x, g y) <= t_max.  The path
-    c -> x -> g y -> g c crosses a chain of side-adjacent tiles from F to
-    g F (around a vertex it passes the tiles sharing that vertex), and
-    consecutive tiles differ by one generator.  Each tile g_i F of the chain
-    holds a point p of the path, so d(x, g_i y) <= d(x, p) + R + d(y, c),
-    and d(x, p) <= max(d(x, c), t_max + d(y, c)).  Every element of the
-    ball is thus reached through elements within
-    max(d(x, c), t_max + d(y, c)) + R + d(y, c).  Schottky presets expand
+    Cocompact cutoff, from Voronoi chains.  Loading certified the preset's
+    polygon F about its centre c as the Dirichlet domain D_c: the points
+    no farther from c than from any other point of the orbit G c.  Let
+    r_y = d(y, c) and d(x, g y) = t <= t_max, and follow the path
+    c -> x -> g y -> g c.  Every tile h F holding a point p of the path has
+    d(p, h c) <= d(p, k c) for every k; so on [c, x], with k = 1,
+    d(x, h y) <= d(x, p) + d(p, c) + r_y = d(x, c) + r_y, and on
+    [x, g y] and [g y, g c], with k = g, d(x, h y) <= d(x, p) + d(p, g c)
+    + r_y <= t + 2 r_y.  The path crosses a chain of such tiles from F to
+    g F; where it passes a vertex, every tile around the vertex holds it.
+    Consecutive tiles share a side, and the tile across the side of h F on
+    the bisector of (h c, h s c) is h s F, one generator s to the right, as
+    _products multiplies.  Every element of the ball is thus reached
+    through elements within max(d(x, c) + r_y, t_max + 2 r_y), and so is
+    the identity, as d(x, y) <= d(x, c) + r_y.  Schottky presets expand
     within t_max plus the largest generator displacement at y.
 
     Schottky presets need no deduplication: ping-pong makes distinct
@@ -387,7 +442,8 @@ def orbit_count(
     within half that gap are one element; within a level the first in
     (parent, generator) order is kept.  When half the gap is not above the
     1e-9 float-error budget (octagon at the default base point: t_max about
-    19.3) the count raises BudgetExceededError before any expansion.
+    21.75) the count raises BudgetExceededError before any expansion; below
+    it the certified flags rest on that budget.
     """
     import numpy as np
     if x.imag <= 0 or y.imag <= 0:
@@ -403,7 +459,7 @@ def orbit_count(
     dedup = preset.kind == "cocompact"
     if dedup:
         r_y = hyp_distance(y, preset.centre)
-        cutoff = max(hyp_distance(x, preset.centre), t_max + r_y) + preset.circumradius + r_y
+        cutoff = max(hyp_distance(x, preset.centre) + r_y, t_max + 2.0 * r_y)
         # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
         h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
         if h <= _FLOAT_ERR:

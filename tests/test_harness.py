@@ -430,15 +430,16 @@ class TestCli:
             assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
 
     def test_wrong_preset_centre_exit_2(self, tmp_path):
-        # generator b1 moves 2 + i by 5.17, more than twice the octagon's
-        # circumradius: a polygon centred there would not touch its neighbours
+        # the octagon's generators pair the sides of the Dirichlet domain at
+        # i; about 2 + i or 0.5 + i their bisectors bound no compact polygon
         preset = json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
-        preset_path = tmp_path / "shifted.json"
-        preset_path.write_text(json.dumps({**preset, "centre": [2.0, 1.0]}))
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"geometry": {"kind": "fuchsian", "preset": str(preset_path)}, "t_grid": ["3", "4"]}))
-        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out" / "count.csv").exists()
+        for name, centre in (("far", [2.0, 1.0]), ("near", [0.5, 1.0])):
+            preset_path = tmp_path / f"{name}.json"
+            preset_path.write_text(json.dumps({**preset, "centre": centre}))
+            cfg_path = tmp_path / f"{name}_config.json"
+            cfg_path.write_text(json.dumps({"geometry": {"kind": "fuchsian", "preset": str(preset_path)}, "t_grid": ["3", "4"]}))
+            assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
+            assert not (tmp_path / name / "count.csv").exists()
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -11,6 +11,7 @@ from geoblock.growth import GrowthSeries, rate_estimate
 from geoblock.hyperbolic import (
     FuchsianPreset,
     MobiusMatrix,
+    _bisector_polygon,
     _gen_arrays,
     _products,
     blocking_lower_bound_series,
@@ -133,19 +134,28 @@ class TestPresets:
             FuchsianPreset.from_json({**data, "systole": 0.0})
 
     def test_cocompact_needs_its_polygon(self):
-        # orbit_count's cutoff derives from the polygon's centre and circumradius
+        # orbit_count's cutoff rests on the Dirichlet domain at the centre
         data = octagon_data()
-        for key in ("centre", "circumradius"):
-            with pytest.raises(DomainError, match="centre and circumradius"):
-                FuchsianPreset.from_json({k: v for k, v in data.items() if k != key})
+        with pytest.raises(DomainError, match="centre"):
+            FuchsianPreset.from_json({k: v for k, v in data.items() if k != "centre"})
         with pytest.raises(DomainError, match="upper half-plane"):
             FuchsianPreset.from_json({**data, "centre": [0.0, -1.0]})
-        # every generator moves i by 3.057: a polygon of circumradius 1.5
-        # could not touch its side neighbours, nor could one centred at 2 + i
-        with pytest.raises(DomainError, match="twice the circumradius"):
-            FuchsianPreset.from_json({**data, "circumradius": 1.5})
-        with pytest.raises(DomainError, match="twice the circumradius"):
-            FuchsianPreset.from_json({**data, "centre": [2.0, 1.0]})
+        # about these points the generators' bisectors cut out no compact
+        # polygon or, 0.01 from i, one larger than the surface
+        for centre in ([0.5, 1.0], [2.0, 1.0], [0.0, math.exp(1.5)], [0.01, 1.0]):
+            with pytest.raises(DomainError, match="not the Dirichlet domain"):
+                FuchsianPreset.from_json({**data, "centre": centre})
+
+    def test_octagon_polygon_closed_form(self):
+        # the regular octagon about i: 8 sides, interior angles pi/4, and its
+        # farthest vertex at arccosh(cot^2(pi/8))
+        preset = load_preset("octagon_genus2")
+        polygon = _bisector_polygon(preset.centre, preset.gens_with_inverses())
+        assert len(polygon) == 8
+        for _, angle in polygon:
+            assert angle == pytest.approx(math.pi / 4, abs=1e-12)
+        farthest = max(math.atanh(abs(vertex)) for vertex, _ in polygon)
+        assert farthest == pytest.approx(math.acosh(1.0 / math.tan(math.pi / 8) ** 2), abs=1e-9)
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
@@ -248,7 +258,7 @@ class TestCocompactOrbit:
 
     def test_counts_stable_under_bigger_slack(self):
         # the reference expands within t_max + 4.06 at this base point, the
-        # library within t_max + 2.53
+        # library within t_max + 0.09
         preset = load_preset("octagon_genus2")
         grid = [3.0, 4.0, 5.0, 6.0]
         res = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, grid)
@@ -294,20 +304,25 @@ class TestCocompactOrbit:
         assert res.ball.count_series == ((10.0, 5465),)
         assert res.ball.count_series[0][1] == pytest.approx(math.exp(10) / 4, rel=0.01)
 
+    def test_counts_at_large_t(self):
+        # pinned from counts made with a cutoff wider by the polygon's
+        # circumradius 2.448; t = 13 is within 1% of Lax-Phillips too
+        preset = load_preset("octagon_genus2")
+        res = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, [11.0, 12.0, 13.0])
+        assert res.ball.count_series == ((11.0, 15293), (12.0, 40929), (13.0, 109665))
+        assert all(res.certified)
+        assert res.ball.count_series[-1][1] == pytest.approx(math.exp(13) / 4, rel=0.01)
+
 
 
 def _equivalence_cases():
     """Seeded base points near the polygon's centre i and their images under
-    a generator and under a word of length two; the octagon's polygon
-    described from a point of it 1.5 from i, with base points near that
-    point; and Schottky cases.  The budget cases run out of word budget."""
+    a generator and under a word of length two; base points 1.5 from i;
+    Schottky cases; and x 4.5 from i with y near it, where the cutoff's
+    d(x, c) + d(y, c) term is the larger.  The budget cases run out of word
+    budget."""
     rng = random.Random(2007)
     octagon, schottky = load_preset("octagon_genus2"), load_preset("schottky_rank2")
-    # e^1.5 i lies inside the inscribed circle (radius 1.529), and every
-    # point of the polygon lies within its circumradius + 1.5 of e^1.5 i
-    off_centre = FuchsianPreset.from_json(
-        {**octagon_data(), "centre": [0.0, math.exp(1.5)], "circumradius": octagon.circumradius + 1.5}
-    )
 
     def near(height=1.0):
         # near height * i
@@ -320,15 +335,16 @@ def _equivalence_cases():
         (octagon, near(), near(), 6.5, 3),
         (octagon, g.apply(near()), g.apply(near()), 5.0, 24),
         (octagon, w.apply(near()), w.apply(near()), 4.5, 24),
-        (off_centre, near(), near(math.exp(1.5)), 5.0, 24),
+        (octagon, near(math.exp(1.5)), near(math.exp(1.5)), 5.0, 24),
         (schottky, near(), near(), 6.0, 24),
         (schottky, near(), near(), 60.0, 4),
+        (octagon, near(math.exp(4.5)), near(), 4.0, 24),
     ]
 
 
 @pytest.mark.parametrize(
     "preset, x, y, t, max_word_len", _equivalence_cases(),
-    ids=["near", "near-budget", "generator", "word2", "off-centre", "schottky", "schottky-budget"],
+    ids=["near", "near-budget", "generator", "word2", "far", "schottky", "schottky-budget", "far-x"],
 )
 def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
     # the reference searches within the generator-displacement slack plus a
