@@ -28,6 +28,11 @@ certified lower bound on it bounds s_t below; once that reaches c, s_t = c
 with the midpoint cover as the set, and the full instance is never built.
 ``recursion_harness`` keeps the full solve: its next level is built from the
 solver's first optimal set.
+
+Keys inside, points at the edge (``flatspace``): instances, solutions, covers
+and recursion levels hold folded keys, so a blocking set's keys are the next
+level's endpoints as they are.  ``blocking_threshold``, ``recursion_harness``
+and the sampled cost take ``RationalPoint``s and fold each endpoint once.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, GeoBlockError
 from .flatspace import (
@@ -44,8 +49,8 @@ from .flatspace import (
     GeodesicFamily,
     Key,
     RationalPoint,
-    _blocking_key,
     _intersections,
+    _point_order,
     _segment_hits,
     connecting_family,
 )
@@ -104,30 +109,10 @@ class IncidenceInstance:
         return len(self.candidates)
 
 
-def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], object]:
-    """A sort key giving the exact point order on ``keys``.
-
-    It is the correctly rounded float coordinates when they are exact:
-    distinct coordinates over denominators at most D differ by at least
-    1/D^2, more than rounding can close while D^2 * |coordinate| < 2^51.
-    Otherwise it is the exact point.
-    """
-    L, b1x, b1y, b2x, b2y = space._scaled
-    top = L * max(key[2] for key in keys)
-    if top * top * max(abs(b1x) + abs(b2x), abs(b1y) + abs(b2y)) >= L << 51:
-        return space._key_point
-
-    def approx(key: Key) -> tuple[float, float]:
-        i, j, den = key
-        return (i * b1x + j * b2x) / (den * L), (i * b1y + j * b2y) / (den * L)
-
-    return approx
-
-
 def build_instance(
     space: FlatSpace,
-    x: RationalPoint,
-    y: RationalPoint,
+    x: Key,
+    y: Key,
     t_sq,
     caps: SolverCaps = SolverCaps(),
 ) -> IncidenceInstance:
@@ -138,8 +123,8 @@ def build_instance(
     crossing the two segments it lies on (``flatspace._intersections`` steps
     through one solved k2 interval per row, so a pair costs about its hits).
     Since connecting segments never overlap (module docstring), a record
-    names every segment through its point.  Candidates stay integer keys
-    (``FlatSpace._fold_key``); only a returned cover becomes points.
+    names every segment through its point.  x and y are the endpoints'
+    keys, and the candidates are keys too (``FlatSpace._fold_key``).
     """
     family = connecting_family(space, x, y, t_sq)
     return build_instance_from_family(family, caps)
@@ -186,7 +171,7 @@ def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = Solver
 
 @dataclass(frozen=True)
 class BlockingSolution:
-    points: tuple[RationalPoint, ...]
+    keys: tuple[Key, ...]  # the chosen candidates, in candidate order
     size: int
     optimal: bool
     lower_bound: int
@@ -287,13 +272,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
                 per_load[load] = per_load.get(load, 0) + 1
         return max(packing, math.ceil(sum(Fraction(n, load) for load, n in per_load.items())))
 
-    def points(chosen: Iterable[int]) -> tuple[RationalPoint, ...]:
-        return tuple(instance.family.space._key_point(instance.candidates[c]) for c in sorted(chosen))
-
     lower = bound(full)
-    if capped:
-        return BlockingSolution(points(greedy), len(greedy), lower == len(greedy), lower)
-
     best: list[int] = list(greedy)  # indices into instance.covers
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
@@ -312,27 +291,27 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
             bnb(uncovered & ~covers[c], chosen)
             chosen.pop()
 
-    if lower < len(best):
+    if not capped and lower < len(best):
         bnb(full, [])
-    pts = points(set(best))
-    return BlockingSolution(pts, len(pts), True, lower)
+    keys = tuple(instance.candidates[c] for c in sorted(best))
+    return BlockingSolution(keys, len(keys), not capped or lower == len(keys), lower)
 
 
-def verify_cover(instance: IncidenceInstance | GeodesicFamily, points: Sequence[RationalPoint]) -> bool:
-    """Whether every connecting segment passes through one of the points,
-    re-checked against the geometry in exact arithmetic.
+def verify_cover(instance: IncidenceInstance | GeodesicFamily, keys: Sequence[Key]) -> bool:
+    """Whether every connecting segment passes through one of the points
+    with these keys, re-checked against the geometry in exact arithmetic.
 
-    Takes an instance or its family.  Each point must lie in the table and
-    differ from both endpoints.
+    Takes an instance or its family.  The keys are folded
+    (``FlatSpace._fold_key``), as the solver's are, and each must differ
+    from both endpoints.
     """
     family = instance.family if isinstance(instance, IncidenceInstance) else instance
-    space = family.space
-    ends = (space.key(family.x), space.key(family.y))
-    keys = [_blocking_key(space, p, ends) for p in points]
+    if family.x in keys or family.y in keys:
+        raise DomainError("a blocking point must differ from both endpoints")
     return all(any(_segment_hits(seg, z) for z in keys) for seg in family.connecting_segments())
 
 
-def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
+def midpoint_cover(family: GeodesicFamily) -> list[Key]:
     """The half-lattice midpoint classes (x+y)/2 + (a*b1 + b*b2)/2 on a torus.
 
     Every torus geodesic from x to y passes through one of them at parameter
@@ -340,16 +319,19 @@ def midpoint_cover(family: GeodesicFamily) -> list[RationalPoint]:
     (a connecting segment whose midpoint were x or y would pass through an
     endpoint and not be connecting).  Verified before use, in O(m): every
     connecting segment's midpoint ``key_at(1, 2)``, interior to it, is a key.
+    The keys come in point order.
     """
     space = family.space
     if not space.is_torus:
         raise DomainError("the midpoint cover exists on the torus only")
-    [(x1, x2), (y1, y2)], den = space._lattice_ints(family.x, family.y)
-    keys = {space._fold_key(x1 + y1 + a * den, x2 + y2 + b * den, 2 * den) for a in (0, 1) for b in (0, 1)}
-    keys -= {space._fold_key(x1, x2, den), space._fold_key(y1, y2, den)}
+    (x1, x2, dx), (y1, y2, dy) = family.x, family.y
+    den = dx * dy
+    keys = {space._fold_key(x1 * dy + y1 * dx + a * den, x2 * dy + y2 * dx + b * den, 2 * den)
+            for a in (0, 1) for b in (0, 1)}
+    keys -= {family.x, family.y}
     if any(seg.key_at(1, 2) not in keys for seg in family.connecting_segments()):
         raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
-    return sorted(map(space._key_point, keys))
+    return sorted(keys, key=_point_order(space, keys))
 
 
 @dataclass(frozen=True)
@@ -375,7 +357,7 @@ def blocking_threshold(
     root bound meets it) when the instance exceeds the candidate cap.  On a
     torus a prefix may certify the midpoint cover (see the module docstring).
     """
-    return _family_threshold(connecting_family(space, x, y, t_sq), caps)
+    return _family_threshold(connecting_family(space, space.validate_point(x), space.validate_point(y), t_sq), caps)
 
 
 def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResult:
@@ -394,16 +376,16 @@ def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResu
     return _threshold(build_instance_from_family(family, caps), caps, cover)
 
 
-def _torus_cover(family: GeodesicFamily) -> list[RationalPoint] | None:
+def _torus_cover(family: GeodesicFamily) -> list[Key] | None:
     """The midpoint cover on a torus; None off a torus or on an empty family."""
     return midpoint_cover(family) if family.space.is_torus and family.m else None
 
 
-def _threshold(instance: IncidenceInstance, caps: SolverCaps, cover: list[RationalPoint] | None) -> ThresholdResult:
+def _threshold(instance: IncidenceInstance, caps: SolverCaps, cover: list[Key] | None) -> ThresholdResult:
     """The full solve of a built instance; a capped greedy cover larger than
     the family's midpoint ``cover`` (``_torus_cover``) gives way to it."""
     sol = solve_exact(instance, caps)
-    if not verify_cover(instance, sol.points):
+    if not verify_cover(instance, sol.keys):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if cover is not None and sol.size > len(cover):
         if sol.optimal:
@@ -423,32 +405,20 @@ class PairSampler:
 
     def pairs(self, space: FlatSpace) -> list[tuple[RationalPoint, RationalPoint]]:
         rng = random.Random(self.seed)
-        out: list[tuple[RationalPoint, RationalPoint]] = []
-        seen = set()
-        guard = 0
-        while len(out) < self.count:
-            guard += 1
-            if guard > 100 * self.count + 100:
-                raise GeoBlockError("pair sampler failed to produce enough distinct pairs")
-            coords = [Fraction(rng.randrange(self.denominator), self.denominator) for _ in range(4)]
+        den = self.denominator
+        out: dict[tuple[RationalPoint, RationalPoint], None] = {}  # an ordered set
+        for _ in range(100 * self.count + 101):
+            if len(out) == self.count:
+                return list(out)
+            coords = [Fraction(rng.randrange(den), den) for _ in range(4)]
             if space.is_torus:
-                v1 = space.from_lattice(coords[0], coords[1])
-                v2 = space.from_lattice(coords[2], coords[3])
-                p = space.reduce_point(RationalPoint(v1[0], v1[1]))
-                q = space.reduce_point(RationalPoint(v2[0], v2[1]))
+                p, q = (space.reduce_point(RationalPoint(*space.from_lattice(*coords[k:k + 2]))) for k in (0, 2))
             else:
-                den = self.denominator
                 vals = [Fraction(rng.randrange(1, den), den) for _ in range(4)]
-                p = RationalPoint(vals[0], vals[1])
-                q = RationalPoint(vals[2], vals[3])
-            if p == q:
-                continue
-            key = (p, q)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((p, q))
-        return out
+                p, q = RationalPoint(vals[0], vals[1]), RationalPoint(vals[2], vals[3])
+            if p != q:
+                out[p, q] = None
+        raise GeoBlockError("pair sampler failed to produce enough distinct pairs")
 
 
 @dataclass(frozen=True)
@@ -473,7 +443,7 @@ def _near_pair(
         return None
     for _ in range(80):
         cand = RationalPoint(p.x + d[0], p.y + d[1])
-        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq and space.admits_endpoint(cand):
+        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq and space.admits_endpoint(space.key(cand)):
             return p, cand
         d = (d[0] / 2, d[1] / 2)
     return None
@@ -510,7 +480,7 @@ def blocking_cost_sampled(
 class LevelRecord:
     k: int
     t_sq: Fraction
-    pairs: tuple[tuple[RationalPoint, RationalPoint], ...]
+    pairs: tuple[tuple[Key, Key], ...]
     counts: tuple[int, ...]  # m at this level's threshold, per pair
     blocking_sizes: tuple[int, ...] | None  # None on the terminal level
     observed_max_threshold: int | None
@@ -551,7 +521,7 @@ class CheckRow:
 class RecursionReport:
     """The halving decomposition P_0 ... P_kappa with its inequality suite.
 
-    Level k holds point pairs whose connecting families are counted at
+    Level k holds key pairs whose connecting families are counted at
     threshold t/2^k; level k+1 is built from the pairs (p,z),(z,q) over
     parents (p,q) and z in the parent's minimal blocking set.  The
     cardinality check uses the observed per-level maximum blocking size in
@@ -614,11 +584,7 @@ def recursion_harness(
     the root count is at most the terminal level size.
     """
     t_sq = Fraction(t_sq)
-    # validate before folding: the fold would carry a point off the table onto it
-    space.validate_point(x)
-    space.validate_point(y)
-    x = space.reduce_point(x)
-    y = space.reduce_point(y)
+    x, y = space.validate_point(x), space.validate_point(y)
     delta_sq = space.delta_sq
     kap = kappa_from_squares(t_sq, delta_sq)
 
@@ -629,7 +595,7 @@ def recursion_harness(
     def check(name: str, law: str, lhs: int, rhs: int, context: dict) -> None:
         checks.append(CheckRow(name, f"{name}: {law}", lhs, rhs, lhs <= rhs, True, None, context))
 
-    pairs: list[tuple[RationalPoint, RationalPoint]] = [(x, y)]
+    pairs: list[tuple[Key, Key]] = [(x, y)]
     observed_max: list[int] = []
     for k in range(kap + 1):
         level_t_sq = t_sq / 4**k
@@ -645,7 +611,7 @@ def recursion_harness(
             certified = certified and all(res.certified for res in results)
             counts = [res.family.m for res in results]
             blocking_sizes = [res.value for res in results]
-            blocking_sets = [res.solution.points for res in results]
+            blocking_sets = [res.solution.keys for res in results]
             observed_max.append(max(blocking_sizes) if blocking_sizes else 0)
         if k == 0:
             root_m = counts[0]
@@ -674,7 +640,7 @@ def recursion_harness(
                   max(counts) if counts else 0, 1, context)
             check("root-count-vs-final-level", "m_t(x,y) <= |P_kappa|", root_m, len(pairs), context)
         else:
-            next_pairs: list[tuple[RationalPoint, RationalPoint]] = []
+            next_pairs: list[tuple[Key, Key]] = []
             seen = set()
             for (p, q), pts in zip(pairs, blocking_sets):
                 for z in pts:
@@ -685,5 +651,5 @@ def recursion_harness(
             pairs = next_pairs
 
     return RecursionReport(
-        x, y, t_sq, delta_sq, kap, tuple(levels), tuple(checks), certified
+        space._key_point(x), space._key_point(y), t_sq, delta_sq, kap, tuple(levels), tuple(checks), certified
     )

@@ -11,6 +11,14 @@ all four flips (unfolding), so its trajectories are straight segments from x
 to the images g*y + lambda.  Trajectories whose interior hits a point fixed
 by the half-turn (a corner of the table) are rejected: the flow is undefined
 there.
+
+Keys inside, points at the edge.  The one point type inside is the folded
+integer key (``FlatSpace._fold_key``): families, segments and ``blocker``'s
+instances, solutions and recursion levels hold keys.  ``count``,
+``blocking_threshold``, ``recursion_harness``, the pair sampler and the
+config parse take ``RationalPoint``s and fold each endpoint once
+(``FlatSpace.validate_point``); ``FlatSpace._key_point`` makes points again
+only for printed output and error messages.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, UnsupportedInputError
 
@@ -196,16 +204,25 @@ class FlatSpace:
         """Canonical fundamental-domain representative of a point."""
         return self._key_point(self.key(p))
 
-    def admits_endpoint(self, p: RationalPoint) -> bool:
-        """Whether p can be a segment endpoint: any point of a torus, an
-        interior point of the billiard table."""
-        return self.kind != "billiard" or (0 < p.x < 1 and 0 < p.y < 1)
+    def admits_endpoint(self, key: Key) -> bool:
+        """Whether the point with this key can be a segment endpoint: no flip
+        fixes it mod the lattice, 0 < 2i < den on every flipped axis (a folded
+        key has 2i <= den).  Any torus point; a billiard point off the walls."""
+        return all(0 < 2 * c < key[2] for c, flip in zip(key, self._flips) if flip)
 
-    def validate_point(self, p: RationalPoint) -> None:
-        if not self.admits_endpoint(p):
-            raise UnsupportedInputError(
-                f"billiard endpoints must be interior table points, got {p}"
-            )
+    def _endpoint(self, key: Key) -> Key:
+        """The key, checked to be admitted as an endpoint."""
+        if not self.admits_endpoint(key):
+            point = self._key_point(key)
+            raise UnsupportedInputError(f"billiard endpoints must be interior table points, got {point}")
+        return key
+
+    def validate_point(self, p: RationalPoint) -> Key:
+        """The key of endpoint p, which must lie in the table (the fold would
+        carry a point off it onto it) and be admitted."""
+        if self.kind == "billiard" and not (0 <= p.x <= 1 and 0 <= p.y <= 1):
+            raise UnsupportedInputError(f"billiard endpoints must be interior table points, got {p}")
+        return self._endpoint(self.key(p))
 
 
 def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
@@ -250,8 +267,6 @@ class GeodesicSegment:
     """
 
     space: FlatSpace
-    x: RationalPoint
-    y: RationalPoint
     origin: tuple[int, int, int]
     lattice: tuple[int, int]
 
@@ -321,15 +336,15 @@ def _segment_hits(segment: GeodesicSegment, z: Key) -> list[Fraction]:
 
 
 def _enumerate(
-    space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq: Fraction
+    space: FlatSpace, x: Key, y: Key, t_sq: Fraction
 ) -> tuple[list[GeodesicSegment], list[int], list[int], int, list[tuple[int, int]]]:
     """Joining segments; their squared lengths and those of the
     corner-rejected segments, as integers over one scale; that scale; and the
     endpoint offsets g*x - x and g*y - x in lattice coordinates over the
     segments' common denominator."""
-    space.validate_point(x)
-    space.validate_point(y)
-    [(x1, x2), (y1, y2)], den = space._lattice_ints(x, y)
+    (x1, x2, dx), (y1, y2, dy) = x, y
+    den = math.lcm(dx, dy)
+    x1, x2, y1, y2 = x1 * (den // dx), x2 * (den // dx), y1 * (den // dy), y2 * (den // dy)
     origin = (x1, x2, den)
     L, b1x, b1y, b2x, b2y = space._scaled
     scale = L * den
@@ -365,7 +380,7 @@ def _enumerate(
                 if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
                     rejected.append(sq_scaled)
                     continue
-                found.append((vx, vy, sq_scaled, GeodesicSegment(space, x, y, origin, (a1, a2))))
+                found.append((vx, vy, sq_scaled, GeodesicSegment(space, origin, (a1, a2))))
     # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
     found.sort(key=lambda r: (r[0], r[1]))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
@@ -381,7 +396,8 @@ def _positive_t_sq(t_sq) -> Fraction:
 
 @dataclass(frozen=True)
 class GeodesicFamily:
-    """All joining geodesics G plus the connecting subfamily Gamma.
+    """All joining geodesics G plus the connecting subfamily Gamma, between
+    the endpoints with keys x and y.
 
     ``sq_lengths`` holds the sorted squared lengths of the joining, the
     connecting and the corner-rejected segments, as integers over
@@ -390,8 +406,8 @@ class GeodesicFamily:
     """
 
     space: FlatSpace
-    x: RationalPoint
-    y: RationalPoint
+    x: Key
+    y: Key
     t_sq: Fraction
     segments: tuple[GeodesicSegment, ...]
     connecting: tuple[int, ...]
@@ -437,8 +453,12 @@ class GeodesicFamily:
         )
 
 
-def connecting_family(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> GeodesicFamily:
+def connecting_family(space: FlatSpace, x: Key, y: Key, t_sq) -> GeodesicFamily:
+    """The family between the endpoints x and y at t_sq.  They are keys, or
+    any lattice coordinates (i, j, den) with den > 0, which are folded; each
+    must be admitted (``FlatSpace.admits_endpoint``)."""
     t_sq = _positive_t_sq(t_sq)
+    x, y = space._endpoint(space._fold_key(*x)), space._endpoint(space._fold_key(*y))
     segments, lengths, rejected, scale, ends = _enumerate(space, x, y, t_sq)
     connecting = tuple(
         k for k, seg in enumerate(segments)
@@ -452,27 +472,39 @@ def connecting_family(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq
 
 def count(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> tuple[int, int]:
     """(n, m): all joining geodesics, and those not passing through x or y."""
-    n, m, _ = connecting_family(space, x, y, t_sq).counts_at(t_sq)
-    return n, m
+    return connecting_family(space, space.validate_point(x), space.validate_point(y), t_sq).counts_at(t_sq)[:2]
 
 
-def _blocking_key(space: FlatSpace, z: RationalPoint, ends: Sequence[Key]) -> Key:
-    """The key of z, checked to be able to block a segment between the
-    endpoints with keys ``ends``: z lies in the table (blocking points may
-    sit on its walls, unlike endpoints) and is neither endpoint."""
-    if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
-        raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
-    key = space.key(z)
-    if key in ends:
-        raise DomainError("z must differ from both endpoints")
-    return key
+def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], object]:
+    """A sort key giving the exact point order on ``keys``.
+
+    It is the correctly rounded float coordinates when they are exact:
+    distinct coordinates over denominators at most D differ by at least
+    1/D^2, more than rounding can close while D^2 * |coordinate| < 2^51.
+    Otherwise it is the exact coordinates.
+    """
+    L, b1x, b1y, b2x, b2y = space._scaled
+    top = L * max((key[2] for key in keys), default=1)
+    if top * top * max(abs(b1x) + abs(b2x), abs(b1y) + abs(b2y)) >= L << 51:
+
+        def exact(key: Key) -> tuple[Fraction, Fraction]:
+            X, Y, D = space._key_plane(key)
+            return Fraction(X, D), Fraction(Y, D)
+
+        return exact
+
+    def approx(key: Key) -> tuple[float, float]:
+        i, j, den = key
+        return (i * b1x + j * b2x) / (den * L), (i * b1y + j * b2y) / (den * L)
+
+    return approx
 
 
 @dataclass(frozen=True)
 class IntersectionHit:
-    """A transversal crossing of two segments, at parameter s of the first."""
+    """A transversal crossing of two segments: its point's key, and s on the first."""
 
-    point: RationalPoint
+    key: Key
     s: Fraction
 
 
@@ -532,10 +564,10 @@ def intersection_candidates(
     point; segments on one carrier yield none.
 
     De-duplicated by the folded point's key, keeping the least s.  The
-    endpoints x and y, folded into the fundamental domain, never appear,
-    even where a segment passes through one of them.
+    endpoints x and y never appear, even where a segment passes through one
+    of them.
     """
-    if g1.space is not g2.space or g1.x != g2.x or g1.y != g2.y:
+    if g1.space is not g2.space or g1.origin != g2.origin or g1.key_at(1, 1) != g2.key_at(1, 1):
         raise DomainError("segments must come from one (space, x, y) family")
     if g1.lattice == g2.lattice:
         raise DomainError("segments must be distinct")
@@ -543,10 +575,11 @@ def intersection_candidates(
     for key, sn, sd, _ in _intersections(g1, g2):
         s = Fraction(sn, sd)
         if key not in seen or s < seen[key].s:
-            seen[key] = IntersectionHit(g1.space._key_point(key), s)
+            seen[key] = IntersectionHit(key, s)
     for end in (g1.key_at(0, 1), g1.key_at(1, 1)):
         seen.pop(end, None)
-    return sorted(seen.values(), key=lambda h: (h.point.x, h.point.y))
+    order = _point_order(space, seen)
+    return sorted(seen.values(), key=lambda h: order(h.key))
 
 
 def load_space(cfg: dict) -> FlatSpace:

@@ -183,9 +183,10 @@ class ExperimentConfig:
             raise ConfigError("this command runs on flat geometries only; presets take count or report")
         try:
             space = load_space(self.geometry)
-            for pair in self.pairs:
-                for p in pair:
-                    space.validate_point(p)
+            if not space.is_torus:  # a torus takes every point as an endpoint
+                for pair in self.pairs:
+                    for p in pair:
+                        space.validate_point(p)
         except GeoBlockError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.pairs:
@@ -312,7 +313,7 @@ def _counted_cells(
 def _pair_families(cfg: ExperimentConfig, space: FlatSpace) -> Iterator[tuple]:
     """(pair index, x, y, family) per pair, enumerated at the grid's largest t."""
     for pi, (x, y) in enumerate(cfg.pairs if cfg.t_grid else ()):
-        yield pi, x, y, connecting_family(space, x, y, cfg.t_grid[-1] ** 2)
+        yield pi, x, y, connecting_family(space, space.key(x), space.key(y), cfg.t_grid[-1] ** 2)
 
 
 def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -131,8 +131,9 @@ class FuchsianPreset:
     """A validated generating set for a discrete group of hyperbolic-plane
     isometries.
 
-    ``diameter`` and ``area`` are quotient-surface metadata used by the
-    rigorous counting bounds (cocompact presets only); ``systole`` is a
+    ``diameter`` is quotient-surface metadata used by the rigorous counting
+    bound, with the area ``surface_area`` that the relator fixes (cocompact
+    presets only); ``systole`` is a
     lower bound on the shortest translation length and is valid for both
     kinds.  Cocompact presets also carry a ``centre`` c: loading certifies
     that the bisector half-planes of c and s c, s a generator or inverse,
@@ -146,9 +147,13 @@ class FuchsianPreset:
     generator_names: tuple[str, ...]
     relator: str | None
     diameter: float | None
-    area: float | None
     systole: float | None
     centre: complex | None
+
+    @property
+    def surface_area(self) -> float:
+        """4 pi (g - 1): the area of the genus-g surface, 4g the relator's length."""
+        return math.pi * (len(self.relator.split()) - 4)
 
     def gens_with_inverses(self) -> list[tuple[str, MobiusMatrix]]:
         out = []
@@ -178,8 +183,8 @@ class FuchsianPreset:
             ident = MobiusMatrix(1.0, 0.0, 0.0, 1.0)
             if not r.close_to(ident, _FLOAT_ERR):
                 raise DomainError("relator does not evaluate to +-identity")
-            if self.diameter is None or self.area is None:
-                raise DomainError("cocompact preset needs diameter and area metadata")
+            if self.diameter is None:
+                raise DomainError("cocompact preset needs diameter metadata")
             # orbit_count's dedup rests on it
             if not isinstance(self.systole, (int, float)) or not self.systole > 0:
                 raise DomainError("cocompact preset needs a positive systole")
@@ -188,12 +193,11 @@ class FuchsianPreset:
                 raise DomainError("cocompact preset needs its polygon centre")
             if not self.centre.imag > 0:
                 raise DomainError("polygon centre must lie in the upper half-plane")
-            # the Dirichlet domain lies inside the bisector polygon, and a
-            # genus-g surface, relator of 4g letters, has area 4 pi (g - 1):
-            # equal areas make the two equal
+            # the Dirichlet domain lies inside the bisector polygon and has
+            # the surface's area: equal areas make the two equal
             polygon = _bisector_polygon(self.centre, self.gens_with_inverses())
             area = (len(polygon) - 2) * math.pi - sum(angle for _, angle in polygon)
-            surface = math.pi * (len(self.relator.split()) - 4)
+            surface = self.surface_area
             if abs(area - surface) > _FLOAT_ERR:
                 raise DomainError(
                     f"the generators' bisector polygon about the centre has area {area:.12g}, "
@@ -228,7 +232,6 @@ class FuchsianPreset:
             generator_names=names,
             relator=data.get("relator"),
             diameter=data.get("D"),
-            area=data.get("A"),
             systole=data.get("systole"),
             centre=complex(*data["centre"]) if "centre" in data else None,
         )
@@ -554,7 +557,8 @@ def uniform_count_bound(
 
     rigorous: area comparison; orbit points of any pair lie within r + 2D of
     a fixed point, one fundamental domain each, so
-    U = 2*pi*(cosh(r + 2D) - 1)/A.  Cocompact presets only.
+    U = 2*pi*(cosh(r + 2D) - 1)/A, A the surface area 4*pi*(g - 1) that the
+    relator fixes.  Cocompact presets only.
 
     systole: packing bound; orbit points are pairwise at least the systole
     apart, so balls of half that radius around them are disjoint inside a
@@ -569,11 +573,9 @@ def uniform_count_bound(
     if r < 0:
         raise DomainError("radius must be nonnegative")
     if mode == "rigorous":
-        if preset.kind != "cocompact" or preset.area is None or preset.diameter is None:
-            raise UnsupportedInputError(
-                "rigorous mode needs a cocompact preset with diameter and area"
-            )
-        raw = 2.0 * math.pi * (math.cosh(r + 2.0 * preset.diameter) - 1.0) / preset.area
+        if preset.kind != "cocompact" or preset.diameter is None:
+            raise UnsupportedInputError("rigorous mode needs a cocompact preset with a diameter")
+        raw = 2.0 * math.pi * (math.cosh(r + 2.0 * preset.diameter) - 1.0) / preset.surface_area
         return UniformBound(max(raw, 1.0), True)
     if mode == "systole":
         if not preset.systole or preset.systole <= 0:
@@ -610,21 +612,18 @@ class BlockingBound:
 
 def certified_blocking_lower_bound(
     preset: FuchsianPreset,
-    x: complex,
-    y: complex,
+    orbit: OrbitCountResult,
     t: float,
     bound_mode: str = "systole",
-    orbit: OrbitCountResult | None = None,
 ) -> BlockingBound:
-    """Certified lower bound on the blocking threshold at radius t.
+    """Certified lower bound on the blocking threshold at radius t, from the
+    orbit count of the base points (``orbit_count`` over a grid holding t).
 
     Splitting every connecting class at a blocking point shows the count at
     t is at most 2 * s_t * sup-count at t/2, so s_t >= N(t) / (2 U(t/2)).
     Certified only when the count at t is certified and U is one of the
     rigorous modes.
     """
-    if orbit is None:
-        orbit = orbit_count(preset, x, y, [t])
     n_t = int(orbit.ball.displacements.searchsorted(t, side="right"))
     count_certified = t < orbit.certified_t
     u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
@@ -642,7 +641,7 @@ def blocking_lower_bound_series(
 ) -> list[BlockingBound]:
     orbit = orbit_count(preset, x, y, t_grid, max_word_len=max_word_len)
     return [
-        certified_blocking_lower_bound(preset, x, y, t, bound_mode=bound_mode, orbit=orbit)
+        certified_blocking_lower_bound(preset, orbit, t, bound_mode=bound_mode)
         for t in t_grid
     ]
 

@@ -50,10 +50,15 @@ def point_on_geodesic(space, z, segment):
     """Interior parameters s in (0,1) where the segment passes through z; an
     empty list means z does not block it.  z must lie in the table and
     differ from both endpoints."""
-    from geoblock.flatspace import _blocking_key, _segment_hits
+    from geoblock.errors import DomainError, UnsupportedInputError
+    from geoblock.flatspace import _segment_hits
 
-    ends = (segment.key_at(0, 1), segment.key_at(1, 1))
-    return _segment_hits(segment, _blocking_key(space, z, ends))
+    if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
+        raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
+    key = space.key(z)
+    if key in (segment.key_at(0, 1), segment.key_at(1, 1)):
+        raise DomainError("z must differ from both endpoints")
+    return _segment_hits(segment, key)
 
 
 def brute_enumerate_displacements(space, x, y, t_sq):
@@ -223,7 +228,7 @@ def reference_instance(family):
             point = space._key_point(key)
             records[point] = records.get(point, 0) | 1 << i | 1 << j
     for end in (family.x, family.y):
-        records.pop(space.reduce_point(end), None)
+        records.pop(space._key_point(end), None)
     # z can lie on a segment from x with primitive lattice direction p only
     # if cross(p, g*z - x) is an integer for some flip g; the incidence solve
     # runs only where that holds

@@ -22,7 +22,7 @@ from geoblock.blocker import (
     verify_cover,
 )
 from geoblock.cli import main
-from geoblock.flatspace import FlatSpace, RationalPoint, connecting_family
+from geoblock.flatspace import FlatSpace, RationalPoint
 from geoblock.growth import GrowthSeries, TransformParams, kappa, kappa_from_squares, rate_estimate, transform
 from geoblock.hyperbolic import (
     certified_blocking_lower_bound,
@@ -30,7 +30,7 @@ from geoblock.hyperbolic import (
     orbit_count,
     word_growth,
 )
-from helpers import series_from_function
+from helpers import family_of, series_from_function
 from oracles import (
     assert_minimum_by_exhaustion,
     brute_enumerate_displacements,
@@ -96,12 +96,12 @@ def test_criterion_3_flat_counting_oracle():
             x = random_rational_point(rng, space)
             y = random_rational_point(rng, space)
             t_sq = Fraction(rng.randint(1, 100))  # t <= 10
-            segs = connecting_family(space, x, y, t_sq).segments
+            segs = family_of(space, x, y, t_sq).segments
             assert {displacement(s) for s in segs} == brute_enumerate_displacements(
                 space, x, y, t_sq
             )
         unit = FlatSpace.unit_torus()
-        n = len(connecting_family(unit, P(0, 0), P(0, 0), 2500).segments)
+        n = len(family_of(unit, P(0, 0), P(0, 0), 2500).segments)
         covolume = abs(unit.b1[0] * unit.b2[1] - unit.b1[1] * unit.b2[0])
         assert abs(n * float(covolume) / (math.pi * 2500) - 1) <= 0.1
 
@@ -122,14 +122,14 @@ def test_criterion_4_blocking_exactness(chain_log):
             x = random_rational_point(rng, space, den=8)
             y = random_rational_point(rng, space, den=8)
             t_sq = Fraction(rng.randint(1, 24), 4)
-            fam = connecting_family(space, x, y, t_sq)
+            fam = family_of(space, x, y, t_sq)
             if not 1 <= fam.m <= 20:
                 continue
             inst = build_instance_from_family(fam)
             sol = solve_exact(inst)
             assert sol.optimal
             assert_minimum_by_exhaustion(inst, sol.size)
-            assert verify_cover(inst, sol.points)
+            assert verify_cover(inst, sol.keys)
             assert sol.size <= 4
             cover = midpoint_cover(fam)
             assert len(cover) <= 4
@@ -168,7 +168,7 @@ def test_criterion_5_recursion_verification(chain_log):
                 rep = recursion_harness(space, x, y, t_sq)
                 assert rep.certified
                 assert rep.passed, [c for c in rep.checks if not c.passed]
-                fam = connecting_family(space, x, y, t_sq)
+                fam = family_of(space, x, y, t_sq)
                 s_val = blocking_threshold(space, x, y, t_sq).value
                 chain_log.append((fam.n, fam.m, s_val, t_sq, space.delta_sq))
                 # n_t <= (t^3 / (2 delta^3)) * S(t) with the sampled cost
@@ -264,7 +264,7 @@ def test_criterion_8_certified_insecurity_trend():
         preset, grid, orbit = octagon_orbit()
         # reuse the shared orbit ball rather than recomputing it
         bounds = [
-            certified_blocking_lower_bound(preset, 0.03 + 0.97j, 0.03 + 0.97j, t, orbit=orbit)
+            certified_blocking_lower_bound(preset, orbit, t)
             for t in grid
         ]
         assert all(b.certified for b in bounds)

@@ -13,7 +13,6 @@ from geoblock.blocker import (
     SolverCaps,
     blocking_cost_sampled,
     blocking_threshold,
-    build_instance,
     build_instance_from_family,
     midpoint_cover,
     recursion_harness,
@@ -24,11 +23,11 @@ from geoblock.errors import DomainError, GeoBlockError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
-    connecting_family,
     _segment_hits,
 )
 from geoblock.growth import kappa_from_squares
 from geoblock.harness import ExperimentConfig
+from helpers import family_of, instance_of
 from oracles import milp_minimum, pairwise_undominated, point_on_geodesic, reference_instance
 
 P = RationalPoint.of
@@ -80,20 +79,20 @@ HARD_X, HARD_Y = P("1/3", "1/3"), P("2/3", "1/5")
 class TestBuildInstance:
     def test_two_arc_instance(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), 1)
+        inst = instance_of(space, P(0, 0), P("1/2", 0), 1)
         assert inst.num_geodesics == 2
         assert inst.num_candidates == 2
         assert sorted(inst.covers) == [1, 2]
 
     def test_empty_family(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), F(1, 100))
+        inst = instance_of(space, P(0, 0), P("1/2", 0), F(1, 100))
         assert inst.num_geodesics == 0
         assert solve_exact(inst).size == 0
 
     def test_diagonal_candidate_present(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P(0, 0), F(21, 10))
+        inst = instance_of(space, P(0, 0), P(0, 0), F(21, 10))
         assert P("1/2", "1/2") in map(space._key_point, inst.candidates)
 
     def test_covers_match_exact_recomputation(self):
@@ -103,7 +102,7 @@ class TestBuildInstance:
             x = random_point(rng)
             # the last ten are loops, x = y: opposite wraps share their carrier
             y = random_point(rng) if k < 20 else x
-            inst = build_instance(space, x, y, F(rng.randint(1, 6)))
+            inst = instance_of(space, x, y, F(rng.randint(1, 6)))
             recomputed = recompute_covers(inst)
             # dedup keeps one representative per cover set, so compare as sets
             assert set(inst.covers) == set(recomputed)
@@ -115,7 +114,7 @@ class TestBuildInstance:
         for k in range(20):
             x = interior_point(rng)
             y = interior_point(rng) if k < 10 else x
-            inst = build_instance(space, x, y, F(rng.randint(1, 4)))
+            inst = instance_of(space, x, y, F(rng.randint(1, 4)))
             assert inst.covers == recompute_covers(inst)
 
     def test_no_candidate_equals_endpoint(self):
@@ -123,7 +122,7 @@ class TestBuildInstance:
         space = FlatSpace.unit_torus()
         for _ in range(10):
             x, y = random_point(rng), random_point(rng)
-            inst = build_instance(space, x, y, F(rng.randint(1, 8)))
+            inst = instance_of(space, x, y, F(rng.randint(1, 8)))
             points = set(map(space._key_point, inst.candidates))
             assert space.reduce_point(x) not in points
             assert space.reduce_point(y) not in points
@@ -146,7 +145,7 @@ class TestBuildInstance:
                 y = random_point(rng)
             else:
                 x, y = interior_point(rng), interior_point(rng)
-            family = connecting_family(space, x, y, F(rng.randint(1, 16)))
+            family = family_of(space, x, y, F(rng.randint(1, 16)))
             inst = build_instance_from_family(family)
             assert (tuple(map(space._key_point, inst.candidates)), inst.covers) == reference_instance(family)
 
@@ -183,7 +182,7 @@ class TestBuildInstance:
                     den = rng.randint(1, 500)
                     keys.add(space._fold_key(rng.randrange(den), rng.randrange(den), den))
                 order = blocker._point_order(space, keys)
-                assert order is not space._key_point
+                assert isinstance(order(next(iter(keys)))[0], float)  # the float path
                 assert sorted(keys, key=order) == sorted(keys, key=space._key_point)
 
     @pytest.mark.parametrize("space,x,y,t_sq,m,n,digest", [
@@ -200,7 +199,7 @@ class TestBuildInstance:
     ])
     def test_largest_instances_pinned(self, space, x, y, t_sq, m, n, digest):
         # digests of the instances as built with RationalPoint keys throughout
-        inst = build_instance(space, x, y, t_sq)
+        inst = instance_of(space, x, y, t_sq)
         assert (inst.num_geodesics, inst.num_candidates) == (m, n)
         text = repr(([str(space._key_point(key)) for key in inst.candidates], inst.covers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -209,7 +208,7 @@ class TestBuildInstance:
 class TestSolveExact:
     def test_two_arc_needs_two_points(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), 1)
+        inst = instance_of(space, P(0, 0), P("1/2", 0), 1)
         sol = solve_exact(inst)
         assert sol.size == 2 and sol.optimal
 
@@ -223,15 +222,15 @@ class TestSolveExact:
                 if x == y:
                     continue
                 t_sq = F(rng.randint(1, 5))
-                fam = connecting_family(space, x, y, t_sq)
+                fam = family_of(space, x, y, t_sq)
                 if not 1 <= fam.m <= 12:
                     continue
-                inst = build_instance(space, x, y, t_sq)
+                inst = instance_of(space, x, y, t_sq)
                 sol = solve_exact(inst)
                 assert sol.optimal
                 greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
                 assert sol.size == exhaustive_minimum(inst, greedy)
-                assert verify_cover(inst, sol.points)
+                assert verify_cover(inst, sol.keys)
                 checked += 1
 
     def test_matches_milp_on_billiard(self):
@@ -239,33 +238,33 @@ class TestSolveExact:
         cells = [(x, y, t * t) for x, y in cfg.pairs for t in cfg.t_grid]
         cells += [(HARD_X, HARD_Y, t * t) for t in (F(3), F(7, 2), F(4))]
         for x, y, t_sq in cells:
-            inst = build_instance(cfg.flat_space(), x, y, t_sq)
+            inst = instance_of(cfg.flat_space(), x, y, t_sq)
             sol = solve_exact(inst)
             assert sol.optimal
             assert sol.size == milp_minimum(inst), (x, y, t_sq)
 
     def test_solution_reverifies_exactly(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", "1/2"), 4)
+        inst = instance_of(space, P(0, 0), P("1/2", "1/2"), 4)
         sol = solve_exact(inst)
         for seg in inst.family.connecting_segments():
-            assert any(point_on_geodesic(space, p, seg) for p in sol.points)
+            assert any(point_on_geodesic(space, space._key_point(z), seg) for z in sol.keys)
 
     def test_cap_fallback_not_optimal(self):
         # greedy 11 against a root bound of 9: the capped answer stays uncertified
-        inst = build_instance(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
         assert not sol.optimal
         assert (sol.lower_bound, sol.size) == (9, 11)
-        assert verify_cover(inst, sol.points)
+        assert verify_cover(inst, sol.keys)
 
     def test_cap_certified_when_bounds_meet(self):
         space = FlatSpace.unit_torus()
-        inst = build_instance(space, P(0, 0), P("1/2", 0), 4)
+        inst = instance_of(space, P(0, 0), P("1/2", 0), 4)
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
         assert sol.optimal
         assert sol.size == sol.lower_bound == 4
-        assert verify_cover(inst, sol.points)
+        assert verify_cover(inst, sol.keys)
 
     def test_dominance_reduction_matches_pairwise_rule(self):
         rng = random.Random(61)
@@ -276,7 +275,7 @@ class TestSolveExact:
                 x, y = point(rng), point(rng)
                 if x == y:
                     continue
-                inst = build_instance(space, x, y, F(rng.randint(1, 12)))
+                inst = instance_of(space, x, y, F(rng.randint(1, 12)))
                 kept = blocker._undominated(inst.covers, inst.num_geodesics)
                 assert kept == pairwise_undominated(inst.covers), (x, y)
                 checked += 1
@@ -288,7 +287,7 @@ class TestSolveExact:
             x, y = random_point(rng), random_point(rng)
             if x == y:
                 continue
-            inst = build_instance(space, x, y, F(rng.randint(1, 5)))
+            inst = instance_of(space, x, y, F(rng.randint(1, 5)))
             sol = solve_exact(inst)
             greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
             assert sol.lower_bound <= sol.size <= greedy
@@ -314,7 +313,7 @@ class TestThresholds:
             if x == y:
                 continue
             t_sq = F(rng.randint(1, 9))
-            fam = connecting_family(space, x, y, t_sq)
+            fam = family_of(space, x, y, t_sq)
             res = blocking_threshold(space, x, y, t_sq)
             assert res.value <= fam.m <= fam.n
 
@@ -355,7 +354,7 @@ class TestThresholds:
 
         def drop_first_point(instance, caps=SolverCaps()):
             sol = solve(instance, caps)
-            return dataclasses.replace(sol, points=sol.points[1:])
+            return dataclasses.replace(sol, keys=sol.keys[1:])
 
         monkeypatch.setattr(blocker, "solve_exact", drop_first_point)
         with pytest.raises(GeoBlockError, match="does not block"):
@@ -366,7 +365,7 @@ class TestThresholds:
         res = blocking_threshold(space, HARD_X, HARD_Y, 9)
         assert res.certified
         # the first optimal cover in depth-first order; recursion.json depends on it
-        assert res.solution.points == tuple(P(*p) for p in (
+        assert res.solution.keys == tuple(space.key(P(*p)) for p in (
             ("1/12", "1/5"), ("1/12", "3/10"), ("2/5", "67/225"), ("5/11", "23/45"),
             ("1/2", "1/15"), ("1/2", "4/15"), ("1/2", "11/15"), ("1/2", "14/15"),
             ("7/12", "3/10"), ("5/6", "11/15"),
@@ -412,7 +411,7 @@ EARLY_TORI = (((1, 0), (0, 1)), ((1, 0), (F(1, 3), F(5, 4))), ((1, 0), (F(1, 2),
 
 def full_threshold(space, x, y, t_sq, caps=SolverCaps()):
     """The threshold by the full build and solve, with no prefix certificate."""
-    inst = build_instance(space, x, y, t_sq, caps)
+    inst = instance_of(space, x, y, t_sq, caps)
     return blocker._threshold(inst, caps, blocker._torus_cover(inst.family))
 
 
@@ -439,7 +438,7 @@ class TestEarlyCertificate:
                     # certified by a prefix: the midpoint cover blocks the full family
                     early += 1
                     assert res.certified and res.value == res.midpoint_upper
-                    assert verify_cover(res.family, res.solution.points)
+                    assert verify_cover(res.family, res.solution.keys)
         assert early >= 5
 
     def test_shipped_pairs_at_t8_certified_at_four(self):
@@ -447,7 +446,7 @@ class TestEarlyCertificate:
         for x, y in ((P(0, 0), P("1/2", 0)), (P(0, 0), P("1/2", "1/2")), (P("1/8", "1/8"), P("5/8", "3/8"))):
             res = blocking_threshold(space, x, y, 64)
             assert (res.value, res.certified) == (4, True)
-            assert verify_cover(res.family, res.solution.points)
+            assert verify_cover(res.family, res.solution.keys)
 
     def test_capped_torus_value_at_most_midpoint_cover(self):
         rng = random.Random(89)
@@ -464,7 +463,7 @@ class TestEarlyCertificate:
                     continue
                 assert res.value <= res.midpoint_upper
                 assert res.certified == (res.solution.lower_bound >= res.value)
-                assert verify_cover(res.family, res.solution.points)
+                assert verify_cover(res.family, res.solution.keys)
                 gave_way += solve_exact(res.instance, caps).size > res.value
         assert gave_way > 0
 
@@ -475,17 +474,16 @@ class TestEarlyCertificate:
             for trial in range(12):
                 x = random_point(rng, 6)
                 y = x if trial % 4 == 0 else random_point(rng, 6)
-                fam = connecting_family(space, x, y, F(rng.randint(1, 12)))
+                fam = family_of(space, x, y, F(rng.randint(1, 12)))
                 cover = midpoint_cover(fam)
                 assert len(cover) == 3 if space.key(x) == space.key(y) else 3 <= len(cover) <= 4
-                keys = [space.key(p) for p in cover]
                 mids = [seg.key_at(1, 2) for seg in fam.connecting_segments()]
-                assert all(mid in keys for mid in mids) and verify_cover(fam, cover)
+                assert all(mid in cover for mid in mids) and verify_cover(fam, cover)
                 # on any subset the key check stays sound: it implies blocking
                 for drop in range(len(cover)):
-                    kept = keys[:drop] + keys[drop + 1:]
+                    kept = cover[:drop] + cover[drop + 1:]
                     if all(mid in kept for mid in mids):
-                        assert verify_cover(fam, cover[:drop] + cover[drop + 1:])
+                        assert verify_cover(fam, kept)
 
     def test_sampled_cost_is_max_of_full_thresholds(self):
         for basis in EARLY_TORI:
@@ -521,7 +519,7 @@ class TestRecursion:
         assert rep.kappa == 0
         assert rep.passed
         assert len(rep.levels) == 1
-        assert rep.levels[0].pairs == ((P(0, 0), P("1/4", 0)),)
+        assert rep.levels[0].pairs == ((space.key(P(0, 0)), space.key(P("1/4", 0))),)
 
     def test_half_pair_full_tree(self):
         space = FlatSpace.unit_torus()
@@ -545,6 +543,23 @@ class TestRecursion:
         assert kappa_from_squares(F(1, 100), F(1, 4)) == 0
         with pytest.raises(DomainError):
             kappa_from_squares(F(0), F(1, 4))
+
+    def test_points_only_at_the_edge(self, monkeypatch):
+        # the harness folds its two endpoints and prints them back; the solver,
+        # the cover check and every level in between run on keys
+        calls = dict.fromkeys(("_lattice_ints", "_key_point"), 0)
+        for name in calls:
+            original = getattr(FlatSpace, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(FlatSpace, name, counted)
+        rep = recursion_harness(FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 4)
+        assert rep.passed and rep.kappa == 3
+        assert sum(len(lv.pairs) for lv in rep.levels) > 100
+        assert calls["_lattice_ints"] <= 2 and calls["_key_point"] <= 2, calls
 
     def test_level_thresholds_halve(self):
         space = FlatSpace.unit_torus()

@@ -3,9 +3,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from geoblock.cli import main
 from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
@@ -17,6 +19,7 @@ from geoblock.flatspace import (
     load_space,
     shortest_vector,
 )
+from helpers import family_of
 from oracles import (
     classify,
     displacement,
@@ -166,12 +169,12 @@ class TestFoldKey:
 class TestEnumerate:
     def test_two_segment_example(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P("1/2", 0), 1).segments
+        segs = family_of(space, P(0, 0), P("1/2", 0), 1).segments
         assert sorted(displacement(s) for s in segs) == [(F(-1, 2), F(0)), (F(1, 2), F(0))]
 
     def test_self_pair_example(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
         assert sorted(displacement(s) for s in segs) == [
             (F(-1), F(0)),
             (F(0), F(-1)),
@@ -181,7 +184,7 @@ class TestEnumerate:
 
     def test_empty_below_minimal_length(self):
         space = FlatSpace.unit_torus()
-        assert connecting_family(space, P(0, 0), P("1/2", 0), F(1, 100)).segments == ()
+        assert family_of(space, P(0, 0), P("1/2", 0), F(1, 100)).segments == ()
 
     def test_against_brute_force(self):
         rng = random.Random(11)
@@ -189,27 +192,33 @@ class TestEnumerate:
             space = random_torus(rng)
             x, y = random_point(rng, space), random_point(rng, space)
             t_sq = F(rng.randint(1, 16))
-            segs = connecting_family(space, x, y, t_sq).segments
+            segs = family_of(space, x, y, t_sq).segments
             got = {displacement(s) for s in segs}
             assert got == brute_enumerate(space, x, y, t_sq)
             assert len(segs) == len(got)
             assert all(0 < sq_length(s) <= t_sq for s in segs)
 
+    def test_endpoints_folded(self):
+        # (3/2, -1) is the key (1, 0, 2), (1/2, 0), unfolded
+        space = FlatSpace.unit_torus()
+        fam = connecting_family(space, (3, -2, 2), (1, 0, 4), 4)
+        assert fam == connecting_family(space, (1, 0, 2), (1, 0, 4), 4) and fam.x == (1, 0, 2)
+
     def test_canonical_ordering(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P(0, 0), 4).segments
+        segs = family_of(space, P(0, 0), P(0, 0), 4).segments
         assert [displacement(s) for s in segs] == sorted(displacement(s) for s in segs)
 
 
 class TestClassify:
     def test_short_arc_connecting(self):
         space = FlatSpace.unit_torus()
-        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
+        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         assert classify(seg).kind == "connecting"
 
     def test_double_wrap_passes_through_endpoint(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P(0, 0), 4).segments
+        segs = family_of(space, P(0, 0), P(0, 0), 4).segments
         seg = next(s for s in segs if displacement(s) == (F(2), F(0)))
         cls = classify(seg)
         assert cls.kind == "passes-through-endpoint"
@@ -218,7 +227,7 @@ class TestClassify:
 
     def test_primitive_wrap_connecting(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
         seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
         assert classify(seg).kind == "connecting"
 
@@ -235,7 +244,7 @@ class TestClassify:
             else:
                 space = random_torus(rng)
                 x, y = random_point(rng, space), random_point(rng, space)
-            fam = connecting_family(space, x, y, F(rng.randint(1, 9)))
+            fam = family_of(space, x, y, F(rng.randint(1, 9)))
             for i, seg in enumerate(fam.segments):
                 kind = classify(seg).kind
                 assert (kind == "connecting") == (i in fam.connecting)
@@ -290,19 +299,19 @@ class TestCountsAt:
                 pairs.append((x, y))
         rejected_seen = False
         for x, y in pairs:
-            fam = connecting_family(space, x, y, 9)
+            fam = family_of(space, x, y, 9)
             # every squared length the family holds, and points just below and between them
             lengths = {F(q, fam.sq_scale) for group in fam.sq_lengths for q in group}
             probes = lengths | {q - F(1, 10**6) for q in lengths} | {F(rng.randint(1, 900), 100) for _ in range(5)}
             for t_sq in sorted(q for q in probes if q > 0):
-                fresh = connecting_family(space, x, y, t_sq)
+                fresh = family_of(space, x, y, t_sq)
                 assert fam.counts_at(t_sq) == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t_sq)
                 assert fam.within(t_sq) == fresh, (x, y, t_sq)
                 rejected_seen = rejected_seen or bool(fresh.sq_lengths[2])
         assert rejected_seen or space.is_torus
 
     def test_above_family_rejected(self):
-        fam = connecting_family(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 4)
+        fam = family_of(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 4)
         assert fam.counts_at(4) == (fam.n, fam.m, 0)
         assert fam.within(4) == fam
         for read in (fam.counts_at, fam.within):
@@ -385,7 +394,7 @@ def incidence_scan_oracle(seg, z):
     scan over the flips g (sign changes of the plane coordinates: the
     billiard's basis is diagonal) and a box of lattice vectors lambda.  The
     box holds the lattice coordinates of x + s*v - g*z for s in [0, 1]."""
-    space, x, v = seg.space, seg.x, displacement(seg)
+    space, x, v = seg.space, seg.space._key_point(seg.origin), displacement(seg)
     (b1x, b1y), (b2x, b2y) = space.b1, space.b2
     det = b1x * b2y - b2x * b1y
 
@@ -430,7 +439,7 @@ class TestPointOnGeodesic:
                 x, y = random_point(rng, space), random_point(rng, space)
             else:
                 x, y = (P(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7)) for _ in range(2))
-            segs = connecting_family(space, x, y, F(rng.randint(1, 6))).segments
+            segs = family_of(space, x, y, F(rng.randint(1, 6))).segments
             if not segs:
                 continue
             seg = rng.choice(segs)
@@ -464,7 +473,7 @@ class TestPointOnGeodesic:
 
     def test_midpoint_of_short_arc(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments
+        segs = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments
         seg = next(s for s in segs if displacement(s) == (F(1, 2), F(0)))
         assert point_on_geodesic(space, P("1/4", 0), seg) == [F(1, 2)]
         # the opposite arc misses it
@@ -473,25 +482,25 @@ class TestPointOnGeodesic:
 
     def test_wraparound_hit(self):
         space = FlatSpace.unit_torus()
-        segs = connecting_family(space, P(0, 0), P(0, 0), 1).segments
+        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
         seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
         assert point_on_geodesic(space, P("1/2", 0), seg) == [F(1, 2)]
 
     def test_off_carrier(self):
         space = FlatSpace.unit_torus()
-        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
+        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         assert point_on_geodesic(space, P(0, "1/2"), seg) == []
 
     def test_endpoint_rejected(self):
         space = FlatSpace.unit_torus()
-        seg = connecting_family(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
+        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
         with pytest.raises(DomainError):
             point_on_geodesic(space, P(0, 0), seg)
 
 
 class TestIntersections:
     def _segments(self, space, x, y, t_sq):
-        return connecting_family(space, x, y, t_sq).segments
+        return family_of(space, x, y, t_sq).segments
 
     def test_disjoint_interiors(self):
         space = FlatSpace.unit_torus()
@@ -510,11 +519,11 @@ class TestIntersections:
         # x = (1,0) folds to (0,0); segments passing through x or y must not report them
         space = FlatSpace.unit_torus()
         x, y = P(1, 0), P("1/2", 0)
-        ends = {space.reduce_point(x), space.reduce_point(y)}
+        ends = {space.key(x), space.key(y)}
         segs = self._segments(space, x, y, 16)
         for i, g1 in enumerate(segs):
             for g2 in segs[i + 1:]:
-                assert not ends & {h.point for h in intersection_candidates(space, g1, g2)}
+                assert not ends & {h.key for h in intersection_candidates(space, g1, g2)}
 
     def test_diagonal_crossing(self):
         space = FlatSpace.unit_torus()
@@ -522,7 +531,7 @@ class TestIntersections:
         g1 = next(s for s in segs if displacement(s) == (F(1), F(1)))
         g2 = next(s for s in segs if displacement(s) == (F(1), F(-1)))
         hits = intersection_candidates(space, g1, g2)
-        assert [h.point for h in hits] == [P("1/2", "1/2")]
+        assert [h.key for h in hits] == [space.key(P("1/2", "1/2"))]
         assert hits[0].s == F(1, 2)
         # both segments cross there at their midpoints
         crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in _intersections(g1, g2)
@@ -599,10 +608,10 @@ class TestIntersections:
                     y = RationalPoint(x.x + k * v[0], x.y + k * v[1])
                 else:
                     y = P(F(rng.randint(0, n), n), F(rng.randint(0, n), n))
-                if not (space.admits_endpoint(x) and space.admits_endpoint(y)):
+                if not (space.admits_endpoint(space.key(x)) and space.admits_endpoint(space.key(y))):
                     continue
                 families += 1
-                segs = connecting_family(space, x, y, rng.randint(1, 20)).connecting_segments()
+                segs = family_of(space, x, y, rng.randint(1, 20)).connecting_segments()
                 for g1, g2 in itertools.combinations(segs, 2):
                     overlaps = reference_overlaps(g1, g2)
                     if overlaps:
@@ -624,13 +633,39 @@ class TestBilliard:
     def test_boundary_endpoint_rejected(self):
         space = FlatSpace.square_billiard()
         with pytest.raises(UnsupportedInputError):
-            connecting_family(space, P(0, "1/2"), P("1/2", "1/2"), 1).segments
+            family_of(space, P(0, "1/2"), P("1/2", "1/2"), 1).segments
+
+    def test_key_rule_matches_point_rule(self, tmp_path, capsys):
+        # over the closed table: an endpoint is an interior point exactly when
+        # no flip fixes its key
+        space = FlatSpace.square_billiard()
+        seen = 0
+        for den in range(1, 9):
+            for a in range(den + 1):
+                for b in range(den + 1):
+                    p = P(F(a, den), F(b, den))
+                    interior = 0 < p.x < 1 and 0 < p.y < 1
+                    assert space.admits_endpoint(space.key(p)) == interior, p
+                    if interior:
+                        assert space.validate_point(p) == space.key(p)
+                    else:
+                        with pytest.raises(UnsupportedInputError):
+                            space.validate_point(p)
+                    seen += 1
+        assert seen > 200
+        # a wall key fed back as an endpoint, as `recursion-check
+        # configs/billiard.json` does with its (1/2,0) blocking point, exits 3
+        with pytest.raises(UnsupportedInputError, match=r"interior table points, got \(1/2,0\)"):
+            connecting_family(space, space.key(P("1/3", "1/3")), space.key(P("1/2", 0)), 1)
+        config = Path(__file__).resolve().parent.parent / "configs" / "billiard.json"
+        assert main(["recursion-check", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert "got (1/2,0)" in capsys.readouterr().err
 
     def test_corner_hit_rejected(self):
         # from (1/4,1/4) to the (-,-,1,1) image of itself: passes (1,1) at s=1/2
         space = FlatSpace.square_billiard()
         x = P("1/4", "1/4")
-        fam = connecting_family(space, x, x, 5)
+        fam = family_of(space, x, x, 5)
         assert len(fam.sq_lengths[2]) >= 1
         # the image (-,-,1,1) is (7/4,7/4): displacement (3/2,3/2), lattice
         # coordinates (3/4,3/4), over x's denominator 8
@@ -648,7 +683,7 @@ class TestBilliard:
             x = P(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
             y = P(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
             t_sq = F(rng.randint(1, 16))
-            fam = connecting_family(billiard, x, y, t_sq)
+            fam = family_of(billiard, x, y, t_sq)
             if fam.sq_lengths[2]:
                 continue
             total = 0
@@ -662,7 +697,7 @@ class TestBilliard:
     def test_billiard_blocking_hits(self):
         # the straight arc from (1/4,1/2) to (3/4,1/2) is blocked at the center
         space = FlatSpace.square_billiard()
-        segs = connecting_family(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4)).segments
+        segs = family_of(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4)).segments
         # the image y itself: displacement (1/2,0), lattice coordinates (1/4,0) over 8
         direct = next(s for s in segs if s.lattice == (2, 0))
         assert point_on_geodesic(space, P("1/2", "1/2"), direct) == [F(1, 2)]
@@ -670,7 +705,7 @@ class TestBilliard:
     def test_reflected_segment_folds_back(self):
         # one bounce off the right wall: x=(1/2,1/4), y=(1/2,3/4) via image (-,+,1,0)
         space = FlatSpace.square_billiard()
-        segs = connecting_family(space, P("1/2", "1/4"), P("1/2", "3/4"), 4).segments
+        segs = family_of(space, P("1/2", "1/4"), P("1/2", "3/4"), 4).segments
         # the image (-,+,1,0) is (3/2,3/4): displacement (1,1/2), lattice
         # coordinates (1/2,1/4) over 8
         bounced = next(s for s in segs if s.lattice == (4, 2))

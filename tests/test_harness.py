@@ -25,6 +25,7 @@ from geoblock.harness import (
     cmd_verify,
     parse_t_grid,
 )
+from helpers import family_of
 from oracles import sq_length
 
 F = Fraction
@@ -166,7 +167,7 @@ class TestCount:
         space = load_space(geometry)
         exact = set()
         for (x1, y1), (x2, y2) in pairs:
-            for seg in connecting_family(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25).segments:
+            for seg in family_of(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25).segments:
                 sq = sq_length(seg)
                 num, den = sq.numerator, sq.denominator
                 if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
@@ -187,7 +188,7 @@ class TestCount:
             assert [(pi, t) for pi, _, _, t, _ in cells] == [(pi, t) for pi, _, _, t in cfg.cells()]
             assert len(calls) == (len(pairs) if grid else 0)
             for _, x, y, t, counts in cells:
-                fresh = connecting_family(space, x, y, t * t)
+                fresh = family_of(space, x, y, t * t)
                 assert counts == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t)
         assert any(t in exact for t in grids[0]) and grids[1][0] in exact
 

@@ -99,7 +99,8 @@ class TestPresets:
     def test_octagon_validates(self):
         preset = load_preset("octagon_genus2")
         assert preset.kind == "cocompact"
-        assert preset.area == pytest.approx(4 * math.pi)
+        # the area 4 pi (g - 1) comes from the relator's 4g = 8 letters
+        assert preset.surface_area == pytest.approx(4 * math.pi)
         # relator really evaluates to +-identity
         r = preset.evaluate_word(preset.relator)
         ident = MobiusMatrix(1, 0, 0, 1)
@@ -393,12 +394,14 @@ class TestUniformBound:
         assert u.value == pytest.approx(expected, rel=1e-12)
         assert u.certified
 
-    def test_doubling_area_halves_bound(self):
+    def test_stated_area_ignored(self):
+        # the bound divides by the area the relator fixes, not a stated one:
+        # a preset claiming "A" = 8 pi gets the shipped octagon's bound
         preset = load_preset("octagon_genus2")
-        doubled = FuchsianPreset.from_json({**octagon_data(), "name": "double-area", "A": 2 * preset.area})
+        doubled = FuchsianPreset.from_json({**octagon_data(), "name": "double-area", "A": 8 * math.pi})
         u1 = uniform_count_bound(preset, 5.0, "rigorous")
         u2 = uniform_count_bound(doubled, 5.0, "rigorous")
-        assert u2.value == pytest.approx(u1.value / 2, rel=1e-12)
+        assert u2.value == u1.value and u2.certified
 
     def test_systole_mode_sharper_and_valid(self):
         preset = load_preset("octagon_genus2")
@@ -425,7 +428,7 @@ class TestUniformBound:
 class TestBlockingLowerBound:
     def test_small_t_vacuous(self):
         preset = load_preset("octagon_genus2")
-        b = certified_blocking_lower_bound(preset, 1j, 1j, 0.5)
+        b = certified_blocking_lower_bound(preset, orbit_count(preset, 1j, 1j, [0.5]), 0.5)
         assert b.value <= 0.5
         assert b.certified
 
