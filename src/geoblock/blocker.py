@@ -207,13 +207,11 @@ def _greedy_cover(covers: Sequence[int], full: int) -> list[int]:
     chosen: list[int] = []
     uncovered = full
     while uncovered:
-        best, best_gain = -1, -1
-        for c, mask in enumerate(covers):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = c, gain
+        gains = list(map(int.bit_count, map(uncovered.__and__, covers)))
+        best_gain = max(gains)
         if best_gain <= 0:
             raise GeoBlockError("internal: geodesic with empty cover set")
+        best = gains.index(best_gain)  # the first maximum: ties by index
         chosen.append(best)
         uncovered &= ~covers[best]
     return chosen
@@ -233,7 +231,11 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     pairwise disjoint, each needing its own point, and (b) the ceiling of
     ``sum_{i in U} y_i`` with ``y_i = 1 / max_{c ∋ i} |c ∩ U|``.  No
     candidate carries a load above 1 under (b), so it is a feasible dual of
-    the covering LP; it is summed exactly in Fractions.
+    the covering LP.  One pass over the candidates by descending gain
+    ``|c ∩ U|`` gives each i its load, the gain of the first candidate
+    holding it; with n_g geodesics of load g, (b) is ``ceil(sum n_g / g)``
+    in integers.  The bound is a function of this histogram, which ties in
+    gain do not change, so each node prunes exactly as the definition does.
 
     The branch choice and the candidate order depend on U alone, so the
     search tree is fixed, and a valid bound prunes only subtrees holding no
@@ -260,17 +262,22 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     by_few = sorted(range(m), key=lambda i: (len(cand_of[i]), i))
 
     def bound(uncovered: int) -> int:
-        gain = [(mask & uncovered).bit_count() for mask in covers]
         packing, used = 0, 0
-        per_load: dict[int, int] = {}  # y_i = 1/load, grouped by denominator
         for i in by_few:
-            if uncovered >> i & 1:
-                if not geod_cand_mask[i] & used:
-                    packing += 1
-                    used |= geod_cand_mask[i]
-                load = max(gain[c] for c in cand_of[i])
-                per_load[load] = per_load.get(load, 0) + 1
-        return max(packing, math.ceil(sum(Fraction(n, load) for load, n in per_load.items())))
+            if uncovered >> i & 1 and not geod_cand_mask[i] & used:
+                packing += 1
+                used |= geod_cand_mask[i]
+        # y_i = 1/load, counted per load; uncovered keeps the geodesics not yet given one
+        gain = list(map(int.bit_count, map(uncovered.__and__, covers)))
+        per_load: dict[int, int] = {}
+        for c in sorted(range(len(covers)), key=gain.__getitem__, reverse=True):
+            if fresh := covers[c] & uncovered:
+                per_load[gain[c]] = per_load.get(gain[c], 0) + fresh.bit_count()
+                uncovered ^= fresh
+                if not uncovered:
+                    break
+        scale = math.lcm(*per_load)
+        return max(packing, -(-sum(n * (scale // load) for load, n in per_load.items()) // scale))
 
     lower = bound(full)
     best: list[int] = list(greedy)  # indices into instance.covers
@@ -430,21 +437,21 @@ class SampledBlockingCost:
     pairs: tuple[tuple[RationalPoint, RationalPoint], ...]
 
 
-def _near_pair(
-    space: FlatSpace, p: RationalPoint, q: RationalPoint, t_sq: Fraction
-) -> tuple[RationalPoint, RationalPoint] | None:
+def _near_pair(p: RationalPoint, q: RationalPoint, t_sq: Fraction) -> tuple[RationalPoint, RationalPoint] | None:
     """A pair at distance <= t/2 derived from (p, q) by exact halving.
 
     Keeps the sampled cost function informative at thresholds below the
     sampled pairs' separations (a close pair always needs >= 1 blocker).
+    The new point is q or lies on the open segment from p to q, so it is
+    admitted as an endpoint when p and q are sampled: a torus admits every
+    point, and the open billiard table is convex.
     """
     d = (q.x - p.x, q.y - p.y)
     if d == (Fraction(0), Fraction(0)):
         return None
     for _ in range(80):
-        cand = RationalPoint(p.x + d[0], p.y + d[1])
-        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq and space.admits_endpoint(space.key(cand)):
-            return p, cand
+        if 4 * (d[0] * d[0] + d[1] * d[1]) <= t_sq:
+            return p, RationalPoint(p.x + d[0], p.y + d[1])
         d = (d[0] / 2, d[1] / 2)
     return None
 
@@ -452,19 +459,19 @@ def _near_pair(
 def blocking_cost_sampled(
     space: FlatSpace,
     t_sq,
-    sampler: PairSampler,
+    sampled: Sequence[tuple[RationalPoint, RationalPoint]],
     caps: SolverCaps = SolverCaps(),
 ) -> SampledBlockingCost:
-    """The largest threshold at t_sq over the sampler's pairs and, after
+    """The largest threshold at t_sq over the sampled pairs
+    (``PairSampler.pairs``, drawn once by the caller for every t) and, after
     them, each pair's near pair (``_near_pair``) not already sampled.  The
     near pairs keep the lower bound informative at the halved thresholds the
     transform visits.  On a torus the max stops at its ceiling 4."""
     t_sq = Fraction(t_sq)
-    sampled = sampler.pairs(space)
     pairs = list(sampled)
     seen = set(sampled)
     for p, q in sampled:
-        near = _near_pair(space, p, q, t_sq)
+        near = _near_pair(p, q, t_sq)
         if near and near not in seen:
             seen.add(near)
             pairs.append(near)

@@ -81,22 +81,6 @@ def _cross(a: Vec, b: Vec) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def rat_sqrt_upper(q: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(q) for q >= 0."""
-    if q < 0:
-        raise DomainError("negative value has no real square root")
-    n, d = q.numerator, q.denominator
-    return Fraction(isqrt(n * d) + 1, d)
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
 @dataclass(frozen=True)
 class FlatSpace:
     """A flat geometry: the plane modulo a lattice and a group of axis sign
@@ -341,7 +325,12 @@ def _enumerate(
     """Joining segments; their squared lengths and those of the
     corner-rejected segments, as integers over one scale; that scale; and the
     endpoint offsets g*x - x and g*y - x in lattice coordinates over the
-    segments' common denominator."""
+    segments' common denominator.
+
+    The box is integral: a displacement's lattice coordinate a_k/den is
+    row_k(B^-1) . v and the rows are integers m over d, so when |v| <= t the
+    integer a_k has |a_k| <= isqrt(floor(den^2 |m_k|^2 t^2 / d^2)) = w_k.
+    """
     (x1, x2, dx), (y1, y2, dy) = x, y
     den = math.lcm(dx, dy)
     x1, x2, y1, y2 = x1 * (den // dx), x2 * (den // dx), y1 * (den // dy), y2 * (den // dy)
@@ -350,10 +339,10 @@ def _enumerate(
     scale = L * den
     bound_num = t_sq.numerator * scale * scale
     bound_den = t_sq.denominator
-    # a lattice coordinate of a displacement v is row_k(B^-1) . v, bounded by |row_k| t
     m0, m1, m2, m3, d = space._inv
-    reach1 = rat_sqrt_upper(Fraction(m0 * m0 + m1 * m1, d * d) * t_sq)
-    reach2 = rat_sqrt_upper(Fraction(m2 * m2 + m3 * m3, d * d) * t_sq)
+    reach_num, reach_den = den * den * t_sq.numerator, d * d * bound_den
+    w1 = isqrt((m0 * m0 + m1 * m1) * reach_num // reach_den)
+    w2 = isqrt((m2 * m2 + m3 * m3) * reach_num // reach_den)
     half_turn = (-1, -1) in space.group
     step_x, step_y = den * b2x, den * b2y
 
@@ -362,12 +351,12 @@ def _enumerate(
     for s1, s2 in space.group:
         # lattice coordinates of g*y - x + (i, j), over den
         c1, c2 = s1 * y1 - x1, s2 * y2 - x2
-        off1, off2 = Fraction(c1, den), Fraction(c2, den)
-        for i in range(_ceil(-reach1 - off1), _floor(reach1 - off1) + 1):
+        # a1 = c1 + i*den and a2 = c2 + j*den within [-w, w]
+        for i in range(-((w1 + c1) // den), (w1 - c1) // den + 1):
             a1 = c1 + i * den
             base_x = a1 * b1x + c2 * b2x
             base_y = a1 * b1y + c2 * b2y
-            for j in range(_ceil(-reach2 - off2), _floor(reach2 - off2) + 1):
+            for j in range(-((w2 + c2) // den), (w2 - c2) // den + 1):
                 vx = base_x + j * step_x
                 vy = base_y + j * step_y
                 if vx == 0 and vy == 0:
@@ -530,29 +519,30 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple[Key, 
         if not cross:
             continue
         c1, c2 = s1 * x1 - x1, s2 * x2 - x2
-        # r = u*B - s*H over s, u in [0, 1] stays in this box
-        k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
-        k1_hi = -((c1 - max(0, b1) - max(0, -h1)) // den)
-        # s = (r1 B2 - r2 B1)/cross, u = (r1 H2 - r2 H1)/cross, taken over
-        # the positive denominator sd = |cross| so that the fold sees den > 0
-        sign = 1 if cross > 0 else -1
-        sd = sign * cross
-        # on a k1 row sn = sn0 + ds*k2 and un = un0 + du*k2; the next row adds dsr, dur
-        ds, du, dsr, dur = -sign * b1 * den, -sign * h1 * den, sign * b2 * den, sign * h2 * den
+        # r1 = c1 + k1*den = u*b1 - s*h1 over s, u in (0, 1) lies in (lo, hi)
+        lo, hi = (b1, 0) if b1 < 0 else (0, b1)
+        lo, hi = (lo - h1, hi) if h1 > 0 else (lo, hi - h1)
+        k1_lo, k1_hi = (lo - c1) // den + 1, (hi - 1 - c1) // den
+        # s = (r1 E2 - r2 E1)/sd, u = (r1 F2 - r2 F1)/sd over sd = |cross|,
+        # with (E, F) = ±(B, H), so that the fold sees den > 0; on a k1 row
+        # sn = sn0 + ds*k2 and un = un0 + du*k2, and the next row adds dsr, dur
+        sd, e1, e2, f1, f2 = (cross, b1, b2, h1, h2) if cross > 0 else (-cross, -b1, -b2, -h1, -h2)
+        ds, du, dsr, dur = -e1 * den, -f1 * den, e2 * den, f2 * den
         r1 = c1 + k1_lo * den
-        sn0, un0 = sign * (r1 * b2 - c2 * b1), sign * (r1 * h2 - c2 * h1)
+        sn0, un0 = r1 * e2 - c2 * e1, r1 * f2 - c2 * f1
         # step through the k2 interval where the steeper of sn, un lies in
         # (0, sd), keeping the points where the other does too
-        a, r, b = (sn0, dsr, ds) if abs(ds) >= abs(du) else (un0, dur, du)
+        a, r, b = (sn0, dsr, ds) if b1 * b1 >= h1 * h1 else (un0, dur, du)
         if b < 0:
             a, r, b = sd - a, -r, -b
         for _ in range(k1_hi - k1_lo + 1):
-            lo, hi = -a // b + 1, (sd - 1 - a) // b
-            sn, un = sn0 + lo * ds, un0 + lo * du
-            for _ in range(hi - lo + 1):
-                if 0 < sn < sd and 0 < un < sd:
-                    hits.append((g1.key_at(sn, sd), sn, sd, un))
-                sn, un = sn + ds, un + du
+            k2_lo, k2_hi = -a // b + 1, (sd - 1 - a) // b
+            if k2_lo <= k2_hi:
+                sn, un = sn0 + k2_lo * ds, un0 + k2_lo * du
+                for _ in range(k2_hi - k2_lo + 1):
+                    if 0 < sn < sd and 0 < un < sd:
+                        hits.append((g1.key_at(sn, sd), sn, sd, un))
+                    sn, un = sn + ds, un + du
             sn0, un0, a = sn0 + dsr, un0 + dur, a + r
     return hits
 

@@ -402,12 +402,13 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     """
     space = cfg.flat_space()
     delta_sq = space.delta_sq
-    sampler = PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator)
+    # the sample, drawn once per run when S(t) first needs it
+    sampled = functools.cache(PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator).pairs)
 
     @functools.cache
     def cost(t_sq: Fraction) -> int:
         """Sampled blocking cost at t_sq, a lower bound for the true sup over pairs."""
-        return blocking_cost_sampled(space, t_sq, sampler, cfg.caps).value
+        return blocking_cost_sampled(space, t_sq, sampled(space), cfg.caps).value
 
     checks: list[CheckRow] = []
     notes = [

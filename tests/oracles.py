@@ -151,6 +151,27 @@ def pairwise_undominated(covers):
     return sorted(kept)
 
 
+def reference_root_bound(instance, capped):
+    """The solver's root lower bound by its definition, in Fractions, as
+    (bound, packing, dual).  Over the pairwise-undominated candidates (all of
+    them when capped): the packing takes geodesics in order of fewest
+    candidates, ties by index, while their candidate sets stay pairwise
+    disjoint; the dual is sum_i 1/max_{c ∋ i} |c|, every geodesic uncovered."""
+    m = instance.num_geodesics
+    if m == 0:
+        return 0, 0, Fraction(0)
+    kept = range(instance.num_candidates) if capped else pairwise_undominated(instance.covers)
+    covers = [instance.covers[c] for c in kept]
+    cand_of = [{c for c, mask in enumerate(covers) if mask >> i & 1} for i in range(m)]
+    packing, used = 0, set()
+    for i in sorted(range(m), key=lambda i: (len(cand_of[i]), i)):
+        if not cand_of[i] & used:
+            packing += 1
+            used |= cand_of[i]
+    dual = sum(Fraction(1, max(covers[c].bit_count() for c in cand_of[i])) for i in range(m))
+    return max(packing, math.ceil(dual)), packing, dual
+
+
 def _scan_box(g1, g2):
     """For each flip h, yield H = h*A, the lattice direction of h*g1, and
     the cells r = (h*X - X) + D*k of the integer box that holds u*B - s*H

@@ -154,12 +154,12 @@ def test_criterion_5_recursion_verification(chain_log):
         kappas = {kappa_from_squares(t_sq, space.delta_sq) for t_sq in t_sqs}
         assert kappas == {1, 2, 3}
 
-        sampler = PairSampler(seed=5, count=8, denominator=8)
+        sampled = PairSampler(seed=5, count=8, denominator=8).pairs(space)
         cost_cache = {}
 
         def sampled_cost(t_sq):
             if t_sq not in cost_cache:
-                cost_cache[t_sq] = blocking_cost_sampled(space, t_sq, sampler).value
+                cost_cache[t_sq] = blocking_cost_sampled(space, t_sq, sampled).value
             return cost_cache[t_sq]
 
         instances = 0

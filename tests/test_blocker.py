@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,11 +26,18 @@ from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
     _segment_hits,
+    connecting_family,
 )
 from geoblock.growth import kappa_from_squares
 from geoblock.harness import ExperimentConfig
 from helpers import family_of, instance_of
-from oracles import milp_minimum, pairwise_undominated, point_on_geodesic, reference_instance
+from oracles import (
+    milp_minimum,
+    pairwise_undominated,
+    point_on_geodesic,
+    reference_instance,
+    reference_root_bound,
+)
 
 P = RationalPoint.of
 F = Fraction
@@ -280,6 +289,56 @@ class TestSolveExact:
                 assert kept == pairwise_undominated(inst.covers), (x, y)
                 checked += 1
 
+    def test_root_bound_matches_reference(self):
+        # the integer one-pass loads against the bound's definition in
+        # Fractions, uncapped and over every candidate when capped
+        rng = random.Random(79)
+        dual_wins = 0
+        for space, point in ((FlatSpace.unit_torus(), random_point),
+                             (FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), random_point),
+                             (FlatSpace.square_billiard(), interior_point)):
+            checked = 0
+            while checked < 16:
+                x, y = point(rng), point(rng)
+                t_sq = F(rng.randint(1, 24), rng.choice((1, 2, 3)))
+                if x == y or not 1 <= family_of(space, x, y, t_sq).m <= 24:
+                    continue
+                inst = instance_of(space, x, y, t_sq)
+                for caps in (SolverCaps(), SolverCaps(max_candidates=1)):
+                    bound, packing, dual = reference_root_bound(inst, inst.num_candidates > caps.max_candidates)
+                    assert solve_exact(inst, caps).lower_bound == bound, (space.kind, x, y, t_sq, caps)
+                    dual_wins += packing < math.ceil(dual)
+                checked += 1
+        assert dual_wins >= 5
+
+    def test_no_fractions_inside(self):
+        # the enumeration box, the crossing kernel and the covering bound are
+        # integer-only: a torus family makes one Fraction parsing t^2 and one
+        # per endpoint hit (n - m = 4 segments pass through an endpoint), and
+        # the solve makes none
+        space = FlatSpace.unit_torus()
+        x, y = space.key(P("1/8", "1/8")), space.key(P("5/8", "3/8"))
+        made = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is Fraction.__new__.__code__:
+                made[0] += 1
+
+        def fractions_in(fn, *args):
+            made[0] = 0
+            sys.setprofile(count)
+            try:
+                result = fn(*args)
+            finally:
+                sys.setprofile(None)
+            return result, made[0]
+
+        fam, in_family = fractions_in(connecting_family, space, x, y, 16)
+        assert (fam.n, fam.m, in_family) == (50, 46, 5)
+        inst = build_instance_from_family(fam)
+        sol, in_solve = fractions_in(solve_exact, inst)
+        assert (inst.num_candidates, sol.size, sol.optimal, in_solve) == (682, 4, True, 0)
+
     def test_lower_bound_sound(self):
         rng = random.Random(59)
         space = FlatSpace.unit_torus()
@@ -379,8 +438,8 @@ class TestSampledCost:
     def test_deterministic_for_fixed_seed(self):
         space = FlatSpace.unit_torus()
         sampler = PairSampler(seed=42, count=25, denominator=8)
-        a = blocking_cost_sampled(space, 16, sampler)
-        b = blocking_cost_sampled(space, 16, sampler)
+        a = blocking_cost_sampled(space, 16, sampler.pairs(space))
+        b = blocking_cost_sampled(space, 16, sampler.pairs(space))
         assert a.value == b.value
         assert a.pairs == b.pairs
         per_pair = [blocking_threshold(space, p, q, 16) for p, q in a.pairs]
@@ -390,16 +449,26 @@ class TestSampledCost:
 
     def test_tiny_threshold_keeps_a_near_pair(self):
         space = FlatSpace.unit_torus()
-        sampler = PairSampler(seed=1, count=5)
+        sampled = PairSampler(seed=1, count=5).pairs(space)
         # near-pair enrichment keeps a close pair in the sample, so the
         # lower bound is 1 (a single segment still needs one blocker)
-        enriched = blocking_cost_sampled(space, F(1, 1000), sampler)
+        enriched = blocking_cost_sampled(space, F(1, 1000), sampled)
         assert enriched.value == 1
+
+    def test_near_pairs_admitted(self):
+        # a near pair's new point is q or lies on the open segment (p, q), so
+        # it is admitted wherever the sampled points are
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+                      FlatSpace.square_billiard()):
+            for p, q in PairSampler(seed=3, count=12).pairs(space):
+                for t_sq in (F(16), F(1), F(1, 4), F(1, 37), F(1, 1000)):
+                    near = blocker._near_pair(p, q, t_sq)
+                    assert near is not None and near[0] == p
+                    assert space.admits_endpoint(space.validate_point(near[1]))
 
     def test_ten_pair_sample_bounded_by_midpoints(self):
         space = FlatSpace.unit_torus()
-        sampler = PairSampler(seed=7, count=10)
-        res = blocking_cost_sampled(space, 1, sampler)
+        res = blocking_cost_sampled(space, 1, PairSampler(seed=7, count=10).pairs(space))
         per_pair = [blocking_threshold(space, p, q, 1).value for p, q in res.pairs]
         assert all(v <= 4 for v in per_pair)
         assert res.value == max(per_pair)
@@ -489,7 +558,7 @@ class TestEarlyCertificate:
         for basis in EARLY_TORI:
             space = FlatSpace.torus(*basis)
             for t_sq in (F(1, 4), 1, 2, 4):
-                res = blocking_cost_sampled(space, t_sq, PairSampler(seed=11, count=6))
+                res = blocking_cost_sampled(space, t_sq, PairSampler(seed=11, count=6).pairs(space))
                 assert res.value == max(full_threshold(space, p, q, t_sq).value for p, q in res.pairs)
 
     def test_prefix_certifies_through_its_lower_bound_only(self, monkeypatch):

@@ -198,6 +198,26 @@ class TestEnumerate:
             assert len(segs) == len(got)
             assert all(0 < sq_length(s) <= t_sq for s in segs)
 
+    def test_box_boundary_against_brute_force(self):
+        # t^2 equal to a displacement's squared length (the inclusive <=),
+        # and t^2 not a rational square over denominators up to 10^4 (the
+        # isqrt box's floor): the integer box loses no displacement at its edge
+        rng = random.Random(13)
+        for _ in range(40):
+            space = random_torus(rng)
+            x, y = random_point(rng, space), random_point(rng, space)
+            v = rng.choice(sorted(brute_enumerate(space, x, y, F(9))))
+            on_edge = v[0] * v[0] + v[1] * v[1]
+            den = rng.randint(2, 10**4)
+            off_square = F(rng.randint(1, 9 * den), den)
+            while all(math.isqrt(n) ** 2 == n for n in (off_square.numerator, off_square.denominator)):
+                off_square += F(1, den)
+            for t_sq in (on_edge, off_square):
+                got = [displacement(s) for s in family_of(space, x, y, t_sq).segments]
+                assert set(got) == brute_enumerate(space, x, y, t_sq) and len(got) == len(set(got))
+                if t_sq == on_edge:
+                    assert v in got
+
     def test_endpoints_folded(self):
         # (3/2, -1) is the key (1, 0, 2), (1/2, 0), unfolded
         space = FlatSpace.unit_torus()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import geoblock.harness as harness
-from geoblock.blocker import SolverCaps
+from geoblock.blocker import PairSampler, SolverCaps
 from geoblock.cli import main
 from geoblock.errors import ConfigError
 from geoblock.flatspace import RationalPoint, connecting_family, load_space
@@ -265,15 +265,28 @@ class TestVerify:
         calls = []
         sampled = harness.blocking_cost_sampled
 
-        def counted(space, t_sq, sampler, caps):
+        def counted(space, t_sq, pairs, caps):
             calls.append(t_sq)
-            return sampled(space, t_sq, sampler, caps)
+            return sampled(space, t_sq, pairs, caps)
 
         monkeypatch.setattr(harness, "blocking_cost_sampled", counted)
         cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
         # t = 1..4 halved down to delta = 1/2: seven distinct t^2
         expected = [F(16), F(9), F(4), F(9, 4), F(1), F(9, 16), F(1, 4)]
         assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
+    def test_sample_drawn_once_per_run(self, monkeypatch, tmp_path, config):
+        draws = []
+        pairs = PairSampler.pairs
+
+        def counted(self, space):
+            draws.append(self)
+            return pairs(self, space)
+
+        monkeypatch.setattr(PairSampler, "pairs", counted)
+        cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / config), tmp_path)
+        assert len(draws) == 1
 
 
 class TestRecursionCheck:
