@@ -32,7 +32,7 @@ from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_
 from .growth import GrowthSeries, classify_growth, format_sig, kappa_from_squares, rate_estimate
 # loaded by every command (bench/tracing.py wraps its functions); numpy is
 # imported only inside the hyperbolic functions that use it
-from .hyperbolic import BOUND_MODES, blocking_lower_bound_series, load_preset, orbit_count
+from .hyperbolic import blocking_lower_bound_series, load_preset, orbit_count
 
 __all__ = [
     "ExperimentConfig",
@@ -168,7 +168,6 @@ class ExperimentConfig:
     recursion_t_sq_cap: Fraction | None
     threshold_t_sq_cap: Fraction
     base_points: tuple[complex, complex]
-    bound_mode: str
     max_word_len: int
     out_format: str
 
@@ -233,9 +232,9 @@ class ExperimentConfig:
         if not isinstance(base_raw, list) or len(base_raw) != 2:
             raise ConfigError(f"base_points must be two [re, im] pairs, got {base_raw!r}")
         orbit = raw.get("orbit", {})
-        bound_mode = orbit.get("bound_mode", "systole")
-        if bound_mode not in BOUND_MODES:
-            raise ConfigError(f"orbit.bound_mode {bound_mode!r} is not one of {BOUND_MODES}")
+        # the systole packing bound is the only uniform count bound
+        if orbit.get("bound_mode", "systole") != "systole":
+            raise ConfigError(f"orbit.bound_mode {orbit['bound_mode']!r} is not 'systole'")
         out_format = raw.get("format", "csv")
         if out_format not in FORMATS:
             raise ConfigError(f"format {out_format!r} is not one of {FORMATS}")
@@ -253,7 +252,6 @@ class ExperimentConfig:
             # blocking solves in report stay desk-scale
             threshold_t_sq_cap=_config_t_sq("threshold_t_max", raw.get("threshold_t_max", 4)),
             base_points=(_base_point(base_raw[0]), _base_point(base_raw[1])),
-            bound_mode=bound_mode,
             max_word_len=_config_int("orbit.max_word_len", orbit.get("max_word_len", 24), 1),
             out_format=out_format,
         )
@@ -540,14 +538,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.is_fuchsian:
         preset = cfg.preset()
         grid = [float(t) for t in cfg.t_grid]
-        bounds = blocking_lower_bound_series(
-            preset,
-            cfg.base_points[0],
-            cfg.base_points[1],
-            grid,
-            bound_mode=cfg.bound_mode,
-            max_word_len=cfg.max_word_len,
-        )
+        bounds = blocking_lower_bound_series(preset, *cfg.base_points, grid, max_word_len=cfg.max_word_len)
         counts = [(b.t, b.count) for b in bounds]
         positive = [(t, c) for t, c in counts if c > 0]
         rate_n = _try_rate(positive)
@@ -568,7 +559,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
                 "lower_bound_rate": _round_sig(lb_rate) if lb_rate is not None else None,
                 "rate_ratio": _round_sig(ratio) if ratio is not None else None,
                 "first_certified_t_exceeding_1": _round_sig(min(exceeds)) if exceeds else None,
-                "bound_mode": cfg.bound_mode,
+                "bound_mode": "systole",
                 "verdict": verdict,
                 "series": [
                     {

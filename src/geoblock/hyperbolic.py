@@ -22,17 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    UnsupportedInputError,
-)
+from .errors import BudgetExceededError, DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +37,6 @@ __all__ = [
     "FuchsianPreset",
     "OrbitBall",
     "OrbitCountResult",
-    "UniformBound",
     "BlockingBound",
     "hyp_distance",
     "load_preset",
@@ -57,12 +51,11 @@ __all__ = [
 # float-error budget of a word evaluation: bounds the relator check and the
 # smallest orbit-point gap the cocompact dedup may rely on
 _FLOAT_ERR = 1e-9
-# the uniform_count_bound variants, and the base-point pairs "empirical" samples
-BOUND_MODES = ("rigorous", "systole", "empirical")
-_EMPIRICAL_PAIRS = 3
 # frontier elements expanded per batch of the orbit BFS: bounds the memory
 # of one level's children
 _SLICE = 4096
+# the keys a preset file may use
+_PRESET_KEYS = {"name", "kind", "generators", "generator_names", "relator", "systole", "centre"}
 
 
 def hyp_distance(z: complex, w: complex) -> float:
@@ -131,14 +124,13 @@ class FuchsianPreset:
     """A validated generating set for a discrete group of hyperbolic-plane
     isometries.
 
-    ``diameter`` is quotient-surface metadata used by the rigorous counting
-    bound, with the area ``surface_area`` that the relator fixes (cocompact
-    presets only); ``systole`` is a
-    lower bound on the shortest translation length and is valid for both
-    kinds.  Cocompact presets also carry a ``centre`` c: loading certifies
-    that the bisector half-planes of c and s c, s a generator or inverse,
-    cut out the Dirichlet domain at c, on which orbit_count's search cutoff
-    rests.
+    ``systole`` is a positive lower bound on the shortest translation
+    length, required of both kinds: the uniform count bound rests on it, and
+    so does the cocompact orbit-point dedup.  Cocompact presets also carry a
+    ``centre`` c: loading certifies that the bisector half-planes of c and
+    s c, s a generator or inverse, cut out the Dirichlet domain at c, on
+    which orbit_count's search cutoff rests, by comparing its area with the
+    ``surface_area`` that the relator fixes.  Any other key is refused.
     """
 
     name: str
@@ -146,8 +138,7 @@ class FuchsianPreset:
     generators: tuple[MobiusMatrix, ...]
     generator_names: tuple[str, ...]
     relator: str | None
-    diameter: float | None
-    systole: float | None
+    systole: float
     centre: complex | None
 
     @property
@@ -176,6 +167,9 @@ class FuchsianPreset:
         for name, g in zip(self.generator_names, self.generators):
             if abs(g.trace) <= 2.0:
                 raise DomainError(f"generator {name} is not hyperbolic (|trace| <= 2)")
+        # the uniform count bound and the cocompact dedup rest on it
+        if type(self.systole) not in (int, float) or not self.systole > 0:
+            raise DomainError(f"{self.kind} preset needs a positive systole")
         if self.kind == "cocompact":
             if not self.relator:
                 raise DomainError("cocompact preset needs a relator word")
@@ -183,12 +177,7 @@ class FuchsianPreset:
             ident = MobiusMatrix(1.0, 0.0, 0.0, 1.0)
             if not r.close_to(ident, _FLOAT_ERR):
                 raise DomainError("relator does not evaluate to +-identity")
-            if self.diameter is None:
-                raise DomainError("cocompact preset needs diameter metadata")
-            # orbit_count's dedup rests on it
-            if not isinstance(self.systole, (int, float)) or not self.systole > 0:
-                raise DomainError("cocompact preset needs a positive systole")
-            # and its search cutoff on the Dirichlet domain at the centre
+            # orbit_count's search cutoff rests on the Dirichlet domain at the centre
             if self.centre is None:
                 raise DomainError("cocompact preset needs its polygon centre")
             if not self.centre.imag > 0:
@@ -223,6 +212,9 @@ class FuchsianPreset:
 
     @classmethod
     def from_json(cls, data: dict) -> "FuchsianPreset":
+        unknown = sorted(set(data) - _PRESET_KEYS)
+        if unknown:
+            raise DomainError(f"unknown preset key: {', '.join(map(repr, unknown))}")
         gens = tuple(MobiusMatrix(*[float(v) for v in row]) for row in data["generators"])
         names = tuple(data.get("generator_names") or _default_names(len(gens)))
         preset = cls(
@@ -231,7 +223,6 @@ class FuchsianPreset:
             generators=gens,
             generator_names=names,
             relator=data.get("relator"),
-            diameter=data.get("D"),
             systole=data.get("systole"),
             centre=complex(*data["centre"]) if "centre" in data else None,
         )
@@ -540,59 +531,18 @@ def orbit_count(
     return OrbitCountResult(OrbitBall(disp, counts), certified, certified_t)
 
 
-@dataclass(frozen=True)
-class UniformBound:
-    """Upper bound on orbit counts uniform over base-point pairs."""
-
-    value: float
-    certified: bool
-
-
-def uniform_count_bound(
-    preset: FuchsianPreset,
-    r: float,
-    mode: str = "rigorous",
-) -> UniformBound:
+def uniform_count_bound(preset: FuchsianPreset, r: float) -> float:
     """Bound sup over base-point pairs of the orbit count at radius r.
 
-    rigorous: area comparison; orbit points of any pair lie within r + 2D of
-    a fixed point, one fundamental domain each, so
-    U = 2*pi*(cosh(r + 2D) - 1)/A, A the surface area 4*pi*(g - 1) that the
-    relator fixes.  Cocompact presets only.
-
-    systole: packing bound; orbit points are pairwise at least the systole
-    apart, so balls of half that radius around them are disjoint inside a
-    ball of radius r + systole/2.  Valid for both kinds and much sharper at
-    desk scale.
-
-    empirical: max orbit count over a fixed sample of base-point pairs (seed
-    0), flagged heuristic.
-
-    All variants are floored at 1 (the identity always counts).
+    Packing bound: orbit points are pairwise at least the systole apart, so
+    balls of radius h = systole/2 around them are disjoint inside a ball of
+    radius r + h, and U = (cosh(r + h) - 1)/(cosh h - 1), floored at 1 (the
+    identity always counts).  Valid for both kinds.
     """
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    if mode == "rigorous":
-        if preset.kind != "cocompact" or preset.diameter is None:
-            raise UnsupportedInputError("rigorous mode needs a cocompact preset with a diameter")
-        raw = 2.0 * math.pi * (math.cosh(r + 2.0 * preset.diameter) - 1.0) / preset.surface_area
-        return UniformBound(max(raw, 1.0), True)
-    if mode == "systole":
-        if not preset.systole or preset.systole <= 0:
-            raise UnsupportedInputError("systole mode needs a positive systole bound")
-        h = preset.systole / 2.0
-        raw = (math.cosh(r + h) - 1.0) / (math.cosh(h) - 1.0)
-        return UniformBound(max(raw, 1.0), True)
-    if mode == "empirical":
-        rng = random.Random(0)
-        worst = 1
-        for _ in range(_EMPIRICAL_PAIRS):
-            zx = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
-            zy = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
-            res = orbit_count(preset, zx, zy, [r])
-            worst = max(worst, res.ball.count_series[0][1])
-        return UniformBound(float(worst), False)
-    raise DomainError(f"unknown mode {mode!r}, expected one of {BOUND_MODES}")
+    h = preset.systole / 2.0
+    return max((math.cosh(r + h) - 1.0) / (math.cosh(h) - 1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -601,7 +551,8 @@ class BlockingBound:
 
     value = N(t) / (2 * U(t/2)); the numerator counts all homotopy classes
     (classes through an endpoint are not excluded; for generic base points
-    none occur).
+    none occur).  ``certified`` is the count's flag: U is always an upper
+    bound.
     """
 
     t: float
@@ -614,21 +565,22 @@ def certified_blocking_lower_bound(
     preset: FuchsianPreset,
     orbit: OrbitCountResult,
     t: float,
-    bound_mode: str = "systole",
 ) -> BlockingBound:
     """Certified lower bound on the blocking threshold at radius t, from the
-    orbit count of the base points (``orbit_count`` over a grid holding t).
+    orbit count of the base points (``orbit_count`` over a grid reaching t).
 
     Splitting every connecting class at a blocking point shows the count at
-    t is at most 2 * s_t * sup-count at t/2, so s_t >= N(t) / (2 U(t/2)).
-    Certified only when the count at t is certified and U is one of the
-    rigorous modes.
+    t is at most 2 * s_t * sup-count at t/2, so s_t >= N(t) / (2 U(t/2)),
+    with U the systole packing bound.  Certified when the count at t is.
+    The orbit's ball holds the displacements up to its grid's largest t
+    only, so a larger t raises DomainError.
     """
+    t_max = orbit.ball.count_series[-1][0]
+    if t > t_max:
+        raise DomainError(f"t = {t} lies past the orbit's grid, which ends at {t_max}")
     n_t = int(orbit.ball.displacements.searchsorted(t, side="right"))
-    count_certified = t < orbit.certified_t
-    u = uniform_count_bound(preset, t / 2.0, mode=bound_mode)
-    value = n_t / (2.0 * u.value)
-    return BlockingBound(t, value, count_certified and u.certified, n_t)
+    value = n_t / (2.0 * uniform_count_bound(preset, t / 2.0))
+    return BlockingBound(t, value, t < orbit.certified_t, n_t)
 
 
 def blocking_lower_bound_series(
@@ -636,14 +588,10 @@ def blocking_lower_bound_series(
     x: complex,
     y: complex,
     t_grid: Sequence[float],
-    bound_mode: str = "systole",
     max_word_len: int = 24,
 ) -> list[BlockingBound]:
     orbit = orbit_count(preset, x, y, t_grid, max_word_len=max_word_len)
-    return [
-        certified_blocking_lower_bound(preset, orbit, t, bound_mode=bound_mode)
-        for t in t_grid
-    ]
+    return [certified_blocking_lower_bound(preset, orbit, t) for t in t_grid]
 
 
 def word_growth(kind: str, rank: int, n: int) -> int:

@@ -22,13 +22,20 @@ passed by a program call, a call in a package module other than
 ``__init__`` or in a README block, matched to the function by name: by
 keyword, by position, or through a ``*`` or ``**`` splat.  Otherwise it
 must be a keyword argument of a call in a ``bench/*.py`` file.
+
+A config key that ``harness`` accepts must be read: a ``.get("key")`` or
+``["key"]`` in ``harness.py`` or in ``load_space``, which takes the geometry
+mapping whole.  The ``caps`` keys are splatted into ``SolverCaps`` and read
+as its fields.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -419,6 +426,43 @@ def test_every_field_is_read():
 def test_every_option_is_passed():
     unpassed = [label for key, label in _unpassed_options().items() if key not in OPTIONS_ALLOWED]
     assert not unpassed
+
+
+def _key_reads(source: str) -> set[str]:
+    """The strings read as mapping keys: ``m.get("key", ...)`` and ``m["key"]``."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            key = node.args[0] if node.args else None
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
+def test_every_config_key_is_read():
+    # an accepted key whose reader is deleted would otherwise linger
+    from geoblock.blocker import SolverCaps
+    from geoblock.flatspace import load_space
+    from geoblock.harness import _CONFIG_KEYS
+    source = (PACKAGE / "harness.py").read_text()
+    reads = _key_reads(source) | _key_reads(textwrap.dedent(inspect.getsource(load_space)))
+    splatted = any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "SolverCaps"
+        and any(k.arg is None for k in n.keywords)
+        for n in ast.walk(ast.parse(source))
+    )
+    caps = {f.name for f in dataclasses.fields(SolverCaps)} if splatted else set()
+    unread = [
+        f"{section or 'config'}.{key}"
+        for section, keys in _CONFIG_KEYS.items()
+        for key in sorted(keys)
+        if key not in (caps if section == "caps" else reads)
+    ]
+    assert not unread
 
 
 def test_field_reads_are_keyed_on_the_owner():

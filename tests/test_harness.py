@@ -121,7 +121,6 @@ class TestConfig:
             "recursion_t_sq_cap": None,
             "threshold_t_sq_cap": F(16),
             "base_points": (0.03 + 0.97j, 0.03 + 0.97j),
-            "bound_mode": "systole",
             "max_word_len": 24,
             "out_format": "csv",
         }
@@ -381,7 +380,13 @@ class TestCli:
         assert main(["count", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert main(["count", "--out", str(tmp_path / "o2")]) == 2
         octagon = {"geometry": {"kind": "fuchsian", "preset": "octagon_genus2"}, "t_grid": ["3", "4"]}
-        for name, extra in (("mode", {"orbit": {"bound_mode": "sistole"}}), ("fmt", {"format": "xml"})):
+        # the systole packing bound is the only uniform count bound
+        for name, extra in (
+            ("mode", {"orbit": {"bound_mode": "sistole"}}),
+            ("rigorous", {"orbit": {"bound_mode": "rigorous"}}),
+            ("empirical", {"orbit": {"bound_mode": "empirical"}}),
+            ("fmt", {"format": "xml"}),
+        ):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({**octagon, **extra}))
             assert main(["report", "--config", str(path), "--out", str(tmp_path / name)]) == 2
@@ -431,17 +436,22 @@ class TestCli:
         cfg_path = write_config(tmp_path, geometry=billiard, pairs=[[["1/3", "1/3"], ["2/3", "1/5"]]])
         assert main(["count", "--config", str(cfg_path), "--pairs", str(pairs_path),
                      "--out", str(tmp_path / "wall_pairs_file")]) == 2
-        # preset files that are not JSON, lack the generators, or hold a three-number row
+        # preset files that are not JSON, lack the generators or the systole,
+        # or hold a three-number row
+        schottky = json.loads((resources.files("geoblock.presets") / "schottky_rank2.json").read_text())
+        del schottky["systole"]
         for name, text in (
             ("preset_text", "{not json"),
             ("preset_no_generators", json.dumps({"name": "p", "kind": "schottky"})),
+            ("preset_no_systole", json.dumps(schottky)),
             ("preset_short_row", json.dumps({"name": "p", "kind": "schottky", "generators": [[2, 0, 0]]})),
         ):
             preset_path = tmp_path / f"{name}.json"
             preset_path.write_text(text)
             cfg_path = tmp_path / f"{name}_config.json"
             cfg_path.write_text(json.dumps({**octagon, "geometry": {"kind": "fuchsian", "preset": str(preset_path)}}))
-            assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
+            for command in ("count", "report"):
+                assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
 
     def test_wrong_preset_centre_exit_2(self, tmp_path):
         # the octagon's generators pair the sides of the Dirichlet domain at

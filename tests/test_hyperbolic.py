@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from geoblock.errors import BudgetExceededError, DomainError, UnsupportedInputError
+from geoblock.errors import BudgetExceededError, DomainError
 from geoblock.growth import GrowthSeries, rate_estimate
 from geoblock.hyperbolic import (
     FuchsianPreset,
@@ -30,6 +30,11 @@ from oracles import reference_orbit_count
 def octagon_data():
     """The shipped octagon preset as its JSON dict, to edit one key."""
     return json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
+
+
+def schottky_data():
+    """The shipped Schottky preset as its JSON dict."""
+    return json.loads((resources.files("geoblock.presets") / "schottky_rank2.json").read_text())
 
 
 def brute_reduced_words(rank, n):
@@ -126,13 +131,20 @@ class TestPresets:
             FuchsianPreset.from_json({**octagon_data(), "name": "broken", "relator": "a1 b1"})
 
     def test_cocompact_needs_positive_systole(self):
-        # the orbit-point dedup derives its tolerance from the systole
-        data = octagon_data()
-        del data["systole"]
-        with pytest.raises(DomainError, match="systole"):
-            FuchsianPreset.from_json(data)
-        with pytest.raises(DomainError, match="systole"):
-            FuchsianPreset.from_json({**data, "systole": 0.0})
+        # the orbit-point dedup derives its tolerance from the systole, and
+        # the uniform count bound of either kind rests on it
+        for data in (octagon_data(), schottky_data()):
+            del data["systole"]
+            for bad in ({}, {"systole": 0.0}, {"systole": -1.0}, {"systole": None}, {"systole": True}):
+                with pytest.raises(DomainError, match=f"{data['kind']} preset needs a positive systole"):
+                    FuchsianPreset.from_json({**data, **bad})
+
+    def test_unknown_key_rejected(self):
+        # a stated diameter or area is refused, not silently ignored
+        for key, value in (("D", 3.0572), ("A", 8 * math.pi)):
+            for data in (octagon_data(), schottky_data()):
+                with pytest.raises(DomainError, match=f"unknown preset key: '{key}'"):
+                    FuchsianPreset.from_json({**data, key: value})
 
     def test_cocompact_needs_its_polygon(self):
         # orbit_count's cutoff rests on the Dirichlet domain at the centre
@@ -383,49 +395,48 @@ class TestEntropy:
 
 
 class TestUniformBound:
-    def test_degenerate_floor(self):
-        degenerate = FuchsianPreset.from_json({**octagon_data(), "name": "flat-dome", "D": 0.0})
-        assert uniform_count_bound(degenerate, 0.0, "rigorous").value == 1.0
+    def test_closed_form(self):
+        for name in builtin_presets():
+            preset = load_preset(name)
+            h = preset.systole / 2
+            for r in (0.5, 2.0, 5.0, 9.0):
+                u = uniform_count_bound(preset, r)
+                assert type(u) is float
+                assert u == pytest.approx((math.cosh(r + h) - 1) / (math.cosh(h) - 1), rel=1e-12)
 
-    def test_closed_form_genus2(self):
-        preset = load_preset("octagon_genus2")
-        u = uniform_count_bound(preset, 5.0, "rigorous")
-        expected = (math.cosh(5.0 + 2 * preset.diameter) - 1) / 2
-        assert u.value == pytest.approx(expected, rel=1e-12)
-        assert u.certified
+    def test_zero_radius_counts_the_identity(self):
+        for name in builtin_presets():
+            preset = load_preset(name)
+            assert uniform_count_bound(preset, 0.0) == 1.0
+            with pytest.raises(DomainError):
+                uniform_count_bound(preset, -0.5)
 
-    def test_stated_area_ignored(self):
-        # the bound divides by the area the relator fixes, not a stated one:
-        # a preset claiming "A" = 8 pi gets the shipped octagon's bound
-        preset = load_preset("octagon_genus2")
-        doubled = FuchsianPreset.from_json({**octagon_data(), "name": "double-area", "A": 8 * math.pi})
-        u1 = uniform_count_bound(preset, 5.0, "rigorous")
-        u2 = uniform_count_bound(doubled, 5.0, "rigorous")
-        assert u2.value == u1.value and u2.certified
-
-    def test_systole_mode_sharper_and_valid(self):
-        preset = load_preset("octagon_genus2")
-        u_d = uniform_count_bound(preset, 4.0, "rigorous")
-        u_s = uniform_count_bound(preset, 4.0, "systole")
-        assert u_s.value < u_d.value
-        # validity: the bound dominates observed counts at matching radius
-        res = orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, [4.0])
-        assert res.ball.count_series[0][1] <= u_s.value
-
-    def test_schottky_rigorous_unsupported(self):
-        preset = load_preset("schottky_rank2")
-        with pytest.raises(UnsupportedInputError):
-            uniform_count_bound(preset, 3.0, "rigorous")
-
-    def test_empirical_deterministic(self):
-        preset = load_preset("schottky_rank2")
-        a = uniform_count_bound(preset, 3.0, "empirical")
-        b = uniform_count_bound(preset, 3.0, "empirical")
-        assert a.value == b.value
-        assert not a.certified
+    def test_dominates_orbit_counts(self):
+        # the bound is uniform: it holds at every base pair and radius
+        grid = [1.0, 2.0, 3.0, 4.0]
+        pairs = [(0.03 + 0.97j, 0.03 + 0.97j), (1j, 0.4 + 1.5j),
+                 (0.2 + 1.1j, -0.3 + 0.8j), (0.5 + 0.6j, 2.0 + 3.0j)]
+        for name in builtin_presets():
+            preset = load_preset(name)
+            for x, y in pairs:
+                res = orbit_count(preset, x, y, grid)
+                assert all(res.certified)
+                for r, n in res.ball.count_series:
+                    assert n <= uniform_count_bound(preset, r), (name, x, y, r)
 
 
 class TestBlockingLowerBound:
+    def test_t_past_the_grid_rejected(self):
+        # the ball holds displacements up to the grid's largest t only: 9 of
+        # the 2,043 elements within t = 9
+        preset = load_preset("octagon_genus2")
+        x = 0.03 + 0.97j
+        orbit = orbit_count(preset, x, x, [4.0])
+        assert certified_blocking_lower_bound(preset, orbit, 4.0).count == orbit.ball.count_series[0][1]
+        with pytest.raises(DomainError, match="past the orbit's grid"):
+            certified_blocking_lower_bound(preset, orbit, 9.0)
+        assert certified_blocking_lower_bound(preset, orbit_count(preset, x, x, [9.0]), 9.0).count == 2043
+
     def test_small_t_vacuous(self):
         preset = load_preset("octagon_genus2")
         b = certified_blocking_lower_bound(preset, orbit_count(preset, 1j, 1j, [0.5]), 0.5)
