@@ -50,8 +50,8 @@ from .flatspace import (
     Key,
     RationalPoint,
     _intersections,
+    _passes_through,
     _point_order,
-    _segment_hits,
     connecting_family,
 )
 from .growth import kappa_from_squares
@@ -109,13 +109,7 @@ class IncidenceInstance:
         return len(self.candidates)
 
 
-def build_instance(
-    space: FlatSpace,
-    x: Key,
-    y: Key,
-    t_sq,
-    caps: SolverCaps = SolverCaps(),
-) -> IncidenceInstance:
+def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> IncidenceInstance:
     """Reduce geometric blocking of the connecting family to a hitting set.
 
     Cover sets are bitmasks over the connecting segments, assembled from the
@@ -123,14 +117,9 @@ def build_instance(
     crossing the two segments it lies on (``flatspace._intersections`` steps
     through one solved k2 interval per row, so a pair costs about its hits).
     Since connecting segments never overlap (module docstring), a record
-    names every segment through its point.  x and y are the endpoints'
-    keys, and the candidates are keys too (``FlatSpace._fold_key``).
+    names every segment through its point.  The candidates are keys
+    (``FlatSpace._fold_key``), as the family's endpoints are.
     """
-    family = connecting_family(space, x, y, t_sq)
-    return build_instance_from_family(family, caps)
-
-
-def build_instance_from_family(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> IncidenceInstance:
     space = family.space
     segs = family.connecting_segments()
     m = len(segs)
@@ -315,11 +304,12 @@ def verify_cover(instance: IncidenceInstance | GeodesicFamily, keys: Sequence[Ke
     family = instance.family if isinstance(instance, IncidenceInstance) else instance
     if family.x in keys or family.y in keys:
         raise DomainError("a blocking point must differ from both endpoints")
-    return all(any(_segment_hits(seg, z) for z in keys) for seg in family.connecting_segments())
+    return all(any(_passes_through(seg, z) for z in keys) for seg in family.connecting_segments())
 
 
-def midpoint_cover(family: GeodesicFamily) -> list[Key]:
-    """The half-lattice midpoint classes (x+y)/2 + (a*b1 + b*b2)/2 on a torus.
+def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
+    """The half-lattice midpoint classes (x+y)/2 + (a*b1 + b*b2)/2 on a torus;
+    None off a torus or on an empty family.
 
     Every torus geodesic from x to y passes through one of them at parameter
     1/2, so after removing x and y they block the whole connecting family
@@ -329,8 +319,8 @@ def midpoint_cover(family: GeodesicFamily) -> list[Key]:
     The keys come in point order.
     """
     space = family.space
-    if not space.is_torus:
-        raise DomainError("the midpoint cover exists on the torus only")
+    if not space.is_torus or not family.m:
+        return None
     (x1, x2, dx), (y1, y2, dy) = family.x, family.y
     den = dx * dy
     keys = {space._fold_key(x1 * dy + y1 * dx + a * den, x2 * dy + y2 * dx + b * den, 2 * den)
@@ -370,27 +360,23 @@ def blocking_threshold(
 def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResult:
     """``blocking_threshold`` of a family: first the proper prefixes at t/8,
     t/4 and t/2, one per size, that hold at least c = |midpoint cover| geodesics."""
-    cover = _torus_cover(family)
+    cover = midpoint_cover(family)
     if cover and family.m <= caps.max_geodesics:
         c = len(cover)
         rungs = {family.counts_at(t_sq)[1]: t_sq for t_sq in (family.t_sq / 64, family.t_sq / 16, family.t_sq / 4)}
         for m, t_sq in rungs.items():
             if c <= m < family.m:
-                instance = build_instance_from_family(family.within(t_sq), caps)
+                instance = build_instance(family.within(t_sq), caps)
                 sol = solve_exact(instance, caps)
                 if (sol.size if sol.optimal else sol.lower_bound) >= c:
                     return ThresholdResult(c, True, BlockingSolution(tuple(cover), c, True, c), instance, c, family)
-    return _threshold(build_instance_from_family(family, caps), caps, cover)
+    return _threshold(build_instance(family, caps), caps)
 
 
-def _torus_cover(family: GeodesicFamily) -> list[Key] | None:
-    """The midpoint cover on a torus; None off a torus or on an empty family."""
-    return midpoint_cover(family) if family.space.is_torus and family.m else None
-
-
-def _threshold(instance: IncidenceInstance, caps: SolverCaps, cover: list[Key] | None) -> ThresholdResult:
+def _threshold(instance: IncidenceInstance, caps: SolverCaps) -> ThresholdResult:
     """The full solve of a built instance; a capped greedy cover larger than
-    the family's midpoint ``cover`` (``_torus_cover``) gives way to it."""
+    the family's midpoint cover gives way to it."""
+    cover = midpoint_cover(instance.family)
     sol = solve_exact(instance, caps)
     if not verify_cover(instance, sol.keys):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
@@ -613,8 +599,8 @@ def recursion_harness(
         if terminal:
             counts = [connecting_family(space, p, q, level_t_sq).m for p, q in pairs]
         else:
-            instances = [build_instance(space, p, q, level_t_sq, caps) for p, q in pairs]
-            results = [_threshold(inst, caps, _torus_cover(inst.family)) for inst in instances]
+            families = [connecting_family(space, p, q, level_t_sq) for p, q in pairs]
+            results = [_threshold(build_instance(family, caps), caps) for family in families]
             certified = certified and all(res.certified for res in results)
             counts = [res.family.m for res in results]
             blocking_sizes = [res.value for res in results]

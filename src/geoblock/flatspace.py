@@ -2,15 +2,15 @@
 2-tori and the unit-square billiard table.
 
 Everything is exact rational arithmetic: lengths are only ever handled as
-squared lengths, incidence questions (does this point lie on that geodesic
-interior?) are solved over the rationals, and enumeration completeness comes
-from integer bounding boxes.  Both geometries are one construction: the plane
-modulo a lattice and a group of axis sign flips preserving it.  A torus has
-the identity as its only flip; the billiard is the torus R^2/(2Z)^2 folded by
-all four flips (unfolding), so its trajectories are straight segments from x
-to the images g*y + lambda.  Trajectories whose interior hits a point fixed
-by the half-turn (a corner of the table) are rejected: the flow is undefined
-there.
+squared lengths, incidence (does this point lie on that geodesic interior?) is
+an integer yes/no from one linear congruence per flip (``_affine_hits``), and
+enumeration completeness comes from integer bounding boxes.  Both geometries
+are one construction: the plane modulo a lattice and a group of axis sign
+flips preserving it.  A torus has the identity as its only flip; the billiard
+is the torus R^2/(2Z)^2 folded by all four flips (unfolding), so its
+trajectories are straight segments from x to the images g*y + lambda.
+Trajectories whose interior hits a point fixed by the half-turn (a corner of
+the table) are rejected: the flow is undefined there.
 
 Keys inside, points at the edge.  The one point type inside is the folded
 integer key (``FlatSpace._fold_key``): families, segments and ``blocker``'s
@@ -261,14 +261,16 @@ class GeodesicSegment:
         return self.space._fold_key(x1 * q + p * a1, x2 * q + p * a2, den * q)
 
 
-def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> list[Fraction]:
-    """All s in (0,1) with (s*a1 - c1)/den and (s*a2 - c2)/den both integers.
+def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> bool:
+    """Whether some s in (0,1) makes (s*a1 - c1)/den and (s*a2 - c2)/den both
+    integers.
 
     The inputs are integers, den > 0 and (a1, a2) != (0, 0); a zero component
     turns its congruence into a plain integrality condition on c.  The
     conditions read s*aj = cj (mod den); the first parametrizes
-    s = (c1 + i*den)/a1 and the second becomes a linear congruence in i, so the
-    work is proportional to the number of hits, not to |a1|.
+    s = (c1 + i*den)/a1 and the second becomes a linear congruence in i, so
+    the answer is whether its least solution past the open interval's lower
+    end is below its upper end: integer work, independent of |a1|.
     """
     if a1 == 0 and a2 == 0:
         raise DomainError("degenerate direction in incidence solve")
@@ -281,42 +283,35 @@ def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> list[Fract
     coef = (den * a2) % mod
     g = math.gcd(coef, mod)
     if rhs % g:
-        return []
+        return False
     step = mod // g
     if coef == 0:
         i0 = 0  # rhs == 0 here and step == 1: every i solves the congruence
     else:
         i0 = (rhs // g * pow(coef // g, -1, step)) % step
 
-    # s in (0,1): c1 + i den strictly between 0 and a1 (orientation by sign)
+    # s in (0,1): c1 + i den strictly between 0 and a1 (orientation by sign),
+    # which holds for exactly the i in [i_min, i_max]
     lo, hi = (0, a1) if a1 > 0 else (a1, 0)
-    # lo < c1 + i den < hi
     i_min = (lo - c1) // den + 1
     i_max = -((-(hi - c1)) // den) - 1
-    first = i_min + (i0 - i_min) % step
-    hits = []
-    for i in range(first, i_max + 1, step):
-        val = c1 + i * den
-        if lo < val < hi:
-            hits.append(Fraction(val, a1))
-    hits.sort()
-    return hits
+    return i_min + (i0 - i_min) % step <= i_max
 
 
-def _segment_hits(segment: GeodesicSegment, z: Key) -> list[Fraction]:
-    """Interior parameters where the segment passes through the point with
-    key z: s*a - (g*z - x) is a lattice vector for some flip g.  The flips
-    and lattice vectors range over groups, so every representative of the
-    point gives the same parameters."""
+def _passes_through(segment: GeodesicSegment, z: Key) -> bool:
+    """Whether the segment's interior passes through the point with key z:
+    s*a - (g*z - x) is a lattice vector for some s in (0,1) and flip g.  The
+    flips and lattice vectors range over groups, so every representative of
+    the point gives the same answer."""
     x1, x2, den = segment.origin
     a1, a2 = segment.lattice
     z1, z2, zden = z
     q = math.lcm(den, zden)
     f, fz = q // den, q // zden
-    hits: set[Fraction] = set()
-    for s1, s2 in segment.space.group:
-        hits.update(_affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q))
-    return sorted(hits)
+    return any(
+        _affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q)
+        for s1, s2 in segment.space.group
+    )
 
 
 def _enumerate(

@@ -72,17 +72,14 @@ def hyp_distance(z: complex, w: complex) -> float:
 @dataclass(frozen=True)
 class MobiusMatrix:
     """Real 2x2 matrix acting on the upper half-plane, det = 1, identified
-    with its negation."""
+    with its negation.  Loading a preset checks each generator's determinant
+    (``FuchsianPreset.validate``); products and inverses keep it up to
+    rounding, which an absolute check would mistake for a wrong matrix."""
 
     a: float
     b: float
     c: float
     d: float
-
-    def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-9:
-            raise DomainError(f"determinant must be 1, got {det}")
 
     def apply(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
@@ -163,8 +160,10 @@ class FuchsianPreset:
         return acc
 
     def validate(self) -> None:
-        # MobiusMatrix has already checked each determinant
         for name, g in zip(self.generator_names, self.generators):
+            det = g.a * g.d - g.b * g.c
+            if abs(det - 1.0) > _FLOAT_ERR:
+                raise DomainError(f"generator {name} has determinant {det}; the determinant must be 1")
             if abs(g.trace) <= 2.0:
                 raise DomainError(f"generator {name} is not hyperbolic (|trace| <= 2)")
         # the uniform count bound and the cocompact dedup rest on it

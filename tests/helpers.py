@@ -16,5 +16,5 @@ def family_of(space, x, y, t_sq):
 
 
 def instance_of(space, x, y, t_sq, caps=SolverCaps()):
-    """``build_instance`` between two points, passed as their keys."""
-    return build_instance(space, space.key(x), space.key(y), t_sq, caps)
+    """``build_instance`` of the family between two points."""
+    return build_instance(family_of(space, x, y, t_sq), caps)

@@ -27,6 +27,41 @@ def point_at(seg, s):
     return seg.space._key_point(seg.key_at(s.numerator, s.denominator))
 
 
+def affine_hits(a1, a2, c1, c2, den=1):
+    """All s in (0,1) with (s*a1 - c1)/den and (s*a2 - c2)/den both integers,
+    sorted: the hit values behind ``flatspace._affine_hits``'s yes/no, from
+    the same linear congruence in i with s = (c1 + i*den)/a1."""
+    if a1 == 0:
+        a1, a2, c1, c2 = a2, a1, c2, c1
+    mod = abs(den * a1)
+    rhs = (c2 * a1 - c1 * a2) % mod
+    coef = (den * a2) % mod
+    g = math.gcd(coef, mod)
+    if rhs % g:
+        return []
+    step = mod // g
+    i0 = (rhs // g * pow(coef // g, -1, step)) % step if coef else 0
+    lo, hi = (0, a1) if a1 > 0 else (a1, 0)
+    i_min = (lo - c1) // den + 1
+    i_max = -((-(hi - c1)) // den) - 1
+    first = i_min + (i0 - i_min) % step
+    return sorted(Fraction(c1 + i * den, a1) for i in range(first, i_max + 1, step))
+
+
+def segment_hits(segment, z):
+    """Interior parameters where the segment passes through the point with
+    key z, over every flip: the values behind ``flatspace._passes_through``."""
+    x1, x2, den = segment.origin
+    a1, a2 = segment.lattice
+    z1, z2, zden = z
+    q = math.lcm(den, zden)
+    f, fz = q // den, q // zden
+    hits = set()
+    for s1, s2 in segment.space.group:
+        hits.update(affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q))
+    return sorted(hits)
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "connecting" | "passes-through-endpoint"
@@ -38,10 +73,8 @@ def classify(segment):
     """Flag a segment whose interior passes through either endpoint: the
     per-flip incidence solve on each endpoint's folded key, not the
     endpoint offsets that ``connecting_family`` tests against."""
-    from geoblock.flatspace import _segment_hits
-
-    x_hits = tuple(_segment_hits(segment, segment.key_at(0, 1)))
-    y_hits = tuple(_segment_hits(segment, segment.key_at(1, 1)))
+    x_hits = tuple(segment_hits(segment, segment.key_at(0, 1)))
+    y_hits = tuple(segment_hits(segment, segment.key_at(1, 1)))
     kind = "passes-through-endpoint" if (x_hits or y_hits) else "connecting"
     return Classification(kind, x_hits, y_hits)
 
@@ -51,14 +84,13 @@ def point_on_geodesic(space, z, segment):
     empty list means z does not block it.  z must lie in the table and
     differ from both endpoints."""
     from geoblock.errors import DomainError, UnsupportedInputError
-    from geoblock.flatspace import _segment_hits
 
     if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
         raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
     key = space.key(z)
     if key in (segment.key_at(0, 1), segment.key_at(1, 1)):
         raise DomainError("z must differ from both endpoints")
-    return _segment_hits(segment, key)
+    return segment_hits(segment, key)
 
 
 def brute_enumerate_displacements(space, x, y, t_sq):
@@ -237,8 +269,6 @@ def reference_instance(family):
     box-scan crossings (``reference_intersections``), each record's cover
     completed by exact incidence with every other connecting segment, and
     the least point per cover set, sorted."""
-    from geoblock.flatspace import _segment_hits
-
     space, segs = family.space, family.connecting_segments()
     records = {}
     for i, seg in enumerate(segs):
@@ -271,7 +301,7 @@ def reference_instance(family):
                 continue
             for w1, w2 in images:
                 if (p1 * w2 - p2 * w1 - c * fx) % q == 0:
-                    if _segment_hits(segs[i], key):
+                    if segment_hits(segs[i], key):
                         mask |= 1 << i
                     break
         groups.setdefault(mask, []).append(point)

@@ -15,7 +15,7 @@ from geoblock.blocker import (
     PairSampler,
     blocking_cost_sampled,
     blocking_threshold,
-    build_instance_from_family,
+    build_instance,
     midpoint_cover,
     recursion_harness,
     solve_exact,
@@ -125,7 +125,7 @@ def test_criterion_4_blocking_exactness(chain_log):
             fam = family_of(space, x, y, t_sq)
             if not 1 <= fam.m <= 20:
                 continue
-            inst = build_instance_from_family(fam)
+            inst = build_instance(fam)
             sol = solve_exact(inst)
             assert sol.optimal
             assert_minimum_by_exhaustion(inst, sol.size)

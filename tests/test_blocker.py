@@ -15,7 +15,7 @@ from geoblock.blocker import (
     SolverCaps,
     blocking_cost_sampled,
     blocking_threshold,
-    build_instance_from_family,
+    build_instance,
     midpoint_cover,
     recursion_harness,
     solve_exact,
@@ -25,7 +25,7 @@ from geoblock.errors import DomainError, GeoBlockError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
-    _segment_hits,
+    _passes_through,
     connecting_family,
 )
 from geoblock.growth import kappa_from_squares
@@ -67,7 +67,7 @@ def recompute_covers(instance):
     for p in map(space._key_point, instance.candidates):
         mask = 0
         for i, seg in enumerate(segs):
-            if _segment_hits(seg, space.key(p)):
+            if _passes_through(seg, space.key(p)):
                 mask |= 1 << i
         out.append(mask)
     return tuple(out)
@@ -155,7 +155,7 @@ class TestBuildInstance:
             else:
                 x, y = interior_point(rng), interior_point(rng)
             family = family_of(space, x, y, F(rng.randint(1, 16)))
-            inst = build_instance_from_family(family)
+            inst = build_instance(family)
             assert (tuple(map(space._key_point, inst.candidates)), inst.covers) == reference_instance(family)
 
     def test_point_order_exact_under_float_ties(self):
@@ -312,10 +312,11 @@ class TestSolveExact:
         assert dual_wins >= 5
 
     def test_no_fractions_inside(self):
-        # the enumeration box, the crossing kernel and the covering bound are
-        # integer-only: a torus family makes one Fraction parsing t^2 and one
-        # per endpoint hit (n - m = 4 segments pass through an endpoint), and
-        # the solve makes none
+        # the enumeration box, the endpoint classification, the crossing
+        # kernel, the covering bound and the cover check are integer-only: a
+        # torus family makes one Fraction, parsing t^2, although n - m = 4 of
+        # its segments pass through an endpoint, and the solve and its
+        # re-check make none
         space = FlatSpace.unit_torus()
         x, y = space.key(P("1/8", "1/8")), space.key(P("5/8", "3/8"))
         made = [0]
@@ -334,10 +335,12 @@ class TestSolveExact:
             return result, made[0]
 
         fam, in_family = fractions_in(connecting_family, space, x, y, 16)
-        assert (fam.n, fam.m, in_family) == (50, 46, 5)
-        inst = build_instance_from_family(fam)
+        assert (fam.n, fam.m, in_family) == (50, 46, 1)
+        inst = build_instance(fam)
         sol, in_solve = fractions_in(solve_exact, inst)
         assert (inst.num_candidates, sol.size, sol.optimal, in_solve) == (682, 4, True, 0)
+        blocked, in_check = fractions_in(verify_cover, inst, sol.keys)
+        assert (blocked, in_check) == (True, 0)
 
     def test_lower_bound_sound(self):
         rng = random.Random(59)
@@ -480,8 +483,7 @@ EARLY_TORI = (((1, 0), (0, 1)), ((1, 0), (F(1, 3), F(5, 4))), ((1, 0), (F(1, 2),
 
 def full_threshold(space, x, y, t_sq, caps=SolverCaps()):
     """The threshold by the full build and solve, with no prefix certificate."""
-    inst = instance_of(space, x, y, t_sq, caps)
-    return blocker._threshold(inst, caps, blocker._torus_cover(inst.family))
+    return blocker._threshold(instance_of(space, x, y, t_sq, caps), caps)
 
 
 class TestEarlyCertificate:
@@ -553,6 +555,13 @@ class TestEarlyCertificate:
                     kept = cover[:drop] + cover[drop + 1:]
                     if all(mid in kept for mid in mids):
                         assert verify_cover(fam, kept)
+
+    def test_midpoint_cover_none_off_a_torus_or_empty(self):
+        torus = FlatSpace.unit_torus()
+        cover = midpoint_cover(family_of(torus, P(0, 0), P("1/2", 0), 1))
+        assert cover == [torus.key(P(x, y)) for x in ("1/4", "3/4") for y in (0, "1/2")]
+        assert midpoint_cover(family_of(torus, P(0, 0), P("1/2", 0), F(1, 100))) is None
+        assert midpoint_cover(family_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 4)) is None
 
     def test_sampled_cost_is_max_of_full_thresholds(self):
         for basis in EARLY_TORI:

@@ -12,7 +12,9 @@ from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
+    _affine_hits,
     _intersections,
+    _passes_through,
     connecting_family,
     count,
     intersection_candidates,
@@ -21,12 +23,14 @@ from geoblock.flatspace import (
 )
 from helpers import family_of
 from oracles import (
+    affine_hits,
     classify,
     displacement,
     point_at,
     point_on_geodesic,
     reference_intersections,
     reference_overlaps,
+    segment_hits,
     sq_length,
 )
 
@@ -381,9 +385,9 @@ def affine_hits_scan_oracle(a1, a2, c1, c2):
 
 class TestAffineHits:
     def test_against_scan_oracle(self):
-        from geoblock.flatspace import _affine_hits
-
+        # the truth test, and the oracles' list-valued solve behind it
         rng = random.Random(31)
+        hits = 0
         for _ in range(400):
             a1 = F(rng.randint(-12, 12), rng.randint(1, 4))
             a2 = F(rng.randint(-12, 12), rng.randint(1, 4))
@@ -393,14 +397,18 @@ class TestAffineHits:
             c2 = F(rng.randint(-8, 8), rng.randint(1, 4))
             # the solver takes integers over their common denominator
             den = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
-            ints = (int(v * den) for v in (a1, a2, c1, c2))
-            assert _affine_hits(*ints, den=den) == affine_hits_scan_oracle(a1, a2, c1, c2)
+            ints = [int(v * den) for v in (a1, a2, c1, c2)]
+            expected = affine_hits_scan_oracle(a1, a2, c1, c2)
+            assert affine_hits(*ints, den=den) == expected
+            assert _affine_hits(*ints, den=den) == bool(expected)
+            hits += bool(expected)
+        assert hits >= 40
 
     def test_large_direction_stays_fast(self):
-        from geoblock.flatspace import _affine_hits
-
-        hits = _affine_hits(10**6, 10**6 - 1, 0, 0)
-        assert hits == affine_hits_scan_oracle_large()
+        assert _affine_hits(10**6, 10**6 - 1, 0, 0) == bool(affine_hits_scan_oracle_large())
+        # doubled, the direction meets one integer point, at s = 1/2
+        assert _affine_hits(2 * 10**6, 2 * 10**6 - 2, 0, 0) is True
+        assert affine_hits(2 * 10**6, 2 * 10**6 - 2, 0, 0) == [F(1, 2)]
 
 
 def affine_hits_scan_oracle_large():
@@ -450,8 +458,6 @@ class TestPointOnGeodesic:
         FlatSpace.square_billiard(),
     ])
     def test_against_scan_oracle(self, space):
-        from geoblock.flatspace import _segment_hits
-
         rng = random.Random(37)
         nonempty = 0
         for _ in range(150):
@@ -481,10 +487,12 @@ class TestPointOnGeodesic:
             expected = incidence_scan_oracle(seg, z)
             assert incidence_scan_oracle(seg, rep) == expected
             assert point_on_geodesic(space, z, seg) == expected
+            assert _passes_through(seg, space.key(z)) == bool(expected)
+            assert _passes_through(seg, space.key(rep)) == bool(expected)
             if space.is_torus:
                 assert point_on_geodesic(space, rep, seg) == expected
             else:
-                assert _segment_hits(seg, space.key(rep)) == expected
+                assert segment_hits(seg, space.key(rep)) == expected
                 if not (0 <= rep.x <= 1 and 0 <= rep.y <= 1):
                     with pytest.raises(UnsupportedInputError):
                         point_on_geodesic(space, rep, seg)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import geoblock.blocker as blocker
 import geoblock.harness as harness
 from geoblock.blocker import PairSampler, SolverCaps
 from geoblock.cli import main
@@ -273,6 +274,25 @@ class TestVerify:
         # t = 1..4 halved down to delta = 1/2: seven distinct t^2
         expected = [F(16), F(9), F(4), F(9, 4), F(1), F(9, 16), F(1, 4)]
         assert sorted(calls) == sorted(expected)
+
+    def test_every_solved_instance_is_built_by_build_instance(self, monkeypatch, tmp_path):
+        # a wrapper around build_instance, as the benchmark's trace installs,
+        # sees every instance the value path and the recursion solve
+        built, solved = [], []
+        build, solve = blocker.build_instance, blocker.solve_exact
+
+        def traced_build(family, caps=SolverCaps()):
+            built.append(build(family, caps))
+            return built[-1]
+
+        def traced_solve(instance, caps=SolverCaps()):
+            solved.append(instance)
+            return solve(instance, caps)
+
+        monkeypatch.setattr(blocker, "build_instance", traced_build)
+        monkeypatch.setattr(blocker, "solve_exact", traced_solve)
+        cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
+        assert solved and sorted(map(id, solved)) == sorted(map(id, built))
 
     @pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
     def test_sample_drawn_once_per_run(self, monkeypatch, tmp_path, config):

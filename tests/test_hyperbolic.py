@@ -174,6 +174,21 @@ class TestPresets:
         with pytest.raises(DomainError):
             load_preset("no_such_preset")
 
+    def test_schottky_words_evaluate(self):
+        # loading checks the generators' determinants; a product keeps det 1
+        # only up to rounding that grows with its entries (g1 g2 G1 g2 reads
+        # 0.9999999962747097), so evaluating a word checks nothing
+        preset = load_preset("schottky_rank2")
+        names = [name for name, _ in preset.gens_with_inverses()]
+        words, level = [], [()]
+        for _ in range(4):
+            level = [w + (n,) for w in level for n in names if not w or n != w[-1].swapcase()]
+            words += level if len(level[0]) >= 2 else []
+        assert len(words) == 12 + 36 + 108
+        for word in words:
+            g = preset.evaluate_word(" ".join(word))
+            assert abs(g.a * g.d - g.b * g.c - 1) <= 1e-15 * (abs(g.a * g.d) + abs(g.b * g.c))
+
     def test_bad_determinant_rejected(self, tmp_path):
         # doubling a generator's first row doubles its determinant to 2
         data = octagon_data()
