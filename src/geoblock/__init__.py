@@ -16,7 +16,6 @@ from .blocker import (
 )
 from .flatspace import (
     FlatSpace,
-    GeodesicSegment,
     RationalPoint,
     connecting_family,
     count,

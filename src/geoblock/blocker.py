@@ -27,11 +27,14 @@ points) bounds s_t above by its size c.  A prefix of the connecting family
 certified lower bound on it bounds s_t below; once that reaches c, s_t = c
 with the midpoint cover as the set, and the full instance is never built.
 ``recursion_harness`` keeps the full solve: its next level is built from the
-solver's first optimal set.
+solver's first optimal set.  Either way each family's cover is computed once
+and handed to the full solve (``_threshold``).
 
 Keys inside, points at the edge (``flatspace``): instances, solutions, covers
 and recursion levels hold folded keys, so a blocking set's keys are the next
-level's endpoints as they are.  ``blocking_threshold``, ``recursion_harness``
+level's endpoints as they are.  A connecting segment is its displacement on
+its family, so the build, ``verify_cover`` and the cover check take the
+family and its ``connecting`` displacements, with no per-segment object.  ``blocking_threshold``, ``recursion_harness``
 and the sampled cost take ``RationalPoint``s and fold each endpoint once.
 """
 
@@ -101,10 +104,6 @@ class IncidenceInstance:
     covers: tuple[int, ...]
 
     @property
-    def num_geodesics(self) -> int:
-        return self.family.m
-
-    @property
     def num_candidates(self) -> int:
         return len(self.candidates)
 
@@ -120,8 +119,7 @@ def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> I
     names every segment through its point.  The candidates are keys
     (``FlatSpace._fold_key``), as the family's endpoints are.
     """
-    space = family.space
-    segs = family.connecting_segments()
+    segs = family.connecting
     m = len(segs)
     if m == 0:
         return IncidenceInstance(family, (), ())
@@ -130,22 +128,22 @@ def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> I
 
     # every record is interior to a connecting segment; the endpoint keys go as a guard
     records: dict[Key, int] = {}
-    for i, seg in enumerate(segs):
-        key = seg.key_at(1, 2)
+    for i, a in enumerate(segs):
+        key = family.key_at(a, 1, 2)
         records[key] = records.get(key, 0) | 1 << i
     for i in range(m):
         for j in range(i + 1, m):
             pair = 1 << i | 1 << j
-            for hit in _intersections(segs[i], segs[j]):
+            for hit in _intersections(family, segs[i], segs[j]):
                 records[hit[0]] = records.get(hit[0], 0) | pair
-    for end in (segs[0].key_at(0, 1), segs[0].key_at(1, 1)):
-        records.pop(end, None)
+    records.pop(family.x, None)
+    records.pop(family.y, None)
 
     # dedup identical cover sets, keeping the lexicographically smallest point
     groups: dict[int, list[Key]] = {}
     for key, mask in records.items():
         groups.setdefault(mask, []).append(key)
-    order = _point_order(space, records)
+    order = _point_order(family.space, records)
     least = {mask: min(keys, key=order) for mask, keys in groups.items()}
     keep_masks = sorted(least, key=lambda mask: order(least[mask]))
 
@@ -236,7 +234,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     instance over it returns the greedy cover, ``optimal`` exactly when the
     root bound meets it, and ``[lower, greedy]`` otherwise.
     """
-    m = instance.num_geodesics
+    m = instance.family.m
     if m == 0:
         return BlockingSolution((), 0, True, 0)
     full = (1 << m) - 1
@@ -293,18 +291,16 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     return BlockingSolution(keys, len(keys), not capped or lower == len(keys), lower)
 
 
-def verify_cover(instance: IncidenceInstance | GeodesicFamily, keys: Sequence[Key]) -> bool:
+def verify_cover(family: GeodesicFamily, keys: Sequence[Key]) -> bool:
     """Whether every connecting segment passes through one of the points
     with these keys, re-checked against the geometry in exact arithmetic.
 
-    Takes an instance or its family.  The keys are folded
-    (``FlatSpace._fold_key``), as the solver's are, and each must differ
-    from both endpoints.
+    The keys are folded (``FlatSpace._fold_key``), as the solver's are, and
+    each must differ from both endpoints.
     """
-    family = instance.family if isinstance(instance, IncidenceInstance) else instance
     if family.x in keys or family.y in keys:
         raise DomainError("a blocking point must differ from both endpoints")
-    return all(any(_passes_through(seg, z) for z in keys) for seg in family.connecting_segments())
+    return all(any(_passes_through(family, a, z) for z in keys) for a in family.connecting)
 
 
 def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
@@ -315,7 +311,7 @@ def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
     1/2, so after removing x and y they block the whole connecting family
     (a connecting segment whose midpoint were x or y would pass through an
     endpoint and not be connecting).  Verified before use, in O(m): every
-    connecting segment's midpoint ``key_at(1, 2)``, interior to it, is a key.
+    connecting segment's midpoint ``key_at(a, 1, 2)``, interior to it, is a key.
     The keys come in point order.
     """
     space = family.space
@@ -326,7 +322,7 @@ def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
     keys = {space._fold_key(x1 * dy + y1 * dx + a * den, x2 * dy + y2 * dx + b * den, 2 * den)
             for a in (0, 1) for b in (0, 1)}
     keys -= {family.x, family.y}
-    if any(seg.key_at(1, 2) not in keys for seg in family.connecting_segments()):
+    if any(family.key_at(a, 1, 2) not in keys for a in family.connecting):
         raise GeoBlockError("internal: midpoint cover failed to block a connecting segment")
     return sorted(keys, key=_point_order(space, keys))
 
@@ -370,22 +366,22 @@ def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResu
                 sol = solve_exact(instance, caps)
                 if (sol.size if sol.optimal else sol.lower_bound) >= c:
                     return ThresholdResult(c, True, BlockingSolution(tuple(cover), c, True, c), instance, c, family)
-    return _threshold(build_instance(family, caps), caps)
+    return _threshold(family, caps, cover)
 
 
-def _threshold(instance: IncidenceInstance, caps: SolverCaps) -> ThresholdResult:
-    """The full solve of a built instance; a capped greedy cover larger than
-    the family's midpoint cover gives way to it."""
-    cover = midpoint_cover(instance.family)
+def _threshold(family: GeodesicFamily, caps: SolverCaps, cover: list[Key] | None) -> ThresholdResult:
+    """The full build and solve of a family; a capped greedy cover larger
+    than the family's midpoint cover ``cover`` gives way to it."""
+    instance = build_instance(family, caps)
     sol = solve_exact(instance, caps)
-    if not verify_cover(instance, sol.keys):
+    if not verify_cover(family, sol.keys):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if cover is not None and sol.size > len(cover):
         if sol.optimal:
             raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
         sol = BlockingSolution(tuple(cover), len(cover), sol.lower_bound >= len(cover), sol.lower_bound)
     mid_upper = len(cover) if cover is not None else None
-    return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, instance.family)
+    return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, family)
 
 
 @dataclass(frozen=True)
@@ -403,9 +399,10 @@ class PairSampler:
         for _ in range(100 * self.count + 101):
             if len(out) == self.count:
                 return list(out)
-            coords = [Fraction(rng.randrange(den), den) for _ in range(4)]
+            # two points' lattice numerators, folded straight into keys
+            draws = [rng.randrange(den) for _ in range(4)]
             if space.is_torus:
-                p, q = (space.reduce_point(RationalPoint(*space.from_lattice(*coords[k:k + 2]))) for k in (0, 2))
+                p, q = (space._key_point(space._fold_key(*draws[k:k + 2], den)) for k in (0, 2))
             else:
                 vals = [Fraction(rng.randrange(1, den), den) for _ in range(4)]
                 p, q = RationalPoint(vals[0], vals[1]), RationalPoint(vals[2], vals[3])
@@ -600,7 +597,7 @@ def recursion_harness(
             counts = [connecting_family(space, p, q, level_t_sq).m for p, q in pairs]
         else:
             families = [connecting_family(space, p, q, level_t_sq) for p, q in pairs]
-            results = [_threshold(build_instance(family, caps), caps) for family in families]
+            results = [_threshold(family, caps, midpoint_cover(family)) for family in families]
             certified = certified and all(res.certified for res in results)
             counts = [res.family.m for res in results]
             blocking_sizes = [res.value for res in results]

@@ -13,8 +13,11 @@ Trajectories whose interior hits a point fixed by the half-turn (a corner of
 the table) are rejected: the flow is undefined there.
 
 Keys inside, points at the edge.  The one point type inside is the folded
-integer key (``FlatSpace._fold_key``): families, segments and ``blocker``'s
-instances, solutions and recursion levels hold keys.  ``count``,
+integer key (``FlatSpace._fold_key``): families and ``blocker``'s instances,
+solutions and recursion levels hold keys.  A segment is plain integers on its
+family: a family is its origin and its connecting displacements
+(``GeodesicFamily``), and ``key_at``, ``_passes_through``, ``_intersections``
+and ``intersection_candidates`` take the family and a displacement.  ``count``,
 ``blocking_threshold``, ``recursion_harness``, the pair sampler and the
 config parse take ``RationalPoint``s and fold each endpoint once
 (``FlatSpace.validate_point``); ``FlatSpace._key_point`` makes points again
@@ -35,11 +38,11 @@ from .errors import DomainError, UnsupportedInputError
 Vec = tuple[Fraction, Fraction]
 Flip = tuple[int, int]
 Key = tuple[int, int, int]  # a folded point as integer lattice coordinates (i/d, j/d)
+Disp = tuple[int, int]  # a segment's displacement g*y + lambda - x, lattice coordinates over its family's D
 
 __all__ = [
     "RationalPoint",
     "FlatSpace",
-    "GeodesicSegment",
     "IntersectionHit",
     "GeodesicFamily",
     "shortest_vector",
@@ -144,19 +147,16 @@ class FlatSpace:
     def is_torus(self) -> bool:
         return self.kind == "torus"
 
-    def from_lattice(self, i: Fraction, j: Fraction) -> Vec:
-        return (i * self.b1[0] + j * self.b2[0], i * self.b1[1] + j * self.b2[1])
-
-    def _lattice_ints(self, *points: RationalPoint) -> tuple[list[tuple[int, int]], int]:
-        """Lattice coordinates of the points as integers over their least
+    def _lattice_ints(self, p: RationalPoint) -> tuple[tuple[int, int], int]:
+        """Lattice coordinates of the point as integers over their least
         common denominator."""
         m0, m1, m2, m3, d = self._inv
-        # each point is (a, c)/q with a, c integers
-        q = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
-        ac = [(p.x.numerator * (q // p.x.denominator), p.y.numerator * (q // p.y.denominator)) for p in points]
-        ints = [(m0 * a + m1 * c, m2 * a + m3 * c) for a, c in ac]
-        g = math.gcd(d * q, *(n for ij in ints for n in ij))
-        return [(i // g, j // g) for i, j in ints], d * q // g
+        # the point is (a, c)/q with a, c integers
+        q = math.lcm(p.x.denominator, p.y.denominator)
+        a, c = p.x.numerator * (q // p.x.denominator), p.y.numerator * (q // p.y.denominator)
+        i, j = m0 * a + m1 * c, m2 * a + m3 * c
+        g = math.gcd(d * q, i, j)
+        return (i // g, j // g), d * q // g
 
     def _fold_key(self, n1: int, n2: int, den: int) -> Key:
         """The point (n1/den, n2/den) in lattice coordinates, den > 0, reduced
@@ -181,7 +181,7 @@ class FlatSpace:
 
     def key(self, p: RationalPoint) -> Key:
         """The point's key: its lattice coordinates, folded by ``_fold_key``."""
-        [(n1, n2)], den = self._lattice_ints(p)
+        (n1, n2), den = self._lattice_ints(p)
         return self._fold_key(n1, n2, den)
 
     def reduce_point(self, p: RationalPoint) -> RationalPoint:
@@ -202,11 +202,13 @@ class FlatSpace:
         return key
 
     def validate_point(self, p: RationalPoint) -> Key:
-        """The key of endpoint p, which must lie in the table (the fold would
-        carry a point off it onto it) and be admitted."""
-        if self.kind == "billiard" and not (0 <= p.x <= 1 and 0 <= p.y <= 1):
+        """The key of endpoint p, which must lie in the fundamental domain,
+        0 <= 2n <= den for its lattice numerators n on every flipped axis (the
+        fold would carry a point off it onto it), and be admitted."""
+        (n1, n2), den = self._lattice_ints(p)
+        if not all(0 <= 2 * n <= den for n, flip in zip((n1, n2), self._flips) if flip):
             raise UnsupportedInputError(f"billiard endpoints must be interior table points, got {p}")
-        return self._endpoint(self.key(p))
+        return self._endpoint(self._fold_key(n1, n2, den))
 
 
 def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
@@ -215,8 +217,6 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
     Two-dimensional Lagrange-Gauss reduction; minimality is certified by an
     exhaustive scan over small coefficients of the reduced basis.
     """
-    if not space.is_torus:
-        raise DomainError("shortest_vector is defined for the torus kind only")
     u, v = space.b1, space.b2
     if _sq(u) > _sq(v):
         u, v = v, u
@@ -238,27 +238,6 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
     if best[0] < 0 or (best[0] == 0 and best[1] < 0):
         best = (-best[0], -best[1])
     return best, best_sq
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """One oriented connecting segment, from x to an image g*y + lambda of y
-    under a flip g and a lattice vector lambda.
-
-    ``origin`` is x in lattice coordinates as (X1, X2, D), meaning
-    (X1/D, X2/D), and ``lattice`` is the displacement g*y + lambda - x in
-    lattice coordinates over the same D.
-    """
-
-    space: FlatSpace
-    origin: tuple[int, int, int]
-    lattice: tuple[int, int]
-
-    def key_at(self, p: int, q: int) -> Key:
-        """The key of the point at parameter p/q, q > 0."""
-        x1, x2, den = self.origin
-        a1, a2 = self.lattice
-        return self.space._fold_key(x1 * q + p * a1, x2 * q + p * a2, den * q)
 
 
 def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> bool:
@@ -298,29 +277,30 @@ def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> bool:
     return i_min + (i0 - i_min) % step <= i_max
 
 
-def _passes_through(segment: GeodesicSegment, z: Key) -> bool:
-    """Whether the segment's interior passes through the point with key z:
-    s*a - (g*z - x) is a lattice vector for some s in (0,1) and flip g.  The
-    flips and lattice vectors range over groups, so every representative of
-    the point gives the same answer."""
-    x1, x2, den = segment.origin
-    a1, a2 = segment.lattice
+def _passes_through(family: GeodesicFamily, a: Disp, z: Key) -> bool:
+    """Whether the interior of the family's segment with displacement a
+    passes through the point with key z: s*a - (g*z - x) is a lattice vector
+    for some s in (0,1) and flip g.  The flips and lattice vectors range over
+    groups, so every representative of the point gives the same answer."""
+    x1, x2, den = family.origin
+    a1, a2 = a
     z1, z2, zden = z
     q = math.lcm(den, zden)
     f, fz = q // den, q // zden
     return any(
         _affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q)
-        for s1, s2 in segment.space.group
+        for s1, s2 in family.space.group
     )
 
 
 def _enumerate(
     space: FlatSpace, x: Key, y: Key, t_sq: Fraction
-) -> tuple[list[GeodesicSegment], list[int], list[int], int, list[tuple[int, int]]]:
-    """Joining segments; their squared lengths and those of the
-    corner-rejected segments, as integers over one scale; that scale; and the
-    endpoint offsets g*x - x and g*y - x in lattice coordinates over the
-    segments' common denominator.
+) -> tuple[tuple[int, int, int], list[Disp], list[int], list[int], int, list[Disp]]:
+    """The origin, x as (X1, X2, D) over the common denominator D of x and
+    y; the joining segments' displacements in order of their plane vectors;
+    their squared lengths and those of the corner-rejected segments, as
+    integers over one scale; that scale; and the endpoint offsets g*x - x and
+    g*y - x in lattice coordinates over D.
 
     The box is integral: a displacement's lattice coordinate a_k/den is
     row_k(B^-1) . v and the rows are integers m over d, so when |v| <= t the
@@ -364,11 +344,11 @@ def _enumerate(
                 if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
                     rejected.append(sq_scaled)
                     continue
-                found.append((vx, vy, sq_scaled, GeodesicSegment(space, origin, (a1, a2))))
+                found.append((vx, vy, sq_scaled, (a1, a2)))
     # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
     found.sort(key=lambda r: (r[0], r[1]))
     ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
-    return [r[3] for r in found], [r[2] for r in found], rejected, scale * scale, ends
+    return origin, [r[3] for r in found], [r[2] for r in found], rejected, scale * scale, ends
 
 
 def _positive_t_sq(t_sq) -> Fraction:
@@ -380,9 +360,13 @@ def _positive_t_sq(t_sq) -> Fraction:
 
 @dataclass(frozen=True)
 class GeodesicFamily:
-    """All joining geodesics G plus the connecting subfamily Gamma, between
-    the endpoints with keys x and y.
+    """The connecting geodesics Gamma between the endpoints with keys x and
+    y, counted with all joining geodesics G.
 
+    A segment is its displacement a = g*y + lambda - x in lattice
+    coordinates over ``origin``'s D: ``origin`` is x as (X1, X2, D), over
+    the common denominator of x and y, and ``connecting`` holds the
+    connecting displacements in the order of their plane vectors.
     ``sq_lengths`` holds the sorted squared lengths of the joining, the
     connecting and the corner-rejected segments, as integers over
     ``sq_scale``: enough to count the family at any smaller t, since whether
@@ -393,21 +377,24 @@ class GeodesicFamily:
     x: Key
     y: Key
     t_sq: Fraction
-    segments: tuple[GeodesicSegment, ...]
-    connecting: tuple[int, ...]
+    origin: tuple[int, int, int]
+    connecting: tuple[Disp, ...]
     sq_lengths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     sq_scale: int
 
     @property
     def n(self) -> int:
-        return len(self.segments)
+        return len(self.sq_lengths[0])
 
     @property
     def m(self) -> int:
         return len(self.connecting)
 
-    def connecting_segments(self) -> list[GeodesicSegment]:
-        return [self.segments[i] for i in self.connecting]
+    def key_at(self, a: Disp, p: int, q: int) -> Key:
+        """The key of the point at parameter p/q, q > 0, on the segment with
+        displacement a."""
+        x1, x2, den = self.origin
+        return self.space._fold_key(x1 * q + p * a[0], x2 * q + p * a[1], den * q)
 
     def counts_at(self, t_sq) -> tuple[int, int, int]:
         """(n, m, corner_rejected) of the family at t_sq <= self.t_sq: the
@@ -420,19 +407,16 @@ class GeodesicFamily:
 
     def within(self, t_sq) -> "GeodesicFamily":
         """The family at t_sq <= self.t_sq, equal to a fresh enumeration there:
-        the segments of squared length at most t_sq, in their order."""
+        the connecting displacements of squared length at most t_sq, in their
+        order."""
         counts = self.counts_at(t_sq)
-        top = self.sq_lengths[0][counts[0] - 1] if counts[0] else -1
-        index: dict[int, int] = {}
-        for k, seg in enumerate(self.segments):
-            vx, vy, _ = self.space._key_plane((*seg.lattice, seg.origin[2]))
-            if vx * vx + vy * vy <= top:
-                index[k] = len(index)
+        t_sq = _positive_t_sq(t_sq)
+        bound = t_sq.numerator * self.sq_scale // t_sq.denominator
+        planes = (self.space._key_plane((*a, self.origin[2])) for a in self.connecting)
         return replace(
             self,
-            t_sq=_positive_t_sq(t_sq),
-            segments=tuple(self.segments[k] for k in index),
-            connecting=tuple(index[k] for k in self.connecting if k in index),
+            t_sq=t_sq,
+            connecting=tuple(a for a, (vx, vy, _) in zip(self.connecting, planes) if vx * vx + vy * vy <= bound),
             sq_lengths=tuple(lengths[:c] for lengths, c in zip(self.sq_lengths, counts)),
         )
 
@@ -440,18 +424,18 @@ class GeodesicFamily:
 def connecting_family(space: FlatSpace, x: Key, y: Key, t_sq) -> GeodesicFamily:
     """The family between the endpoints x and y at t_sq.  They are keys, or
     any lattice coordinates (i, j, den) with den > 0, which are folded; each
-    must be admitted (``FlatSpace.admits_endpoint``)."""
+    must be admitted (``FlatSpace.admits_endpoint``).  A joining segment
+    through an endpoint is counted in ``sq_lengths`` and kept nowhere else."""
     t_sq = _positive_t_sq(t_sq)
     x, y = space._endpoint(space._fold_key(*x)), space._endpoint(space._fold_key(*y))
-    segments, lengths, rejected, scale, ends = _enumerate(space, x, y, t_sq)
-    connecting = tuple(
-        k for k, seg in enumerate(segments)
-        if not any(_affine_hits(*seg.lattice, c1, c2, seg.origin[2]) for c1, c2 in ends)
-    )
+    origin, joining, lengths, rejected, scale, ends = _enumerate(space, x, y, t_sq)
+    den = origin[2]
+    keep = [not any(_affine_hits(a1, a2, c1, c2, den) for c1, c2 in ends) for a1, a2 in joining]
+    connecting = tuple(a for a, kept in zip(joining, keep) if kept)
     sq_lengths = (
-        tuple(sorted(lengths)), tuple(sorted(lengths[k] for k in connecting)), tuple(sorted(rejected))
+        tuple(sorted(lengths)), tuple(sorted(q for q, kept in zip(lengths, keep) if kept)), tuple(sorted(rejected))
     )
-    return GeodesicFamily(space, x, y, t_sq, tuple(segments), connecting, sq_lengths, scale)
+    return GeodesicFamily(space, x, y, t_sq, origin, connecting, sq_lengths, scale)
 
 
 def count(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> tuple[int, int]:
@@ -492,8 +476,9 @@ class IntersectionHit:
     s: Fraction
 
 
-def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple[Key, int, int, int]]:
-    """Transversal crossings in both interiors as (key_at(sn, sd), sn, sd, un).
+def _intersections(family: GeodesicFamily, a: Disp, b: Disp) -> list[tuple[Key, int, int, int]]:
+    """Transversal crossings in both interiors of the family's segments with
+    displacements a and b, as (key_at(a, sn, sd), sn, sd, un).
 
     Solves x + u*b = h*(x + s*a) + lambda over the flips h, in integer
     lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral.  A
@@ -504,11 +489,11 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple[Key, 
     row of the box solves for the k2 interval that keeps one of them in
     (0, sd) and tests only the k2 in it.
     """
-    x1, x2, den = g1.origin
-    a1, a2 = g1.lattice
-    b1, b2 = g2.lattice
+    x1, x2, den = family.origin
+    (a1, a2), (b1, b2) = a, b
+    fold = family.space._fold_key
     hits = []
-    for s1, s2 in g1.space.group:
+    for s1, s2 in family.space.group:
         h1, h2 = s1 * a1, s2 * a2
         cross = b1 * h2 - b2 * h1
         if not cross:
@@ -536,34 +521,31 @@ def _intersections(g1: GeodesicSegment, g2: GeodesicSegment) -> list[tuple[Key, 
                 sn, un = sn0 + k2_lo * ds, un0 + k2_lo * du
                 for _ in range(k2_hi - k2_lo + 1):
                     if 0 < sn < sd and 0 < un < sd:
-                        hits.append((g1.key_at(sn, sd), sn, sd, un))
+                        hits.append((fold(x1 * sd + sn * a1, x2 * sd + sn * a2, den * sd), sn, sd, un))
                     sn, un = sn + ds, un + du
             sn0, un0, a = sn0 + dsr, un0 + dur, a + r
     return hits
 
 
-def intersection_candidates(
-    space: FlatSpace, g1: GeodesicSegment, g2: GeodesicSegment
-) -> list[IntersectionHit]:
-    """All transversal crossings interior to both segments, exact, sorted by
-    point; segments on one carrier yield none.
+def intersection_candidates(family: GeodesicFamily, a: Disp, b: Disp) -> list[IntersectionHit]:
+    """All transversal crossings interior to both of the family's segments
+    with displacements a and b, exact, sorted by point; segments on one
+    carrier yield none.
 
-    De-duplicated by the folded point's key, keeping the least s.  The
+    De-duplicated by the folded point's key, keeping the least s on a.  The
     endpoints x and y never appear, even where a segment passes through one
     of them.
     """
-    if g1.space is not g2.space or g1.origin != g2.origin or g1.key_at(1, 1) != g2.key_at(1, 1):
-        raise DomainError("segments must come from one (space, x, y) family")
-    if g1.lattice == g2.lattice:
+    if a == b:
         raise DomainError("segments must be distinct")
     seen: dict[Key, IntersectionHit] = {}
-    for key, sn, sd, _ in _intersections(g1, g2):
+    for key, sn, sd, _ in _intersections(family, a, b):
         s = Fraction(sn, sd)
         if key not in seen or s < seen[key].s:
             seen[key] = IntersectionHit(key, s)
-    for end in (g1.key_at(0, 1), g1.key_at(1, 1)):
+    for end in (family.x, family.y):
         seen.pop(end, None)
-    order = _point_order(space, seen)
+    order = _point_order(family.space, seen)
     return sorted(seen.values(), key=lambda h: order(h.key))
 
 

@@ -182,10 +182,9 @@ class ExperimentConfig:
             raise ConfigError("this command runs on flat geometries only; presets take count or report")
         try:
             space = load_space(self.geometry)
-            if not space.is_torus:  # a torus takes every point as an endpoint
-                for pair in self.pairs:
-                    for p in pair:
-                        space.validate_point(p)
+            for pair in self.pairs:
+                for p in pair:
+                    space.validate_point(p)
         except GeoBlockError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.pairs:

@@ -160,7 +160,16 @@ class FuchsianPreset:
         return acc
 
     def validate(self) -> None:
-        for name, g in zip(self.generator_names, self.generators):
+        # one name per generator, distinct from every other name and every
+        # inverse token name.upper(), its own included
+        names = self.generator_names
+        tokens = {*names, *(n.upper() for n in names)} if all(isinstance(n, str) for n in names) else ()
+        if len(names) != len(self.generators) or len(tokens) != 2 * len(names):
+            raise DomainError(
+                f"generator_names {list(names)} must name each of the {len(self.generators)} generators once, "
+                "and no name may equal an inverse token name.upper()"
+            )
+        for name, g in zip(names, self.generators):
             det = g.a * g.d - g.b * g.c
             if abs(det - 1.0) > _FLOAT_ERR:
                 raise DomainError(f"generator {name} has determinant {det}; the determinant must be 1")

@@ -11,20 +11,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def displacement(seg):
-    """The plane vector from a segment's x to the image of y it joins."""
-    vx, vy, d = seg.space._key_plane((*seg.lattice, seg.origin[2]))
+def plane_point(space, i, j):
+    """The point with lattice coordinates (i, j): i*b1 + j*b2."""
+    from geoblock.flatspace import RationalPoint
+
+    return RationalPoint(i * space.b1[0] + j * space.b2[0], i * space.b1[1] + j * space.b2[1])
+
+
+def displacement(family, a):
+    """The plane vector from x to the image of y that the family's segment
+    with displacement a joins."""
+    vx, vy, d = family.space._key_plane((*a, family.origin[2]))
     return Fraction(vx, d), Fraction(vy, d)
 
 
-def sq_length(seg):
-    vx, vy = displacement(seg)
+def sq_length(family, a):
+    vx, vy = displacement(family, a)
     return vx * vx + vy * vy
 
 
-def point_at(seg, s):
+def point_at(family, a, s):
     """The point at parameter s of a segment, folded back into the space."""
-    return seg.space._key_point(seg.key_at(s.numerator, s.denominator))
+    return family.space._key_point(family.key_at(a, s.numerator, s.denominator))
 
 
 def affine_hits(a1, a2, c1, c2, den=1):
@@ -48,16 +56,17 @@ def affine_hits(a1, a2, c1, c2, den=1):
     return sorted(Fraction(c1 + i * den, a1) for i in range(first, i_max + 1, step))
 
 
-def segment_hits(segment, z):
-    """Interior parameters where the segment passes through the point with
-    key z, over every flip: the values behind ``flatspace._passes_through``."""
-    x1, x2, den = segment.origin
-    a1, a2 = segment.lattice
+def segment_hits(family, a, z):
+    """Interior parameters where the family's segment with displacement a
+    passes through the point with key z, over every flip: the values behind
+    ``flatspace._passes_through``."""
+    x1, x2, den = family.origin
+    a1, a2 = a
     z1, z2, zden = z
     q = math.lcm(den, zden)
     f, fz = q // den, q // zden
     hits = set()
-    for s1, s2 in segment.space.group:
+    for s1, s2 in family.space.group:
         hits.update(affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q))
     return sorted(hits)
 
@@ -69,28 +78,29 @@ class Classification:
     y_hits: tuple
 
 
-def classify(segment):
-    """Flag a segment whose interior passes through either endpoint: the
-    per-flip incidence solve on each endpoint's folded key, not the
+def classify(family, a):
+    """Flag a joining segment whose interior passes through either endpoint:
+    the per-flip incidence solve on each endpoint's folded key, not the
     endpoint offsets that ``connecting_family`` tests against."""
-    x_hits = tuple(segment_hits(segment, segment.key_at(0, 1)))
-    y_hits = tuple(segment_hits(segment, segment.key_at(1, 1)))
+    x_hits = tuple(segment_hits(family, a, family.key_at(a, 0, 1)))
+    y_hits = tuple(segment_hits(family, a, family.key_at(a, 1, 1)))
     kind = "passes-through-endpoint" if (x_hits or y_hits) else "connecting"
     return Classification(kind, x_hits, y_hits)
 
 
-def point_on_geodesic(space, z, segment):
-    """Interior parameters s in (0,1) where the segment passes through z; an
-    empty list means z does not block it.  z must lie in the table and
-    differ from both endpoints."""
+def point_on_geodesic(family, a, z):
+    """Interior parameters s in (0,1) where the family's segment with
+    displacement a passes through z; an empty list means z does not block
+    it.  z must lie in the table and differ from both endpoints."""
     from geoblock.errors import DomainError, UnsupportedInputError
 
+    space = family.space
     if space.kind == "billiard" and not (0 <= z.x <= 1 and 0 <= z.y <= 1):
         raise UnsupportedInputError(f"billiard blocking point must lie in the table, got {z}")
     key = space.key(z)
-    if key in (segment.key_at(0, 1), segment.key_at(1, 1)):
+    if key in (family.key_at(a, 0, 1), family.key_at(a, 1, 1)):
         raise DomainError("z must differ from both endpoints")
-    return segment_hits(segment, key)
+    return segment_hits(family, a, key)
 
 
 def brute_enumerate_displacements(space, x, y, t_sq):
@@ -120,7 +130,7 @@ def assert_minimum_by_exhaustion(instance, claimed_size):
     """Certify minimality over the instance's candidates: no smaller subset
     covers, and some subset of the claimed size does (the solver's own,
     checked separately)."""
-    m = instance.num_geodesics
+    m = instance.family.m
     if m == 0:
         assert claimed_size == 0
         return
@@ -149,12 +159,9 @@ def random_rational_torus(rng):
 
 
 def random_rational_point(rng, space, den=12):
-    from geoblock.flatspace import RationalPoint
-
     i = Fraction(rng.randint(0, den - 1), den)
     j = Fraction(rng.randint(0, den - 1), den)
-    v = space.from_lattice(i, j)
-    return RationalPoint(v[0], v[1])
+    return plane_point(space, i, j)
 
 
 def milp_minimum(instance):
@@ -163,7 +170,7 @@ def milp_minimum(instance):
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    m, n = instance.num_geodesics, instance.num_candidates
+    m, n = instance.family.m, instance.num_candidates
     if m == 0:
         return 0
     rows = np.array([[cov >> i & 1 for cov in instance.covers] for i in range(m)])
@@ -189,7 +196,7 @@ def reference_root_bound(instance, capped):
     them when capped): the packing takes geodesics in order of fewest
     candidates, ties by index, while their candidate sets stay pairwise
     disjoint; the dual is sum_i 1/max_{c ∋ i} |c|, every geodesic uncovered."""
-    m = instance.num_geodesics
+    m = instance.family.m
     if m == 0:
         return 0, 0, Fraction(0)
     kept = range(instance.num_candidates) if capped else pairwise_undominated(instance.covers)
@@ -204,14 +211,13 @@ def reference_root_bound(instance, capped):
     return max(packing, math.ceil(dual)), packing, dual
 
 
-def _scan_box(g1, g2):
-    """For each flip h, yield H = h*A, the lattice direction of h*g1, and
+def _scan_box(family, a, b):
+    """For each flip h, yield H = h*A, the lattice direction of h*a, and
     the cells r = (h*X - X) + D*k of the integer box that holds u*B - s*H
-    for s, u in [0, 1], over the segments' D."""
-    x1, x2, den = g1.origin
-    a1, a2 = g1.lattice
-    b1, b2 = g2.lattice
-    for s1, s2 in g1.space.group:
+    for s, u in [0, 1], over the family's D."""
+    x1, x2, den = family.origin
+    (a1, a2), (b1, b2) = a, b
+    for s1, s2 in family.space.group:
         h1, h2 = s1 * a1, s2 * a2
         c1, c2 = s1 * x1 - x1, s2 * x2 - x2
         k1_lo = (min(0, b1) + min(0, -h1) - c1) // den
@@ -222,13 +228,14 @@ def _scan_box(g1, g2):
         yield (h1, h2), cells
 
 
-def reference_intersections(g1, g2):
-    """Transversal crossings in both interiors as (key, sn, sd, un), the
-    tuples ``flatspace._intersections`` returns, by solving every cell of
-    the box scan and folding each crossing through ``key_at``."""
-    b1, b2 = g2.lattice
+def reference_intersections(family, a, b):
+    """Transversal crossings in both interiors of the family's segments with
+    displacements a and b as (key, sn, sd, un), the tuples
+    ``flatspace._intersections`` returns, by solving every cell of the box
+    scan and folding each crossing through ``key_at``."""
+    b1, b2 = b
     hits = []
-    for (h1, h2), cells in _scan_box(g1, g2):
+    for (h1, h2), cells in _scan_box(family, a, b):
         cross = b1 * h2 - b2 * h1
         if not cross:
             continue
@@ -238,17 +245,17 @@ def reference_intersections(g1, g2):
             sn = sign * (r1 * b2 - r2 * b1)
             un = sign * (r1 * h2 - r2 * h1)
             if 0 < sn < sd and 0 < un < sd:
-                hits.append((g1.key_at(sn, sd), sn, sd, un))
+                hits.append((family.key_at(a, sn, sd), sn, sd, un))
     return hits
 
 
-def reference_overlaps(g1, g2):
-    """The open intervals of g1's parameter s on which g1 runs along an image
-    of g2, one per cell of the box scan that puts the two on one carrier,
-    unmerged."""
-    b1, b2 = g2.lattice
+def reference_overlaps(family, a, b):
+    """The open intervals of a's parameter s on which the segment a runs
+    along an image of the segment b, one per cell of the box scan that puts
+    the two on one carrier, unmerged."""
+    b1, b2 = b
     overlaps = []
-    for (h1, h2), cells in _scan_box(g1, g2):
+    for (h1, h2), cells in _scan_box(family, a, b):
         if b1 * h2 != b2 * h1:
             continue
         for r1, r2 in cells:
@@ -269,13 +276,13 @@ def reference_instance(family):
     box-scan crossings (``reference_intersections``), each record's cover
     completed by exact incidence with every other connecting segment, and
     the least point per cover set, sorted."""
-    space, segs = family.space, family.connecting_segments()
+    space, segs = family.space, family.connecting
     records = {}
-    for i, seg in enumerate(segs):
-        point = point_at(seg, Fraction(1, 2))
+    for i, a in enumerate(segs):
+        point = point_at(family, a, Fraction(1, 2))
         records[point] = records.get(point, 0) | 1 << i
-    for (i, g1), (j, g2) in itertools.combinations(enumerate(segs), 2):
-        for key, *_ in reference_intersections(g1, g2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(segs), 2):
+        for key, *_ in reference_intersections(family, a, b):
             point = space._key_point(key)
             records[point] = records.get(point, 0) | 1 << i | 1 << j
     for end in (family.x, family.y):
@@ -283,11 +290,11 @@ def reference_instance(family):
     # z can lie on a segment from x with primitive lattice direction p only
     # if cross(p, g*z - x) is an integer for some flip g; the incidence solve
     # runs only where that holds
-    x1, x2, den = segs[0].origin if segs else (0, 0, 1)
+    x1, x2, den = family.origin
     lines = []
-    for seg in segs:
-        g = math.gcd(*seg.lattice)
-        p1, p2 = seg.lattice[0] // g, seg.lattice[1] // g
+    for a in segs:
+        g = math.gcd(*a)
+        p1, p2 = a[0] // g, a[1] // g
         lines.append((p1, p2, p1 * x2 - p2 * x1))
     groups = {}
     for point, mask in records.items():
@@ -301,7 +308,7 @@ def reference_instance(family):
                 continue
             for w1, w2 in images:
                 if (p1 * w2 - p2 * w1 - c * fx) % q == 0:
-                    if segment_hits(segs[i], key):
+                    if segment_hits(family, segs[i], key):
                         mask |= 1 << i
                     break
         groups.setdefault(mask, []).append(point)

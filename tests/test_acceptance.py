@@ -30,7 +30,7 @@ from geoblock.hyperbolic import (
     orbit_count,
     word_growth,
 )
-from helpers import family_of, series_from_function
+from helpers import family_of, joining_of, series_from_function
 from oracles import (
     assert_minimum_by_exhaustion,
     brute_enumerate_displacements,
@@ -96,12 +96,12 @@ def test_criterion_3_flat_counting_oracle():
             x = random_rational_point(rng, space)
             y = random_rational_point(rng, space)
             t_sq = Fraction(rng.randint(1, 100))  # t <= 10
-            segs = family_of(space, x, y, t_sq).segments
-            assert {displacement(s) for s in segs} == brute_enumerate_displacements(
+            fam, joining = joining_of(space, x, y, t_sq)
+            assert {displacement(fam, a) for a in joining} == brute_enumerate_displacements(
                 space, x, y, t_sq
             )
         unit = FlatSpace.unit_torus()
-        n = len(family_of(unit, P(0, 0), P(0, 0), 2500).segments)
+        n = family_of(unit, P(0, 0), P(0, 0), 2500).n
         covolume = abs(unit.b1[0] * unit.b2[1] - unit.b1[1] * unit.b2[0])
         assert abs(n * float(covolume) / (math.pi * 2500) - 1) <= 0.1
 
@@ -129,11 +129,11 @@ def test_criterion_4_blocking_exactness(chain_log):
             sol = solve_exact(inst)
             assert sol.optimal
             assert_minimum_by_exhaustion(inst, sol.size)
-            assert verify_cover(inst, sol.keys)
+            assert verify_cover(fam, sol.keys)
             assert sol.size <= 4
             cover = midpoint_cover(fam)
             assert len(cover) <= 4
-            assert verify_cover(inst, cover)
+            assert verify_cover(fam, cover)
             chain_log.append((fam.n, fam.m, sol.size, t_sq, space.delta_sq))
             solved += 1
 

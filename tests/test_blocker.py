@@ -45,7 +45,7 @@ F = Fraction
 
 def exhaustive_minimum(instance, upper):
     """Independent oracle: try all candidate subsets of size <= upper."""
-    m = instance.num_geodesics
+    m = instance.family.m
     if m == 0:
         return 0
     full = (1 << m) - 1
@@ -61,13 +61,13 @@ def exhaustive_minimum(instance, upper):
 
 def recompute_covers(instance):
     """Independent covers: exact incidence of every candidate with every segment."""
-    space = instance.family.space
-    segs = instance.family.connecting_segments()
+    family = instance.family
+    space = family.space
     out = []
     for p in map(space._key_point, instance.candidates):
         mask = 0
-        for i, seg in enumerate(segs):
-            if _passes_through(seg, space.key(p)):
+        for i, a in enumerate(family.connecting):
+            if _passes_through(family, a, space.key(p)):
                 mask |= 1 << i
         out.append(mask)
     return tuple(out)
@@ -89,14 +89,14 @@ class TestBuildInstance:
     def test_two_arc_instance(self):
         space = FlatSpace.unit_torus()
         inst = instance_of(space, P(0, 0), P("1/2", 0), 1)
-        assert inst.num_geodesics == 2
+        assert inst.family.m == 2
         assert inst.num_candidates == 2
         assert sorted(inst.covers) == [1, 2]
 
     def test_empty_family(self):
         space = FlatSpace.unit_torus()
         inst = instance_of(space, P(0, 0), P("1/2", 0), F(1, 100))
-        assert inst.num_geodesics == 0
+        assert inst.family.m == 0
         assert solve_exact(inst).size == 0
 
     def test_diagonal_candidate_present(self):
@@ -209,7 +209,7 @@ class TestBuildInstance:
     def test_largest_instances_pinned(self, space, x, y, t_sq, m, n, digest):
         # digests of the instances as built with RationalPoint keys throughout
         inst = instance_of(space, x, y, t_sq)
-        assert (inst.num_geodesics, inst.num_candidates) == (m, n)
+        assert (inst.family.m, inst.num_candidates) == (m, n)
         text = repr(([str(space._key_point(key)) for key in inst.candidates], inst.covers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -237,9 +237,9 @@ class TestSolveExact:
                 inst = instance_of(space, x, y, t_sq)
                 sol = solve_exact(inst)
                 assert sol.optimal
-                greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
+                greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.family.m) - 1))
                 assert sol.size == exhaustive_minimum(inst, greedy)
-                assert verify_cover(inst, sol.keys)
+                assert verify_cover(inst.family, sol.keys)
                 checked += 1
 
     def test_matches_milp_on_billiard(self):
@@ -256,8 +256,8 @@ class TestSolveExact:
         space = FlatSpace.unit_torus()
         inst = instance_of(space, P(0, 0), P("1/2", "1/2"), 4)
         sol = solve_exact(inst)
-        for seg in inst.family.connecting_segments():
-            assert any(point_on_geodesic(space, space._key_point(z), seg) for z in sol.keys)
+        for a in inst.family.connecting:
+            assert any(point_on_geodesic(inst.family, a, space._key_point(z)) for z in sol.keys)
 
     def test_cap_fallback_not_optimal(self):
         # greedy 11 against a root bound of 9: the capped answer stays uncertified
@@ -265,7 +265,7 @@ class TestSolveExact:
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
         assert not sol.optimal
         assert (sol.lower_bound, sol.size) == (9, 11)
-        assert verify_cover(inst, sol.keys)
+        assert verify_cover(inst.family, sol.keys)
 
     def test_cap_certified_when_bounds_meet(self):
         space = FlatSpace.unit_torus()
@@ -273,7 +273,7 @@ class TestSolveExact:
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
         assert sol.optimal
         assert sol.size == sol.lower_bound == 4
-        assert verify_cover(inst, sol.keys)
+        assert verify_cover(inst.family, sol.keys)
 
     def test_dominance_reduction_matches_pairwise_rule(self):
         rng = random.Random(61)
@@ -285,7 +285,7 @@ class TestSolveExact:
                 if x == y:
                     continue
                 inst = instance_of(space, x, y, F(rng.randint(1, 12)))
-                kept = blocker._undominated(inst.covers, inst.num_geodesics)
+                kept = blocker._undominated(inst.covers, inst.family.m)
                 assert kept == pairwise_undominated(inst.covers), (x, y)
                 checked += 1
 
@@ -339,7 +339,7 @@ class TestSolveExact:
         inst = build_instance(fam)
         sol, in_solve = fractions_in(solve_exact, inst)
         assert (inst.num_candidates, sol.size, sol.optimal, in_solve) == (682, 4, True, 0)
-        blocked, in_check = fractions_in(verify_cover, inst, sol.keys)
+        blocked, in_check = fractions_in(verify_cover, inst.family, sol.keys)
         assert (blocked, in_check) == (True, 0)
 
     def test_lower_bound_sound(self):
@@ -351,7 +351,7 @@ class TestSolveExact:
                 continue
             inst = instance_of(space, x, y, F(rng.randint(1, 5)))
             sol = solve_exact(inst)
-            greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.num_geodesics) - 1))
+            greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.family.m) - 1))
             assert sol.lower_bound <= sol.size <= greedy
 
 
@@ -388,9 +388,9 @@ class TestThresholds:
                 y = random_point(rng, 6)
                 res = blocking_threshold(space, x, y, F(rng.randint(1, 9)))
                 assert res.value <= 4
-                if res.instance.num_geodesics:
+                if res.instance.family.m:
                     cover = midpoint_cover(res.instance.family)
-                    assert verify_cover(res.instance, cover)
+                    assert verify_cover(res.instance.family, cover)
 
     def test_monotone_in_t(self):
         rng = random.Random(71)
@@ -483,7 +483,8 @@ EARLY_TORI = (((1, 0), (0, 1)), ((1, 0), (F(1, 3), F(5, 4))), ((1, 0), (F(1, 2),
 
 def full_threshold(space, x, y, t_sq, caps=SolverCaps()):
     """The threshold by the full build and solve, with no prefix certificate."""
-    return blocker._threshold(instance_of(space, x, y, t_sq, caps), caps)
+    family = family_of(space, x, y, t_sq)
+    return blocker._threshold(family, caps, midpoint_cover(family))
 
 
 class TestEarlyCertificate:
@@ -548,7 +549,7 @@ class TestEarlyCertificate:
                 fam = family_of(space, x, y, F(rng.randint(1, 12)))
                 cover = midpoint_cover(fam)
                 assert len(cover) == 3 if space.key(x) == space.key(y) else 3 <= len(cover) <= 4
-                mids = [seg.key_at(1, 2) for seg in fam.connecting_segments()]
+                mids = [fam.key_at(a, 1, 2) for a in fam.connecting]
                 assert all(mid in cover for mid in mids) and verify_cover(fam, cover)
                 # on any subset the key check stays sound: it implies blocking
                 for drop in range(len(cover)):

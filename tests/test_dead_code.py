@@ -27,6 +27,11 @@ A config key that ``harness`` accepts must be read: a ``.get("key")`` or
 ``["key"]`` in ``harness.py`` or in ``load_space``, which takes the geometry
 mapping whole.  The ``caps`` keys are splatted into ``SolverCaps`` and read
 as its fields.
+
+One flat engine: a load of ``FlatSpace.kind`` or ``FlatSpace.is_torus`` in
+the package, keyed on its receiver as field reads are (an unresolved
+receiver counts), must sit in a function that ``KIND_READS_ALLOWED`` lists
+with the ROADMAP item that removes it, so no new kind branch lands unnoticed.
 """
 
 import ast
@@ -50,6 +55,15 @@ ALLOWED = {
 # function.option -> why no program call passes it
 OPTIONS_ALLOWED = {
     "main.argv": "tests drive the CLI through it",
+}
+# function, as its dotted path -> the ROADMAP item that removes its kind read
+KIND_READS_ALLOWED = {
+    "FlatSpace.is_torus": "item 8: the group decides, and the property goes with its last reader",
+    "midpoint_cover": "item 10: a midpoint cover for every flat group",
+    "PairSampler.pairs": "item 8: one sampler that draws keys and rejects those not admitted",
+    "blocking_cost_sampled": "item 10: the ceiling 4|G| on every flat space",
+    "cmd_verify": "item 8: the delta note, report text",
+    "cmd_report": "item 8: s_max <= 4, report text (item 10's 4|G|)",
 }
 
 
@@ -183,6 +197,8 @@ class _Receivers:
                         self.functions[node.name] = None
         self.resolved: dict[str, set[str]] = {}
         self.unresolved: set[str] = set()
+        # (receiver classes or None, field, dotted path of the enclosing def or None)
+        self.loads: list[tuple[frozenset | None, str, str | None]] = []
         for tree in map(ast.parse, readers):
             self._scope(tree.body, _Scope(), None)
 
@@ -259,11 +275,14 @@ class _Receivers:
             if not isinstance(node, _SCOPES):
                 yield from self._local(ast.iter_child_nodes(node))
 
-    def _scope(self, body, scope: _Scope, cls: str | None, outer: _Scope | None = None) -> None:
+    def _scope(
+        self, body, scope: _Scope, cls: str | None, outer: _Scope | None = None, where: str | None = None
+    ) -> None:
         """Bind the names the statements bind, in source order, then record
         their field loads, descending into nested scopes.  ``cls`` names the
         class whose body this is, and functions defined here close over
-        ``outer`` (a class body's enclosing scope), by default ``scope``."""
+        ``outer`` (a class body's enclosing scope), by default ``scope``.
+        ``where`` is the dotted path of the enclosing defs and classes."""
         outer = outer or scope
         for node in self._local(body):
             if isinstance(node, ast.Assign):
@@ -289,20 +308,23 @@ class _Receivers:
                     for c in owner:
                         self.resolved.setdefault(c, set()).add(node.attr)
                 else:
+                    owner = None
                     self.unresolved.add(node.attr)
+                self.loads.append((owner, node.attr, where))
             elif isinstance(node, ast.ClassDef):
-                self._scope(node.body, _Scope(scope), node.name, outer)
+                self._scope(node.body, _Scope(scope), node.name, outer, _dotted(where, node.name))
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                self._function(node, outer, scope, cls)
+                self._function(node, outer, scope, cls, where)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 inner = self._comprehension(node, scope)
                 parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
                 parts += [e for gen in node.generators for e in [gen.iter, *gen.ifs]]
-                self._scope([ast.Expr(p) for p in parts], inner, None)
+                self._scope([ast.Expr(p) for p in parts], inner, None, where=where)
 
-    def _function(self, node, outer: _Scope, here: _Scope, cls: str | None) -> None:
+    def _function(self, node, outer: _Scope, here: _Scope, cls: str | None, where: str | None) -> None:
         """A function or lambda: its parameters bound over ``outer``, and its
-        defaults read in ``here``, where it is defined."""
+        defaults read in ``here``, where it is defined; ``where`` is the
+        dotted path it is defined in."""
         inner = _Scope(outer)
         args = node.args
         starred = [a for a in (args.vararg, args.kwarg) if a is not None]
@@ -316,9 +338,13 @@ class _Receivers:
                 typ = self.annotation(arg.annotation)
             inner.bind(arg.arg, typ)
         defaults = args.defaults + [d for d in args.kw_defaults if d is not None]
-        self._scope([ast.Expr(d) for d in defaults], here, None)
+        self._scope([ast.Expr(d) for d in defaults], here, None, where=where)
         body = [ast.Expr(node.body)] if isinstance(node, ast.Lambda) else node.body
-        self._scope(body, inner, None)
+        self._scope(body, inner, None, where=where if isinstance(node, ast.Lambda) else _dotted(where, node.name))
+
+
+def _dotted(owner: str | None, name: str) -> str:
+    return f"{owner}.{name}" if owner else name
 
 
 def _join(types: list, union: bool = False):
@@ -500,12 +526,42 @@ def total(costs: list[Cost]) -> int:
 
 def test_allow_list_is_needed():
     # an entry whose name gained a reader or a passing call, or lost its
-    # definition, goes
+    # definition or its kind read, goes
     names, bench = _definition_reads(), _bench_text()
     defined = {name for _, _, name, _ in _definitions(_sources())}
     stale = [n for n in ALLOWED if n not in defined or n in names or re.search(rf"\b{n}\b", bench)]
     stale += [key for key in OPTIONS_ALLOWED if key not in _unpassed_options()]
+    stale += [where for where in KIND_READS_ALLOWED if where not in {w for _, w in _kind_reads(_sources())}]
     assert not stale
+
+
+def _kind_reads(sources: dict[str, str]) -> list[tuple[str, str | None]]:
+    """(field, enclosing def) of every load of ``FlatSpace.kind`` or
+    ``FlatSpace.is_torus`` in ``sources``: its receiver resolves to
+    ``FlatSpace`` or does not resolve (module docstring)."""
+    package = list(sources.values())
+    return [
+        (field, where) for owner, field, where in _Receivers(package, package).loads
+        if field in ("kind", "is_torus") and (owner is None or "FlatSpace" in owner)
+    ]
+
+
+def test_kind_reads_are_listed():
+    stray = [f"{field} in {where}" for field, where in _kind_reads(_sources()) if where not in KIND_READS_ALLOWED]
+    assert not stray
+    # keyed on the receiver: another class's kind is no flat-space branch
+    source = """
+class FlatSpace:
+    kind: str
+
+class Preset:
+    kind: str
+
+class Sampler:
+    def draw(self, space: FlatSpace, preset: Preset):
+        return space.kind, preset.kind
+"""
+    assert _kind_reads({"m.py": source}) == [("kind", "Sampler.draw")]
 
 
 def test_all_names_only_what_the_module_defines():

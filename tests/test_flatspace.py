@@ -21,11 +21,12 @@ from geoblock.flatspace import (
     load_space,
     shortest_vector,
 )
-from helpers import family_of
+from helpers import family_of, joining_of
 from oracles import (
     affine_hits,
     classify,
     displacement,
+    plane_point,
     point_at,
     point_on_geodesic,
     reference_intersections,
@@ -87,10 +88,7 @@ def random_torus(rng):
 def random_point(rng, space):
     if not space.is_torus:  # an interior table point
         return P(F(rng.randint(1, 7), 8), F(rng.randint(1, 7), 8))
-    i = F(rng.randint(0, 11), 12)
-    j = F(rng.randint(0, 11), 12)
-    v = space.from_lattice(i, j)
-    return RationalPoint(v[0], v[1])
+    return plane_point(space, F(rng.randint(0, 11), 12), F(rng.randint(0, 11), 12))
 
 
 SKEW = FlatSpace.torus((F(2, 3), F(1, 5)), (F(-1, 2), F(7, 6)))
@@ -124,6 +122,12 @@ class TestShortestVector:
     def test_degenerate_basis_rejected(self):
         with pytest.raises(DomainError):
             FlatSpace.torus((1, 2), (2, 4))
+
+    def test_billiard_lattice(self):
+        # defined on every flat space; the billiard's delta stays its convention
+        space = FlatSpace.square_billiard()
+        assert shortest_vector(space)[1] == 4 == brute_shortest_sq(space.b1, space.b2)
+        assert space.delta_sq == F(1, 16)
 
 
 class TestFoldKey:
@@ -166,20 +170,20 @@ class TestFoldKey:
             for _ in range(200):
                 den = rng.randint(1, 30)
                 n1, n2 = rng.randint(-3 * den, 3 * den), rng.randint(-3 * den, 3 * den)
-                v = space.from_lattice(F(n1, den), F(n2, den))
-                assert space._key_point(space._fold_key(n1, n2, den)) == space.reduce_point(P(*v))
+                v = plane_point(space, F(n1, den), F(n2, den))
+                assert space._key_point(space._fold_key(n1, n2, den)) == space.reduce_point(v)
 
 
 class TestEnumerate:
     def test_two_segment_example(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P("1/2", 0), 1).segments
-        assert sorted(displacement(s) for s in segs) == [(F(-1, 2), F(0)), (F(1, 2), F(0))]
+        fam, joining = joining_of(space, P(0, 0), P("1/2", 0), 1)
+        assert sorted(displacement(fam, a) for a in joining) == [(F(-1, 2), F(0)), (F(1, 2), F(0))]
 
     def test_self_pair_example(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
-        assert sorted(displacement(s) for s in segs) == [
+        fam, joining = joining_of(space, P(0, 0), P(0, 0), 1)
+        assert sorted(displacement(fam, a) for a in joining) == [
             (F(-1), F(0)),
             (F(0), F(-1)),
             (F(0), F(1)),
@@ -188,7 +192,8 @@ class TestEnumerate:
 
     def test_empty_below_minimal_length(self):
         space = FlatSpace.unit_torus()
-        assert family_of(space, P(0, 0), P("1/2", 0), F(1, 100)).segments == ()
+        fam, joining = joining_of(space, P(0, 0), P("1/2", 0), F(1, 100))
+        assert joining == [] and fam.connecting == () and fam.n == 0
 
     def test_against_brute_force(self):
         rng = random.Random(11)
@@ -196,11 +201,11 @@ class TestEnumerate:
             space = random_torus(rng)
             x, y = random_point(rng, space), random_point(rng, space)
             t_sq = F(rng.randint(1, 16))
-            segs = family_of(space, x, y, t_sq).segments
-            got = {displacement(s) for s in segs}
+            fam, joining = joining_of(space, x, y, t_sq)
+            got = {displacement(fam, a) for a in joining}
             assert got == brute_enumerate(space, x, y, t_sq)
-            assert len(segs) == len(got)
-            assert all(0 < sq_length(s) <= t_sq for s in segs)
+            assert len(joining) == len(got) == fam.n
+            assert all(0 < sq_length(fam, a) <= t_sq for a in joining)
 
     def test_box_boundary_against_brute_force(self):
         # t^2 equal to a displacement's squared length (the inclusive <=),
@@ -217,7 +222,8 @@ class TestEnumerate:
             while all(math.isqrt(n) ** 2 == n for n in (off_square.numerator, off_square.denominator)):
                 off_square += F(1, den)
             for t_sq in (on_edge, off_square):
-                got = [displacement(s) for s in family_of(space, x, y, t_sq).segments]
+                fam, joining = joining_of(space, x, y, t_sq)
+                got = [displacement(fam, a) for a in joining]
                 assert set(got) == brute_enumerate(space, x, y, t_sq) and len(got) == len(set(got))
                 if t_sq == on_edge:
                     assert v in got
@@ -230,30 +236,94 @@ class TestEnumerate:
 
     def test_canonical_ordering(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P(0, 0), 4).segments
-        assert [displacement(s) for s in segs] == sorted(displacement(s) for s in segs)
+        fam, joining = joining_of(space, P(0, 0), P(0, 0), 4)
+        assert [displacement(fam, a) for a in joining] == sorted(displacement(fam, a) for a in joining)
+        assert [displacement(fam, a) for a in fam.connecting] == sorted(displacement(fam, a) for a in fam.connecting)
+
+
+def lattice_coords(space, wx, wy):
+    """Lattice coordinates of the plane vector (wx, wy), in Fractions."""
+    (b1x, b1y), (b2x, b2y) = space.b1, space.b2
+    det = b1x * b2y - b1y * b2x
+    return (b2y * wx - b2x * wy) / det, (b1x * wy - b1y * wx) / det
+
+
+def meets_half_lattice(space, x, v):
+    """Whether x + s*v meets a point fixed by the half-turn, lattice
+    coordinates in (1/2)Z^2, for some s in (0,1): a plain scan of the
+    half-integer box around the segment."""
+    p, q = lattice_coords(space, x.x, x.y), lattice_coords(space, *v)
+    box = [range(math.floor(2 * min(c, c + d)), math.ceil(2 * max(c, c + d)) + 1) for c, d in zip(p, q)]
+    for k1 in box[0]:
+        for k2 in box[1]:
+            w = (F(k1, 2) - p[0], F(k2, 2) - p[1])
+            if w[0] * q[1] == w[1] * q[0] and 0 < (w[0] * q[0] + w[1] * q[1]) / (q[0] ** 2 + q[1] ** 2) < 1:
+                return True
+    return False
+
+
+def brute_joining(space, x, y, t_sq):
+    """The plane displacements g*y + lambda - x with 0 < |v|^2 <= t_sq over
+    the flips g (sign changes of the plane coordinates) and a box of lattice
+    vectors lambda, sorted, without those that meet a corner; and how many
+    met one."""
+    joining, rejected = [], 0
+    for s1, s2 in space.group:
+        for v in brute_enumerate(space, x, RationalPoint(s1 * y.x, s2 * y.y), t_sq):
+            if (-1, -1) in space.group and meets_half_lattice(space, x, v):
+                rejected += 1
+            else:
+                joining.append(v)
+    return sorted(joining), rejected
+
+
+class TestFamily:
+    def test_connecting_displacements_match_brute_force(self):
+        # the family keeps the connecting displacements, in displacement
+        # order; the joining segments through an endpoint are only counted
+        rng = random.Random(101)
+        kinds = {"connecting": 0, "passes-through-endpoint": 0, "corner": 0}
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), FlatSpace.square_billiard()):
+            for trial in range(10):
+                x = random_point(rng, space)
+                y = x if trial % 3 == 0 else random_point(rng, space)
+                t_sq = F(rng.randint(1, 100), 4)
+                fam = connecting_family(space, space.key(x), space.key(y), t_sq)
+                joining, rejected = brute_joining(space, x, y, t_sq)
+                lattice = []
+                for v in joining:
+                    a = tuple(c * fam.origin[2] for c in lattice_coords(space, *v))
+                    assert all(c.denominator == 1 for c in a)
+                    lattice.append(tuple(map(int, a)))
+                connecting = [a for a in lattice if classify(fam, a).kind == "connecting"]
+                assert list(fam.connecting) == connecting, (space.kind, x, y, t_sq)
+                assert fam.counts_at(t_sq) == (len(joining), len(connecting), rejected)
+                for a in lattice:
+                    kinds[classify(fam, a).kind] += 1
+                kinds["corner"] += rejected
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestClassify:
     def test_short_arc_connecting(self):
         space = FlatSpace.unit_torus()
-        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
-        assert classify(seg).kind == "connecting"
+        fam, joining = joining_of(space, P(0, 0), P("1/2", 0), F(1, 4))
+        assert classify(fam, joining[0]).kind == "connecting"
 
     def test_double_wrap_passes_through_endpoint(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P(0, 0), 4).segments
-        seg = next(s for s in segs if displacement(s) == (F(2), F(0)))
-        cls = classify(seg)
+        fam, joining = joining_of(space, P(0, 0), P(0, 0), 4)
+        a = next(a for a in joining if displacement(fam, a) == (F(2), F(0)))
+        cls = classify(fam, a)
         assert cls.kind == "passes-through-endpoint"
         assert cls.x_hits == (F(1, 2),)
         assert cls.y_hits == cls.x_hits
 
     def test_primitive_wrap_connecting(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
-        seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
-        assert classify(seg).kind == "connecting"
+        fam, joining = joining_of(space, P(0, 0), P(0, 0), 1)
+        a = next(a for a in joining if displacement(fam, a) == (F(1), F(0)))
+        assert classify(fam, a).kind == "connecting"
 
     @pytest.mark.parametrize("billiard", [False, True])
     def test_agrees_with_connecting_family(self, billiard):
@@ -268,11 +338,10 @@ class TestClassify:
             else:
                 space = random_torus(rng)
                 x, y = random_point(rng, space), random_point(rng, space)
-            fam = family_of(space, x, y, F(rng.randint(1, 9)))
-            for i, seg in enumerate(fam.segments):
-                kind = classify(seg).kind
-                assert (kind == "connecting") == (i in fam.connecting)
-                kinds[kind] += 1
+            fam, joining = joining_of(space, x, y, F(rng.randint(1, 9)))
+            assert [a for a in joining if classify(fam, a).kind == "connecting"] == list(fam.connecting)
+            for a in joining:
+                kinds[classify(fam, a).kind] += 1
         assert min(kinds.values()) >= 10, kinds
 
 
@@ -347,12 +416,12 @@ class TestCountsAt:
 
 class TestLatticeInts:
     @staticmethod
-    def fraction_formula(space, points):
+    def fraction_formula(space, p):
         (b1x, b1y), (b2x, b2y) = space.b1, space.b2
         det = b1x * b2y - b1y * b2x
-        coords = [((b2y * p.x - b2x * p.y) / det, (b1x * p.y - b1y * p.x) / det) for p in points]
-        den = math.lcm(*(c.denominator for ij in coords for c in ij))
-        return [(int(i * den), int(j * den)) for i, j in coords], den
+        i, j = (b2y * p.x - b2x * p.y) / det, (b1x * p.y - b1y * p.x) / det
+        den = math.lcm(i.denominator, j.denominator)
+        return (int(i * den), int(j * den)), den
 
     def test_matches_fraction_formula(self):
         rng = random.Random(71)
@@ -362,10 +431,9 @@ class TestLatticeInts:
                 if entries[0] * entries[3] != entries[1] * entries[2]:
                     break
             space = FlatSpace.torus(entries[:2], entries[2:])
-            for k in (1, 2, 3):
-                points = [P(F(rng.randint(-20, 20), rng.randint(1, 12)), F(rng.randint(-20, 20), rng.randint(1, 12)))
-                          for _ in range(k)]
-                assert space._lattice_ints(*points) == self.fraction_formula(space, points)
+            for _ in range(3):
+                p = P(F(rng.randint(-20, 20), rng.randint(1, 12)), F(rng.randint(-20, 20), rng.randint(1, 12)))
+                assert space._lattice_ints(p) == self.fraction_formula(space, p)
 
 
 def affine_hits_scan_oracle(a1, a2, c1, c2):
@@ -417,12 +485,13 @@ def affine_hits_scan_oracle_large():
     return []
 
 
-def incidence_scan_oracle(seg, z):
-    """Parameters s in (0,1) with x + s*v = g*z + lambda, by a plain Fraction
-    scan over the flips g (sign changes of the plane coordinates: the
-    billiard's basis is diagonal) and a box of lattice vectors lambda.  The
-    box holds the lattice coordinates of x + s*v - g*z for s in [0, 1]."""
-    space, x, v = seg.space, seg.space._key_point(seg.origin), displacement(seg)
+def incidence_scan_oracle(family, a, z):
+    """Parameters s in (0,1) with x + s*v = g*z + lambda on the family's
+    segment with displacement a, by a plain Fraction scan over the flips g
+    (sign changes of the plane coordinates: the billiard's basis is
+    diagonal) and a box of lattice vectors lambda.  The box holds the
+    lattice coordinates of x + s*v - g*z for s in [0, 1]."""
+    space, x, v = family.space, family.space._key_point(family.origin), displacement(family, a)
     (b1x, b1y), (b2x, b2y) = space.b1, space.b2
     det = b1x * b2y - b2x * b1y
 
@@ -465,13 +534,13 @@ class TestPointOnGeodesic:
                 x, y = random_point(rng, space), random_point(rng, space)
             else:
                 x, y = (P(F(rng.randint(1, 6), 7), F(rng.randint(1, 6), 7)) for _ in range(2))
-            segs = family_of(space, x, y, F(rng.randint(1, 6))).segments
-            if not segs:
+            fam, joining = joining_of(space, x, y, F(rng.randint(1, 6)))
+            if not joining:
                 continue
-            seg = rng.choice(segs)
+            a = rng.choice(joining)
             if rng.random() < 0.5:
                 s = F(rng.randint(1, 5), 6)
-                z = P(x.x + s * displacement(seg)[0], x.y + s * displacement(seg)[1])
+                z = P(x.x + s * displacement(fam, a)[0], x.y + s * displacement(fam, a)[1])
             else:
                 z = P(F(rng.randint(0, 12), 12), F(rng.randint(0, 12), 12))
             if not space.is_torus:
@@ -482,87 +551,85 @@ class TestPointOnGeodesic:
             rep = P(s1 * z.x + i * space.b1[0] + j * space.b2[0], s2 * z.y + i * space.b1[1] + j * space.b2[1])
             if space.reduce_point(z) in (space.reduce_point(x), space.reduce_point(y)):
                 with pytest.raises(DomainError):
-                    point_on_geodesic(space, z, seg)
+                    point_on_geodesic(fam, a, z)
                 continue
-            expected = incidence_scan_oracle(seg, z)
-            assert incidence_scan_oracle(seg, rep) == expected
-            assert point_on_geodesic(space, z, seg) == expected
-            assert _passes_through(seg, space.key(z)) == bool(expected)
-            assert _passes_through(seg, space.key(rep)) == bool(expected)
+            expected = incidence_scan_oracle(fam, a, z)
+            assert incidence_scan_oracle(fam, a, rep) == expected
+            assert point_on_geodesic(fam, a, z) == expected
+            assert _passes_through(fam, a, space.key(z)) == bool(expected)
+            assert _passes_through(fam, a, space.key(rep)) == bool(expected)
             if space.is_torus:
-                assert point_on_geodesic(space, rep, seg) == expected
+                assert point_on_geodesic(fam, a, rep) == expected
             else:
-                assert segment_hits(seg, space.key(rep)) == expected
+                assert segment_hits(fam, a, space.key(rep)) == expected
                 if not (0 <= rep.x <= 1 and 0 <= rep.y <= 1):
                     with pytest.raises(UnsupportedInputError):
-                        point_on_geodesic(space, rep, seg)
+                        point_on_geodesic(fam, a, rep)
             nonempty += bool(expected)
         assert nonempty >= 40
 
     def test_midpoint_of_short_arc(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments
-        seg = next(s for s in segs if displacement(s) == (F(1, 2), F(0)))
-        assert point_on_geodesic(space, P("1/4", 0), seg) == [F(1, 2)]
+        fam = family_of(space, P(0, 0), P("1/2", 0), F(1, 4))
+        a = next(a for a in fam.connecting if displacement(fam, a) == (F(1, 2), F(0)))
+        assert point_on_geodesic(fam, a, P("1/4", 0)) == [F(1, 2)]
         # the opposite arc misses it
-        other = next(s for s in segs if displacement(s) == (F(-1, 2), F(0)))
-        assert point_on_geodesic(space, P("1/4", 0), other) == []
+        other = next(a for a in fam.connecting if displacement(fam, a) == (F(-1, 2), F(0)))
+        assert point_on_geodesic(fam, other, P("1/4", 0)) == []
 
     def test_wraparound_hit(self):
         space = FlatSpace.unit_torus()
-        segs = family_of(space, P(0, 0), P(0, 0), 1).segments
-        seg = next(s for s in segs if displacement(s) == (F(1), F(0)))
-        assert point_on_geodesic(space, P("1/2", 0), seg) == [F(1, 2)]
+        fam = family_of(space, P(0, 0), P(0, 0), 1)
+        a = next(a for a in fam.connecting if displacement(fam, a) == (F(1), F(0)))
+        assert point_on_geodesic(fam, a, P("1/2", 0)) == [F(1, 2)]
 
     def test_off_carrier(self):
         space = FlatSpace.unit_torus()
-        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
-        assert point_on_geodesic(space, P(0, "1/2"), seg) == []
+        fam = family_of(space, P(0, 0), P("1/2", 0), F(1, 4))
+        assert point_on_geodesic(fam, fam.connecting[0], P(0, "1/2")) == []
 
     def test_endpoint_rejected(self):
         space = FlatSpace.unit_torus()
-        seg = family_of(space, P(0, 0), P("1/2", 0), F(1, 4)).segments[0]
+        fam = family_of(space, P(0, 0), P("1/2", 0), F(1, 4))
         with pytest.raises(DomainError):
-            point_on_geodesic(space, P(0, 0), seg)
+            point_on_geodesic(fam, fam.connecting[0], P(0, 0))
 
 
 class TestIntersections:
-    def _segments(self, space, x, y, t_sq):
-        return family_of(space, x, y, t_sq).segments
-
     def test_disjoint_interiors(self):
         space = FlatSpace.unit_torus()
-        segs = self._segments(space, P(0, 0), P("1/2", 0), 1)
-        hits = intersection_candidates(space, segs[0], segs[1])
+        fam, segs = joining_of(space, P(0, 0), P("1/2", 0), 1)
+        hits = intersection_candidates(fam, segs[0], segs[1])
         assert hits == []
 
     def test_common_endpoint_not_interior(self):
         space = FlatSpace.unit_torus()
-        segs = self._segments(space, P(0, 0), P(0, 0), 1)
-        g1 = next(s for s in segs if displacement(s) == (F(1), F(0)))
-        g2 = next(s for s in segs if displacement(s) == (F(0), F(1)))
-        assert intersection_candidates(space, g1, g2) == []
+        fam, segs = joining_of(space, P(0, 0), P(0, 0), 1)
+        a = next(a for a in segs if displacement(fam, a) == (F(1), F(0)))
+        b = next(a for a in segs if displacement(fam, a) == (F(0), F(1)))
+        assert intersection_candidates(fam, a, b) == []
 
     def test_unreduced_endpoint_never_a_hit(self):
         # x = (1,0) folds to (0,0); segments passing through x or y must not report them
         space = FlatSpace.unit_torus()
         x, y = P(1, 0), P("1/2", 0)
         ends = {space.key(x), space.key(y)}
-        segs = self._segments(space, x, y, 16)
-        for i, g1 in enumerate(segs):
-            for g2 in segs[i + 1:]:
-                assert not ends & {h.key for h in intersection_candidates(space, g1, g2)}
+        fam, segs = joining_of(space, x, y, 16)
+        assert fam.m < len(segs)
+        for i, a in enumerate(segs):
+            for b in segs[i + 1:]:
+                assert not ends & {h.key for h in intersection_candidates(fam, a, b)}
 
     def test_diagonal_crossing(self):
         space = FlatSpace.unit_torus()
-        segs = self._segments(space, P(0, 0), P(0, 0), 2)
-        g1 = next(s for s in segs if displacement(s) == (F(1), F(1)))
-        g2 = next(s for s in segs if displacement(s) == (F(1), F(-1)))
-        hits = intersection_candidates(space, g1, g2)
+        fam, segs = joining_of(space, P(0, 0), P(0, 0), 2)
+        a = next(a for a in segs if displacement(fam, a) == (F(1), F(1)))
+        b = next(a for a in segs if displacement(fam, a) == (F(1), F(-1)))
+        hits = intersection_candidates(fam, a, b)
         assert [h.key for h in hits] == [space.key(P("1/2", "1/2"))]
         assert hits[0].s == F(1, 2)
         # both segments cross there at their midpoints
-        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in _intersections(g1, g2)
+        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in _intersections(fam, a, b)
                      if space._key_point(key) == P("1/2", "1/2")}
         assert crossings == {(F(1, 2), F(1, 2))}
 
@@ -577,12 +644,12 @@ class TestIntersections:
             checked = 0
             for _ in range(25):
                 x, y = random_point(rng, space), random_point(rng, space)
-                segs = self._segments(space, x, y, F(rng.randint(2, 8)))
+                fam, segs = joining_of(space, x, y, F(rng.randint(2, 8)))
                 if len(segs) < 2:
                     continue
-                g1, g2 = rng.sample(segs, 2)
-                v, w = displacement(g1), displacement(g2)
-                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un in _intersections(g1, g2)}
+                a, b = rng.sample(segs, 2)
+                v, w = displacement(fam, a), displacement(fam, b)
+                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un in _intersections(fam, a, b)}
                 expected = set()
                 for e1, e2 in space.group:
                     hv = (e1 * v[0], e2 * v[1])
@@ -611,9 +678,9 @@ class TestIntersections:
                 x = random_point(rng, space)
                 # y = x puts opposite wraps on one carrier, where neither side reports a crossing
                 y = x if rng.random() < 0.3 else random_point(rng, space)
-                segs = self._segments(space, x, y, F(rng.randint(1, 10)))
-                for g1, g2 in itertools.permutations(segs, 2):
-                    assert Counter(_intersections(g1, g2)) == Counter(reference_intersections(g1, g2))
+                fam, segs = joining_of(space, x, y, F(rng.randint(1, 10)))
+                for a, b in itertools.permutations(segs, 2):
+                    assert Counter(_intersections(fam, a, b)) == Counter(reference_intersections(fam, a, b))
 
     def test_connecting_segments_never_overlap(self):
         # blocker's module docstring: two connecting segments on one carrier
@@ -623,7 +690,7 @@ class TestIntersections:
         overlapping = 0
         for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
                       FlatSpace.square_billiard()):
-            steps = [space.from_lattice(*c) for c in ((1, 0), (0, 1), (1, 1), (1, -1))]
+            steps = [plane_point(space, *c) for c in ((1, 0), (0, 1), (1, 1), (1, -1))]
             families = 0
             while families < 24:
                 n = rng.choice((2, 3, 4, 6))
@@ -633,35 +700,33 @@ class TestIntersections:
                     y = x
                 elif draw == 1:  # on a rational line through x
                     v, k = rng.choice(steps), F(rng.choice((-1, 1)) * rng.randint(1, 11), 24)
-                    y = RationalPoint(x.x + k * v[0], x.y + k * v[1])
+                    y = RationalPoint(x.x + k * v.x, x.y + k * v.y)
                 else:
                     y = P(F(rng.randint(0, n), n), F(rng.randint(0, n), n))
                 if not (space.admits_endpoint(space.key(x)) and space.admits_endpoint(space.key(y))):
                     continue
                 families += 1
-                segs = family_of(space, x, y, rng.randint(1, 20)).connecting_segments()
-                for g1, g2 in itertools.combinations(segs, 2):
-                    overlaps = reference_overlaps(g1, g2)
+                fam = family_of(space, x, y, rng.randint(1, 20))
+                for a, b in itertools.combinations(fam.connecting, 2):
+                    overlaps = reference_overlaps(fam, a, b)
                     if overlaps:
                         overlapping += 1
                         assert space.key(x) == space.key(y)
                         assert set(overlaps) == {(0, 1)}
-                        assert g1.key_at(1, 2) == g2.key_at(1, 2)
+                        assert fam.key_at(a, 1, 2) == fam.key_at(b, 1, 2)
         assert overlapping > 0
 
-    def test_rejects_mixed_families(self):
-        space = FlatSpace.unit_torus()
-        s1 = self._segments(space, P(0, 0), P("1/2", 0), 1)[0]
-        s2 = self._segments(space, P(0, 0), P(0, "1/2"), 1)[0]
-        with pytest.raises(DomainError):
-            intersection_candidates(space, s1, s2)
+    def test_rejects_one_segment_twice(self):
+        fam = family_of(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 1)
+        with pytest.raises(DomainError, match="distinct"):
+            intersection_candidates(fam, fam.connecting[0], fam.connecting[0])
 
 
 class TestBilliard:
     def test_boundary_endpoint_rejected(self):
         space = FlatSpace.square_billiard()
         with pytest.raises(UnsupportedInputError):
-            family_of(space, P(0, "1/2"), P("1/2", "1/2"), 1).segments
+            family_of(space, P(0, "1/2"), P("1/2", "1/2"), 1)
 
     def test_key_rule_matches_point_rule(self, tmp_path, capsys):
         # over the closed table: an endpoint is an interior point exactly when
@@ -681,6 +746,13 @@ class TestBilliard:
                             space.validate_point(p)
                     seen += 1
         assert seen > 200
+        # off the table, points whose keys are interior: the fundamental
+        # domain's box refuses them with the message bench/checks.py reads
+        for p in (P("5/4", "1/2"), P("-1/4", "1/2")):
+            assert space.admits_endpoint(space.key(p))
+            message = rf"^billiard endpoints must be interior table points, got \({p.x},1/2\)$"
+            with pytest.raises(UnsupportedInputError, match=message):
+                space.validate_point(p)
         # a wall key fed back as an endpoint, as `recursion-check
         # configs/billiard.json` does with its (1/2,0) blocking point, exits 3
         with pytest.raises(UnsupportedInputError, match=r"interior table points, got \(1/2,0\)"):
@@ -693,11 +765,11 @@ class TestBilliard:
         # from (1/4,1/4) to the (-,-,1,1) image of itself: passes (1,1) at s=1/2
         space = FlatSpace.square_billiard()
         x = P("1/4", "1/4")
-        fam = family_of(space, x, x, 5)
+        fam, joining = joining_of(space, x, x, 5)
         assert len(fam.sq_lengths[2]) >= 1
         # the image (-,-,1,1) is (7/4,7/4): displacement (3/2,3/2), lattice
         # coordinates (3/4,3/4), over x's denominator 8
-        assert all(s.lattice != (6, 6) for s in fam.segments)
+        assert fam.origin[2] == 8 and (6, 6) not in joining
 
     def test_four_image_torus_consistency(self):
         # billiard joining counts = sum of 2x2-torus counts over the four
@@ -725,21 +797,21 @@ class TestBilliard:
     def test_billiard_blocking_hits(self):
         # the straight arc from (1/4,1/2) to (3/4,1/2) is blocked at the center
         space = FlatSpace.square_billiard()
-        segs = family_of(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4)).segments
+        fam = family_of(space, P("1/4", "1/2"), P("3/4", "1/2"), F(1, 4))
         # the image y itself: displacement (1/2,0), lattice coordinates (1/4,0) over 8
-        direct = next(s for s in segs if s.lattice == (2, 0))
-        assert point_on_geodesic(space, P("1/2", "1/2"), direct) == [F(1, 2)]
+        assert fam.origin[2] == 8 and (2, 0) in fam.connecting
+        assert point_on_geodesic(fam, (2, 0), P("1/2", "1/2")) == [F(1, 2)]
 
     def test_reflected_segment_folds_back(self):
         # one bounce off the right wall: x=(1/2,1/4), y=(1/2,3/4) via image (-,+,1,0)
         space = FlatSpace.square_billiard()
-        segs = family_of(space, P("1/2", "1/4"), P("1/2", "3/4"), 4).segments
+        fam, joining = joining_of(space, P("1/2", "1/4"), P("1/2", "3/4"), 4)
         # the image (-,+,1,0) is (3/2,3/4): displacement (1,1/2), lattice
         # coordinates (1/2,1/4) over 8
-        bounced = next(s for s in segs if s.lattice == (4, 2))
-        mid = point_at(bounced, F(1, 2))
+        assert fam.origin[2] == 8 and (4, 2) in joining
+        mid = point_at(fam, (4, 2), F(1, 2))
         assert mid == P(1 - F(1, 2), F(1, 2)) or mid.x <= 1
-        hits = point_on_geodesic(space, mid, bounced)
+        hits = point_on_geodesic(fam, (4, 2), mid)
         assert F(1, 2) in hits
 
 

@@ -26,7 +26,7 @@ from geoblock.harness import (
     cmd_verify,
     parse_t_grid,
 )
-from helpers import family_of
+from helpers import family_of, joining_of
 from oracles import sq_length
 
 F = Fraction
@@ -167,8 +167,9 @@ class TestCount:
         space = load_space(geometry)
         exact = set()
         for (x1, y1), (x2, y2) in pairs:
-            for seg in family_of(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25).segments:
-                sq = sq_length(seg)
+            fam, joining = joining_of(space, RationalPoint.of(x1, y1), RationalPoint.of(x2, y2), 25)
+            for a in joining:
+                sq = sq_length(fam, a)
                 num, den = sq.numerator, sq.denominator
                 if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
                     exact.add(F(math.isqrt(num), math.isqrt(den)))
@@ -293,6 +294,20 @@ class TestVerify:
         monkeypatch.setattr(blocker, "solve_exact", traced_solve)
         cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
         assert solved and sorted(map(id, solved)) == sorted(map(id, built))
+
+    def test_one_midpoint_cover_per_family(self, monkeypatch, tmp_path):
+        # the prefix certificate's cover is the one the full solve falls
+        # back to, and each recursion level family makes its own once
+        families = []
+        cover = blocker.midpoint_cover
+
+        def counted(family):
+            families.append(family)  # kept alive, so no two share an id
+            return cover(family)
+
+        monkeypatch.setattr(blocker, "midpoint_cover", counted)
+        cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
+        assert families and len(set(map(id, families))) == len(families)
 
     @pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
     def test_sample_drawn_once_per_run(self, monkeypatch, tmp_path, config):
@@ -448,6 +463,9 @@ class TestCli:
         for name, pair in (
             ("wall_point", [["0", "1/2"], ["1/2", "1/3"]]),
             ("off_table", [["1/3", "1/3"], ["3/2", "1/2"]]),
+            # off the table, though each folds to an interior point
+            ("right_of_table", [["1/3", "1/3"], ["5/4", "1/2"]]),
+            ("left_of_table", [["-1/4", "1/2"], ["1/2", "1/3"]]),
         ):
             cfg_path = write_config(tmp_path, geometry=billiard, pairs=[pair])
             for command in ("count", "block"):

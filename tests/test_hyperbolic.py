@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from geoblock.cli import main
 from geoblock.errors import BudgetExceededError, DomainError
 from geoblock.growth import GrowthSeries, rate_estimate
 from geoblock.hyperbolic import (
@@ -145,6 +146,27 @@ class TestPresets:
             for data in (octagon_data(), schottky_data()):
                 with pytest.raises(DomainError, match=f"unknown preset key: '{key}'"):
                     FuchsianPreset.from_json({**data, key: value})
+
+    def test_generator_names_checked(self, tmp_path, capsys):
+        # one distinct name per generator, none an inverse token: zip would
+        # drop a generator left without a name, and "G" is also the inverse
+        # of "g", of itself here
+        for name, names in (
+            ("too_few", ["g1"]),
+            ("too_many", ["g1", "g2", "g3"]),
+            ("duplicate", ["g1", "g1"]),
+            ("inverse_token", ["g1", "G"]),
+        ):
+            preset_path = tmp_path / f"{name}.json"
+            preset_path.write_text(json.dumps({**schottky_data(), "generator_names": names}))
+            cfg_path = tmp_path / f"{name}_config.json"
+            geometry = {"kind": "fuchsian", "preset": str(preset_path)}
+            cfg_path.write_text(json.dumps({"geometry": geometry, "t_grid": ["10"]}))
+            assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2, name
+            assert "generator_names" in capsys.readouterr().err
+            assert not (tmp_path / name / "count.csv").exists()
+        with pytest.raises(DomainError, match="generator_names"):
+            FuchsianPreset.from_json({**schottky_data(), "generator_names": ["g", "G"]})
 
     def test_cocompact_needs_its_polygon(self):
         # orbit_count's cutoff rests on the Dirichlet domain at the centre
