@@ -34,8 +34,9 @@ Keys inside, points at the edge (``flatspace``): instances, solutions, covers
 and recursion levels hold folded keys, so a blocking set's keys are the next
 level's endpoints as they are.  A connecting segment is its displacement on
 its family, so the build, ``verify_cover`` and the cover check take the
-family and its ``connecting`` displacements, with no per-segment object.  ``blocking_threshold``, ``recursion_harness``
-and the sampled cost take ``RationalPoint``s and fold each endpoint once.
+family and its ``connecting`` displacements, with no per-segment object.
+``recursion_harness`` takes its root family, and ``blocking_threshold`` and
+the sampled cost take ``RationalPoint``s and fold each endpoint once.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .flatspace import (
     GeodesicFamily,
     Key,
     RationalPoint,
-    _intersections,
     _passes_through,
     _point_order,
     connecting_family,
+    intersection_candidates,
 )
 from .growth import kappa_from_squares
 
@@ -113,7 +114,7 @@ def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> I
 
     Cover sets are bitmasks over the connecting segments, assembled from the
     construction records: each midpoint names its segment, and each pairwise
-    crossing the two segments it lies on (``flatspace._intersections`` steps
+    crossing the two segments it lies on (``intersection_candidates`` steps
     through one solved k2 interval per row, so a pair costs about its hits).
     Since connecting segments never overlap (module docstring), a record
     names every segment through its point.  The candidates are keys
@@ -134,7 +135,7 @@ def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> I
     for i in range(m):
         for j in range(i + 1, m):
             pair = 1 << i | 1 << j
-            for hit in _intersections(family, segs[i], segs[j]):
+            for hit in intersection_candidates(family, segs[i], segs[j]):
                 records[hit[0]] = records.get(hit[0], 0) | pair
     records.pop(family.x, None)
     records.pop(family.y, None)
@@ -558,14 +559,9 @@ class RecursionReport:
         }
 
 
-def recursion_harness(
-    space: FlatSpace,
-    x: RationalPoint,
-    y: RationalPoint,
-    t_sq,
-    caps: SolverCaps = SolverCaps(),
-) -> RecursionReport:
-    """Build the halving decomposition and verify its inequalities.
+def recursion_harness(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> RecursionReport:
+    """Build the halving decomposition of the root family, the connecting
+    family of (x, y) at t, and verify its inequalities.
 
     Checks, per level k: the root connecting count is at most the sum of the
     sub-counts over the level's pairs; the level size is at most
@@ -573,8 +569,7 @@ def recursion_harness(
     the terminal level every pair has at most one connecting geodesic, and
     the root count is at most the terminal level size.
     """
-    t_sq = Fraction(t_sq)
-    x, y = space.validate_point(x), space.validate_point(y)
+    space, t_sq = family.space, family.t_sq
     delta_sq = space.delta_sq
     kap = kappa_from_squares(t_sq, delta_sq)
 
@@ -585,26 +580,23 @@ def recursion_harness(
     def check(name: str, law: str, lhs: int, rhs: int, context: dict) -> None:
         checks.append(CheckRow(name, f"{name}: {law}", lhs, rhs, lhs <= rhs, True, None, context))
 
-    pairs: list[tuple[Key, Key]] = [(x, y)]
+    root_m = family.m
+    pairs: list[tuple[Key, Key]] = [(family.x, family.y)]
     observed_max: list[int] = []
     for k in range(kap + 1):
         level_t_sq = t_sq / 4**k
         terminal = k == kap
 
+        families = [connecting_family(space, p, q, level_t_sq) for p, q in pairs] if k else [family]
+        counts = [fam.m for fam in families]
         blocking_sizes = None
         blocking_sets = None
-        if terminal:
-            counts = [connecting_family(space, p, q, level_t_sq).m for p, q in pairs]
-        else:
-            families = [connecting_family(space, p, q, level_t_sq) for p, q in pairs]
-            results = [_threshold(family, caps, midpoint_cover(family)) for family in families]
+        if not terminal:
+            results = [_threshold(fam, caps, midpoint_cover(fam)) for fam in families]
             certified = certified and all(res.certified for res in results)
-            counts = [res.family.m for res in results]
             blocking_sizes = [res.value for res in results]
             blocking_sets = [res.solution.keys for res in results]
             observed_max.append(max(blocking_sizes) if blocking_sizes else 0)
-        if k == 0:
-            root_m = counts[0]
 
         levels.append(
             LevelRecord(
@@ -641,5 +633,6 @@ def recursion_harness(
             pairs = next_pairs
 
     return RecursionReport(
-        space._key_point(x), space._key_point(y), t_sq, delta_sq, kap, tuple(levels), tuple(checks), certified
+        space._key_point(family.x), space._key_point(family.y), t_sq, delta_sq, kap, tuple(levels),
+        tuple(checks), certified,
     )

@@ -16,10 +16,10 @@ Keys inside, points at the edge.  The one point type inside is the folded
 integer key (``FlatSpace._fold_key``): families and ``blocker``'s instances,
 solutions and recursion levels hold keys.  A segment is plain integers on its
 family: a family is its origin and its connecting displacements
-(``GeodesicFamily``), and ``key_at``, ``_passes_through``, ``_intersections``
-and ``intersection_candidates`` take the family and a displacement.  ``count``,
-``blocking_threshold``, ``recursion_harness``, the pair sampler and the
-config parse take ``RationalPoint``s and fold each endpoint once
+(``GeodesicFamily``), and ``key_at``, ``_passes_through`` and
+``intersection_candidates`` take the family and a displacement.  ``count``,
+``blocking_threshold``, the pair sampler and the config parse take
+``RationalPoint``s and fold each endpoint once
 (``FlatSpace.validate_point``); ``FlatSpace._key_point`` makes points again
 only for printed output and error messages.
 """
@@ -43,7 +43,6 @@ Disp = tuple[int, int]  # a segment's displacement g*y + lambda - x, lattice coo
 __all__ = [
     "RationalPoint",
     "FlatSpace",
-    "IntersectionHit",
     "GeodesicFamily",
     "shortest_vector",
     "connecting_family",
@@ -412,11 +411,14 @@ class GeodesicFamily:
         counts = self.counts_at(t_sq)
         t_sq = _positive_t_sq(t_sq)
         bound = t_sq.numerator * self.sq_scale // t_sq.denominator
-        planes = (self.space._key_plane((*a, self.origin[2])) for a in self.connecting)
+        _, b1x, b1y, b2x, b2y = self.space._scaled
         return replace(
             self,
             t_sq=t_sq,
-            connecting=tuple(a for a, (vx, vy, _) in zip(self.connecting, planes) if vx * vx + vy * vy <= bound),
+            connecting=tuple(
+                (a1, a2) for a1, a2 in self.connecting
+                if (a1 * b1x + a2 * b2x) ** 2 + (a1 * b1y + a2 * b2y) ** 2 <= bound
+            ),
             sq_lengths=tuple(lengths[:c] for lengths, c in zip(self.sq_lengths, counts)),
         )
 
@@ -468,17 +470,10 @@ def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], objec
     return approx
 
 
-@dataclass(frozen=True)
-class IntersectionHit:
-    """A transversal crossing of two segments: its point's key, and s on the first."""
-
-    key: Key
-    s: Fraction
-
-
-def _intersections(family: GeodesicFamily, a: Disp, b: Disp) -> list[tuple[Key, int, int, int]]:
+def intersection_candidates(family: GeodesicFamily, a: Disp, b: Disp) -> list[tuple[Key, int, int, int]]:
     """Transversal crossings in both interiors of the family's segments with
-    displacements a and b, as (key_at(a, sn, sd), sn, sd, un).
+    distinct displacements a and b, as (key_at(a, sn, sd), sn, sd, un), one
+    per crossing and unsorted: ``build_instance`` merges them by key.
 
     Solves x + u*b = h*(x + s*a) + lambda over the flips h, in integer
     lattice coordinates: u*B - s*h*A = (h*X - X) + D*k with k integral.  A
@@ -489,6 +484,8 @@ def _intersections(family: GeodesicFamily, a: Disp, b: Disp) -> list[tuple[Key, 
     row of the box solves for the k2 interval that keeps one of them in
     (0, sd) and tests only the k2 in it.
     """
+    if a == b:
+        raise DomainError("segments must be distinct")
     x1, x2, den = family.origin
     (a1, a2), (b1, b2) = a, b
     fold = family.space._fold_key
@@ -525,28 +522,6 @@ def _intersections(family: GeodesicFamily, a: Disp, b: Disp) -> list[tuple[Key, 
                     sn, un = sn + ds, un + du
             sn0, un0, a = sn0 + dsr, un0 + dur, a + r
     return hits
-
-
-def intersection_candidates(family: GeodesicFamily, a: Disp, b: Disp) -> list[IntersectionHit]:
-    """All transversal crossings interior to both of the family's segments
-    with displacements a and b, exact, sorted by point; segments on one
-    carrier yield none.
-
-    De-duplicated by the folded point's key, keeping the least s on a.  The
-    endpoints x and y never appear, even where a segment passes through one
-    of them.
-    """
-    if a == b:
-        raise DomainError("segments must be distinct")
-    seen: dict[Key, IntersectionHit] = {}
-    for key, sn, sd, _ in _intersections(family, a, b):
-        s = Fraction(sn, sd)
-        if key not in seen or s < seen[key].s:
-            seen[key] = IntersectionHit(key, s)
-    for end in (family.x, family.y):
-        seen.pop(end, None)
-    order = _point_order(family.space, seen)
-    return sorted(seen.values(), key=lambda h: order(h.key))
 
 
 def load_space(cfg: dict) -> FlatSpace:

@@ -5,6 +5,11 @@ All outputs are deterministic for a fixed config and seed: each command
 runs one loop over its (pair, t) cells in canonical order (pairs as listed,
 t increasing), floats are printed with 12 significant digits, and JSON keys
 are sorted.  Every output records the seed.
+
+On a flat geometry every command reads its cells from ``_cells``, which
+enumerates each pair once, at the grid's largest t: a cell reads that one
+family restricted to its t, the counts by ``counts_at`` and the families it
+solves by ``within``.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .blocker import (
     _family_threshold,
     _round_sig,
     blocking_cost_sampled,
-    blocking_threshold,
     recursion_harness,
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
-from .flatspace import FlatSpace, RationalPoint, _frac, connecting_family, load_space
+from .flatspace import FlatSpace, GeodesicFamily, RationalPoint, _frac, connecting_family, load_space
 from .growth import GrowthSeries, classify_growth, format_sig, kappa_from_squares, rate_estimate
 # loaded by every command (bench/tracing.py wraps its functions); numpy is
 # imported only inside the hyperbolic functions that use it
@@ -191,13 +195,6 @@ class ExperimentConfig:
             raise ConfigError("flat geometries need a 'pairs' list")
         return space
 
-    def cells(self) -> Iterator[tuple[int, RationalPoint, RationalPoint, Fraction]]:
-        """The (pair index, x, y, t) cells in canonical order: pairs as
-        listed, then t increasing (parse_t_grid guarantees it)."""
-        for pi, (x, y) in enumerate(self.pairs):
-            for t in self.t_grid:
-                yield pi, x, y, t
-
     def preset(self):
         name = self.geometry.get("preset")
         if not name:
@@ -294,23 +291,19 @@ def _t_float(t_sq: Fraction) -> float:
     return math.sqrt(float(t_sq))
 
 
-def _counted_cells(
+def _cells(
     cfg: ExperimentConfig, space: FlatSpace
-) -> Iterator[tuple[int, RationalPoint, RationalPoint, Fraction, tuple[int, int, int]]]:
-    """The cells in ``cells`` order, each with its (n, m, corner_rejected).
+) -> Iterator[tuple[int, RationalPoint, RationalPoint, Fraction, GeodesicFamily]]:
+    """The (pair index, x, y, t, family) cells in canonical order: pairs as
+    listed, then t increasing (parse_t_grid guarantees it).
 
-    Each pair is enumerated once, at its largest t; the counts at every grid
-    t are read from that one family by squared length.
+    Each pair is enumerated once, at the grid's largest t, and every cell of
+    the pair gets that one family; the cell reads it restricted to its t.
     """
-    for pi, x, y, fam in _pair_families(cfg, space):
-        for t in cfg.t_grid:
-            yield pi, x, y, t, fam.counts_at(t * t)
-
-
-def _pair_families(cfg: ExperimentConfig, space: FlatSpace) -> Iterator[tuple]:
-    """(pair index, x, y, family) per pair, enumerated at the grid's largest t."""
     for pi, (x, y) in enumerate(cfg.pairs if cfg.t_grid else ()):
-        yield pi, x, y, connecting_family(space, space.key(x), space.key(y), cfg.t_grid[-1] ** 2)
+        family = connecting_family(space, space.key(x), space.key(y), cfg.t_grid[-1] ** 2)
+        for t in cfg.t_grid:
+            yield pi, x, y, t, family
 
 
 def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -340,7 +333,8 @@ def cmd_count(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
     else:
         space = cfg.flat_space()
-        for pi, x, y, t, (n, m, rejected) in _counted_cells(cfg, space):
+        for pi, x, y, t, family in _cells(cfg, space):
+            n, m, rejected = family.counts_at(t * t)
             rows.append(
                 {
                     "pair": pi,
@@ -360,8 +354,8 @@ def cmd_block(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Blocking thresholds per (pair, t); writes block.csv."""
     space = cfg.flat_space()
     rows = []
-    for pi, x, y, t in cfg.cells():
-        res = blocking_threshold(space, x, y, t * t, cfg.caps)
+    for pi, x, y, t, family in _cells(cfg, space):
+        res = _family_threshold(family.within(t * t), cfg.caps)
         rows.append(
             {
                 "pair": pi,
@@ -382,8 +376,8 @@ def cmd_recursion_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     space = cfg.flat_space()
     reports = []
     failed = False
-    for pi, x, y, t in cfg.cells():
-        rep = recursion_harness(space, x, y, t * t, cfg.caps)
+    for pi, _, _, t, family in _cells(cfg, space):
+        rep = recursion_harness(family.within(t * t), cfg.caps)
         reports.append({"pair": pi, "t": _round_sig(float(t)), "report": rep.to_json()})
         failed = failed or not rep.passed
     _write_text(out_dir / "recursion.json", _json_text({"seed": cfg.seed, "reports": reports}))
@@ -399,13 +393,22 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     """
     space = cfg.flat_space()
     delta_sq = space.delta_sq
-    # the sample, drawn once per run when S(t) first needs it
-    sampled = functools.cache(PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator).pairs)
+
+    @functools.cache
+    def sampled() -> list[tuple[RationalPoint, RationalPoint]]:
+        """The sample, drawn once per run when S(t) first needs it."""
+        try:
+            return PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator).pairs(space)
+        except GeoBlockError as exc:
+            raise ConfigError(
+                f"sampler.count = {cfg.sampler_count} distinct pairs cannot be drawn with "
+                f"sampler.denominator = {cfg.sampler_denominator}: {exc}"
+            ) from exc
 
     @functools.cache
     def cost(t_sq: Fraction) -> int:
         """Sampled blocking cost at t_sq, a lower bound for the true sup over pairs."""
-        return blocking_cost_sampled(space, t_sq, sampled(space), cfg.caps).value
+        return blocking_cost_sampled(space, t_sq, sampled(), cfg.caps).value
 
     checks: list[CheckRow] = []
     notes = [
@@ -415,9 +418,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         "S(t) is built from a sampled blocking cost; sampled sup <= true sup",
     ]
 
-    for pi, x, y, t in cfg.cells():
+    # the chain rows and the recursion rows below read the same cells
+    cells = list(_cells(cfg, space))
+    for pi, x, y, t, family in cells:
         t_sq = t * t
-        thr = blocking_threshold(space, x, y, t_sq, cfg.caps)
+        thr = _family_threshold(family.within(t_sq), cfg.caps)
         n, m, s = thr.family.n, thr.family.m, thr.value
         ctx = {
             "pair": pi,
@@ -481,11 +486,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
 
     if cfg.verify_recursion:
-        for pi, x, y, t in cfg.cells():
+        for pi, _, _, t, family in cells:
             t_sq = t * t
             if cfg.recursion_t_sq_cap is not None and t_sq > cfg.recursion_t_sq_cap:
                 continue
-            rep = recursion_harness(space, x, y, t_sq, cfg.caps)
+            rep = recursion_harness(family.within(t_sq), cfg.caps)
             ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
             checks.extend(
                 replace(
@@ -575,13 +580,12 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         space = cfg.flat_space()
         n_by_t: dict[float, int] = {}
         s_max = 0
-        for _, x, y, fam in _pair_families(cfg, space):
-            for t in cfg.t_grid:
-                # blocking solves are quadratic in the family size; keep them
-                # on the capped prefix of the grid
-                if t * t <= cfg.threshold_t_sq_cap:
-                    s_max = max(s_max, _family_threshold(fam.within(t * t), cfg.caps).value)
-                n_by_t[float(t)] = max(n_by_t.get(float(t), 0), fam.counts_at(t * t)[0])
+        for _, _, _, t, family in _cells(cfg, space):
+            # blocking solves are quadratic in the family size; keep them
+            # on the capped prefix of the grid
+            if t * t <= cfg.threshold_t_sq_cap:
+                s_max = max(s_max, _family_threshold(family.within(t * t), cfg.caps).value)
+            n_by_t[float(t)] = max(n_by_t.get(float(t), 0), family.counts_at(t * t)[0])
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)
         verdict = "partial"

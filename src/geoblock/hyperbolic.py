@@ -163,7 +163,7 @@ class FuchsianPreset:
         # one name per generator, distinct from every other name and every
         # inverse token name.upper(), its own included
         names = self.generator_names
-        tokens = {*names, *(n.upper() for n in names)} if all(isinstance(n, str) for n in names) else ()
+        tokens = {*names, *(n.upper() for n in names)}
         if len(names) != len(self.generators) or len(tokens) != 2 * len(names):
             raise DomainError(
                 f"generator_names {list(names)} must name each of the {len(self.generators)} generators once, "
@@ -224,12 +224,14 @@ class FuchsianPreset:
         if unknown:
             raise DomainError(f"unknown preset key: {', '.join(map(repr, unknown))}")
         gens = tuple(MobiusMatrix(*[float(v) for v in row]) for row in data["generators"])
-        names = tuple(data.get("generator_names") or _default_names(len(gens)))
+        names = data.get("generator_names", _default_names(len(gens)))
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DomainError(f"generator_names must be a list of strings, got {names!r}")
         preset = cls(
             name=data["name"],
             kind=data["kind"],
             generators=gens,
-            generator_names=names,
+            generator_names=tuple(names),
             relator=data.get("relator"),
             systole=data.get("systole"),
             centre=complex(*data["centre"]) if "centre" in data else None,

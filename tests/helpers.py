@@ -1,7 +1,9 @@
 """Small builders shared by the test modules."""
 
-from geoblock.blocker import SolverCaps, build_instance
-from geoblock.flatspace import _enumerate, connecting_family
+from fractions import Fraction
+
+from geoblock.blocker import SolverCaps, build_instance, recursion_harness
+from geoblock.flatspace import _enumerate, _point_order, connecting_family, intersection_candidates
 from geoblock.growth import GrowthSeries
 
 
@@ -15,6 +17,11 @@ def family_of(space, x, y, t_sq):
     return connecting_family(space, space.key(x), space.key(y), t_sq)
 
 
+def recursion_of(space, x, y, t_sq, caps=SolverCaps()):
+    """``recursion_harness`` of the family between two points."""
+    return recursion_harness(family_of(space, x, y, t_sq), caps)
+
+
 def joining_of(space, x, y, t_sq):
     """The family between two points and all its joining displacements, in
     the family's order: those through an endpoint too, which only
@@ -26,3 +33,17 @@ def joining_of(space, x, y, t_sq):
 def instance_of(space, x, y, t_sq, caps=SolverCaps()):
     """``build_instance`` of the family between two points."""
     return build_instance(family_of(space, x, y, t_sq), caps)
+
+
+def crossing_points(family, a, b):
+    """The points where the family's segments a and b cross, as
+    ``build_instance`` records them for that pair: the keys of
+    ``intersection_candidates`` once each, with the least s on a, the
+    endpoints dropped, in point order."""
+    least = {}
+    for key, sn, sd, _ in intersection_candidates(family, a, b):
+        least[key] = min(Fraction(sn, sd), least.get(key, 1))
+    for end in (family.x, family.y):
+        least.pop(end, None)
+    order = _point_order(family.space, least)
+    return sorted(least.items(), key=lambda item: order(item[0]))

@@ -231,8 +231,8 @@ def _scan_box(family, a, b):
 def reference_intersections(family, a, b):
     """Transversal crossings in both interiors of the family's segments with
     displacements a and b as (key, sn, sd, un), the tuples
-    ``flatspace._intersections`` returns, by solving every cell of the box
-    scan and folding each crossing through ``key_at``."""
+    ``flatspace.intersection_candidates`` returns, by solving every cell of
+    the box scan and folding each crossing through ``key_at``."""
     b1, b2 = b
     hits = []
     for (h1, h2), cells in _scan_box(family, a, b):

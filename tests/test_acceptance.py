@@ -165,10 +165,10 @@ def test_criterion_5_recursion_verification(chain_log):
         instances = 0
         for x, y in pairs:
             for t_sq in t_sqs:
-                rep = recursion_harness(space, x, y, t_sq)
+                fam = family_of(space, x, y, t_sq)
+                rep = recursion_harness(fam)
                 assert rep.certified
                 assert rep.passed, [c for c in rep.checks if not c.passed]
-                fam = family_of(space, x, y, t_sq)
                 s_val = blocking_threshold(space, x, y, t_sq).value
                 chain_log.append((fam.n, fam.m, s_val, t_sq, space.delta_sq))
                 # n_t <= (t^3 / (2 delta^3)) * S(t) with the sampled cost

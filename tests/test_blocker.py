@@ -17,7 +17,6 @@ from geoblock.blocker import (
     blocking_threshold,
     build_instance,
     midpoint_cover,
-    recursion_harness,
     solve_exact,
     verify_cover,
 )
@@ -30,7 +29,7 @@ from geoblock.flatspace import (
 )
 from geoblock.growth import kappa_from_squares
 from geoblock.harness import ExperimentConfig
-from helpers import family_of, instance_of
+from helpers import family_of, instance_of, recursion_of
 from oracles import (
     milp_minimum,
     pairwise_undominated,
@@ -594,7 +593,7 @@ class TestEarlyCertificate:
 class TestRecursion:
     def test_below_injectivity_radius_vacuous(self):
         space = FlatSpace.unit_torus()
-        rep = recursion_harness(space, P(0, 0), P("1/4", 0), F(1, 16))
+        rep = recursion_of(space, P(0, 0), P("1/4", 0), F(1, 16))
         assert rep.kappa == 0
         assert rep.passed
         assert len(rep.levels) == 1
@@ -602,7 +601,7 @@ class TestRecursion:
 
     def test_half_pair_full_tree(self):
         space = FlatSpace.unit_torus()
-        rep = recursion_harness(space, P(0, 0), P("1/2", 0), 1)
+        rep = recursion_of(space, P(0, 0), P("1/2", 0), 1)
         assert rep.kappa == 2
         assert rep.passed and rep.certified
         reduc = [c for c in rep.checks if c.name.startswith("sub-count-sum")]
@@ -611,7 +610,7 @@ class TestRecursion:
 
     def test_self_pair_t2(self):
         space = FlatSpace.unit_torus()
-        rep = recursion_harness(space, P(0, 0), P(0, 0), 4)
+        rep = recursion_of(space, P(0, 0), P(0, 0), 4)
         assert rep.passed
         final = [c for c in rep.checks if c.name.startswith("root-count-vs-final-level")]
         assert len(final) == 1 and final[0].passed
@@ -624,8 +623,8 @@ class TestRecursion:
             kappa_from_squares(F(0), F(1, 4))
 
     def test_points_only_at_the_edge(self, monkeypatch):
-        # the harness folds its two endpoints and prints them back; the solver,
-        # the cover check and every level in between run on keys
+        # the root family folds the two endpoints and the report prints them
+        # back; the solver, the cover check and every level in between run on keys
         calls = dict.fromkeys(("_lattice_ints", "_key_point"), 0)
         for name in calls:
             original = getattr(FlatSpace, name)
@@ -635,14 +634,14 @@ class TestRecursion:
                 return _original(self, *args)
 
             monkeypatch.setattr(FlatSpace, name, counted)
-        rep = recursion_harness(FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 4)
+        rep = recursion_of(FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 4)
         assert rep.passed and rep.kappa == 3
         assert sum(len(lv.pairs) for lv in rep.levels) > 100
-        assert calls["_lattice_ints"] <= 2 and calls["_key_point"] <= 2, calls
+        assert calls == {"_lattice_ints": 2, "_key_point": 2}, calls
 
     def test_level_thresholds_halve(self):
         space = FlatSpace.unit_torus()
-        rep = recursion_harness(space, P(0, 0), P("1/2", 0), 4)
+        rep = recursion_of(space, P(0, 0), P("1/2", 0), 4)
         for lv in rep.levels:
             assert lv.t_sq == F(4) / 4**lv.k
 
@@ -650,6 +649,6 @@ class TestRecursion:
 class TestExports:
     def test_recursion_json_inequalities(self):
         space = FlatSpace.unit_torus()
-        rep = recursion_harness(space, P(0, 0), P("1/2", 0), 1)
+        rep = recursion_of(space, P(0, 0), P("1/2", 0), 1)
         data = rep.to_json()
         assert all({"name", "lhs", "rhs", "pass"} <= set(c) for c in data["checks"])

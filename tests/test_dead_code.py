@@ -601,6 +601,24 @@ def test_trace_targets_resolve():
         assert {"space", "x", "y"} <= set(params), f"{module}.{name}"
 
 
+def test_trace_targets_are_called():
+    # a traced layer whose function no program code calls reads 0 on working
+    # code: each target needs an AST call in the package outside its own body
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    called = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    if name != own:
+                        called.add(name)
+    assert not [f"{module}.{name}" for module, name, _, _ in tracing.TARGETS if name not in called]
+
+
 def test_ci_test_ids_resolve():
     # the workflow's oldest-python step names test modules, classes and
     # functions, and it runs only in CI: a renamed test would fail there and

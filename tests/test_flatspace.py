@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from geoblock.blocker import build_instance
 from geoblock.cli import main
 from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
     _affine_hits,
-    _intersections,
     _passes_through,
     connecting_family,
     count,
@@ -21,7 +21,7 @@ from geoblock.flatspace import (
     load_space,
     shortest_vector,
 )
-from helpers import family_of, joining_of
+from helpers import crossing_points, family_of, joining_of
 from oracles import (
     affine_hits,
     classify,
@@ -599,8 +599,7 @@ class TestIntersections:
     def test_disjoint_interiors(self):
         space = FlatSpace.unit_torus()
         fam, segs = joining_of(space, P(0, 0), P("1/2", 0), 1)
-        hits = intersection_candidates(fam, segs[0], segs[1])
-        assert hits == []
+        assert intersection_candidates(fam, segs[0], segs[1]) == []
 
     def test_common_endpoint_not_interior(self):
         space = FlatSpace.unit_torus()
@@ -618,18 +617,20 @@ class TestIntersections:
         assert fam.m < len(segs)
         for i, a in enumerate(segs):
             for b in segs[i + 1:]:
-                assert not ends & {h.key for h in intersection_candidates(fam, a, b)}
+                assert not ends & {key for key, _ in crossing_points(fam, a, b)}
+        # and the build, over the connecting segments, never offers one
+        assert not ends & set(build_instance(fam).candidates)
 
     def test_diagonal_crossing(self):
         space = FlatSpace.unit_torus()
         fam, segs = joining_of(space, P(0, 0), P(0, 0), 2)
         a = next(a for a in segs if displacement(fam, a) == (F(1), F(1)))
         b = next(a for a in segs if displacement(fam, a) == (F(1), F(-1)))
-        hits = intersection_candidates(fam, a, b)
-        assert [h.key for h in hits] == [space.key(P("1/2", "1/2"))]
-        assert hits[0].s == F(1, 2)
+        hits = crossing_points(fam, a, b)
+        assert [key for key, _ in hits] == [space.key(P("1/2", "1/2"))]
+        assert hits[0][1] == F(1, 2)
         # both segments cross there at their midpoints
-        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in _intersections(fam, a, b)
+        crossings = {(F(sn, sd), F(un, sd)) for key, sn, sd, un in intersection_candidates(fam, a, b)
                      if space._key_point(key) == P("1/2", "1/2")}
         assert crossings == {(F(1, 2), F(1, 2))}
 
@@ -649,7 +650,7 @@ class TestIntersections:
                     continue
                 a, b = rng.sample(segs, 2)
                 v, w = displacement(fam, a), displacement(fam, b)
-                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un in _intersections(fam, a, b)}
+                got = {(F(sn, sd), F(un, sd)) for _, sn, sd, un in intersection_candidates(fam, a, b)}
                 expected = set()
                 for e1, e2 in space.group:
                     hv = (e1 * v[0], e2 * v[1])
@@ -680,7 +681,8 @@ class TestIntersections:
                 y = x if rng.random() < 0.3 else random_point(rng, space)
                 fam, segs = joining_of(space, x, y, F(rng.randint(1, 10)))
                 for a, b in itertools.permutations(segs, 2):
-                    assert Counter(_intersections(fam, a, b)) == Counter(reference_intersections(fam, a, b))
+                    got = intersection_candidates(fam, a, b)
+                    assert Counter(got) == Counter(reference_intersections(fam, a, b))
 
     def test_connecting_segments_never_overlap(self):
         # blocker's module docstring: two connecting segments on one carrier

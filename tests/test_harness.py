@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -185,12 +186,13 @@ class TestCount:
             cfg = flat_config(geometry=geometry, pairs=pairs)
             cfg.t_grid = grid
             calls.clear()
-            cells = list(harness._counted_cells(cfg, space))
-            assert [(pi, t) for pi, _, _, t, _ in cells] == [(pi, t) for pi, _, _, t in cfg.cells()]
+            cells = list(harness._cells(cfg, space))
+            assert [(pi, t) for pi, _, _, t, _ in cells] == [(pi, t) for pi in range(len(pairs)) for t in grid]
             assert len(calls) == (len(pairs) if grid else 0)
-            for _, x, y, t, counts in cells:
+            for _, x, y, t, family in cells:
                 fresh = family_of(space, x, y, t * t)
-                assert counts == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t)
+                assert family.counts_at(t * t) == (fresh.n, fresh.m, len(fresh.sq_lengths[2])), (x, y, t)
+                assert family.within(t * t) == fresh, (x, y, t)
         assert any(t in exact for t in grids[0]) and grids[1][0] in exact
 
     def test_fuchsian_rows_flagged(self, tmp_path):
@@ -321,6 +323,22 @@ class TestVerify:
         monkeypatch.setattr(PairSampler, "pairs", counted)
         cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / config), tmp_path)
         assert len(draws) == 1
+
+    def test_sampler_short_of_pairs_is_a_config_error(self, tmp_path, capsys):
+        # the billiard's denominator-2 grid has one interior point, (1/2,1/2),
+        # and the unit torus's has 4 points, so 12 ordered pairs: each exited
+        # 3, as if a cap had run out
+        billiard = {"kind": "billiard"}
+        for name, extra in (
+            ("billiard", {"geometry": billiard, "pairs": [[["1/3", "1/3"], ["2/3", "1/5"]]],
+                          "sampler": {"count": 2, "denominator": 2}}),
+            ("torus", {"sampler": {"count": 13, "denominator": 2}}),
+        ):
+            cfg_path = write_config(tmp_path, **extra)
+            assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2, name
+            err = capsys.readouterr().err
+            assert "sampler.count" in err and "sampler.denominator" in err, err
+            assert not (tmp_path / name / "verify.json").exists()
 
 
 class TestRecursionCheck:
@@ -623,6 +641,32 @@ for argv in runs:
     steps.append([argv[0], geoblock.cli.main(argv), "numpy" in sys.modules])
 open(record, "w").write(json.dumps(steps))
 """
+
+
+@pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
+def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, config):
+    # the cells read one family per pair, at the grid's largest t; the
+    # recursion levels and the sampled cost enumerate their own pairs, and
+    # no (x, y, t^2) is enumerated twice
+    calls = []
+
+    def counted(space, x, y, t_sq):
+        calls.append((x, y, Fraction(t_sq)))
+        return connecting_family(space, x, y, t_sq)
+
+    for module in (harness, blocker):
+        monkeypatch.setattr(module, "connecting_family", counted)
+    path = ROOT / "configs" / config
+    cfg = ExperimentConfig.from_file(path)
+    space = load_space(cfg.geometry)
+    for command in ("count", "block", "verify", "recursion-check", "report"):
+        calls.clear()
+        main([command, "--config", str(path), "--out", str(tmp_path / command)])
+        assert calls, command
+        repeated = [call for call, n in Counter(calls).items() if n > 1]
+        assert not repeated, (command, repeated)
+        if command == "block":
+            assert calls == [(space.key(x), space.key(y), cfg.t_grid[-1] ** 2) for x, y in cfg.pairs]
 
 
 def test_flat_commands_never_import_numpy(tmp_path):

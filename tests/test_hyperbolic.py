@@ -156,6 +156,8 @@ class TestPresets:
             ("too_many", ["g1", "g2", "g3"]),
             ("duplicate", ["g1", "g1"]),
             ("inverse_token", ["g1", "G"]),
+            # a string, not a list: it loaded as the names "a" and "b"
+            ("string", "ab"),
         ):
             preset_path = tmp_path / f"{name}.json"
             preset_path.write_text(json.dumps({**schottky_data(), "generator_names": names}))
