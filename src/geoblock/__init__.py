@@ -25,9 +25,7 @@ from .flatspace import (
 from .growth import (
     GrowthClass,
     GrowthSeries,
-    TransformParams,
     classify_growth,
-    kappa,
     rate_estimate,
     transform,
 )

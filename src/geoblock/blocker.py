@@ -387,7 +387,9 @@ def _threshold(family: GeodesicFamily, caps: SolverCaps, cover: list[Key] | None
 
 @dataclass(frozen=True)
 class PairSampler:
-    """Seeded sampler of rational point pairs, degenerate pairs skipped."""
+    """Seeded sampler of rational point pairs, degenerate pairs skipped: four
+    even lattice numerators over 2*denominator, each on a flipped axis redrawn
+    in the open half (0, 1/2) of it (the open table), folded to keys."""
 
     seed: int
     count: int
@@ -400,13 +402,11 @@ class PairSampler:
         for _ in range(100 * self.count + 101):
             if len(out) == self.count:
                 return list(out)
-            # two points' lattice numerators, folded straight into keys
-            draws = [rng.randrange(den) for _ in range(4)]
-            if space.is_torus:
-                p, q = (space._key_point(space._fold_key(*draws[k:k + 2], den)) for k in (0, 2))
-            else:
-                vals = [Fraction(rng.randrange(1, den), den) for _ in range(4)]
-                p, q = RationalPoint(vals[0], vals[1]), RationalPoint(vals[2], vals[3])
+            nums = [2 * rng.randrange(den) for _ in range(4)]
+            for k in range(4):
+                if space._flips[k % 2]:
+                    nums[k] = rng.randrange(1, den)
+            p, q = (space._key_point(space._fold_key(*nums[k:k + 2], 2 * den)) for k in (0, 2))
             if p != q:
                 out[p, q] = None
         raise GeoBlockError("pair sampler failed to produce enough distinct pairs")

@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, ConfigError, DomainError, GeoBlockError, RangeError
-from .growth import GrowthSeries, TransformParams, rate_estimate, transform
+from .errors import BudgetExceededError, ConfigError, DomainError, GeoBlockError, InsufficientDataError, RangeError
+from .growth import GrowthSeries, _positive, rate_estimate, transform
 from .harness import (
     FORMATS,
     ExperimentConfig,
@@ -90,11 +90,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _run_transform(args: argparse.Namespace) -> int:
     series = GrowthSeries.from_csv(args.infile)
-    params = TransformParams(args.delta)
+    delta_sq = _positive(args.delta, "delta") ** 2
     rows = []
     for t, _ in series.samples:
         try:
-            rows.append((t, float(transform(series, params, t))))
+            rows.append((t, float(transform(series, delta_sq, t))))
         except RangeError:
             continue
     skipped = len(series.samples) - len(rows)
@@ -129,8 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in _SERIES_COMMANDS:
             try:
                 return _SERIES_COMMANDS[args.command](args)
-            except (OSError, DomainError) as exc:
-                # the input CSV and the options are these commands' configuration
+            except (OSError, UnicodeDecodeError, DomainError, InsufficientDataError) as exc:
+                # these commands' configuration: the input CSV (its text, its rows, enough of them) and the options
                 raise ConfigError(str(exc)) from exc
         cfg = _load_config(args)
         return _CONFIG_COMMANDS[args.command](cfg, args.out)

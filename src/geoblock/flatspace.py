@@ -97,19 +97,18 @@ class FlatSpace:
     delta_sq is the squared injectivity radius: a quarter of the shortest
     nonzero lattice vector's squared length for the torus.  For the billiard
     table only the inequality verifier consumes delta; the conservative
-    convention delta = 1/4 is used and recorded in reports.
+    convention delta = 1/4 is used.  delta_note states it for reports.
     """
 
     kind: str  # "torus" | "billiard"
     b1: Vec
     b2: Vec
     delta_sq: Fraction
+    delta_note: str
     _inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
     group: tuple[Flip, ...]
     _scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
     _flips: tuple[bool, bool]  # whether the group flips each axis; it is the product of these sign sets
-
-    BILLIARD_DELTA_CONVENTION = "delta=1/4 (conservative; shortest unfolded closed displacement is 2)"
 
     @classmethod
     def _quotient(cls, kind: str, b1, b2, group: tuple[Flip, ...]) -> "FlatSpace":
@@ -124,13 +123,13 @@ class FlatSpace:
         L = math.lcm(*(c.denominator for c in b1 + b2))
         scaled = (L, *(int(c * L) for c in b1 + b2))
         flips = tuple(any(g[k] < 0 for g in group) for k in (0, 1))
-        return cls(kind, b1, b2, Fraction(0), inv, group, scaled, flips)
+        return cls(kind, b1, b2, Fraction(0), "", inv, group, scaled, flips)
 
     @classmethod
     def torus(cls, b1, b2) -> "FlatSpace":
         space = cls._quotient("torus", b1, b2, ((1, 1),))
         _, sq = shortest_vector(space)
-        return replace(space, delta_sq=sq / 4)
+        return replace(space, delta_sq=sq / 4, delta_note="torus delta^2 = shortest^2/4")
 
     @classmethod
     def unit_torus(cls) -> "FlatSpace":
@@ -139,8 +138,8 @@ class FlatSpace:
     @classmethod
     def square_billiard(cls) -> "FlatSpace":
         space = cls._quotient("billiard", (2, 0), (0, 2), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-        # shortest periodic unfolded closed displacement is 2
-        return replace(space, delta_sq=Fraction(1, 16))
+        note = "delta=1/4 (conservative; shortest unfolded closed displacement is 2)"
+        return replace(space, delta_sq=Fraction(1, 16), delta_note=note)
 
     @property
     def is_torus(self) -> bool:

@@ -6,8 +6,10 @@ of its values at ``t, t/2, t/4, ...`` down to the first argument below
 ``delta``.  The transform doubles exponential rates, turns bounded functions
 into polynomially bounded ones, and turns polynomially bounded functions
 into quasi-polynomial ones.  :func:`transform` evaluates it, exactly for
-rational t and exact f, and :func:`rate_estimate` and
-:func:`classify_growth` measure the growth of sampled series.
+rational t and exact f; it takes ``delta**2`` as a flat space holds it, and
+its depth is :func:`kappa_from_squares`, the one halving-depth rule.
+:func:`rate_estimate` and :func:`classify_growth` measure the growth of
+sampled series.
 """
 
 from __future__ import annotations
@@ -30,26 +32,14 @@ if TYPE_CHECKING:
 Real = Union[int, float, Fraction]
 
 __all__ = [
-    "TransformParams",
     "GrowthSeries",
     "GrowthClass",
-    "kappa",
     "kappa_from_squares",
     "format_sig",
     "transform",
     "rate_estimate",
     "classify_growth",
 ]
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Scale parameter of the halving transform (a length, finite and strictly positive)."""
-
-    delta: Real = 1
-
-    def __post_init__(self) -> None:
-        _positive(self.delta, "delta")
 
 
 def _positive(x: Real, name: str) -> Fraction:
@@ -63,23 +53,16 @@ def _positive(x: Real, name: str) -> Fraction:
     return q
 
 
-def _halving_depth(ratio: Fraction, power: int) -> int:
-    """Least k >= 0 with ratio < 2**(power*k), for ratio = (t/delta)**power.
-
-    2**(power*k) is an integer, so it exceeds ratio iff it exceeds floor(ratio),
-    which holds iff power*k >= floor(ratio).bit_length().
-    """
-    return -(-(ratio.numerator // ratio.denominator).bit_length() // power)
-
-
-def kappa(t: Real, params: TransformParams) -> int:
-    """Least k >= 0 with t / 2**k < delta, exact for rationals and floats."""
-    return _halving_depth(_positive(t, "t") / Fraction(params.delta), 1)
-
-
 def kappa_from_squares(t_sq: Real, delta_sq: Real) -> int:
-    """Least k >= 0 with t / 2**k < delta, from the squared lengths."""
-    return _halving_depth(_positive(t_sq, "t^2") / _positive(delta_sq, "delta^2"), 2)
+    """Least k >= 0 with t / 2**k < delta, from the squared lengths, exact
+    for rationals and floats.
+
+    With r = t^2 / delta^2 that is r < 4**k; 4**k is an integer, so it
+    exceeds r iff it exceeds floor(r), which holds iff
+    2k >= floor(r).bit_length().
+    """
+    ratio = _positive(t_sq, "t^2") / _positive(delta_sq, "delta^2")
+    return -(-(ratio.numerator // ratio.denominator).bit_length() // 2)
 
 
 def format_sig(x: float) -> str:
@@ -148,7 +131,7 @@ class GrowthSeries:
         't,count,certified').  Each t keeps its largest value, and
         non-positive values are dropped.
         """
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or []
             if "t" not in fields[:-1]:
@@ -169,8 +152,10 @@ class GrowthSeries:
 Evaluatable = Union[GrowthSeries, Callable[[Real], Real]]
 
 
-def transform(f: Evaluatable, params: TransformParams, t: Real) -> Real:
-    """Product of f(t / 2**k) for k = 0 .. kappa(t) - 1.
+def transform(f: Evaluatable, delta_sq: Real, t: Real) -> Real:
+    """Product of f(t / 2**k) for k = 0 .. kappa - 1, with kappa =
+    ``kappa_from_squares(t**2, delta_sq)``: t and delta_sq are exact, so
+    the depth is too.
 
     The empty product (t < delta) is 1.  With rational t (an int or a
     Fraction) f receives the halved arguments as exact Fractions, so an f
@@ -181,7 +166,7 @@ def transform(f: Evaluatable, params: TransformParams, t: Real) -> Real:
     :class:`GrowthSeries` is evaluated by :meth:`GrowthSeries.value_at`, so
     every halved argument must lie in its sampled range.
     """
-    depth = kappa(t, params)  # validates t
+    depth = kappa_from_squares(_positive(t, "t") ** 2, delta_sq)
     if isinstance(t, Rational):
         acc: Real = Fraction(1)
         tk: Real = Fraction(t)

@@ -33,7 +33,7 @@ from .blocker import (
 )
 from .errors import ConfigError, GeoBlockError, InsufficientDataError
 from .flatspace import FlatSpace, GeodesicFamily, RationalPoint, _frac, connecting_family, load_space
-from .growth import GrowthSeries, classify_growth, format_sig, kappa_from_squares, rate_estimate
+from .growth import GrowthSeries, classify_growth, format_sig, rate_estimate, transform
 # loaded by every command (bench/tracing.py wraps its functions); numpy is
 # imported only inside the hyperbolic functions that use it
 from .hyperbolic import blocking_lower_bound_series, load_preset, orbit_count
@@ -110,12 +110,13 @@ def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
 _CONFIG_KEYS = {
     None: {"geometry", "t_grid", "pairs", "seed", "caps", "sampler", "verify",
            "base_points", "threshold_t_max", "orbit", "format"},
-    "geometry": {"kind", "basis", "preset"},
     "caps": {"max_candidates", "max_geodesics"},
     "sampler": {"count", "denominator"},
     "verify": {"recursion", "recursion_t_max"},
     "orbit": {"bound_mode", "max_word_len"},
 }
+# the geometry keys each kind reads
+_GEOMETRY_KEYS = {"torus": {"kind", "basis"}, "billiard": {"kind"}, "fuchsian": {"kind", "preset"}}
 FORMATS = ("csv", "json")
 
 
@@ -214,6 +215,12 @@ class ExperimentConfig:
             raise ConfigError(f"config missing required key {exc}") from None
         if not isinstance(geometry, dict) or "kind" not in geometry:
             raise ConfigError("geometry must be a mapping with a 'kind'")
+        kind = geometry["kind"]
+        if not isinstance(kind, str) or kind not in _GEOMETRY_KEYS:
+            raise ConfigError(f"geometry kind {kind!r} is not one of {', '.join(_GEOMETRY_KEYS)}")
+        unused = sorted(set(geometry) - _GEOMETRY_KEYS[kind])
+        if unused:
+            raise ConfigError(f"unknown config key in 'geometry' for kind {kind!r}: {', '.join(map(repr, unused))}")
         pairs = _parse_pairs(raw.get("pairs", []))
         # the caps the config leaves out keep the SolverCaps defaults
         caps = SolverCaps(**{
@@ -255,8 +262,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -412,9 +419,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     checks: list[CheckRow] = []
     notes = [
-        "delta convention: " + (
-            "torus delta^2 = shortest^2/4" if space.is_torus else FlatSpace.BILLIARD_DELTA_CONVENTION
-        ),
+        "delta convention: " + space.delta_note,
         "S(t) is built from a sampled blocking cost; sampled sup <= true sup",
     ]
 
@@ -453,7 +458,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
         )
         # the halving transform of the sampled cost: its product at t, t/2, ... above delta
-        S = math.prod(cost(t_sq / 4**k) for k in range(kappa_from_squares(t_sq, delta_sq)))
+        S = transform(lambda u: cost(u * u), delta_sq, t)
         # m <= (2t/delta) S  <=>  m^2 delta^2 <= 4 t^2 S^2 (exact squares)
         ok_m = m * m * delta_sq <= 4 * t_sq * S * S
         rhs_m = 2.0 * _t_float(t_sq) / _t_float(delta_sq) * S

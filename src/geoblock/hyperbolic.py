@@ -227,12 +227,15 @@ class FuchsianPreset:
         names = data.get("generator_names", _default_names(len(gens)))
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise DomainError(f"generator_names must be a list of strings, got {names!r}")
+        relator = data.get("relator")
+        if relator is not None and not isinstance(relator, str):
+            raise DomainError(f"relator must be a string of generator tokens, got {relator!r}")
         preset = cls(
             name=data["name"],
             kind=data["kind"],
             generators=gens,
             generator_names=tuple(names),
-            relator=data.get("relator"),
+            relator=relator,
             systole=data.get("systole"),
             centre=complex(*data["centre"]) if "centre" in data else None,
         )

@@ -389,3 +389,28 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
     keep = order[np.array(all_disp)[order] <= t_max]
     return np.array(all_mats)[keep], np.array(all_disp)[keep], certified_t
 
+
+
+def reference_sampled_pairs(space, seed, count, den):
+    """``PairSampler.pairs`` as two samplers, one per kind, or None where it
+    refuses: a torus folds four lattice numerators over den into keys, and
+    the billiard draws four plane coordinates in (0, 1) over den after
+    four unused draws."""
+    import random
+
+    from geoblock.flatspace import RationalPoint
+
+    rng = random.Random(seed)
+    out = {}
+    for _ in range(100 * count + 101):
+        if len(out) == count:
+            return list(out)
+        draws = [rng.randrange(den) for _ in range(4)]
+        if space.is_torus:
+            p, q = (space._key_point(space._fold_key(*draws[k:k + 2], den)) for k in (0, 2))
+        else:
+            vals = [Fraction(rng.randrange(1, den), den) for _ in range(4)]
+            p, q = RationalPoint(vals[0], vals[1]), RationalPoint(vals[2], vals[3])
+        if p != q:
+            out[p, q] = None
+    return None

@@ -23,7 +23,7 @@ from geoblock.blocker import (
 )
 from geoblock.cli import main
 from geoblock.flatspace import FlatSpace, RationalPoint
-from geoblock.growth import GrowthSeries, TransformParams, kappa, kappa_from_squares, rate_estimate, transform
+from geoblock.growth import GrowthSeries, kappa_from_squares, rate_estimate, transform
 from geoblock.hyperbolic import (
     certified_blocking_lower_bound,
     load_preset,
@@ -58,11 +58,10 @@ def criterion(number, description, budget_s):
 
 def test_criterion_1_transform_rate_doubling():
     with criterion(1, "transform doubles exponential rates within 0.05", 1.0):
-        params = TransformParams(1)
         ts = np.linspace(1, 100, 512)
         for a in (0.5, 1.0, 2.0):
             series = GrowthSeries.from_pairs(
-                [(float(t), float(transform(lambda u: math.exp(a * u), params, float(t)))) for t in ts]
+                [(float(t), float(transform(lambda u: math.exp(a * u), 1, float(t)))) for t in ts]
             )
             rate = rate_estimate(series, "exponential").parameter
             assert 2 * a - 0.05 <= rate <= 2 * a + 0.05, (a, rate)
@@ -70,17 +69,16 @@ def test_criterion_1_transform_rate_doubling():
 
 def test_criterion_2_transform_exactness_and_kappa_bounds():
     with criterion(2, "exact transform closed form and two-sided halving-index bounds", 5.0):
-        params = TransformParams(Fraction(1))
         rng = random.Random(2)
         for _ in range(1000):
             t = Fraction(rng.randint(1, 4096), rng.randint(1, 64))
-            k = kappa(t, params)
+            k = kappa_from_squares(t * t, 1)
             expected = t**k / Fraction(2) ** (k * (k - 1) // 2)
-            assert transform(lambda u: u, params, t) == expected
+            assert transform(lambda u: u, 1, t) == expected
         for _ in range(100_000):
             t = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
             delta = Fraction(rng.randint(1, 10**4), rng.randint(1, 100))
-            k = kappa(t, TransformParams(delta))
+            k = kappa_from_squares(t * t, delta * delta)
             if t < delta:
                 assert k == 0
             else:

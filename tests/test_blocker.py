@@ -36,6 +36,7 @@ from oracles import (
     point_on_geodesic,
     reference_instance,
     reference_root_bound,
+    reference_sampled_pairs,
 )
 
 P = RationalPoint.of
@@ -467,6 +468,22 @@ class TestSampledCost:
                     near = blocker._near_pair(p, q, t_sq)
                     assert near is not None and near[0] == p
                     assert space.admits_endpoint(space.validate_point(near[1]))
+
+    def test_sampler_matches_the_two_kind_reference(self):
+        # one rule read from the flipped axes draws what a torus sampler and
+        # a billiard sampler drew, refusals included
+        spaces = (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+                  FlatSpace.torus((2, 1), (F(-1, 2), F(7, 3))), FlatSpace.square_billiard())
+        for space in spaces:
+            for seed in range(60):
+                for den in (2, 3, 5, 8, 13):
+                    for count in (1, 4, 8):
+                        expected = reference_sampled_pairs(space, seed, count, den)
+                        try:
+                            drawn = PairSampler(seed, count, den).pairs(space)
+                        except GeoBlockError:
+                            drawn = None
+                        assert drawn == expected, (space.kind, seed, den, count)
 
     def test_ten_pair_sample_bounded_by_midpoints(self):
         space = FlatSpace.unit_torus()

@@ -60,9 +60,7 @@ OPTIONS_ALLOWED = {
 KIND_READS_ALLOWED = {
     "FlatSpace.is_torus": "item 8: the group decides, and the property goes with its last reader",
     "midpoint_cover": "item 10: a midpoint cover for every flat group",
-    "PairSampler.pairs": "item 8: one sampler that draws keys and rejects those not admitted",
     "blocking_cost_sampled": "item 10: the ceiling 4|G| on every flat space",
-    "cmd_verify": "item 8: the delta note, report text",
     "cmd_report": "item 8: s_max <= 4, report text (item 10's 4|G|)",
 }
 

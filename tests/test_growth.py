@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from geoblock.errors import DomainError, InsufficientDataError, RangeError
 from geoblock.growth import (
     GrowthSeries,
-    TransformParams,
     classify_growth,
     format_sig,
-    kappa,
+    kappa_from_squares,
     rate_estimate,
     transform,
 )
@@ -30,9 +29,14 @@ def kappa_oracle(t: Fraction, delta: Fraction) -> int:
     return k
 
 
+def kappa(t, delta) -> int:
+    """The halving depth of t at scale delta, by the one rule."""
+    return kappa_from_squares(Fraction(t) ** 2, Fraction(delta) ** 2)
+
+
 class TestKappa:
     def test_below_delta_is_zero(self):
-        assert kappa(0.5, TransformParams(1)) == 0
+        assert kappa(0.5, 1) == 0
 
     @pytest.mark.parametrize(
         "t,delta,expected",
@@ -40,21 +44,21 @@ class TestKappa:
     )
     def test_examples_match_loop_oracle(self, t, delta, expected):
         assert kappa_oracle(Fraction(t), Fraction(delta)) == expected
-        assert kappa(t, TransformParams(delta)) == expected
+        assert kappa(t, delta) == expected
 
     def test_float_and_rational_agree(self):
         for num in range(1, 200):
             t = Fraction(num, 7)
             delta = Fraction(3, 5)
-            k_exact = kappa(t, TransformParams(delta))
-            k_float = kappa(float(t), TransformParams(float(delta)))
+            k_exact = kappa(t, delta)
+            k_float = kappa(float(t), float(delta))
             assert k_exact == kappa_oracle(t, delta)
             assert k_exact == k_float
 
     def test_power_of_two_boundary_is_strict(self):
         # t = delta * 2^j needs one more halving because the comparison is strict
         for j in range(6):
-            assert kappa(Fraction(2) ** j, TransformParams(1)) == j + 1
+            assert kappa(Fraction(2) ** j, 1) == j + 1
 
     @given(
         tn=st.integers(1, 10**6),
@@ -65,7 +69,7 @@ class TestKappa:
     @settings(max_examples=300, deadline=None)
     def test_two_sided_bounds(self, tn, td, dn, dd):
         t, delta = Fraction(tn, td), Fraction(dn, dd)
-        k = kappa(t, TransformParams(delta))
+        k = kappa(t, delta)
         assert k == kappa_oracle(t, delta)
         if t >= delta:
             # log2(t/delta) <= k <= log2(t/delta) + 1, exactly
@@ -74,51 +78,71 @@ class TestKappa:
         else:
             assert k == 0
 
+    @given(t=st.floats(1e-6, 1e6), delta=st.floats(1e-3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_float_depth_is_the_length_rule(self, t, delta):
+        # the depth from squares equals the rule on lengths,
+        # floor(t/delta).bit_length(), with t and delta read exactly
+        expected = math.floor(Fraction(t) / Fraction(delta)).bit_length()
+        assert kappa_from_squares(Fraction(t) ** 2, Fraction(delta) ** 2) == expected
+        calls = []
+        transform(lambda u: calls.append(u) or 1.0, Fraction(delta) ** 2, t)
+        assert len(calls) == expected
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            kappa(0, TransformParams(1))
+            kappa_from_squares(0, 1)
         with pytest.raises(DomainError):
-            kappa(-1.0, TransformParams(1))
+            kappa_from_squares(-1.0, 1)
         with pytest.raises(DomainError):
-            TransformParams(0)
+            kappa_from_squares(1, 0)
+        # t is checked before it is squared: -1 would square to 1
+        with pytest.raises(DomainError, match="t must be"):
+            transform(lambda u: 1, 1, -1)
+        with pytest.raises(DomainError, match="t must be"):
+            transform(lambda u: 1, 1, 0)
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
-                kappa(bad, TransformParams(1))
+                kappa_from_squares(bad, 1)
             with pytest.raises(DomainError):
-                TransformParams(bad)
+                kappa_from_squares(1, bad)
+            with pytest.raises(DomainError):
+                transform(lambda u: 1, 1, bad)
+            with pytest.raises(DomainError):
+                transform(lambda u: 1, bad, 1)
 
 
 class TestTransform:
     def test_constant_one(self):
-        assert transform(lambda u: 1, TransformParams(1), 8) == 1
+        assert transform(lambda u: 1, 1, 8) == 1
 
     def test_linear_example(self):
         # 8 * 4 * 2 * 1 by direct product
-        assert transform(lambda u: u, TransformParams(1), 8) == 64
+        assert transform(lambda u: u, 1, 8) == 64
 
     def test_constant_two_example(self):
-        assert transform(lambda u: 2, TransformParams(1), 8) == 16
+        assert transform(lambda u: 2, 1, 8) == 16
 
     def test_empty_product_below_delta(self):
-        assert transform(lambda u: u, TransformParams(1), Fraction(1, 2)) == 1
+        assert transform(lambda u: u, 1, Fraction(1, 2)) == 1
 
     def test_exact_closed_form_for_linear(self):
         # independent oracle: t^kappa * 2^(-kappa(kappa-1)/2)
-        p = TransformParams(Fraction(1))
+        delta_sq = Fraction(1)
         for num in range(1, 60):
             t = Fraction(num, 7)
-            k = kappa(t, p)
+            k = kappa_from_squares(t * t, delta_sq)
             expected = t**k * Fraction(2) ** Fraction(-k * (k - 1), 2) if k * (k - 1) % 2 == 0 else None
             assert k * (k - 1) % 2 == 0  # product of consecutive ints is even
             expected = t**k / 2 ** (k * (k - 1) // 2)
-            assert transform(lambda u: u, p, t) == expected
+            assert transform(lambda u: u, delta_sq, t) == expected
 
     def test_series_interpolation_and_range_error(self):
         series = series_from_function(lambda t: t, np.linspace(1, 16, 61))
-        val = transform(series, TransformParams(1), 8.0)
+        val = transform(series, 1, 8.0)
         assert val == pytest.approx(64.0, rel=1e-9)
         with pytest.raises(RangeError):
-            transform(series, TransformParams(0.25), 8.0)
+            transform(series, 0.25 ** 2, 8.0)
 
     def test_value_at_samples_and_midpoints(self):
         ts = np.cumsum(np.random.default_rng(71).uniform(0.1, 2.0, 300))
@@ -134,26 +158,46 @@ class TestTransform:
     @settings(max_examples=120, deadline=None)
     def test_multiplicative(self, num, den):
         t = num / den
-        p = TransformParams(1)
         f1 = lambda u: 1.5 + math.sin(u)
         f2 = lambda u: 0.5 + 0.1 * u
-        lhs = transform(lambda u: f1(u) * f2(u), p, t)
-        rhs = transform(f1, p, t) * transform(f2, p, t)
+        lhs = transform(lambda u: f1(u) * f2(u), 1, t)
+        rhs = transform(f1, 1, t) * transform(f2, 1, t)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(st.integers(1, 400))
     @settings(max_examples=80, deadline=None)
     def test_pointwise_monotone(self, num):
         t = num / 10
-        p = TransformParams(1)
         grid = np.linspace(0.001, 41, 400)
         f = series_from_function(lambda u: 1.0 + u, grid)
         g = series_from_function(lambda u: 1.5 + u + 0.1 * u * u, grid)
-        assert transform(f, p, t) <= transform(g, p, t)
+        assert transform(f, 1, t) <= transform(g, 1, t)
+
+    @given(
+        tn=st.integers(1, 10**4),
+        td=st.integers(1, 64),
+        dn=st.integers(1, 10**3),
+        dd=st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_product_over_squares(self, tn, td, dn, dd):
+        # oracle: the product over the squared arguments t^2/4^k that the
+        # verifier's S(t) once computed inline, with the same depth
+        t, delta_sq = Fraction(tn, td), Fraction(dn, dd)
+        seen = []
+
+        def f(u_sq):
+            seen.append(u_sq)
+            return 1 + u_sq
+
+        expected = math.prod(f(t * t / 4**k) for k in range(kappa_from_squares(t * t, delta_sq)))
+        oracle_args, seen[:] = list(seen), []
+        assert transform(lambda u: f(u * u), delta_sq, t) == expected
+        assert seen == oracle_args
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DomainError):
-            transform(lambda u: u - 10, TransformParams(1), 8)
+            transform(lambda u: u - 10, 1, 8)
 
 
 class TestRateEstimate:
@@ -172,11 +216,10 @@ class TestRateEstimate:
     def test_quasi_polynomial_of_linear_transform(self):
         # oracle: closed form t^kappa 2^(-kappa(kappa-1)/2) evaluated on a grid,
         # fitted as log F against (log t)^2; asymptotic slope 1/(2 ln 2)
-        p = TransformParams(1)
         ts = np.geomspace(2.0, 2.0**24, 400)
         pairs = []
         for t in ts:
-            k = kappa(float(t), p)
+            k = kappa(float(t), 1)
             logf = k * math.log(t) - (k * (k - 1) / 2) * math.log(2)
             pairs.append((float(t), math.exp(min(logf, 700))))
         series = GrowthSeries.from_pairs(pairs)

@@ -427,12 +427,33 @@ class TestCli:
         assert code == 0
         assert (out / "count.csv").exists()
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["count", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert main(["count", "--out", str(tmp_path / "o2")]) == 2
+        # a config that is not UTF-8 text crashed with a traceback, exit 1
+        bad.write_bytes(b'{"seed": "\xff"}')
+        capsys.readouterr()
+        assert main(["count", "--config", str(bad), "--out", str(tmp_path / "o3")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
         octagon = {"geometry": {"kind": "fuchsian", "preset": "octagon_genus2"}, "t_grid": ["3", "4"]}
+        # a geometry key the kind does not use ran with exit 0, ignored
+        unit_basis = ["1", "0", "0", "1"]
+        for name, key, raw in (
+            ("billiard_basis", "basis", {"geometry": {"kind": "billiard", "basis": unit_basis},
+                                         "pairs": [[["1/3", "1/3"], ["2/3", "1/5"]]], "t_grid": ["1"]}),
+            ("torus_preset", "preset", {"geometry": {"kind": "torus", "basis": unit_basis, "preset": "octagon_genus2"},
+                                        "pairs": [[["0", "0"], ["1/2", "0"]]], "t_grid": ["1"]}),
+            ("fuchsian_basis", "basis", {**octagon, "geometry": {**octagon["geometry"], "basis": unit_basis}}),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            assert main(["count", "--config", str(path), "--out", str(tmp_path / name)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and f"'{key}'" in err and err.count("\n") == 1
+            assert not (tmp_path / name / "count.csv").exists()
         # the systole packing bound is the only uniform count bound
         for name, extra in (
             ("mode", {"orbit": {"bound_mode": "sistole"}}),
@@ -603,12 +624,20 @@ class TestCli:
         pytest.param(["transform", "--delta", "nan"], "t,value\n1,1\n", id="delta-nan"),
         pytest.param(["entropy", "--window", "0"], "t,value\n1,1\n", id="window-zero"),
         pytest.param(["entropy", "--window", "1.5"], "t,value\n1,1\n", id="window-above-one"),
+        # each crashed with a traceback, exit 1
+        pytest.param(["transform"], b"t,value\n1,\xff\n", id="transform-not-utf8"),
+        pytest.param(["entropy"], b"t,value\n1,\xff\n", id="entropy-not-utf8"),
+        # too few samples to fit exited 3, as if a cap had run out
+        pytest.param(["entropy"], "t,value\n1,2\n2,4\n", id="entropy-too-few-samples"),
     ])
     def test_series_input_errors_exit_2(self, tmp_path, capsys, argv, text):
-        # a bad cell, a short row, a missing file, a non-finite number or an
-        # option outside its domain: one line on stderr, exit 2
+        # a bad cell, a short row, a missing file, a non-finite number, text
+        # that is not UTF-8, too few samples to fit or an option outside its
+        # domain: one line on stderr, exit 2
         src = tmp_path / "in.csv"
-        if text is not None:
+        if isinstance(text, bytes):
+            src.write_bytes(text)
+        elif text is not None:
             src.write_text(text)
         assert main([*argv, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -170,6 +170,23 @@ class TestPresets:
         with pytest.raises(DomainError, match="generator_names"):
             FuchsianPreset.from_json({**schottky_data(), "generator_names": ["g", "G"]})
 
+    def test_relator_must_be_a_string(self, tmp_path, capsys):
+        # a list relator reached relator.split() and crashed with a
+        # traceback, exit 1
+        preset_path = tmp_path / "list_relator.json"
+        preset_path.write_text(json.dumps({**octagon_data(), "relator": ["a1", "B1"]}))
+        cfg_path = tmp_path / "list_relator_config.json"
+        geometry = {"kind": "fuchsian", "preset": str(preset_path)}
+        cfg_path.write_text(json.dumps({"geometry": geometry, "t_grid": ["3"]}))
+        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "relator" in err and err.count("\n") == 1
+        for bad in (["a1", "B1"], 7, {"word": "a1"}):
+            with pytest.raises(DomainError, match="relator must be a string"):
+                FuchsianPreset.from_json({**octagon_data(), "relator": bad})
+        # null stays allowed: a schottky preset carries no relator
+        assert FuchsianPreset.from_json({**schottky_data(), "relator": None}).relator is None
+
     def test_cocompact_needs_its_polygon(self):
         # orbit_count's cutoff rests on the Dirichlet domain at the centre
         data = octagon_data()
