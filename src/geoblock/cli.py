@@ -97,11 +97,13 @@ def _run_transform(args: argparse.Namespace) -> int:
             rows.append((t, float(transform(series, delta_sq, t))))
         except RangeError:
             continue
+    if not rows:
+        raise DomainError(f"--delta {args.delta} is too small for every row: each t halves down "
+                          f"to it past the smallest sampled t, {series.t_range[0]}")
     skipped = len(series.samples) - len(rows)
     if skipped:
         print(f"skipped {skipped} rows whose halved arguments fall outside the sampled range",
               file=sys.stderr)
-    # with every row skipped the series is empty: a DomainError, so exit 2
     args.out.parent.mkdir(parents=True, exist_ok=True)
     GrowthSeries.from_pairs(rows).to_csv(args.out)
     return 0

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DomainError, UnsupportedInputError
 
@@ -534,8 +534,8 @@ def load_space(cfg: dict) -> FlatSpace:
         return FlatSpace.square_billiard()
     if kind == "torus":
         basis = cfg.get("basis")
-        if not isinstance(basis, Sequence) or len(basis) != 4:
-            raise DomainError("torus config needs basis: [b1x, b1y, b2x, b2y]")
+        if not isinstance(basis, list) or len(basis) != 4:
+            raise DomainError(f"torus config needs 'basis' as a list [b1x, b1y, b2x, b2y], got {basis!r}")
         vals = [_frac(v) for v in basis]
         return FlatSpace.torus((vals[0], vals[1]), (vals[2], vals[3]))
     raise DomainError(f"unknown flat geometry kind {kind!r}")

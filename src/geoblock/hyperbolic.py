@@ -1,15 +1,16 @@
-"""Orbit counting for discrete isometry groups of the hyperbolic plane.
+"""Orbit counting for surface groups: cocompact, torsion-free groups of
+hyperbolic-plane isometries.
 
 Upper half-plane model throughout, binary64 floats; rounding error grows
-linearly in word length and is budgeted at 1e-9.  A cocompact orbit search
-is complete by a Voronoi-chain argument: loading certifies that the
+linearly in word length and is budgeted at 1e-9.  An orbit search is
+complete by a Voronoi-chain argument: loading certifies that the
 generators' bisector polygon F about the preset's centre c is the
 Dirichlet domain at c, the Voronoi cell of c in its orbit, so the path
 c -> x -> g y -> g c crosses side-adjacent tiles from F to g F whose
 centres lie no farther from the path than c or g c do, and every g with
 d(x, g y) <= t is reached through elements within
 max(d(x, c) + d(y, c), t + 2 d(y, c)).
-Cocompact orbits are deduplicated by orbit point: distinct elements of a
+Orbits are deduplicated by orbit point: distinct elements of a
 torsion-free group move a base point at least one systole apart, and
 orbit_count refuses a cutoff at which that gap, seen in the disc centred at
 x, would not clear the budget.  Orbit balls realize the exponential
@@ -49,13 +50,13 @@ __all__ = [
 ]
 
 # float-error budget of a word evaluation: bounds the relator check and the
-# smallest orbit-point gap the cocompact dedup may rely on
+# smallest orbit-point gap the orbit-point dedup may rely on
 _FLOAT_ERR = 1e-9
 # frontier elements expanded per batch of the orbit BFS: bounds the memory
 # of one level's children
 _SLICE = 4096
 # the keys a preset file may use
-_PRESET_KEYS = {"name", "kind", "generators", "generator_names", "relator", "systole", "centre"}
+_PRESET_KEYS = {"name", "generators", "generator_names", "relator", "systole", "centre"}
 
 
 def hyp_distance(z: complex, w: complex) -> float:
@@ -109,32 +110,25 @@ class MobiusMatrix:
         o = other.as_array()
         return min(abs(s - o).max(), abs(s + o).max()) <= tol
 
-    def isometric_circle(self) -> tuple[float, float]:
-        """(center, radius) on the real line; requires c != 0."""
-        if self.c == 0:
-            raise DomainError("isometric circle undefined for c == 0")
-        return (-self.d / self.c, 1.0 / abs(self.c))
-
 
 @dataclass(frozen=True)
 class FuchsianPreset:
-    """A validated generating set for a discrete group of hyperbolic-plane
-    isometries.
+    """A validated generating set for a surface group, with the ``relator``
+    that closes its fundamental polygon.
 
     ``systole`` is a positive lower bound on the shortest translation
-    length, required of both kinds: the uniform count bound rests on it, and
-    so does the cocompact orbit-point dedup.  Cocompact presets also carry a
-    ``centre`` c: loading certifies that the bisector half-planes of c and
-    s c, s a generator or inverse, cut out the Dirichlet domain at c, on
-    which orbit_count's search cutoff rests, by comparing its area with the
-    ``surface_area`` that the relator fixes.  Any other key is refused.
+    length: the uniform count bound rests on it, and so does the
+    orbit-point dedup.  The ``centre`` c is the polygon's: loading
+    certifies that the bisector half-planes of c and s c, s a generator or
+    inverse, cut out the Dirichlet domain at c, on which orbit_count's
+    search cutoff rests, by comparing its area with the ``surface_area``
+    that the relator fixes.  Any other key is refused.
     """
 
     name: str
-    kind: str  # "schottky" | "cocompact"
     generators: tuple[MobiusMatrix, ...]
     generator_names: tuple[str, ...]
-    relator: str | None
+    relator: str
     systole: float
     centre: complex | None
 
@@ -175,48 +169,30 @@ class FuchsianPreset:
                 raise DomainError(f"generator {name} has determinant {det}; the determinant must be 1")
             if abs(g.trace) <= 2.0:
                 raise DomainError(f"generator {name} is not hyperbolic (|trace| <= 2)")
-        # the uniform count bound and the cocompact dedup rest on it
+        # the uniform count bound and the orbit-point dedup rest on it
         if type(self.systole) not in (int, float) or not self.systole > 0:
-            raise DomainError(f"{self.kind} preset needs a positive systole")
-        if self.kind == "cocompact":
-            if not self.relator:
-                raise DomainError("cocompact preset needs a relator word")
-            r = self.evaluate_word(self.relator)
-            ident = MobiusMatrix(1.0, 0.0, 0.0, 1.0)
-            if not r.close_to(ident, _FLOAT_ERR):
-                raise DomainError("relator does not evaluate to +-identity")
-            # orbit_count's search cutoff rests on the Dirichlet domain at the centre
-            if self.centre is None:
-                raise DomainError("cocompact preset needs its polygon centre")
-            if not self.centre.imag > 0:
-                raise DomainError("polygon centre must lie in the upper half-plane")
-            # the Dirichlet domain lies inside the bisector polygon and has
-            # the surface's area: equal areas make the two equal
-            polygon = _bisector_polygon(self.centre, self.gens_with_inverses())
-            area = (len(polygon) - 2) * math.pi - sum(angle for _, angle in polygon)
-            surface = self.surface_area
-            if abs(area - surface) > _FLOAT_ERR:
-                raise DomainError(
-                    f"the generators' bisector polygon about the centre has area {area:.12g}, "
-                    f"not the surface's {surface:.12g}: it is not the Dirichlet domain there"
-                )
-        elif self.kind == "schottky":
-            # ping-pong certificate: isometric circles of all generators and
-            # inverses pairwise disjoint
-            circles = []
-            for name, g in self.gens_with_inverses():
-                center, radius = g.isometric_circle()
-                circles.append((name, center, radius))
-            for i in range(len(circles)):
-                for j in range(i + 1, len(circles)):
-                    _, c1, r1 = circles[i]
-                    _, c2, r2 = circles[j]
-                    if abs(c1 - c2) <= r1 + r2:
-                        raise DomainError(
-                            f"isometric circles of {circles[i][0]} and {circles[j][0]} overlap"
-                        )
-        else:
-            raise DomainError(f"unknown preset kind {self.kind!r}")
+            raise DomainError("preset needs a positive systole")
+        if not self.relator:
+            raise DomainError("preset needs a relator word")
+        r = self.evaluate_word(self.relator)
+        ident = MobiusMatrix(1.0, 0.0, 0.0, 1.0)
+        if not r.close_to(ident, _FLOAT_ERR):
+            raise DomainError("relator does not evaluate to +-identity")
+        # orbit_count's search cutoff rests on the Dirichlet domain at the centre
+        if self.centre is None:
+            raise DomainError("preset needs its polygon centre")
+        if not self.centre.imag > 0:
+            raise DomainError("polygon centre must lie in the upper half-plane")
+        # the Dirichlet domain lies inside the bisector polygon and has
+        # the surface's area: equal areas make the two equal
+        polygon = _bisector_polygon(self.centre, self.gens_with_inverses())
+        area = (len(polygon) - 2) * math.pi - sum(angle for _, angle in polygon)
+        surface = self.surface_area
+        if abs(area - surface) > _FLOAT_ERR:
+            raise DomainError(
+                f"the generators' bisector polygon about the centre has area {area:.12g}, "
+                f"not the surface's {surface:.12g}: it is not the Dirichlet domain there"
+            )
 
     @classmethod
     def from_json(cls, data: dict) -> "FuchsianPreset":
@@ -228,11 +204,10 @@ class FuchsianPreset:
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise DomainError(f"generator_names must be a list of strings, got {names!r}")
         relator = data.get("relator")
-        if relator is not None and not isinstance(relator, str):
+        if not isinstance(relator, str):
             raise DomainError(f"relator must be a string of generator tokens, got {relator!r}")
         preset = cls(
             name=data["name"],
-            kind=data["kind"],
             generators=gens,
             generator_names=tuple(names),
             relator=relator,
@@ -423,7 +398,7 @@ def orbit_count(
     counts are certified only below the least displacement of that final
     frontier, ``certified_t``, and each grid point carries its flag.
 
-    Cocompact cutoff, from Voronoi chains.  Loading certified the preset's
+    The cutoff, from Voronoi chains.  Loading certified the preset's
     polygon F about its centre c as the Dirichlet domain D_c: the points
     no farther from c than from any other point of the orbit G c.  Let
     r_y = d(y, c) and d(x, g y) = t <= t_max, and follow the path
@@ -437,20 +412,18 @@ def orbit_count(
     the bisector of (h c, h s c) is h s F, one generator s to the right, as
     _products multiplies.  Every element of the ball is thus reached
     through elements within max(d(x, c) + r_y, t_max + 2 r_y), and so is
-    the identity, as d(x, y) <= d(x, c) + r_y.  Schottky presets expand
-    within t_max plus the largest generator displacement at y.
+    the identity, as d(x, y) <= d(x, c) + r_y.
 
-    Schottky presets need no deduplication: ping-pong makes distinct
-    reduced words distinct elements.  Cocompact presets are deduplicated by
-    orbit point.  Their groups are torsion-free, so distinct elements g, h
-    give d(g y, h y) >= systole.  In the disc centred at x, w = (z - x) /
-    (z - conj x), every kept point has |w| <= tanh(cutoff/2), and there two
-    such points lie at least systole * sech^2(cutoff/2) / 2 apart.  Points
-    within half that gap are one element; within a level the first in
-    (parent, generator) order is kept.  When half the gap is not above the
-    1e-9 float-error budget (octagon at the default base point: t_max about
-    21.75) the count raises BudgetExceededError before any expansion; below
-    it the certified flags rest on that budget.
+    Elements are deduplicated by orbit point.  The group is torsion-free,
+    so distinct elements g, h give d(g y, h y) >= systole.  In the disc
+    centred at x, w = (z - x) / (z - conj x), every kept point has
+    |w| <= tanh(cutoff/2), and there two such points lie at least
+    systole * sech^2(cutoff/2) / 2 apart.  Points within half that gap
+    are one element; within a level the first in (parent, generator) order
+    is kept.  When half the gap is not above the 1e-9 float-error budget
+    (octagon at the default base point: t_max about 21.75) the count raises
+    BudgetExceededError before any expansion; below it the certified flags
+    rest on that budget.
     """
     import numpy as np
     if x.imag <= 0 or y.imag <= 0:
@@ -463,30 +436,26 @@ def orbit_count(
     t_max = t_grid[-1]
 
     gen_mats, inv_index = _gen_arrays(preset)
-    dedup = preset.kind == "cocompact"
-    if dedup:
-        r_y = hyp_distance(y, preset.centre)
-        cutoff = max(hyp_distance(x, preset.centre) + r_y, t_max + 2.0 * r_y)
-        # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
-        h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
-        if h <= _FLOAT_ERR:
-            raise BudgetExceededError(
-                f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
-                f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
-            )
-        # |w| < 1, so cell coordinates lie within +-(1/h + 1) and keys fit int64
-        offset = int(1.0 / h) + 2
-        width = 2 * offset + 1
+    r_y = hyp_distance(y, preset.centre)
+    cutoff = max(hyp_distance(x, preset.centre) + r_y, t_max + 2.0 * r_y)
+    # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
+    h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
+    if h <= _FLOAT_ERR:
+        raise BudgetExceededError(
+            f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
+            f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
+        )
+    # |w| < 1, so cell coordinates lie within +-(1/h + 1) and keys fit int64
+    offset = int(1.0 / h) + 2
+    width = 2 * offset + 1
 
-        def cell_keys(w: np.ndarray) -> np.ndarray:
-            i = np.floor(w.real / h).astype(np.int64) + offset
-            j = np.floor(w.imag / h).astype(np.int64) + offset
-            return i * width + j
+    def cell_keys(w: np.ndarray) -> np.ndarray:
+        i = np.floor(w.real / h).astype(np.int64) + offset
+        j = np.floor(w.imag / h).astype(np.int64) + offset
+        return i * width + j
 
-        store_pts = np.array([(y - x) / (y - x.conjugate())])
-        store_keys = cell_keys(store_pts)
-    else:
-        cutoff = t_max + max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
+    store_pts = np.array([(y - x) / (y - x.conjugate())])
+    store_keys = cell_keys(store_pts)
 
     # the frontier is the last level, as matrices, displacements and last
     # letters, or nothing when the identity lies beyond the cutoff; every
@@ -513,28 +482,24 @@ def orbit_count(
             pts = _apply_batch(children, y)
             d = _distances(x, pts)
             sel = np.nonzero(d <= cutoff)[0]
-            part = [children[sel], d[sel], keep_g[sel]]
-            if dedup:
-                w = (pts[sel] - x) / (pts[sel] - x.conjugate())
-                keys = cell_keys(w)
-                new = ~_claimed(keys, w, store_keys, store_pts, h, width)
-                part = [a[new] for a in part] + [keys[new], w[new]]
-            parts.append(part)
-        mats, disp, last, *rest = (np.concatenate(a) for a in zip(*parts))
+            w = (pts[sel] - x) / (pts[sel] - x.conjugate())
+            keys = cell_keys(w)
+            new = ~_claimed(keys, w, store_keys, store_pts, h, width)
+            sel = sel[new]
+            parts.append([children[sel], d[sel], keep_g[sel], keys[new], w[new]])
+        mats, disp, last, keys, w = (np.concatenate(a) for a in zip(*parts))
 
-        if dedup:
-            keys, w = rest
-            # the first child in each cell has the cell's lowest index; a
-            # child is new iff no lower-indexed child lies within h of it
-            order = np.argsort(keys, kind="stable")
-            first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
-            new = ~_claimed(keys, w, keys[first], w[first], h, width, rank=first)
-            mats, disp, last = mats[new], disp[new], last[new]
-            keys, w = keys[new], w[new]
-            order = np.argsort(keys)
-            at = np.searchsorted(store_keys, keys[order])
-            store_keys = np.insert(store_keys, at, keys[order])
-            store_pts = np.insert(store_pts, at, w[order])
+        # the first child in each cell has the cell's lowest index; a
+        # child is new iff no lower-indexed child lies within h of it
+        order = np.argsort(keys, kind="stable")
+        first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
+        new = ~_claimed(keys, w, keys[first], w[first], h, width, rank=first)
+        mats, disp, last = mats[new], disp[new], last[new]
+        keys, w = keys[new], w[new]
+        order = np.argsort(keys)
+        at = np.searchsorted(store_keys, keys[order])
+        store_keys = np.insert(store_keys, at, keys[order])
+        store_pts = np.insert(store_pts, at, w[order])
 
         kept.append(disp[disp <= t_max])
 
@@ -550,7 +515,7 @@ def uniform_count_bound(preset: FuchsianPreset, r: float) -> float:
     Packing bound: orbit points are pairwise at least the systole apart, so
     balls of radius h = systole/2 around them are disjoint inside a ball of
     radius r + h, and U = (cosh(r + h) - 1)/(cosh h - 1), floored at 1 (the
-    identity always counts).  Valid for both kinds.
+    identity always counts).
     """
     if r < 0:
         raise DomainError("radius must be nonnegative")
@@ -608,20 +573,29 @@ def blocking_lower_bound_series(
 
 
 def word_growth(kind: str, rank: int, n: int) -> int:
-    """Ball sizes in word metrics: free groups and free abelian groups.
+    """Ball sizes in word metrics: surface groups and free abelian groups.
 
-    free: 1 + sum over lengths i of 2k(2k-1)^(i-1) reduced words.
+    surface: the genus-``rank`` surface group on its 2g standard generators,
+    whose spheres have Cannon and Wagreich's rational growth series
+    (1 + 2z + ... + 2z^(2g-1) + z^(2g)) / (1 - (4g-2)(z + ... + z^(2g-1)) + z^(2g)).
     abelian: integer points with l1 norm at most n.
     """
     if rank < 1:
         raise DomainError("rank must be >= 1")
     if n < 0:
         raise DomainError("n must be >= 0")
-    if kind == "free":
-        total = 1
-        for i in range(1, n + 1):
-            total += 2 * rank * (2 * rank - 1) ** (i - 1)
-        return total
+    if kind == "surface":
+        # the series' denominator times the sphere sizes is its numerator
+        two_g = 2 * rank
+        numerator = [1] + [2] * (two_g - 1) + [1]
+        spheres: list[int] = []
+        for i in range(n + 1):
+            size = numerator[i] if i <= two_g else 0
+            size += (2 * two_g - 2) * sum(spheres[max(i - two_g + 1, 0):i])
+            if i >= two_g:
+                size -= spheres[i - two_g]
+            spheres.append(size)
+        return sum(spheres)
     if kind == "abelian":
         total = 0
         for i in range(0, min(rank, n) + 1):

@@ -335,7 +335,7 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
 
     Every element is expanded while its displacement stays within t_max plus
     the largest generator displacement at y plus ``margin``, a wider search
-    than the library's; cocompact children are deduplicated one by one
+    than the library's; children are deduplicated one by one
     against every stored orbit point.  It shares the library's point and
     distance formulas, so outputs compare bit for bit.  Returns
     (matrices, displacements, certified_t), sorted by displacement as
@@ -347,11 +347,9 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
     gen_mats, inv_index = _gen_arrays(preset)
     slack = max(hyp_distance(y, g.apply(y)) for _, g in preset.gens_with_inverses())
     cutoff = t_max + slack + margin
-    cells = None
-    if preset.kind == "cocompact":
-        h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
-        cells = {}
-        _claim(cells, (y - x) / (y - x.conjugate()), h)
+    h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
+    cells = {}
+    _claim(cells, (y - x) / (y - x.conjugate()), h)
 
     all_last = [-1]
     all_mats = [np.eye(2)]
@@ -378,7 +376,7 @@ def reference_orbit_count(preset, x, y, t_max, max_word_len=24, margin=1.0):
         for idx in range(len(children)):
             if d[idx] > cutoff:
                 continue
-            if cells is not None and not _claim(cells, complex(disc[idx]), h):
+            if not _claim(cells, complex(disc[idx]), h):
                 continue
             all_last.append(int(keep_g[idx]))
             all_mats.append(children[idx])

@@ -235,13 +235,14 @@ def octagon_orbit():
 
 
 def test_criterion_7_hyperbolic_counting():
-    with criterion(7, "free-group word counts, area-law entropy, and the orbit growth rate", 300.0):
-        schottky = load_preset("schottky_rank2")
-        # no displacement cutoff binds at this radius: a word budget of L
-        # counts the reduced words of length at most L
-        for L in range(0, 9):
-            res = orbit_count(schottky, 0.2 + 1.1j, 0.2 + 1.1j, [200.0], max_word_len=L)
-            assert res.ball.count_series[0][1] == word_growth("free", 2, L)
+    with criterion(7, "surface-group word counts, area-law entropy, and the orbit growth rate", 300.0):
+        octagon = load_preset("octagon_genus2")
+        # each generator moves i by 3.0571, so no word of length L reaches
+        # past this radius: a word budget of L counts the genus-2 surface
+        # group's ball of word length L
+        for L in range(0, 6):
+            res = orbit_count(octagon, 1j, 1j, [3.06 * L + 0.5], max_word_len=L)
+            assert res.ball.count_series[0][1] == word_growth("surface", 2, L)
 
         areas = series_from_function(
             lambda t: 2 * math.pi * (math.cosh(t) - 1), np.linspace(1, 20, 60)

@@ -447,6 +447,9 @@ class TestCli:
             ("torus_preset", "preset", {"geometry": {"kind": "torus", "basis": unit_basis, "preset": "octagon_genus2"},
                                         "pairs": [[["0", "0"], ["1/2", "0"]]], "t_grid": ["1"]}),
             ("fuchsian_basis", "basis", {**octagon, "geometry": {**octagon["geometry"], "basis": unit_basis}}),
+            # a string of four characters loaded as the unit torus
+            ("string_basis", "basis", {"geometry": {"kind": "torus", "basis": "1001"},
+                                       "pairs": [[["0", "0"], ["1/2", "0"]]], "t_grid": ["1"]}),
         ):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(raw))
@@ -515,13 +518,12 @@ class TestCli:
                      "--out", str(tmp_path / "wall_pairs_file")]) == 2
         # preset files that are not JSON, lack the generators or the systole,
         # or hold a three-number row
-        schottky = json.loads((resources.files("geoblock.presets") / "schottky_rank2.json").read_text())
-        del schottky["systole"]
+        preset = json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
         for name, text in (
             ("preset_text", "{not json"),
-            ("preset_no_generators", json.dumps({"name": "p", "kind": "schottky"})),
-            ("preset_no_systole", json.dumps(schottky)),
-            ("preset_short_row", json.dumps({"name": "p", "kind": "schottky", "generators": [[2, 0, 0]]})),
+            ("preset_no_generators", json.dumps({k: v for k, v in preset.items() if k != "generators"})),
+            ("preset_no_systole", json.dumps({k: v for k, v in preset.items() if k != "systole"})),
+            ("preset_short_row", json.dumps({**preset, "generators": [[2, 0, 0], *preset["generators"][1:]]})),
         ):
             preset_path = tmp_path / f"{name}.json"
             preset_path.write_text(text)
@@ -629,6 +631,9 @@ class TestCli:
         pytest.param(["entropy"], b"t,value\n1,\xff\n", id="entropy-not-utf8"),
         # too few samples to fit exited 3, as if a cap had run out
         pytest.param(["entropy"], "t,value\n1,2\n2,4\n", id="entropy-too-few-samples"),
+        # every row skipped: the error named the empty series, not --delta
+        pytest.param(["transform", "--delta", "0.5"], "t,value\n" + "".join(f"{t},{t}\n" for t in range(1, 11)),
+                     id="transform-delta-below-every-row"),
     ])
     def test_series_input_errors_exit_2(self, tmp_path, capsys, argv, text):
         # a bad cell, a short row, a missing file, a non-finite number, text
@@ -642,6 +647,8 @@ class TestCli:
         assert main([*argv, "--in", str(src), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+        if argv[1:] == ["--delta", "0.5"]:
+            assert "--delta" in err
 
     def test_entropy_cli(self, tmp_path):
         import math

@@ -33,29 +33,6 @@ def octagon_data():
     return json.loads((resources.files("geoblock.presets") / "octagon_genus2.json").read_text())
 
 
-def schottky_data():
-    """The shipped Schottky preset as its JSON dict."""
-    return json.loads((resources.files("geoblock.presets") / "schottky_rank2.json").read_text())
-
-
-def brute_reduced_words(rank, n):
-    """Independent enumeration of reduced words in the free group."""
-    letters = list(range(2 * rank))  # 2i and 2i+1 are inverse to each other
-    inverse = {i: i ^ 1 for i in letters}
-    total = 1
-    frontier = [(l,) for l in letters]
-    total += len(frontier)
-    for _ in range(n - 1):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if l != inverse[w[-1]]:
-                    nxt.append(w + (l,))
-        total += len(nxt)
-        frontier = nxt
-    return total if n >= 1 else 1
-
-
 def brute_l1_ball(rank, n):
     if rank == 0:
         return 1
@@ -100,26 +77,16 @@ class TestDistance:
 class TestPresets:
     def test_builtin_list(self):
         names = builtin_presets()
-        assert "octagon_genus2" in names and "schottky_rank2" in names
+        assert names == ["octagon_genus2"]
 
     def test_octagon_validates(self):
         preset = load_preset("octagon_genus2")
-        assert preset.kind == "cocompact"
         # the area 4 pi (g - 1) comes from the relator's 4g = 8 letters
         assert preset.surface_area == pytest.approx(4 * math.pi)
         # relator really evaluates to +-identity
         r = preset.evaluate_word(preset.relator)
         ident = MobiusMatrix(1, 0, 0, 1)
         assert r.close_to(ident, 1e-9)
-
-    def test_schottky_validates_ping_pong(self):
-        preset = load_preset("schottky_rank2")
-        assert preset.kind == "schottky"
-        circles = [g.isometric_circle() for _, g in preset.gens_with_inverses()]
-        for i in range(len(circles)):
-            for j in range(i + 1, len(circles)):
-                (c1, r1), (c2, r2) = circles[i], circles[j]
-                assert abs(c1 - c2) > r1 + r2
 
     def test_generators_hyperbolic(self):
         for name in builtin_presets():
@@ -133,34 +100,49 @@ class TestPresets:
 
     def test_cocompact_needs_positive_systole(self):
         # the orbit-point dedup derives its tolerance from the systole, and
-        # the uniform count bound of either kind rests on it
-        for data in (octagon_data(), schottky_data()):
-            del data["systole"]
-            for bad in ({}, {"systole": 0.0}, {"systole": -1.0}, {"systole": None}, {"systole": True}):
-                with pytest.raises(DomainError, match=f"{data['kind']} preset needs a positive systole"):
-                    FuchsianPreset.from_json({**data, **bad})
+        # the uniform count bound rests on it
+        data = octagon_data()
+        del data["systole"]
+        for bad in ({}, {"systole": 0.0}, {"systole": -1.0}, {"systole": None}, {"systole": True}):
+            with pytest.raises(DomainError, match="preset needs a positive systole"):
+                FuchsianPreset.from_json({**data, **bad})
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         # a stated diameter or area is refused, not silently ignored
-        for key, value in (("D", 3.0572), ("A", 8 * math.pi)):
-            for data in (octagon_data(), schottky_data()):
-                with pytest.raises(DomainError, match=f"unknown preset key: '{key}'"):
-                    FuchsianPreset.from_json({**data, key: value})
+        for key, value in (("D", 3.0572), ("A", 8 * math.pi), ("kind", "cocompact")):
+            with pytest.raises(DomainError, match=f"unknown preset key: '{key}'"):
+                FuchsianPreset.from_json({**octagon_data(), key: value})
+        # every preset is a compact surface: a file naming a kind, such as
+        # this free Schottky group of infinite area, is refused
+        schottky = {
+            "name": "schottky_rank2", "kind": "schottky",
+            "generators": [[2.23606797749979, 2.0, 2.0, 2.23606797749979],
+                           [10.23606797749979, -30.0, 2.0, -5.76393202250021]],
+            "generator_names": ["g1", "g2"], "relator": None, "systole": 2.887,
+        }
+        preset_path = tmp_path / "schottky_rank2.json"
+        preset_path.write_text(json.dumps(schottky))
+        cfg_path = tmp_path / "schottky_config.json"
+        cfg_path.write_text(json.dumps({"geometry": {"kind": "fuchsian", "preset": str(preset_path)}, "t_grid": ["3"]}))
+        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "'kind'" in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "count.csv").exists()
 
     def test_generator_names_checked(self, tmp_path, capsys):
         # one distinct name per generator, none an inverse token: zip would
-        # drop a generator left without a name, and "G" is also the inverse
-        # of "g", of itself here
+        # drop a generator left without a name, and "A2" is also the inverse
+        # of "a2", of itself here
         for name, names in (
-            ("too_few", ["g1"]),
-            ("too_many", ["g1", "g2", "g3"]),
-            ("duplicate", ["g1", "g1"]),
-            ("inverse_token", ["g1", "G"]),
-            # a string, not a list: it loaded as the names "a" and "b"
-            ("string", "ab"),
+            ("too_few", ["a1", "b1", "a2"]),
+            ("too_many", ["a1", "b1", "a2", "b2", "a3"]),
+            ("duplicate", ["a1", "b1", "a1", "b2"]),
+            ("inverse_token", ["a1", "b1", "a2", "A2"]),
+            # a string, not a list: it loaded as the names "a", "b", "c", "d"
+            ("string", "abcd"),
         ):
             preset_path = tmp_path / f"{name}.json"
-            preset_path.write_text(json.dumps({**schottky_data(), "generator_names": names}))
+            preset_path.write_text(json.dumps({**octagon_data(), "generator_names": names}))
             cfg_path = tmp_path / f"{name}_config.json"
             geometry = {"kind": "fuchsian", "preset": str(preset_path)}
             cfg_path.write_text(json.dumps({"geometry": geometry, "t_grid": ["10"]}))
@@ -168,7 +150,7 @@ class TestPresets:
             assert "generator_names" in capsys.readouterr().err
             assert not (tmp_path / name / "count.csv").exists()
         with pytest.raises(DomainError, match="generator_names"):
-            FuchsianPreset.from_json({**schottky_data(), "generator_names": ["g", "G"]})
+            FuchsianPreset.from_json({**octagon_data(), "generator_names": ["a1", "b1", "a2", "A2"]})
 
     def test_relator_must_be_a_string(self, tmp_path, capsys):
         # a list relator reached relator.split() and crashed with a
@@ -181,11 +163,10 @@ class TestPresets:
         assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "relator" in err and err.count("\n") == 1
-        for bad in (["a1", "B1"], 7, {"word": "a1"}):
+        # every preset closes its polygon with a relator: null is refused too
+        for bad in (["a1", "B1"], 7, {"word": "a1"}, None):
             with pytest.raises(DomainError, match="relator must be a string"):
                 FuchsianPreset.from_json({**octagon_data(), "relator": bad})
-        # null stays allowed: a schottky preset carries no relator
-        assert FuchsianPreset.from_json({**schottky_data(), "relator": None}).relator is None
 
     def test_cocompact_needs_its_polygon(self):
         # orbit_count's cutoff rests on the Dirichlet domain at the centre
@@ -215,20 +196,23 @@ class TestPresets:
         with pytest.raises(DomainError):
             load_preset("no_such_preset")
 
-    def test_schottky_words_evaluate(self):
+    def test_octagon_words_evaluate(self):
         # loading checks the generators' determinants; a product keeps det 1
-        # only up to rounding that grows with its entries (g1 g2 G1 g2 reads
-        # 0.9999999962747097), so evaluating a word checks nothing
-        preset = load_preset("schottky_rank2")
+        # only up to rounding that grows with its length and entries (a1^6
+        # reads 1 + 1.1e-8, past the 1e-9 budget loading allows a
+        # generator), so evaluating a word checks nothing
+        preset = load_preset("octagon_genus2")
         names = [name for name, _ in preset.gens_with_inverses()]
         words, level = [], [()]
         for _ in range(4):
             level = [w + (n,) for w in level for n in names if not w or n != w[-1].swapcase()]
             words += level if len(level[0]) >= 2 else []
-        assert len(words) == 12 + 36 + 108
+        assert len(words) == 56 + 392 + 2744
         for word in words:
             g = preset.evaluate_word(" ".join(word))
-            assert abs(g.a * g.d - g.b * g.c - 1) <= 1e-15 * (abs(g.a * g.d) + abs(g.b * g.c))
+            assert abs(g.a * g.d - g.b * g.c - 1) <= 2e-15 * len(word) * (abs(g.a * g.d) + abs(g.b * g.c))
+        g = preset.evaluate_word(" ".join(["a1"] * 6))
+        assert abs(g.a * g.d - g.b * g.c - 1) > 1e-9
 
     def test_bad_determinant_rejected(self, tmp_path):
         # doubling a generator's first row doubles its determinant to 2
@@ -242,14 +226,16 @@ class TestPresets:
 
 
 class TestWordGrowth:
-    @pytest.mark.parametrize("n,expected", [(0, 1), (1, 5), (3, 53)])
-    def test_free_rank2_examples(self, n, expected):
-        assert word_growth("free", 2, n) == expected
+    @pytest.mark.parametrize("n,expected", [(0, 1), (1, 8), (2, 56), (3, 392), (4, 2736), (5, 19096)])
+    def test_surface_genus2_spheres(self, n, expected):
+        # Cannon and Wagreich's series for the genus-2 surface group
+        assert word_growth("surface", 2, n) - (word_growth("surface", 2, n - 1) if n else 0) == expected
 
-    def test_free_matches_brute_enumeration(self):
-        for rank in (1, 2, 3):
-            for n in range(1, 9):
-                assert word_growth("free", rank, n) == brute_reduced_words(rank, n)
+    def test_surface_genus1_is_abelian_rank2(self):
+        # the genus-1 surface group is Z^2
+        assert [word_growth("surface", 1, n) for n in range(5)] == [1, 5, 13, 25, 41]
+        for n in range(9):
+            assert word_growth("surface", 1, n) == word_growth("abelian", 2, n)
 
     def test_abelian_examples(self):
         assert word_growth("abelian", 2, 2) == 13
@@ -261,47 +247,12 @@ class TestWordGrowth:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            word_growth("free", 0, 3)
+            word_growth("surface", 0, 3)
         with pytest.raises(DomainError):
             word_growth("solvable", 2, 3)
-
-
-class TestSchottkyOrbit:
-    def test_counts_by_word_length_match_free_formula(self):
-        preset = load_preset("schottky_rank2")
-        x = y = 0.2 + 1.1j
-        # word length L contributes 4 * 3^(L-1) new elements; with a huge radius
-        # no displacement cutoff binds, so a word budget of L counts them all
-        for L in range(0, 7):
-            res = orbit_count(preset, x, y, [60.0], max_word_len=L)
-            assert res.ball.count_series[0][1] == word_growth("free", 2, L)
-
-    def test_identity_counts_at_zero(self):
-        preset = load_preset("schottky_rank2")
-        res = orbit_count(preset, 1j, 1j, [0.0, 1.0], max_word_len=3)
-        assert res.ball.count_series[0] == (0.0, 1)
-
-    def test_series_nondecreasing(self):
-        preset = load_preset("schottky_rank2")
-        res = orbit_count(preset, 1j, 1j, [1.0, 3.0, 5.0, 7.0])
-        counts = [c for _, c in res.ball.count_series]
-        assert counts == sorted(counts)
-
-    def test_isometry_invariance_of_counts(self):
-        preset = load_preset("schottky_rank2")
-        g = preset.generators[0]
-        x, y = 0.3 + 1.2j, -0.2 + 0.9j
-        a = orbit_count(preset, x, y, [4.0, 6.0])
-        b = orbit_count(preset, g.apply(x), g.apply(y), [4.0, 6.0])
-        assert a.ball.count_series == b.ball.count_series
-
-    def test_word_budget_flags_uncertified_t(self):
-        # words of length 3 stop far short of radius 40: the unexpanded
-        # frontier bounds the certified range
-        preset = load_preset("schottky_rank2")
-        res = orbit_count(preset, 1j, 1j, [1.0, 40.0], max_word_len=3)
-        assert 1.0 < res.certified_t < 40.0
-        assert res.certified == (True, False)
+        # the free group has no compact surface to count on
+        with pytest.raises(DomainError):
+            word_growth("free", 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +310,28 @@ class TestCocompactOrbit:
             d[i] = np.inf
             assert d.min() > 1e-3
 
+    def test_counts_by_word_length_match_surface_growth(self):
+        # each generator moves i by 3.0571, so no word of length L reaches
+        # past radius 3.06 L + 0.5: a word budget of L counts the ball of
+        # word length L, after the dedup merges words that are one element
+        preset = load_preset("octagon_genus2")
+        for L in range(0, 6):
+            res = orbit_count(preset, 1j, 1j, [3.06 * L + 0.5], max_word_len=L)
+            assert res.ball.count_series[0][1] == word_growth("surface", 2, L)
+
+    def test_identity_counts_at_zero(self):
+        preset = load_preset("octagon_genus2")
+        res = orbit_count(preset, 1j, 1j, [0.0, 1.0], max_word_len=3)
+        assert res.ball.count_series[0] == (0.0, 1)
+
+    def test_word_budget_flags_uncertified_t(self):
+        # words of length 3 stop far short of radius 12: the unexpanded
+        # frontier bounds the certified range
+        preset = load_preset("octagon_genus2")
+        res = orbit_count(preset, 1j, 1j, [1.0, 12.0], max_word_len=3)
+        assert 1.0 < res.certified_t < 12.0
+        assert res.certified == (True, False)
+
     def test_tiny_systole_trips_dedup_guard(self):
         # a systole of 1e-12 would put the dedup tolerance below the float
         # error, so the count refuses to run instead of merging elements
@@ -387,11 +360,11 @@ class TestCocompactOrbit:
 def _equivalence_cases():
     """Seeded base points near the polygon's centre i and their images under
     a generator and under a word of length two; base points 1.5 from i;
-    Schottky cases; and x 4.5 from i with y near it, where the cutoff's
+    and x 4.5 from i with y near it, where the cutoff's
     d(x, c) + d(y, c) term is the larger.  The budget cases run out of word
     budget."""
     rng = random.Random(2007)
-    octagon, schottky = load_preset("octagon_genus2"), load_preset("schottky_rank2")
+    octagon = load_preset("octagon_genus2")
 
     def near(height=1.0):
         # near height * i
@@ -405,15 +378,13 @@ def _equivalence_cases():
         (octagon, g.apply(near()), g.apply(near()), 5.0, 24),
         (octagon, w.apply(near()), w.apply(near()), 4.5, 24),
         (octagon, near(math.exp(1.5)), near(math.exp(1.5)), 5.0, 24),
-        (schottky, near(), near(), 6.0, 24),
-        (schottky, near(), near(), 60.0, 4),
         (octagon, near(math.exp(4.5)), near(), 4.0, 24),
     ]
 
 
 @pytest.mark.parametrize(
     "preset, x, y, t, max_word_len", _equivalence_cases(),
-    ids=["near", "near-budget", "generator", "word2", "far", "schottky", "schottky-budget", "far-x"],
+    ids=["near", "near-budget", "generator", "word2", "far", "far-x"],
 )
 def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
     # the reference searches within the generator-displacement slack plus a
