@@ -276,7 +276,8 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
             if len(chosen) < len(best):
                 best = [kept[c] for c in chosen]
             return
-        if len(chosen) + bound(uncovered) >= len(best):
+        # no cover is smaller than the root bound, so one that meets it ends the search
+        if len(best) == lower or len(chosen) + bound(uncovered) >= len(best):
             return
         # fewest-candidates uncovered geodesic, ties by index
         pick = next(i for i in by_few if uncovered >> i & 1)

@@ -3,12 +3,12 @@
 
 Everything is exact rational arithmetic: lengths are only ever handled as
 squared lengths, incidence (does this point lie on that geodesic interior?) is
-an integer yes/no from one linear congruence per flip (``_affine_hits``), and
-enumeration completeness comes from integer bounding boxes.  Both geometries
-are one construction: the plane modulo a lattice and a group of axis sign
-flips preserving it.  A torus has the identity as its only flip; the billiard
-is the torus R^2/(2Z)^2 folded by all four flips (unfolding), so its
-trajectories are straight segments from x to the images g*y + lambda.
+an integer yes/no from the first-mark lemma (``_first_mark``), one gcd and one
+Bezout pair per segment, and enumeration is complete by integer row bounds.
+Both geometries are one construction: the plane modulo a lattice and a group
+of axis sign flips preserving it.  A torus has the identity as its only flip;
+the billiard is the torus R^2/(2Z)^2 folded by all four flips (unfolding), so
+its trajectories are straight segments from x to the images g*y + lambda.
 Trajectories whose interior hits a point fixed by the half-turn (a corner of
 the table) are rejected: the flow is undefined there.
 
@@ -33,12 +33,13 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable
 
-from .errors import DomainError, UnsupportedInputError
+from .errors import BudgetExceededError, DomainError, UnsupportedInputError
 
 Vec = tuple[Fraction, Fraction]
 Flip = tuple[int, int]
 Key = tuple[int, int, int]  # a folded point as integer lattice coordinates (i/d, j/d)
 Disp = tuple[int, int]  # a segment's displacement g*y + lambda - x, lattice coordinates over its family's D
+_MAX_BOX_POINTS = 10**6  # the largest enumeration box walked; the shipped configs and bench need < 10^4
 
 __all__ = [
     "RationalPoint",
@@ -238,41 +239,29 @@ def shortest_vector(space: FlatSpace) -> tuple[Vec, Fraction]:
     return best, best_sq
 
 
-def _affine_hits(a1: int, a2: int, c1: int, c2: int, den: int = 1) -> bool:
-    """Whether some s in (0,1) makes (s*a1 - c1)/den and (s*a2 - c2)/den both
-    integers.
+def _ray(a1: int, a2: int) -> tuple[int, int, int, int, int]:
+    """(g, p1, p2, u, v) for a displacement a != 0: a = g*p with
+    g = gcd(a1, a2), so p is primitive, and a Bezout pair u*p1 + v*p2 = 1."""
+    g = math.gcd(a1, a2)
+    p1, p2 = a1 // g, a2 // g
+    u = pow(p1, -1, abs(p2)) if p2 else p1  # p2 = 0 leaves p1 = +-1
+    return g, p1, p2, u, ((1 - u * p1) // p2 if p2 else 0)
 
-    The inputs are integers, den > 0 and (a1, a2) != (0, 0); a zero component
-    turns its congruence into a plain integrality condition on c.  The
-    conditions read s*aj = cj (mod den); the first parametrizes
-    s = (c1 + i*den)/a1 and the second becomes a linear congruence in i, so
-    the answer is whether its least solution past the open interval's lower
-    end is below its upper end: integer work, independent of |a1|.
+
+def _first_mark(ray: tuple[int, int, int, int, int], c1: int, c2: int, den: int) -> int:
+    """The least j > 0 with j*p = c (mod den) on the ``_ray`` g*p, or 0 if
+    there is none: the first mark of offset c on the ray.
+
+    The first-mark lemma: some s in (0, 1) has s*a = c (mod den) iff
+    0 < first mark < g.  Proof: such an s*a is integral and p is primitive, so
+    s = j/g with j*p = c; and j*p = c forces j = j*(u*p1 + v*p2) = u*c1 + v*c2,
+    one residue mod den, which solves it iff j*p = c holds for it.
     """
-    if a1 == 0 and a2 == 0:
-        raise DomainError("degenerate direction in incidence solve")
-    if a1 == 0:
-        a1, a2, c1, c2 = a2, a1, c2, c1
-
-    # second condition: i * (den a2) = c2 a1 - c1 a2  (mod |den a1|)
-    mod = abs(den * a1)
-    rhs = (c2 * a1 - c1 * a2) % mod
-    coef = (den * a2) % mod
-    g = math.gcd(coef, mod)
-    if rhs % g:
-        return False
-    step = mod // g
-    if coef == 0:
-        i0 = 0  # rhs == 0 here and step == 1: every i solves the congruence
-    else:
-        i0 = (rhs // g * pow(coef // g, -1, step)) % step
-
-    # s in (0,1): c1 + i den strictly between 0 and a1 (orientation by sign),
-    # which holds for exactly the i in [i_min, i_max]
-    lo, hi = (0, a1) if a1 > 0 else (a1, 0)
-    i_min = (lo - c1) // den + 1
-    i_max = -((-(hi - c1)) // den) - 1
-    return i_min + (i0 - i_min) % step <= i_max
+    _, p1, p2, u, v = ray
+    j = (u * c1 + v * c2) % den
+    if (j * p1 - c1) % den or (j * p2 - c2) % den:
+        return 0
+    return j or den
 
 
 def _passes_through(family: GeodesicFamily, a: Disp, z: Key) -> bool:
@@ -281,72 +270,88 @@ def _passes_through(family: GeodesicFamily, a: Disp, z: Key) -> bool:
     for some s in (0,1) and flip g.  The flips and lattice vectors range over
     groups, so every representative of the point gives the same answer."""
     x1, x2, den = family.origin
-    a1, a2 = a
     z1, z2, zden = z
     q = math.lcm(den, zden)
     f, fz = q // den, q // zden
-    return any(
-        _affine_hits(a1 * f, a2 * f, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q)
-        for s1, s2 in family.space.group
-    )
+    ray = _ray(a[0] * f, a[1] * f)
+    return any(0 < _first_mark(ray, s1 * z1 * fz - x1 * f, s2 * z2 * fz - x2 * f, q) < ray[0]
+               for s1, s2 in family.space.group)
 
 
 def _enumerate(
     space: FlatSpace, x: Key, y: Key, t_sq: Fraction
-) -> tuple[tuple[int, int, int], list[Disp], list[int], list[int], int, list[Disp]]:
+) -> tuple[tuple[int, int, int], list[Disp], tuple[Disp, ...], tuple[tuple[int, ...], ...], int]:
     """The origin, x as (X1, X2, D) over the common denominator D of x and
-    y; the joining segments' displacements in order of their plane vectors;
-    their squared lengths and those of the corner-rejected segments, as
-    integers over one scale; that scale; and the endpoint offsets g*x - x and
-    g*y - x in lattice coordinates over D.
+    y; the joining segments' displacements in order of their plane vectors,
+    and the connecting ones; the family's ``sq_lengths``; and their scale.
 
-    The box is integral: a displacement's lattice coordinate a_k/den is
-    row_k(B^-1) . v and the rows are integers m over d, so when |v| <= t the
-    integer a_k has |a_k| <= isqrt(floor(den^2 |m_k|^2 t^2 / d^2)) = w_k.
+    Rows are bounded by the integral box: a_k/D is row_k(B^-1) . v with rows
+    m/d, so |v| <= t gives |a_k| <= isqrt(floor(D^2 |m_k|^2 t^2 / d^2)).  A
+    row, scaled plane vectors base + j*step, is walked over its exact
+    interval |A*j + B| <= isqrt(floor(A*t^2*scale^2) - C^2), A = |step|^2,
+    B = base . step, C = base x step (Lagrange: B^2 - A*|base|^2 = -C^2).
+
+    ``_first_mark`` classifies: x's translates and a segment's own coset are
+    hit iff g > D (first marks D and g mod D), so on a torus that is the whole
+    test; corners, 2*(x + s*a) = 0 (mod D), hit iff 0 < mark of -2x < 2g.
     """
     (x1, x2, dx), (y1, y2, dy) = x, y
     den = math.lcm(dx, dy)
     x1, x2, y1, y2 = x1 * (den // dx), x2 * (den // dx), y1 * (den // dy), y2 * (den // dy)
-    origin = (x1, x2, den)
     L, b1x, b1y, b2x, b2y = space._scaled
     scale = L * den
-    bound_num = t_sq.numerator * scale * scale
-    bound_den = t_sq.denominator
     m0, m1, m2, m3, d = space._inv
-    reach_num, reach_den = den * den * t_sq.numerator, d * d * bound_den
-    w1 = isqrt((m0 * m0 + m1 * m1) * reach_num // reach_den)
-    w2 = isqrt((m2 * m2 + m3 * m3) * reach_num // reach_den)
-    half_turn = (-1, -1) in space.group
+    reach_num, reach_den = den * den * t_sq.numerator, d * d * t_sq.denominator
+    X1, X2 = ((m * m + n * n) * reach_num // reach_den for m, n in ((m0, m1), (m2, m3)))
+    # log10 of the box's |G| (2 sqrt(X1)/D + 1)(2 sqrt(X2)/D + 1) points; an isqrt of a huge X can take minutes
+    sides = [math.log10(4 * X) / 2 - math.log10(den) if X else -math.inf for X in (X1, X2)]
+    box = math.log10(len(space.group)) + sum(max(e, 0) + math.log10(1 + 10 ** -abs(e)) for e in sides)
+    if box > math.log10(_MAX_BOX_POINTS):
+        t = (math.log10(t_sq.numerator) - math.log10(t_sq.denominator)) / 2
+        t, box = (f"{10 ** (e % 1):.3f}e{int(e // 1):+d}" for e in (t, box))
+        raise BudgetExceededError(f"t = {t} needs a box of about {box} points, over the limit {_MAX_BOX_POINTS}")
+    w1 = isqrt(X1)
     step_x, step_y = den * b2x, den * b2y
+    A = step_x * step_x + step_y * step_y
+    reach = A * t_sq.numerator * scale * scale // t_sq.denominator
+    # the offsets of x's and y's images mod D, other than x's translates
+    marks = {((s1 * z1 - x1) % den, (s2 * z2 - x2) % den) for z1, z2 in ((x1, x2), (y1, y2))
+             for s1, s2 in space.group} - {(0, 0)}
+    half_turn = (-1, -1) in space.group
 
-    found = []
-    rejected = []
+    found, rejected = [], []
     for s1, s2 in space.group:
         # lattice coordinates of g*y - x + (i, j), over den
         c1, c2 = s1 * y1 - x1, s2 * y2 - x2
-        # a1 = c1 + i*den and a2 = c2 + j*den within [-w, w]
+        others = [(o1, o2) for o1, o2 in marks if (o1, o2) != (c1 % den, c2 % den)]
         for i in range(-((w1 + c1) // den), (w1 - c1) // den + 1):
             a1 = c1 + i * den
             base_x = a1 * b1x + c2 * b2x
             base_y = a1 * b1y + c2 * b2y
-            for j in range(-((w2 + c2) // den), (w2 - c2) // den + 1):
-                vx = base_x + j * step_x
-                vy = base_y + j * step_y
+            cross = base_x * step_y - base_y * step_x
+            if cross * cross > reach:
+                continue
+            r = isqrt(reach - cross * cross)
+            dot = base_x * step_x + base_y * step_y
+            for j in range(-((r + dot) // A), (r - dot) // A + 1):
+                vx, vy, a2 = base_x + j * step_x, base_y + j * step_y, c2 + j * den
                 if vx == 0 and vy == 0:
                     continue
                 sq_scaled = vx * vx + vy * vy
-                if sq_scaled * bound_den > bound_num:
+                if not (half_turn or others):
+                    found.append((vx, vy, sq_scaled, (a1, a2), math.gcd(a1, a2) <= den))
                     continue
-                a2 = c2 + j * den
-                # points fixed by the half-turn have 2*(lattice coordinates) integral
-                if half_turn and _affine_hits(2 * a1, 2 * a2, -2 * x1, -2 * x2, den):
+                ray = _ray(a1, a2)
+                g = ray[0]
+                if half_turn and 0 < _first_mark(ray, -2 * x1, -2 * x2, den) < 2 * g:
                     rejected.append(sq_scaled)
                     continue
-                found.append((vx, vy, sq_scaled, (a1, a2)))
-    # every displacement is (vx, vy)/scale with one scale > 0: sort on (vx, vy)
-    found.sort(key=lambda r: (r[0], r[1]))
-    ends = [(s1 * z1 - x1, s2 * z2 - x2) for z1, z2 in ((x1, x2), (y1, y2)) for s1, s2 in space.group]
-    return origin, [r[3] for r in found], [r[2] for r in found], rejected, scale * scale, ends
+                hits = g > 1 and any(0 < _first_mark(ray, o1, o2, den) < g for o1, o2 in others)
+                found.append((vx, vy, sq_scaled, (a1, a2), g <= den and not hits))
+    # every displacement is (vx, vy)/scale with one scale > 0, and distinct: sort on (vx, vy)
+    found.sort()
+    sq_lengths = tuple(tuple(sorted(q)) for q in ([r[2] for r in found], [r[2] for r in found if r[4]], rejected))
+    return (x1, x2, den), [r[3] for r in found], tuple(r[3] for r in found if r[4]), sq_lengths, scale * scale
 
 
 def _positive_t_sq(t_sq) -> Fraction:
@@ -429,13 +434,7 @@ def connecting_family(space: FlatSpace, x: Key, y: Key, t_sq) -> GeodesicFamily:
     through an endpoint is counted in ``sq_lengths`` and kept nowhere else."""
     t_sq = _positive_t_sq(t_sq)
     x, y = space._endpoint(space._fold_key(*x)), space._endpoint(space._fold_key(*y))
-    origin, joining, lengths, rejected, scale, ends = _enumerate(space, x, y, t_sq)
-    den = origin[2]
-    keep = [not any(_affine_hits(a1, a2, c1, c2, den) for c1, c2 in ends) for a1, a2 in joining]
-    connecting = tuple(a for a, kept in zip(joining, keep) if kept)
-    sq_lengths = (
-        tuple(sorted(lengths)), tuple(sorted(q for q, kept in zip(lengths, keep) if kept)), tuple(sorted(rejected))
-    )
+    origin, _, connecting, sq_lengths, scale = _enumerate(space, x, y, t_sq)
     return GeodesicFamily(space, x, y, t_sq, origin, connecting, sq_lengths, scale)
 
 

@@ -13,8 +13,9 @@ from geoblock.errors import DomainError, UnsupportedInputError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
-    _affine_hits,
+    _first_mark,
     _passes_through,
+    _ray,
     connecting_family,
     count,
     intersection_candidates,
@@ -345,6 +346,68 @@ class TestClassify:
         assert min(kinds.values()) >= 10, kinds
 
 
+class TestFirstMarkProperties:
+    """The first-mark lemma's classification, corner rejection and incidence
+    against the per-mark congruence solves of ``oracles``."""
+
+    SPACES = {"unit": FlatSpace.unit_torus(), "skew": SKEW, "billiard": FlatSpace.square_billiard()}
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_family_matches_congruence_oracles(self, kind):
+        space = self.SPACES[kind]
+        rng = random.Random(113)
+        kinds = {"connecting": 0, "passes-through-endpoint": 0, "corner": 0}
+        for trial in range(24):
+            x = random_point(rng, space)
+            y = x if trial % 3 == 0 else random_point(rng, space)
+            t_sq = F(rng.randint(1, 120), 4)
+            fam = family_of(space, x, y, t_sq)
+            x1, x2, den = fam.origin
+            px, py = space._key_point(fam.x), space._key_point(fam.y)
+            connecting, lengths = [], ([], [], [])
+            for s1, s2 in space.group:
+                for v in brute_enumerate(space, px, P(s1 * py.x, s2 * py.y), t_sq):
+                    a = tuple(int(c * den) for c in lattice_coords(space, *v))
+                    sq = sq_length(fam, a) * fam.sq_scale
+                    assert sq.denominator == 1
+                    # a corner is a point fixed by the half-turn: 2*(x + s*a) = 0 (mod den)
+                    if (-1, -1) in space.group and affine_hits(2 * a[0], 2 * a[1], -2 * x1, -2 * x2, den):
+                        lengths[2].append(int(sq))
+                        kinds["corner"] += 1
+                        continue
+                    lengths[0].append(int(sq))
+                    label = classify(fam, a).kind
+                    kinds[label] += 1
+                    if label == "connecting":
+                        connecting.append((v, a))
+                        lengths[1].append(int(sq))
+            assert list(fam.connecting) == [a for _, a in sorted(connecting)], (x, y, t_sq)
+            assert fam.sq_lengths == tuple(tuple(sorted(group)) for group in lengths), (x, y, t_sq)
+        assert kinds["connecting"] >= 100 and kinds["passes-through-endpoint"] >= 10, kinds
+        assert kinds["corner"] >= 10 or space.is_torus, kinds
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_passes_through_matches_point_on_geodesic(self, kind):
+        space = self.SPACES[kind]
+        rng = random.Random(127)
+        seen = Counter()
+        for _ in range(40):
+            x, y = random_point(rng, space), random_point(rng, space)
+            fam = family_of(space, x, y, F(rng.randint(1, 60), 4))
+            for a in rng.sample(fam.connecting, min(5, fam.m)):
+                q = rng.randint(2, 24)
+                if rng.random() < 0.5:  # a point of the segment: a hit
+                    key = fam.key_at(a, rng.randint(1, q - 1), q)
+                else:
+                    key = space._fold_key(rng.randint(0, 2 * q), rng.randint(0, 2 * q), q)
+                if key in (fam.x, fam.y):
+                    continue
+                expected = bool(point_on_geodesic(fam, a, space._key_point(key)))
+                assert _passes_through(fam, a, key) == expected, (x, y, a, key)
+                seen[expected] += 1
+        assert min(seen[True], seen[False]) >= 30, seen
+
+
 class TestCount:
     def test_examples(self):
         space = FlatSpace.unit_torus()
@@ -451,9 +514,28 @@ def affine_hits_scan_oracle(a1, a2, c1, c2):
     return sorted(set(hits))
 
 
-class TestAffineHits:
+def first_mark_hits(a1, a2, c1, c2, den=1):
+    """The s in (0,1) with s*a = c (mod den) that ``_first_mark`` gives:
+    the first mark j and its repeats j + den, ... below g, at s = j/g."""
+    ray = _ray(a1, a2)
+    j = _first_mark(ray, c1, c2, den)
+    return [F(k, ray[0]) for k in range(j, ray[0], den)] if j else []
+
+
+class TestFirstMark:
+    def test_ray_is_primitive_with_bezout_pair(self):
+        rng = random.Random(43)
+        for a in [(1, 0), (0, -1), (-7, 0), (0, 12), (6, -4), (1, 1)] + [
+            (rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(300)
+        ]:
+            if a == (0, 0):
+                continue
+            g, p1, p2, u, v = _ray(*a)
+            assert g == math.gcd(*a) and (g * p1, g * p2) == a
+            assert u * p1 + v * p2 == 1
+
     def test_against_scan_oracle(self):
-        # the truth test, and the oracles' list-valued solve behind it
+        # the lemma's hit list, and the oracles' congruence solve behind it
         rng = random.Random(31)
         hits = 0
         for _ in range(400):
@@ -463,19 +545,20 @@ class TestAffineHits:
                 continue
             c1 = F(rng.randint(-8, 8), rng.randint(1, 4))
             c2 = F(rng.randint(-8, 8), rng.randint(1, 4))
-            # the solver takes integers over their common denominator
+            # the lemma takes integers over their common denominator
             den = math.lcm(a1.denominator, a2.denominator, c1.denominator, c2.denominator)
             ints = [int(v * den) for v in (a1, a2, c1, c2)]
             expected = affine_hits_scan_oracle(a1, a2, c1, c2)
             assert affine_hits(*ints, den=den) == expected
-            assert _affine_hits(*ints, den=den) == bool(expected)
+            assert first_mark_hits(*ints, den=den) == expected
             hits += bool(expected)
         assert hits >= 40
 
     def test_large_direction_stays_fast(self):
-        assert _affine_hits(10**6, 10**6 - 1, 0, 0) == bool(affine_hits_scan_oracle_large())
+        assert first_mark_hits(10**6, 10**6 - 1, 0, 0) == affine_hits_scan_oracle_large()
         # doubled, the direction meets one integer point, at s = 1/2
-        assert _affine_hits(2 * 10**6, 2 * 10**6 - 2, 0, 0) is True
+        assert _first_mark(_ray(2 * 10**6, 2 * 10**6 - 2), 0, 0, 1) == 1
+        assert first_mark_hits(2 * 10**6, 2 * 10**6 - 2, 0, 0) == [F(1, 2)]
         assert affine_hits(2 * 10**6, 2 * 10**6 - 2, 0, 0) == [F(1, 2)]
 
 

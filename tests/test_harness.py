@@ -544,6 +544,15 @@ class TestCli:
             assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
             assert not (tmp_path / name / "count.csv").exists()
 
+    def test_huge_t_refused_exit_3(self, tmp_path, capsys):
+        # the enumeration box of t = 10^400 is refused before it is walked
+        cfg_path = write_config(tmp_path, t_grid=["1e400"])
+        assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "budget exceeded: t = 1.000e+400 needs a box of about 4.000e+800 points, " \
+                      "over the limit 1000000\n"
+        assert not (tmp_path / "o" / "count.csv").exists()
+
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
