@@ -60,6 +60,8 @@ from .flatspace import (
 )
 from .growth import kappa_from_squares
 
+_MAX_NODES = 20_000  # search nodes solve_exact visits before it stops uncertified; tests and bench need < 7,000
+
 __all__ = [
     "SolverCaps",
     "CheckRow",
@@ -233,7 +235,9 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
 
     The bounds are computed before the candidate cap is applied: an
     instance over it returns the greedy cover, ``optimal`` exactly when the
-    root bound meets it, and ``[lower, greedy]`` otherwise.
+    root bound meets it, and ``[lower, greedy]`` otherwise.  A search that
+    reaches more than ``_MAX_NODES`` inner nodes stops there and answers
+    the same way, with the best cover found so far.
     """
     m = instance.family.m
     if m == 0:
@@ -269,15 +273,17 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
 
     lower = bound(full)
     best: list[int] = list(greedy)  # indices into instance.covers
+    nodes = 0
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best
+        nonlocal best, nodes
         if not uncovered:
             if len(chosen) < len(best):
                 best = [kept[c] for c in chosen]
             return
+        nodes += 1
         # no cover is smaller than the root bound, so one that meets it ends the search
-        if len(best) == lower or len(chosen) + bound(uncovered) >= len(best):
+        if nodes > _MAX_NODES or len(best) == lower or len(chosen) + bound(uncovered) >= len(best):
             return
         # fewest-candidates uncovered geodesic, ties by index
         pick = next(i for i in by_few if uncovered >> i & 1)
@@ -290,7 +296,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     if not capped and lower < len(best):
         bnb(full, [])
     keys = tuple(instance.candidates[c] for c in sorted(best))
-    return BlockingSolution(keys, len(keys), not capped or lower == len(keys), lower)
+    return BlockingSolution(keys, len(keys), not capped and nodes <= _MAX_NODES or lower == len(keys), lower)
 
 
 def verify_cover(family: GeodesicFamily, keys: Sequence[Key]) -> bool:

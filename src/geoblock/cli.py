@@ -9,6 +9,7 @@ option outside its domain), 3 resource cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ _CONFIG_COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="geoblock",
         description="Geodesic counting, blocking thresholds, and growth-rate verification",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -55,22 +56,46 @@ def _parse_fraction(v) -> Fraction:
         raise ConfigError(str(exc)) from exc
 
 
+# digits of a t value's numerator or denominator: t = 10^400 still reaches
+# the flat enumeration's box budget, while parsing 1e3000000 alone takes seconds
+_MAX_T_DIGITS = 1000
+_MAX_T_POINTS = 10**4  # points of an a:b:step grid
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _parse_t(v) -> Fraction:
+    """A t value whose numerator and denominator have at most
+    ``_MAX_T_DIGITS`` digits.  A string is measured before it is parsed, as
+    Fraction builds 10^n for an exponent n: its length and exponent bound
+    the digits that parsing it builds."""
+    if isinstance(v, str):
+        exponent = _EXPONENT.search(v)
+        if len(v) > 3 * _MAX_T_DIGITS or exponent and abs(int(exponent[1])) > 2 * _MAX_T_DIGITS:
+            raise ConfigError(f"t value {v!r:.40} has more than {_MAX_T_DIGITS} digits")
+    t = _parse_fraction(v)
+    if max(abs(t.numerator), t.denominator) >= 10**_MAX_T_DIGITS:
+        raise ConfigError(f"t value {v!r:.40} has more than {_MAX_T_DIGITS} digits")
+    return t
+
+
 def parse_t_grid(spec) -> list[Fraction]:
-    """Exact rational grid: 'a:b:step', a list of rationals, or a mapping."""
+    """Exact rational grid: 'a:b:step', a list of rationals, or a mapping.
+    Each value has at most ``_MAX_T_DIGITS`` digits, and a:b:step at most
+    ``_MAX_T_POINTS`` points."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"t grid spec {spec!r} is not of the form a:b:step")
-        start, stop, step = (_parse_fraction(p) for p in parts)
+        start, stop, step = (_parse_t(p) for p in parts)
     elif isinstance(spec, dict):
         try:
-            start = _parse_fraction(spec["start"])
-            stop = _parse_fraction(spec["stop"])
-            step = _parse_fraction(spec["step"])
+            start = _parse_t(spec["start"])
+            stop = _parse_t(spec["stop"])
+            step = _parse_t(spec["step"])
         except KeyError as exc:
             raise ConfigError(f"t grid mapping missing key {exc}") from None
     elif isinstance(spec, Sequence):
-        grid = [_parse_fraction(v) for v in spec]
+        grid = [_parse_t(v) for v in spec]
         if not grid:
             raise ConfigError("t grid must be nonempty")
         if any(t <= 0 for t in grid) or sorted(grid) != grid or len(set(grid)) != len(grid):
@@ -80,6 +105,8 @@ def parse_t_grid(spec) -> list[Fraction]:
         raise ConfigError(f"unsupported t grid spec {spec!r}")
     if step <= 0 or stop < start or start <= 0:
         raise ConfigError(f"bad t grid bounds {spec!r}")
+    if (stop - start) // step >= _MAX_T_POINTS:
+        raise ConfigError(f"t grid {spec!r} has more than {_MAX_T_POINTS} points")
     grid = []
     t = start
     while t <= stop:
@@ -130,7 +157,7 @@ def _config_int(name: str, value, least: int | None = None) -> int:
 
 def _config_t_sq(name: str, value) -> Fraction:
     """The square of a non-negative exact rational t."""
-    t = _parse_fraction(value)
+    t = _parse_t(value)
     if t < 0:
         raise ConfigError(f"{name} must be non-negative, got {value!r}")
     return t * t

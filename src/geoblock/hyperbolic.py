@@ -333,7 +333,7 @@ def _distances(x: complex, pts: np.ndarray) -> np.ndarray:
 
 
 def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
-    """mats[f] @ gen_mats[g] for every pair, shape (F, G, 2, 2).
+    """mats[n] @ gen_mats[n] for every n, shape (N, 2, 2).
 
     Each entry is rounded as np.einsum("fij,gjk->fgik") rounds it: the two
     products added to a zero-initialised sum in binary64, with no fused
@@ -341,18 +341,71 @@ def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     m, g = mats.reshape(-1, 4), gen_mats.reshape(-1, 4)
-    out = np.empty((len(m), len(g), 2, 2))
+    out = np.empty((len(m), 2, 2))
     for i in range(2):
         for k in range(2):
-            out[:, :, i, k] = (0.0 + np.multiply.outer(m[:, 2 * i], g[:, k])) + np.multiply.outer(
-                m[:, 2 * i + 1], g[:, 2 + k]
-            )
+            out[:, i, k] = (0.0 + m[:, 2 * i] * g[:, k]) + m[:, 2 * i + 1] * g[:, 2 + k]
     return out
+
+
+def _frame(z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """A_z = [[sqrt v, u / sqrt v], [0, 1 / sqrt v]], which maps i to
+    z = u + iv, and its inverse."""
+    import numpy as np
+    r = math.sqrt(z.imag)
+    return np.array([[r, z.real / r], [0.0, 1.0 / r]]), np.array([[1.0 / r, -z.real / r], [0.0, r]])
+
+
+def _gram_margin(cutoff: float) -> float:
+    """Relative slack of the Gram prune at the cutoff.  As |w| = tanh(d/2),
+    moving a disc point by the float-error budget moves d by at most
+    2 cosh^2(d/2) = 1 + cosh d times the budget, and 2 cosh d by at most
+    that fraction of itself."""
+    return (1.0 + math.cosh(cutoff)) * _FLOAT_ERR
+
+
+def _gen_form(gen_mats: np.ndarray, y: complex) -> np.ndarray:
+    """The generators' coefficients in ``_gram_norms``, shape (3, G)."""
+    import numpy as np
+    ay, ay_inv = _frame(y)
+    s0, s1, s2, s3 = (ay_inv @ gen_mats @ ay).reshape(-1, 4).T
+    return np.stack([s0 * s0 + s1 * s1, 2.0 * (s0 * s2 + s1 * s3), s2 * s2 + s3 * s3])
+
+
+def _gram_norms(mats: np.ndarray, x: complex, y: complex, gen_form: np.ndarray) -> np.ndarray:
+    """|A_x^-1 g s A_y|_F^2 = 2 cosh d(x, g s y) for every frontier matrix g
+    and generator s, shape (F, G).  With (a, b, c, d) = A_x^-1 g A_y and
+    (s0, s1, s2, s3) = A_y^-1 s A_y it is the parent's Gram form
+    (a^2 + c^2, ab + cd, b^2 + d^2) against the generator's
+    (s0^2 + s1^2, 2 (s0 s2 + s1 s3), s2^2 + s3^2)."""
+    import numpy as np
+    a, b, c, d = (_frame(x)[1] @ mats @ _frame(y)[0]).reshape(-1, 4).T
+    return np.stack([a * a + c * c, a * b + c * d, b * b + d * d], axis=1) @ gen_form
+
+
+def _grid(h: float) -> tuple[int, int]:
+    """The offset and row width of the h-cell keys: |w| < 1, so cell
+    coordinates lie within +-(1/h + 1) and keys fit int64."""
+    offset = int(1.0 / h) + 2
+    return offset, 2 * offset + 1
+
+
+def _cells(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The h-cell keys of disc points, row * width + column, and whether
+    each is an edge point: within twice the float-error budget of a cell
+    side, where a copy may fall in the next cell (the budget, and as much
+    again for the rounding of w / h)."""
+    import numpy as np
+    offset, width = _grid(h)
+    u, v = w.real / h, w.imag / h
+    side = 2.0 * _FLOAT_ERR / h
+    edge = (np.abs(u - np.rint(u)) <= side) | (np.abs(v - np.rint(v)) <= side)
+    return (np.floor(u).astype(np.int64) + offset) * width + np.floor(v).astype(np.int64) + offset, edge
 
 
 def _claimed(
     keys: np.ndarray, pts: np.ndarray, store_keys: np.ndarray, store_pts: np.ndarray,
-    h: float, width: int, rank: np.ndarray | None = None,
+    h: float, rank: np.ndarray | None = None, own: np.ndarray | None = None,
 ) -> np.ndarray:
     """True where a stored point lies within h of the point.
 
@@ -361,13 +414,14 @@ def _claimed(
     them and any point within h sits in the 3x3 block around the point's
     cell: per row of that block, the first three stored keys from the
     block's left cell on.  With ``rank`` only stored points of lower rank
-    than the point's own index count.
+    than the point's own, ``own``, count.
     """
     import numpy as np
     out = np.zeros(len(keys), dtype=bool)
     n = len(store_keys)
-    if not n:
+    if not n or not len(keys):
         return out
+    width = _grid(h)[1]
     for row in (-width, 0, width):
         left = keys + (row - 1)
         pos = np.searchsorted(store_keys, left)
@@ -376,8 +430,35 @@ def _claimed(
             k = store_keys[q]
             near = (k >= left) & (k <= left + 2) & (np.abs(store_pts[q] - pts) <= h)
             if rank is not None:
-                near &= rank[q] < np.arange(len(keys))
+                near &= rank[q] < own
             out |= near
+    return out
+
+
+def _claimed_by_key(
+    keys: np.ndarray, pts: np.ndarray, edge: np.ndarray, store_keys: np.ndarray, store_pts: np.ndarray, h: float
+) -> np.ndarray:
+    """_claimed against a nonempty store, by one exact key match where the
+    point is not ``edge``, near a cell side.  A point and a copy of it
+    within the budget share a cell unless both are edge points, and
+    distinct elements never share one."""
+    import numpy as np
+    out = store_keys[np.minimum(np.searchsorted(store_keys, keys), len(store_keys) - 1)] == keys
+    out[edge] = _claimed(keys[edge], pts[edge], store_keys, store_pts, h)
+    return out
+
+
+def _first_in_cell(keys: np.ndarray, pts: np.ndarray, edge: np.ndarray, h: float) -> np.ndarray:
+    """True where no lower-indexed point lies within h: the first point in
+    each cell, unless it is an edge point with a copy of lower index in a
+    neighbouring cell (_claimed against every cell's first)."""
+    import numpy as np
+    order = np.argsort(keys, kind="stable")
+    first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
+    out = np.zeros(len(keys), dtype=bool)
+    out[first] = True
+    e = np.nonzero(edge)[0]
+    out[e] = ~_claimed(keys[e], pts[e], keys[first], pts[first], h, rank=first, own=e)
     return out
 
 
@@ -424,6 +505,25 @@ def orbit_count(
     (octagon at the default base point: t_max about 21.75) the count raises
     BudgetExceededError before any expansion; below it the certified flags
     rest on that budget.
+
+    The dedup matches cell keys.  With h half the gap, distinct elements
+    lie at least 2h apart and never share an h-cell, and two float copies
+    of one element, within the budget of each other, share a cell unless
+    both lie within the budget of a cell side.  So a child away from every
+    side is claimed exactly when its cell holds a stored point, and is new
+    in its level exactly when it is its cell's first child; only the edge
+    children go through the 3x3 scan of ``_claimed``.  Both decide as the
+    scan alone would.
+
+    Children are pruned before they are formed.  With A_z mapping i to z
+    (``_frame``), 2 cosh d(x, g s y) = |A_x^-1 g s A_y|_F^2, a quadratic
+    form in the parent's Gram matrix and the generator's (``_gram_norms``).
+    A pair is multiplied out only when that norm is within 2 cosh(cutoff)
+    by the relative margin ``_gram_margin``, far above the relative 3e-11
+    by which the two evaluations differ within cutoff 12 on the octagon.
+    The kept children are then rounded, placed and measured as before and
+    held to the same ``d <= cutoff`` test, so the pruned children are ones
+    that test drops, and every output is the unpruned search's bit for bit.
     """
     import numpy as np
     if x.imag <= 0 or y.imag <= 0:
@@ -445,17 +545,11 @@ def orbit_count(
             f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
             f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
         )
-    # |w| < 1, so cell coordinates lie within +-(1/h + 1) and keys fit int64
-    offset = int(1.0 / h) + 2
-    width = 2 * offset + 1
-
-    def cell_keys(w: np.ndarray) -> np.ndarray:
-        i = np.floor(w.real / h).astype(np.int64) + offset
-        j = np.floor(w.imag / h).astype(np.int64) + offset
-        return i * width + j
-
     store_pts = np.array([(y - x) / (y - x.conjugate())])
-    store_keys = cell_keys(store_pts)
+    store_keys = _cells(store_pts, h)[0]
+
+    gen_form = _gen_form(gen_mats, y)
+    bound = 2.0 * math.cosh(cutoff) * (1.0 + _gram_margin(cutoff))
 
     # the frontier is the last level, as matrices, displacements and last
     # letters, or nothing when the identity lies beyond the cutoff; every
@@ -476,24 +570,21 @@ def orbit_count(
         forbid = np.where(last >= 0, inv_index[last], -1)
         parts = []
         for lo in range(0, len(mats), _SLICE):
-            children = _products(mats[lo:lo + _SLICE], gen_mats)
-            keep_f, keep_g = np.nonzero(np.arange(len(gen_mats)) != forbid[lo:lo + _SLICE, None])
-            children = children[keep_f, keep_g]
+            frontier = mats[lo:lo + _SLICE]
+            near = _gram_norms(frontier, x, y, gen_form) <= bound
+            keep_f, keep_g = np.nonzero(near & (np.arange(len(gen_mats)) != forbid[lo:lo + _SLICE, None]))
+            children = _products(frontier[keep_f], gen_mats[keep_g])
             pts = _apply_batch(children, y)
             d = _distances(x, pts)
             sel = np.nonzero(d <= cutoff)[0]
             w = (pts[sel] - x) / (pts[sel] - x.conjugate())
-            keys = cell_keys(w)
-            new = ~_claimed(keys, w, store_keys, store_pts, h, width)
+            keys, edge = _cells(w, h)
+            new = ~_claimed_by_key(keys, w, edge, store_keys, store_pts, h)
             sel = sel[new]
-            parts.append([children[sel], d[sel], keep_g[sel], keys[new], w[new]])
-        mats, disp, last, keys, w = (np.concatenate(a) for a in zip(*parts))
+            parts.append([children[sel], d[sel], keep_g[sel], keys[new], w[new], edge[new]])
+        mats, disp, last, keys, w, edge = (np.concatenate(a) for a in zip(*parts))
 
-        # the first child in each cell has the cell's lowest index; a
-        # child is new iff no lower-indexed child lies within h of it
-        order = np.argsort(keys, kind="stable")
-        first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
-        new = ~_claimed(keys, w, keys[first], w[first], h, width, rank=first)
+        new = _first_in_cell(keys, w, edge, h)
         mats, disp, last = mats[new], disp[new], last[new]
         keys, w = keys[new], w[new]
         order = np.argsort(keys)

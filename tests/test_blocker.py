@@ -267,6 +267,18 @@ class TestSolveExact:
         assert (sol.lower_bound, sol.size) == (9, 11)
         assert verify_cover(inst.family, sol.keys)
 
+    def test_node_budget_stops_uncertified(self, monkeypatch):
+        # the search of this instance visits 6,473 nodes; stopped after 100
+        # it keeps its best cover so far, flagged uncertified over the root bound
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, F(49, 4))
+        full = solve_exact(inst)
+        assert full.optimal and (full.lower_bound, full.size) == (10, 11)
+        monkeypatch.setattr(blocker, "_MAX_NODES", 100)
+        sol = solve_exact(inst)
+        assert not sol.optimal
+        assert sol.lower_bound == full.lower_bound and sol.size >= full.size
+        assert verify_cover(inst.family, sol.keys)
+
     def test_cap_certified_when_bounds_meet(self):
         space = FlatSpace.unit_torus()
         inst = instance_of(space, P(0, 0), P("1/2", 0), 4)

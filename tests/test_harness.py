@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -14,7 +15,7 @@ import pytest
 import geoblock.blocker as blocker
 import geoblock.harness as harness
 from geoblock.blocker import PairSampler, SolverCaps
-from geoblock.cli import main
+from geoblock.cli import _build_parser, main
 from geoblock.errors import ConfigError
 from geoblock.flatspace import RationalPoint, connecting_family, load_space
 from geoblock.growth import format_sig
@@ -552,6 +553,69 @@ class TestCli:
         assert err == "budget exceeded: t = 1.000e+400 needs a box of about 4.000e+800 points, " \
                       "over the limit 1000000\n"
         assert not (tmp_path / "o" / "count.csv").exists()
+
+    def test_long_t_refused_at_parse_exit_2(self, tmp_path, capsys):
+        # parsing 1e3000000 alone took seconds before the box budget saw it,
+        # and a grid of 10^12 points would allocate without bound; each is
+        # refused before it is built
+        for grid, message in (
+            (["1e3000000"], "t value '1e3000000' has more than 1000 digits"),
+            (["1E+1000"], "t value '1E+1000' has more than 1000 digits"),
+            (["1/" + "9" * 1001], "has more than 1000 digits"),
+            ([10**1000], "has more than 1000 digits"),
+            ("1:1e12:1", "t grid '1:1e12:1' has more than 10000 points"),
+            ({"start": "1", "stop": "10001", "step": "1"}, "has more than 10000 points"),
+        ):
+            cfg_path = write_config(tmp_path, t_grid=grid)
+            start = time.perf_counter()
+            assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2, grid
+            assert time.perf_counter() - start < 1.0, grid
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and message in err and err.count("\n") == 1
+            assert not (tmp_path / "o" / "count.csv").exists()
+        cfg_path = write_config(tmp_path, threshold_t_max="1e3000000")
+        assert main(["block", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        # the largest values and grids still parse
+        assert parse_t_grid(["1/" + "9" * 1000, "1e999"]) == [F(1, 10**1000 - 1), F(10**999)]
+        assert len(parse_t_grid({"start": "1", "stop": "10000", "step": "1"})) == 10000
+        assert parse_t_grid(["1e-999"]) == [F(1, 10**999)]
+
+    def test_deep_search_ends_uncertified(self, tmp_path):
+        # this cell's branch and bound ran for minutes; the node budget ends
+        # it with the best cover found, flagged not optimal
+        cfg_path = write_config(tmp_path, geometry={"kind": "billiard"},
+                                pairs=[[["1/6", "2/3"], ["1/10", "7/10"]]], t_grid="7/2:7/2:1")
+        out = tmp_path / "out"
+        assert main(["block", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, row = (out / "block.csv").read_text().splitlines()
+        assert header == "pair,x,y,t,s,optimal,midpoint_upper"
+        assert row.startswith('0,"(1/6,2/3)","(1/10,7/10)",3.5,') and row.endswith(",0,")
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        # main builds the parser on its first call only; commands run through
+        # the cached parser write what they write with a freshly built one
+        series = tmp_path / "series.csv"
+        series.write_text("t,value\n" + "".join(f"{t},{3 ** t}\n" for t in range(1, 21)))
+        config = str(ROOT / "configs" / "unit_torus.json")
+
+        def runs(tag, fresh):
+            out = []
+            for argv in (["count", "--config", config, "--out", str(tmp_path / tag / "count")],
+                         ["entropy", "--in", str(series)],
+                         ["block", "--config", config, "--t-grid", "1,2", "--out", str(tmp_path / tag / "block")],
+                         ["transform", "--in", str(series), "--out", str(tmp_path / tag / "t.csv")]):
+                if fresh:
+                    _build_parser.cache_clear()
+                out.append((main(argv), *capsys.readouterr()))
+            files = sorted((tmp_path / tag).rglob("*.*"))
+            return out, [(f.relative_to(tmp_path / tag), f.read_bytes()) for f in files]
+
+        _build_parser.cache_clear()
+        cached = runs("cached", fresh=False)
+        assert _build_parser.cache_info().misses == 1
+        assert cached == runs("fresh", fresh=True)
+        assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0] and cached[0][1][1].startswith("{")
+        assert len(cached[1]) == 3
 
     def test_workers_flag_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

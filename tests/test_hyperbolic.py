@@ -10,10 +10,20 @@ from geoblock.cli import main
 from geoblock.errors import BudgetExceededError, DomainError
 from geoblock.growth import GrowthSeries, rate_estimate
 from geoblock.hyperbolic import (
+    _FLOAT_ERR,
     FuchsianPreset,
     MobiusMatrix,
+    _apply_batch,
     _bisector_polygon,
+    _cells,
+    _claimed,
+    _claimed_by_key,
+    _distances,
+    _first_in_cell,
     _gen_arrays,
+    _gen_form,
+    _gram_margin,
+    _gram_norms,
     _products,
     blocking_lower_bound_series,
     builtin_presets,
@@ -286,15 +296,49 @@ class TestCocompactOrbit:
         assert res.ball.count_series == tuple((t, int(np.sum(disp <= t))) for t in grid)
 
     def test_products_match_einsum_bitwise(self):
-        # the BFS multiplies matrices without np.einsum; the rounding, signed
-        # zeros included, must stay the einsum's
+        # the BFS multiplies the (parent, generator) pairs the Gram prune
+        # keeps without np.einsum; the rounding, signed zeros included, must
+        # stay that of the einsum over every pair, as the reference forms them
         gen_mats, _ = _gen_arrays(load_preset("octagon_genus2"))
         rng = np.random.default_rng(5)
         mats = rng.standard_normal((5000, 2, 2)) * np.exp(rng.uniform(-20, 20, (5000, 2, 2)))
         mats[:50] = -0.0
         mats[50:100, :, 1] = 0.0
         want = np.einsum("fij,gjk->fgik", mats, gen_mats)
-        assert np.array_equal(_products(mats, gen_mats).view(np.int64), want.view(np.int64))
+        # every pair of the rows with zeros, a random 30% of the others
+        pairs = rng.random((5000, len(gen_mats))) < 0.3
+        pairs[:100] = True
+        f, g = np.nonzero(pairs)
+        assert np.array_equal(_products(mats[f], gen_mats[g]).view(np.int64), want[f, g].view(np.int64))
+
+    def test_gram_prune_is_conservative(self):
+        # on words of the generators multiplied as the BFS multiplies them,
+        # and on random SL(2, R) matrices, the Gram norm of every child
+        # within the cutoff stays within the margin of 2 cosh of its
+        # measured displacement: the prune drops no child the d <= cutoff test keeps
+        preset = load_preset("octagon_genus2")
+        gen_mats, inv_index = _gen_arrays(preset)
+        rng = np.random.default_rng(11)
+        words = []
+        for _ in range(400):
+            g, letter = np.eye(2)[None], -1
+            for _ in range(rng.integers(1, 9)):
+                letter = rng.choice([s for s in range(len(gen_mats)) if letter < 0 or s != inv_index[letter]])
+                g = _products(g, gen_mats[letter][None])
+            words.append(g[0])
+        turn = lambda a: np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        sl2 = [turn(a) @ np.diag([np.exp(r / 2), np.exp(-r / 2)]) @ turn(b)
+               for a, b, r in rng.uniform([0, 0, 0], [np.pi, np.pi, 20], (400, 3))]
+        for x, y in ((0.03 + 0.97j, 0.03 + 0.97j), (0.2 + 1.1j, -0.3 + 0.8j), (0.1 + 90j, 1j)):
+            for mats in (np.array(words), np.array(sl2)):
+                norms = _gram_norms(mats, x, y, _gen_form(gen_mats, y))
+                f, g = np.nonzero(np.ones_like(norms, dtype=bool))
+                d = _distances(x, _apply_batch(_products(mats[f], gen_mats[g]), y))
+                for cutoff in (4.0, 9.0, 14.0, 21.0):
+                    within = d <= cutoff
+                    assert within.any()
+                    ratio = norms[f, g][within] / (2.0 * np.cosh(d[within]))
+                    assert np.all(np.abs(ratio - 1.0) <= _gram_margin(cutoff)), (x, y, cutoff)
 
     def test_dedup_tolerance_robust(self, octagon_ball):
         # distinct stored elements are far apart compared to the tolerance,
@@ -379,12 +423,14 @@ def _equivalence_cases():
         (octagon, w.apply(near()), w.apply(near()), 4.5, 24),
         (octagon, near(math.exp(1.5)), near(math.exp(1.5)), 5.0, 24),
         (octagon, near(math.exp(4.5)), near(), 4.0, 24),
+        # the benchmark's octagon report: its base point and largest t
+        (octagon, 0.03 + 0.97j, 0.03 + 0.97j, 9.5, 24),
     ]
 
 
 @pytest.mark.parametrize(
     "preset, x, y, t, max_word_len", _equivalence_cases(),
-    ids=["near", "near-budget", "generator", "word2", "far", "far-x"],
+    ids=["near", "near-budget", "generator", "word2", "far", "far-x", "bench"],
 )
 def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
     # the reference searches within the generator-displacement slack plus a
@@ -394,6 +440,83 @@ def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
     assert np.array_equal(res.ball.displacements.view(np.int64), disp.view(np.int64))
     assert res.certified_t == certified_t
     assert res.ball.count_series == ((t / 2, int(np.sum(disp <= t / 2))), (t, len(disp)))
+
+
+class TestCellDedup:
+    """The key dedup decides as the 3x3 scan of ``_claimed`` does wherever
+    distinct elements lie at least 2h apart and copies of one element
+    within the float-error budget of each other, as in the orbit BFS."""
+
+    h = 1e-6
+
+    def points(self, rng, cells, edge_share):
+        """One point per cell (row, column) of h-cells: inside it, or with
+        probability edge_share within half the budget of a side or corner."""
+        h = self.h
+        frac = rng.uniform(0.1, 0.9, (len(cells), 2))
+        side = rng.random((len(cells), 2)) < edge_share
+        frac[side] = rng.choice([0.0, 1.0], side.sum()) + rng.uniform(-0.5, 0.5, side.sum()) * _FLOAT_ERR / h
+        pos = (np.asarray(cells) + frac) * h
+        return pos[:, 0] + 1j * pos[:, 1]
+
+    def copies(self, rng, pts):
+        """A copy of each point, moved by at most the budget."""
+        return pts + _FLOAT_ERR * rng.uniform(0, 1, len(pts)) * np.exp(2j * np.pi * rng.random(len(pts)))
+
+    def brute_claimed(self, pts, store):
+        return np.array([bool(np.any(np.abs(store - p) <= self.h)) for p in pts], dtype=bool)
+
+    def test_duplicate_across_a_cell_side_is_claimed(self):
+        # the stored point sits just left of a cell side, its copy just
+        # right of it: the keys differ, and both are edge points
+        h = self.h
+        stored = np.array([(40 * h - 0.3 * _FLOAT_ERR) + 7.5j * h])
+        copy = stored + 0.6 * _FLOAT_ERR
+        (store_key,), (stored_edge,) = _cells(stored, h)
+        (key,), (edge,) = _cells(copy, h)
+        assert key != store_key and stored_edge and edge
+        assert _claimed_by_key(np.array([key]), copy, np.array([edge]), np.array([store_key]), stored, h)[0]
+        # within a level the later copy is dropped, though it is its cell's first
+        level = np.concatenate([stored, copy])
+        keys, edges = _cells(level, h)
+        assert list(_first_in_cell(keys, level, edges, h)) == [True, False]
+        assert list(_first_in_cell(keys[::-1], level[::-1], edges[::-1], h)) == [True, False]
+
+    def test_key_dedup_matches_claimed_scan(self):
+        # stored points one per 6x6 block of cells, queries their copies and
+        # fresh points in the blocks' middles, 2h or more from every stored one
+        rng = np.random.default_rng(2007)
+        h = self.h
+        for edge_share in (0.0, 0.3, 1.0):
+            blocks = rng.choice(200 * 200, 3000, replace=False)
+            cells = np.stack([blocks // 200, blocks % 200], axis=1) * 6 - 600
+            store = self.points(rng, cells, edge_share)
+            fresh = self.points(rng, cells[:1000] + 3, edge_share)
+            queries = np.concatenate([self.copies(rng, store[::2]), fresh])
+            rng.shuffle(queries)
+            store_keys, _ = _cells(store, h)
+            order = np.argsort(store_keys)
+            store_keys, store_sorted = store_keys[order], store[order]
+            keys, edge = _cells(queries, h)
+            want = self.brute_claimed(queries, store)
+            assert want.sum() == len(store[::2])
+            assert np.array_equal(_claimed(keys, queries, store_keys, store_sorted, h), want)
+            assert np.array_equal(_claimed_by_key(keys, queries, edge, store_keys, store_sorted, h), want)
+
+    def test_first_in_cell_matches_lower_index_scan(self):
+        # a level of up to three copies of each of 400 elements, shuffled:
+        # a point is new iff no lower-indexed point lies within h
+        rng = np.random.default_rng(5)
+        h = self.h
+        for edge_share in (0.0, 0.3, 1.0):
+            blocks = rng.choice(100 * 100, 400, replace=False)
+            elements = self.points(rng, np.stack([blocks // 100, blocks % 100], axis=1) * 3, edge_share)
+            level = np.concatenate([elements] + [self.copies(rng, elements[rng.random(400) < 0.6]) for _ in range(2)])
+            rng.shuffle(level)
+            keys, edge = _cells(level, h)
+            want = np.array([not np.any(np.abs(level[:i] - p) <= h) for i, p in enumerate(level)])
+            assert want.sum() == 400
+            assert np.array_equal(_first_in_cell(keys, level, edge, h), want)
 
 
 class TestEntropy:
