@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,6 +61,7 @@ from .flatspace import (
 from .growth import kappa_from_squares
 
 _MAX_NODES = 20_000  # search nodes solve_exact visits before it stops uncertified; tests and bench need < 7,000
+_WEIGHT_STEPS = 4  # multiplicative-weights steps per geodesic at the root of solve_exact
 
 __all__ = [
     "SolverCaps",
@@ -74,6 +75,7 @@ __all__ = [
     "build_instance",
     "solve_exact",
     "verify_cover",
+    "dual_bound",
     "midpoint_cover",
     "blocking_threshold",
     "blocking_cost_sampled",
@@ -165,6 +167,7 @@ class BlockingSolution:
     size: int
     optimal: bool
     lower_bound: int
+    weights: tuple[int, ...] | None = None  # geodesic weights certifying lower_bound (dual_bound), when they set it
 
 
 def _candidates_of(covers: Sequence[int], m: int) -> list[list[int]]:
@@ -207,6 +210,37 @@ def _greedy_cover(covers: Sequence[int], full: int) -> list[int]:
     return chosen
 
 
+def _weights_dual(covers: Sequence[int], cand_of: list[list[int]], goal: int) -> tuple[int, tuple[int, ...]]:
+    """The best covering bound ``ceil(W / max_c w(c))`` (``dual_bound``) met
+    by integer multiplicative weights w on the geodesics (Garg–Könemann),
+    and the weights that meet it.  Each weight starts at 2^40; a step takes
+    the first candidate of largest load w(c) = sum of its geodesics' w_i and
+    lowers each of them by w_i >> 3, until the bound reaches ``goal`` or
+    after ``_WEIGHT_STEPS`` steps per geodesic."""
+    m = len(cand_of)
+    w = [1 << 40] * m
+    total = m << 40
+    loads = [mask.bit_count() << 40 for mask in covers]
+    best, best_w = 0, tuple(w)
+    for _ in range(_WEIGHT_STEPS * m):
+        top = max(loads)
+        if -(-total // top) > best:
+            best, best_w = -(-total // top), tuple(w)
+            if best >= goal:
+                break
+        mask = covers[loads.index(top)]
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            mask ^= low
+            cut = w[i] >> 3
+            w[i] -= cut
+            total -= cut
+            for c in cand_of[i]:
+                loads[c] -= cut
+    return best, best_w
+
+
 def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) -> BlockingSolution:
     """Certified minimum hitting set over the instance's candidate set.
 
@@ -233,11 +267,16 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     the greedy cover when greedy is optimal, else the first optimal cover in
     depth-first order, whatever bound is used.
 
+    Where that bound stays below the greedy cover, the root also tries the
+    weights dual (``_weights_dual``) and keeps the weights that raise it.  A
+    higher root bound only ends the search sooner, at the same cover.
+
     The bounds are computed before the candidate cap is applied: an
     instance over it returns the greedy cover, ``optimal`` exactly when the
-    root bound meets it, and ``[lower, greedy]`` otherwise.  A search that
-    reaches more than ``_MAX_NODES`` inner nodes stops there and answers
-    the same way, with the best cover found so far.
+    root bound meets it, and ``[lower, greedy]`` otherwise.  Both bounds
+    hold over the dominated candidates too, whose loads never exceed their
+    dominators'.  A search that reaches more than ``_MAX_NODES`` inner nodes
+    stops there and answers the same way, with the best cover found so far.
     """
     m = instance.family.m
     if m == 0:
@@ -271,7 +310,11 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
         scale = math.lcm(*per_load)
         return max(packing, -(-sum(n * (scale // load) for load, n in per_load.items()) // scale))
 
-    lower = bound(full)
+    lower, weights = bound(full), None
+    if lower < len(greedy):
+        dual, dual_weights = _weights_dual(covers, cand_of, len(greedy))
+        if dual > lower:
+            lower, weights = dual, dual_weights
     best: list[int] = list(greedy)  # indices into instance.covers
     nodes = 0
 
@@ -296,7 +339,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     if not capped and lower < len(best):
         bnb(full, [])
     keys = tuple(instance.candidates[c] for c in sorted(best))
-    return BlockingSolution(keys, len(keys), not capped and nodes <= _MAX_NODES or lower == len(keys), lower)
+    return BlockingSolution(keys, len(keys), not capped and nodes <= _MAX_NODES or lower == len(keys), lower, weights)
 
 
 def verify_cover(family: GeodesicFamily, keys: Sequence[Key]) -> bool:
@@ -309,6 +352,33 @@ def verify_cover(family: GeodesicFamily, keys: Sequence[Key]) -> bool:
     if family.x in keys or family.y in keys:
         raise DomainError("a blocking point must differ from both endpoints")
     return all(any(_passes_through(family, a, z) for z in keys) for a in family.connecting)
+
+
+def dual_bound(instance: IncidenceInstance, weights: Sequence[int]) -> int:
+    """The lower bound ``ceil(W / max_c w(c))`` that nonnegative integer
+    weights w on the connecting geodesics certify, from the instance alone,
+    as ``verify_cover`` re-checks a set: W is their sum and w(c) the sum
+    over candidate c's geodesics, for every candidate.  No candidate carries
+    a load above 1 under y = w / max_c w(c), so y is a feasible dual of the
+    covering LP and every cover has at least ``ceil(sum y)`` points."""
+    most = 0
+    for mask in instance.covers:
+        load = 0
+        while mask:
+            low = mask & -mask
+            load += weights[low.bit_length() - 1]
+            mask ^= low
+        most = max(most, load)
+    return -(-sum(weights) // most) if most else 0
+
+
+def _solve_checked(instance: IncidenceInstance, caps: SolverCaps) -> BlockingSolution:
+    """``solve_exact``, with the weights behind its lower bound re-checked by
+    ``dual_bound`` before the bound or the ``optimal`` flag is trusted."""
+    sol = solve_exact(instance, caps)
+    if sol.weights is not None and dual_bound(instance, sol.weights) < sol.lower_bound:
+        raise GeoBlockError("internal: the solver's weights do not certify its lower bound")
+    return sol
 
 
 def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
@@ -371,7 +441,7 @@ def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResu
         for m, t_sq in rungs.items():
             if c <= m < family.m:
                 instance = build_instance(family.within(t_sq), caps)
-                sol = solve_exact(instance, caps)
+                sol = _solve_checked(instance, caps)
                 if (sol.size if sol.optimal else sol.lower_bound) >= c:
                     return ThresholdResult(c, True, BlockingSolution(tuple(cover), c, True, c), instance, c, family)
     return _threshold(family, caps, cover)
@@ -381,13 +451,13 @@ def _threshold(family: GeodesicFamily, caps: SolverCaps, cover: list[Key] | None
     """The full build and solve of a family; a capped greedy cover larger
     than the family's midpoint cover ``cover`` gives way to it."""
     instance = build_instance(family, caps)
-    sol = solve_exact(instance, caps)
+    sol = _solve_checked(instance, caps)
     if not verify_cover(family, sol.keys):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if cover is not None and sol.size > len(cover):
         if sol.optimal:
             raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
-        sol = BlockingSolution(tuple(cover), len(cover), sol.lower_bound >= len(cover), sol.lower_bound)
+        sol = replace(sol, keys=tuple(cover), size=len(cover), optimal=sol.lower_bound >= len(cover))
     mid_upper = len(cover) if cover is not None else None
     return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, family)
 
@@ -452,13 +522,22 @@ def blocking_cost_sampled(
     t_sq,
     sampled: Sequence[tuple[RationalPoint, RationalPoint]],
     caps: SolverCaps = SolverCaps(),
+    families: Sequence[GeodesicFamily] | None = None,
 ) -> SampledBlockingCost:
     """The largest threshold at t_sq over the sampled pairs
     (``PairSampler.pairs``, drawn once by the caller for every t) and, after
     them, each pair's near pair (``_near_pair``) not already sampled.  The
     near pairs keep the lower bound informative at the halved thresholds the
-    transform visits.  On a torus the max stops at its ceiling 4."""
+    transform visits.  On a torus the max stops at its ceiling 4.
+
+    ``families`` holds the sampled pairs' families in their order at some
+    t^2 >= t_sq, read ``within`` t_sq, so a caller asking for several t
+    enumerates each pair once; without it they are enumerated at t_sq.  A
+    pair whose m_t is at most the running max is skipped, as s_t <= m_t."""
     t_sq = Fraction(t_sq)
+    if families is None:
+        families = [connecting_family(space, space.validate_point(p), space.validate_point(q), t_sq)
+                    for p, q in sampled]
     pairs = list(sampled)
     seen = set(sampled)
     for p, q in sampled:
@@ -466,11 +545,15 @@ def blocking_cost_sampled(
         if near and near not in seen:
             seen.add(near)
             pairs.append(near)
+    # no torus value exceeds its midpoint cover, at most |Λ/2Λ| = 4 points
+    ceiling = 4 if space.is_torus else math.inf
     value = 0
-    for p, q in pairs:  # no torus value exceeds its midpoint cover, at most |Λ/2Λ| = 4 points
-        value = max(value, blocking_threshold(space, p, q, t_sq, caps).value)
-        if space.is_torus and value == 4:
-            break
+    for family in families:
+        if value < min(family.counts_at(t_sq)[1], ceiling):
+            value = max(value, _family_threshold(family.within(t_sq), caps).value)
+    for p, q in pairs[len(families):]:
+        if value < ceiling:
+            value = max(value, blocking_threshold(space, p, q, t_sq, caps).value)
     return SampledBlockingCost(value, tuple(pairs))
 
 

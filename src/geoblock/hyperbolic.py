@@ -348,14 +348,6 @@ def _products(mats: np.ndarray, gen_mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame(z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """A_z = [[sqrt v, u / sqrt v], [0, 1 / sqrt v]], which maps i to
-    z = u + iv, and its inverse."""
-    import numpy as np
-    r = math.sqrt(z.imag)
-    return np.array([[r, z.real / r], [0.0, 1.0 / r]]), np.array([[1.0 / r, -z.real / r], [0.0, r]])
-
-
 def _gram_margin(cutoff: float) -> float:
     """Relative slack of the Gram prune at the cutoff.  As |w| = tanh(d/2),
     moving a disc point by the float-error budget moves d by at most
@@ -364,22 +356,33 @@ def _gram_margin(cutoff: float) -> float:
     return (1.0 + math.cosh(cutoff)) * _FLOAT_ERR
 
 
+def _frames(mats: np.ndarray, x: complex, y: complex) -> tuple[np.ndarray, ...]:
+    """The entries (a, b, c, d) of A_x^-1 g A_y for every matrix g, where
+    A_z = [[sqrt v, u / sqrt v], [0, 1 / sqrt v]] maps i to z = u + iv.
+    A_x^-1 and A_y are triangular, so the entries come from g's
+    elementwise, with no stacked 2x2 product."""
+    p, q, s, t = mats.reshape(-1, 4).T
+    rx, ry = math.sqrt(x.imag), math.sqrt(y.imag)
+    # the rows of A_x^-1 g, then times A_y
+    a, b, c, d = (p - x.real * s) / rx, (q - x.real * t) / rx, rx * s, rx * t
+    return a * ry, (a * y.real + b) / ry, c * ry, (c * y.real + d) / ry
+
+
 def _gen_form(gen_mats: np.ndarray, y: complex) -> np.ndarray:
     """The generators' coefficients in ``_gram_norms``, shape (3, G)."""
     import numpy as np
-    ay, ay_inv = _frame(y)
-    s0, s1, s2, s3 = (ay_inv @ gen_mats @ ay).reshape(-1, 4).T
+    s0, s1, s2, s3 = _frames(gen_mats, y, y)
     return np.stack([s0 * s0 + s1 * s1, 2.0 * (s0 * s2 + s1 * s3), s2 * s2 + s3 * s3])
 
 
 def _gram_norms(mats: np.ndarray, x: complex, y: complex, gen_form: np.ndarray) -> np.ndarray:
     """|A_x^-1 g s A_y|_F^2 = 2 cosh d(x, g s y) for every frontier matrix g
     and generator s, shape (F, G).  With (a, b, c, d) = A_x^-1 g A_y and
-    (s0, s1, s2, s3) = A_y^-1 s A_y it is the parent's Gram form
+    (s0, s1, s2, s3) = A_y^-1 s A_y (``_frames``) it is the parent's Gram form
     (a^2 + c^2, ab + cd, b^2 + d^2) against the generator's
     (s0^2 + s1^2, 2 (s0 s2 + s1 s3), s2^2 + s3^2)."""
     import numpy as np
-    a, b, c, d = (_frame(x)[1] @ mats @ _frame(y)[0]).reshape(-1, 4).T
+    a, b, c, d = _frames(mats, x, y)
     return np.stack([a * a + c * c, a * b + c * d, b * b + d * d], axis=1) @ gen_form
 
 
@@ -516,7 +519,7 @@ def orbit_count(
     scan alone would.
 
     Children are pruned before they are formed.  With A_z mapping i to z
-    (``_frame``), 2 cosh d(x, g s y) = |A_x^-1 g s A_y|_F^2, a quadratic
+    (``_frames``), 2 cosh d(x, g s y) = |A_x^-1 g s A_y|_F^2, a quadratic
     form in the parent's Gram matrix and the generator's (``_gram_norms``).
     A pair is multiplied out only when that norm is within 2 cosh(cutoff)
     by the relative margin ``_gram_margin``, far above the relative 3e-11

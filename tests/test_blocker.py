@@ -16,6 +16,7 @@ from geoblock.blocker import (
     blocking_cost_sampled,
     blocking_threshold,
     build_instance,
+    dual_bound,
     midpoint_cover,
     solve_exact,
     verify_cover,
@@ -260,24 +261,38 @@ class TestSolveExact:
             assert any(point_on_geodesic(inst.family, a, space._key_point(z)) for z in sol.keys)
 
     def test_cap_fallback_not_optimal(self):
-        # greedy 11 against a root bound of 9: the capped answer stays uncertified
+        # greedy 11 against the weights bound 10, the MILP optimum: the
+        # capped answer stays uncertified
         inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
         sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
         assert not sol.optimal
-        assert (sol.lower_bound, sol.size) == (9, 11)
+        assert (sol.lower_bound, sol.size) == (10, 11) and milp_minimum(inst) == 10
+        assert dual_bound(inst, sol.weights) == 10
         assert verify_cover(inst.family, sol.keys)
 
     def test_node_budget_stops_uncertified(self, monkeypatch):
-        # the search of this instance visits 6,473 nodes; stopped after 100
-        # it keeps its best cover so far, flagged uncertified over the root bound
-        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, F(49, 4))
+        # the covering LP of this instance is 8.86, so no root bound meets
+        # the optimum 10 and the search runs into the budget; it keeps its
+        # best cover so far, flagged uncertified over the root bound, as it
+        # does stopped after 100 nodes
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, P("5/6", "2/3"), 13)
         full = solve_exact(inst)
-        assert full.optimal and (full.lower_bound, full.size) == (10, 11)
+        assert not full.optimal and (full.lower_bound, full.size) == (9, 10)
+        assert verify_cover(inst.family, full.keys) and milp_minimum(inst) == 10
         monkeypatch.setattr(blocker, "_MAX_NODES", 100)
         sol = solve_exact(inst)
         assert not sol.optimal
         assert sol.lower_bound == full.lower_bound and sol.size >= full.size
         assert verify_cover(inst.family, sol.keys)
+
+    def test_capped_instance_certified_by_weights(self):
+        # t = 7: 151 geodesics and 12,783 candidates, over the 5,000 cap, so
+        # the greedy cover stands; the weights bound meets it
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 49)
+        assert (inst.family.m, inst.num_candidates) == (151, 12783)
+        res = blocker._threshold(inst.family, SolverCaps(), None)
+        assert res.certified and res.value == res.solution.lower_bound == 12
+        assert dual_bound(inst, res.solution.weights) == 12
 
     def test_cap_certified_when_bounds_meet(self):
         space = FlatSpace.unit_torus()
@@ -301,9 +316,11 @@ class TestSolveExact:
                 assert kept == pairwise_undominated(inst.covers), (x, y)
                 checked += 1
 
-    def test_root_bound_matches_reference(self):
+    def test_root_bound_matches_reference(self, monkeypatch):
         # the integer one-pass loads against the bound's definition in
-        # Fractions, uncapped and over every candidate when capped
+        # Fractions, uncapped and over every candidate when capped; with no
+        # weights steps the root bound is that cheap bound alone
+        monkeypatch.setattr(blocker, "_WEIGHT_STEPS", 0)
         rng = random.Random(79)
         dual_wins = 0
         for space, point in ((FlatSpace.unit_torus(), random_point),
@@ -365,6 +382,70 @@ class TestSolveExact:
             sol = solve_exact(inst)
             greedy = len(blocker._greedy_cover(inst.covers, (1 << inst.family.m) - 1))
             assert sol.lower_bound <= sol.size <= greedy
+
+
+class TestDualCertificate:
+    def test_weights_bound_between_reference_and_milp(self):
+        # random torus, skew-torus and billiard instances: the weights bound
+        # lies between the cheap root bound and the optimum, the solver
+        # reports it only where it is higher, and the checker re-derives it,
+        # uncapped and over every candidate when capped
+        rng = random.Random(89)
+        raised = 0
+        for space, point in ((FlatSpace.unit_torus(), random_point),
+                             (FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), random_point),
+                             (FlatSpace.square_billiard(), interior_point)):
+            checked = 0
+            while checked < 12:
+                x, y = point(rng), point(rng)
+                t_sq = F(rng.randint(2, 30), rng.choice((1, 2)))
+                if x == y or not 4 <= family_of(space, x, y, t_sq).m <= 30:
+                    continue
+                inst = instance_of(space, x, y, t_sq)
+                full = (1 << inst.family.m) - 1
+                greedy = len(blocker._greedy_cover(inst.covers, full))
+                optimum = milp_minimum(inst)
+                for caps in (SolverCaps(), SolverCaps(max_candidates=1)):
+                    cheap = reference_root_bound(inst, inst.num_candidates > caps.max_candidates)[0]
+                    cand_of = blocker._candidates_of(inst.covers, inst.family.m)
+                    weights = blocker._weights_dual(inst.covers, cand_of, greedy)[0]
+                    assert weights <= optimum, (space.kind, x, y, t_sq)
+                    sol = solve_exact(inst, caps)
+                    if sol.weights is None:
+                        assert sol.lower_bound == cheap == max(cheap, min(weights, greedy))
+                    else:
+                        assert cheap < sol.lower_bound == dual_bound(inst, sol.weights) <= optimum
+                        raised += 1
+                    assert (sol.size == optimum) >= sol.optimal
+                checked += 1
+        assert raised >= 5
+
+    def test_dual_bound_matches_definition(self):
+        # small random weights, zeros included, against ceil(W / max load)
+        # in Fractions over every candidate
+        rng = random.Random(97)
+        for space, point in ((FlatSpace.unit_torus(), random_point), (FlatSpace.square_billiard(), interior_point)):
+            for _ in range(15):
+                x, y = point(rng), point(rng)
+                inst = instance_of(space, x, y, F(rng.randint(1, 12)))
+                m = inst.family.m
+                if x == y or not m:
+                    continue
+                weights = [rng.randint(0, 5) for _ in range(m)]
+                weights[rng.randrange(m)] += 1
+                most = max(sum(w for i, w in enumerate(weights) if mask >> i & 1) for mask in inst.covers)
+                assert dual_bound(inst, weights) == math.ceil(Fraction(sum(weights), most))
+
+    def test_checker_rejects_weights_that_do_not_certify(self, monkeypatch):
+        solve = blocker.solve_exact
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
+        sol = solve(inst)
+        assert sol.optimal and sol.lower_bound == dual_bound(inst, sol.weights) == 10
+        # every weight on geodesic 0: the checker finds a bound of 1, not 10
+        monkeypatch.setattr(blocker, "solve_exact", lambda instance, caps=SolverCaps(): dataclasses.replace(
+            solve(instance, caps), weights=(1,) + (0,) * (instance.family.m - 1)))
+        with pytest.raises(GeoBlockError, match="weights do not certify"):
+            blocking_threshold(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
 
 
 class TestThresholds:
@@ -496,6 +577,35 @@ class TestSampledCost:
                         except GeoBlockError:
                             drawn = None
                         assert drawn == expected, (space.kind, seed, den, count)
+
+    def test_families_read_within_match_fresh_enumeration(self, monkeypatch):
+        # the sampled pairs' families enumerated once, at the largest t, give
+        # the value and pairs that fresh enumerations at each t give, and
+        # pairs whose m_t cannot beat the running max are not solved
+        solved = []
+        family_threshold = blocker._family_threshold
+
+        def counted(family, caps):
+            solved.append((family.x, family.y))
+            return family_threshold(family, caps)
+
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
+                      FlatSpace.square_billiard()):
+            sampled = PairSampler(seed=5, count=6).pairs(space)
+            keys = {(space.key(p), space.key(q)) for p, q in sampled}
+            top = F(25, 4)
+            families = [family_of(space, p, q, top) for p, q in sampled]
+            skipped = 0
+            for t_sq in (F(1, 16), F(1, 4), F(9, 16), F(1), F(9, 4), F(4), top):
+                fresh = blocking_cost_sampled(space, t_sq, sampled)
+                monkeypatch.setattr(blocker, "_family_threshold", counted)
+                solved.clear()
+                read = blocking_cost_sampled(space, t_sq, sampled, families=families)
+                monkeypatch.setattr(blocker, "_family_threshold", family_threshold)
+                assert (read.value, read.pairs) == (fresh.value, fresh.pairs), (space.kind, t_sq)
+                assert read.value == max(blocking_threshold(space, p, q, t_sq).value for p, q in read.pairs)
+                skipped += len(sampled) - sum(pair in keys for pair in solved)
+            assert skipped > 0, space.kind
 
     def test_ten_pair_sample_bounded_by_midpoints(self):
         space = FlatSpace.unit_torus()

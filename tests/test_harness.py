@@ -269,9 +269,9 @@ class TestVerify:
         calls = []
         sampled = harness.blocking_cost_sampled
 
-        def counted(space, t_sq, pairs, caps):
+        def counted(space, t_sq, pairs, caps, families):
             calls.append(t_sq)
-            return sampled(space, t_sq, pairs, caps)
+            return sampled(space, t_sq, pairs, caps, families=families)
 
         monkeypatch.setattr(harness, "blocking_cost_sampled", counted)
         cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
@@ -580,16 +580,17 @@ class TestCli:
         assert len(parse_t_grid({"start": "1", "stop": "10000", "step": "1"})) == 10000
         assert parse_t_grid(["1e-999"]) == [F(1, 10**999)]
 
-    def test_deep_search_ends_uncertified(self, tmp_path):
-        # this cell's branch and bound ran for minutes; the node budget ends
-        # it with the best cover found, flagged not optimal
+    def test_deep_search_ends_certified(self, tmp_path):
+        # this cell's branch and bound ran for minutes, and then into the
+        # node budget over a root bound of 14; the weights bound meets the
+        # optimum 15, so the search ends at its first cover of that size
         cfg_path = write_config(tmp_path, geometry={"kind": "billiard"},
                                 pairs=[[["1/6", "2/3"], ["1/10", "7/10"]]], t_grid="7/2:7/2:1")
         out = tmp_path / "out"
         assert main(["block", "--config", str(cfg_path), "--out", str(out)]) == 0
         header, row = (out / "block.csv").read_text().splitlines()
         assert header == "pair,x,y,t,s,optimal,midpoint_upper"
-        assert row.startswith('0,"(1/6,2/3)","(1/10,7/10)",3.5,') and row.endswith(",0,")
+        assert row == '0,"(1/6,2/3)","(1/10,7/10)",3.5,15,1,'
 
     def test_parser_built_once_per_process(self, tmp_path, capsys):
         # main builds the parser on its first call only; commands run through
@@ -754,9 +755,10 @@ open(record, "w").write(json.dumps(steps))
 
 @pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
 def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, config):
-    # the cells read one family per pair, at the grid's largest t; the
-    # recursion levels and the sampled cost enumerate their own pairs, and
-    # no (x, y, t^2) is enumerated twice
+    # the cells read one family per pair, at the grid's largest t, and so
+    # do verify's sampled pairs; the recursion levels and the near pairs of
+    # the sampled cost enumerate their own pairs, and no (x, y, t^2) is
+    # enumerated twice
     calls = []
 
     def counted(space, x, y, t_sq):
@@ -776,6 +778,9 @@ def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, con
         assert not repeated, (command, repeated)
         if command == "block":
             assert calls == [(space.key(x), space.key(y), cfg.t_grid[-1] ** 2) for x, y in cfg.pairs]
+        if command == "verify":
+            for p, q in PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator).pairs(space):
+                assert [t_sq for x, y, t_sq in calls if (x, y) == (space.key(p), space.key(q))] == [cfg.t_grid[-1] ** 2]
 
 
 def test_flat_commands_never_import_numpy(tmp_path):

@@ -20,6 +20,7 @@ from geoblock.hyperbolic import (
     _claimed_by_key,
     _distances,
     _first_in_cell,
+    _frames,
     _gen_arrays,
     _gen_form,
     _gram_margin,
@@ -315,7 +316,8 @@ class TestCocompactOrbit:
         # on words of the generators multiplied as the BFS multiplies them,
         # and on random SL(2, R) matrices, the Gram norm of every child
         # within the cutoff stays within the margin of 2 cosh of its
-        # measured displacement: the prune drops no child the d <= cutoff test keeps
+        # measured displacement: the prune drops no child the d <= cutoff
+        # test keeps; the closed-form frames are A_x^-1 g A_y to rounding
         preset = load_preset("octagon_genus2")
         gen_mats, inv_index = _gen_arrays(preset)
         rng = np.random.default_rng(11)
@@ -331,6 +333,11 @@ class TestCocompactOrbit:
                for a, b, r in rng.uniform([0, 0, 0], [np.pi, np.pi, 20], (400, 3))]
         for x, y in ((0.03 + 0.97j, 0.03 + 0.97j), (0.2 + 1.1j, -0.3 + 0.8j), (0.1 + 90j, 1j)):
             for mats in (np.array(words), np.array(sl2)):
+                ax_inv = np.array([[1 / np.sqrt(x.imag), -x.real / np.sqrt(x.imag)], [0, np.sqrt(x.imag)]])
+                ay = np.array([[np.sqrt(y.imag), y.real / np.sqrt(y.imag)], [0, 1 / np.sqrt(y.imag)]])
+                product = (ax_inv @ mats @ ay).reshape(-1, 4).T
+                scale = np.abs(product).max(axis=0)
+                assert np.all(np.abs(np.array(_frames(mats, x, y)) - product) <= 1e-14 * scale)
                 norms = _gram_norms(mats, x, y, _gen_form(gen_mats, y))
                 f, g = np.nonzero(np.ones_like(norms, dtype=bool))
                 d = _distances(x, _apply_batch(_products(mats[f], gen_mats[g]), y))
