@@ -5,7 +5,6 @@ from .blocker import (
     IncidenceInstance,
     PairSampler,
     RecursionReport,
-    SolverCaps,
     ThresholdResult,
     blocking_cost_sampled,
     blocking_threshold,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, GeoBlockError
+from .errors import BudgetExceededError, DomainError, GeoBlockError
 from .flatspace import (
     FlatSpace,
     GeodesicFamily,
@@ -60,11 +60,15 @@ from .flatspace import (
 )
 from .growth import kappa_from_squares
 
-_MAX_NODES = 20_000  # search nodes solve_exact visits before it stops uncertified; tests and bench need < 7,000
+# work solve_exact's search does before it stops uncertified, in candidate and
+# geodesic visits: each node whose bound is computed is charged the undominated
+# candidates and the geodesics that bound scans.  The tests' largest certified
+# search is charged 5.5e6, the bench's 2.8e3
+_MAX_WORK = 10_000_000
+_MAX_GEODESICS = 2_000  # connecting geodesics build_instance takes; a larger family is refused
 _WEIGHT_STEPS = 4  # multiplicative-weights steps per geodesic at the root of solve_exact
 
 __all__ = [
-    "SolverCaps",
     "CheckRow",
     "IncidenceInstance",
     "BlockingSolution",
@@ -81,16 +85,6 @@ __all__ = [
     "blocking_cost_sampled",
     "recursion_harness",
 ]
-
-
-@dataclass(frozen=True)
-class SolverCaps:
-    """Instance-size caps that keep exact solving interactive: build_instance
-    refuses a family over max_geodesics, solve_exact falls back to greedy
-    over max_candidates."""
-
-    max_candidates: int = 5000
-    max_geodesics: int = 2000
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class IncidenceInstance:
         return len(self.candidates)
 
 
-def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> IncidenceInstance:
+def build_instance(family: GeodesicFamily) -> IncidenceInstance:
     """Reduce geometric blocking of the connecting family to a hitting set.
 
     Cover sets are bitmasks over the connecting segments, assembled from the
@@ -122,14 +116,16 @@ def build_instance(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> I
     through one solved k2 interval per row, so a pair costs about its hits).
     Since connecting segments never overlap (module docstring), a record
     names every segment through its point.  The candidates are keys
-    (``FlatSpace._fold_key``), as the family's endpoints are.
+    (``FlatSpace._fold_key``), as the family's endpoints are.  A family of
+    more than ``_MAX_GEODESICS`` segments raises BudgetExceededError before
+    any crossing is solved.
     """
     segs = family.connecting
     m = len(segs)
     if m == 0:
         return IncidenceInstance(family, (), ())
-    if m > caps.max_geodesics:
-        raise GeoBlockError(f"connecting family size {m} exceeds cap {caps.max_geodesics}")
+    if m > _MAX_GEODESICS:
+        raise BudgetExceededError(f"connecting family size {m} exceeds the limit {_MAX_GEODESICS}")
 
     # every record is interior to a connecting segment; the endpoint keys go as a guard
     records: dict[Key, int] = {}
@@ -241,7 +237,7 @@ def _weights_dual(covers: Sequence[int], cand_of: list[list[int]], goal: int) ->
     return best, best_w
 
 
-def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) -> BlockingSolution:
+def solve_exact(instance: IncidenceInstance) -> BlockingSolution:
     """Certified minimum hitting set over the instance's candidate set.
 
     Branch and bound from the greedy cover.  Dominated candidates (cover set
@@ -271,12 +267,10 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     weights dual (``_weights_dual``) and keeps the weights that raise it.  A
     higher root bound only ends the search sooner, at the same cover.
 
-    The bounds are computed before the candidate cap is applied: an
-    instance over it returns the greedy cover, ``optimal`` exactly when the
-    root bound meets it, and ``[lower, greedy]`` otherwise.  Both bounds
-    hold over the dominated candidates too, whose loads never exceed their
-    dominators'.  A search that reaches more than ``_MAX_NODES`` inner nodes
-    stops there and answers the same way, with the best cover found so far.
+    Each node whose bound is computed is charged the candidates and the
+    geodesics that bound scans.  A search charged more than ``_MAX_WORK``
+    stops there with the best cover found so far, ``optimal`` exactly when
+    the root bound meets it.
     """
     m = instance.family.m
     if m == 0:
@@ -284,8 +278,7 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
     full = (1 << m) - 1
 
     greedy = _greedy_cover(instance.covers, full)
-    capped = len(instance.covers) > caps.max_candidates
-    kept = list(range(len(instance.covers))) if capped else _undominated(instance.covers, m)
+    kept = _undominated(instance.covers, m)
     covers = [instance.covers[c] for c in kept]
 
     cand_of = _candidates_of(covers, m)
@@ -316,17 +309,19 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
         if dual > lower:
             lower, weights = dual, dual_weights
     best: list[int] = list(greedy)  # indices into instance.covers
-    nodes = 0
+    work = 0
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best, nodes
+        nonlocal best, work
         if not uncovered:
             if len(chosen) < len(best):
                 best = [kept[c] for c in chosen]
             return
-        nodes += 1
         # no cover is smaller than the root bound, so one that meets it ends the search
-        if nodes > _MAX_NODES or len(best) == lower or len(chosen) + bound(uncovered) >= len(best):
+        if len(best) == lower:
+            return
+        work += len(covers) + m
+        if work > _MAX_WORK or len(chosen) + bound(uncovered) >= len(best):
             return
         # fewest-candidates uncovered geodesic, ties by index
         pick = next(i for i in by_few if uncovered >> i & 1)
@@ -336,10 +331,10 @@ def solve_exact(instance: IncidenceInstance, caps: SolverCaps = SolverCaps()) ->
             bnb(uncovered & ~covers[c], chosen)
             chosen.pop()
 
-    if not capped and lower < len(best):
+    if lower < len(best):
         bnb(full, [])
     keys = tuple(instance.candidates[c] for c in sorted(best))
-    return BlockingSolution(keys, len(keys), not capped and nodes <= _MAX_NODES or lower == len(keys), lower, weights)
+    return BlockingSolution(keys, len(keys), work <= _MAX_WORK or lower == len(keys), lower, weights)
 
 
 def verify_cover(family: GeodesicFamily, keys: Sequence[Key]) -> bool:
@@ -372,10 +367,10 @@ def dual_bound(instance: IncidenceInstance, weights: Sequence[int]) -> int:
     return -(-sum(weights) // most) if most else 0
 
 
-def _solve_checked(instance: IncidenceInstance, caps: SolverCaps) -> BlockingSolution:
+def _solve_checked(instance: IncidenceInstance) -> BlockingSolution:
     """``solve_exact``, with the weights behind its lower bound re-checked by
     ``dual_bound`` before the bound or the ``optimal`` flag is trusted."""
-    sol = solve_exact(instance, caps)
+    sol = solve_exact(instance)
     if sol.weights is not None and dual_bound(instance, sol.weights) < sol.lower_bound:
         raise GeoBlockError("internal: the solver's weights do not certify its lower bound")
     return sol
@@ -415,43 +410,37 @@ class ThresholdResult:
     family: GeodesicFamily  # the full connecting family
 
 
-def blocking_threshold(
-    space: FlatSpace,
-    x: RationalPoint,
-    y: RationalPoint,
-    t_sq,
-    caps: SolverCaps = SolverCaps(),
-) -> ThresholdResult:
+def blocking_threshold(space: FlatSpace, x: RationalPoint, y: RationalPoint, t_sq) -> ThresholdResult:
     """Certified minimal blocking-set size for the connecting family.
 
-    Falls over to the greedy upper bound (``certified=False``, unless the
-    root bound meets it) when the instance exceeds the candidate cap.  On a
-    torus a prefix may certify the midpoint cover (see the module docstring).
+    The best cover found (``certified=False``, unless the root bound meets
+    it) when the search runs out of budget (``solve_exact``).  On a torus a
+    prefix may certify the midpoint cover (see the module docstring).
     """
-    return _family_threshold(connecting_family(space, space.validate_point(x), space.validate_point(y), t_sq), caps)
+    return _family_threshold(connecting_family(space, space.validate_point(x), space.validate_point(y), t_sq))
 
 
-def _family_threshold(family: GeodesicFamily, caps: SolverCaps) -> ThresholdResult:
+def _family_threshold(family: GeodesicFamily) -> ThresholdResult:
     """``blocking_threshold`` of a family: first the proper prefixes at t/8,
     t/4 and t/2, one per size, that hold at least c = |midpoint cover| geodesics."""
     cover = midpoint_cover(family)
-    if cover and family.m <= caps.max_geodesics:
+    if cover:
         c = len(cover)
         rungs = {family.counts_at(t_sq)[1]: t_sq for t_sq in (family.t_sq / 64, family.t_sq / 16, family.t_sq / 4)}
         for m, t_sq in rungs.items():
             if c <= m < family.m:
-                instance = build_instance(family.within(t_sq), caps)
-                sol = _solve_checked(instance, caps)
+                instance = build_instance(family.within(t_sq))
+                sol = _solve_checked(instance)
                 if (sol.size if sol.optimal else sol.lower_bound) >= c:
                     return ThresholdResult(c, True, BlockingSolution(tuple(cover), c, True, c), instance, c, family)
-    return _threshold(family, caps, cover)
+    return _threshold(family, cover)
 
 
-def _threshold(family: GeodesicFamily, caps: SolverCaps, cover: list[Key] | None) -> ThresholdResult:
-    """The full build and solve of a family; a capped greedy cover larger
-    than the family's midpoint cover ``cover`` gives way to it."""
-    instance = build_instance(family, caps)
-    sol = _solve_checked(instance, caps)
+def _threshold(family: GeodesicFamily, cover: list[Key] | None) -> ThresholdResult:
+    """The full build and solve of a family; a cover from a stopped search
+    larger than the family's midpoint cover ``cover`` gives way to it."""
+    instance = build_instance(family)
+    sol = _solve_checked(instance)
     if not verify_cover(family, sol.keys):
         raise GeoBlockError("internal: solver returned a set that does not block the connecting family")
     if cover is not None and sol.size > len(cover):
@@ -521,7 +510,6 @@ def blocking_cost_sampled(
     space: FlatSpace,
     t_sq,
     sampled: Sequence[tuple[RationalPoint, RationalPoint]],
-    caps: SolverCaps = SolverCaps(),
     families: Sequence[GeodesicFamily] | None = None,
 ) -> SampledBlockingCost:
     """The largest threshold at t_sq over the sampled pairs
@@ -550,10 +538,10 @@ def blocking_cost_sampled(
     value = 0
     for family in families:
         if value < min(family.counts_at(t_sq)[1], ceiling):
-            value = max(value, _family_threshold(family.within(t_sq), caps).value)
+            value = max(value, _family_threshold(family.within(t_sq)).value)
     for p, q in pairs[len(families):]:
         if value < ceiling:
-            value = max(value, blocking_threshold(space, p, q, t_sq, caps).value)
+            value = max(value, blocking_threshold(space, p, q, t_sq).value)
     return SampledBlockingCost(value, tuple(pairs))
 
 
@@ -649,7 +637,7 @@ class RecursionReport:
         }
 
 
-def recursion_harness(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -> RecursionReport:
+def recursion_harness(family: GeodesicFamily) -> RecursionReport:
     """Build the halving decomposition of the root family, the connecting
     family of (x, y) at t, and verify its inequalities.
 
@@ -682,7 +670,7 @@ def recursion_harness(family: GeodesicFamily, caps: SolverCaps = SolverCaps()) -
         blocking_sizes = None
         blocking_sets = None
         if not terminal:
-            results = [_threshold(fam, caps, midpoint_cover(fam)) for fam in families]
+            results = [_threshold(fam, midpoint_cover(fam)) for fam in families]
             certified = certified and all(res.certified for res in results)
             blocking_sizes = [res.value for res in results]
             blocking_sets = [res.solution.keys for res in results]

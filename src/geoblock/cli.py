@@ -86,7 +86,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.pairs is not None:
         try:
             cfg.pairs = _parse_pairs(json.loads(args.pairs.read_text()))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read pairs file {args.pairs}: {exc}") from exc
     return cfg
 

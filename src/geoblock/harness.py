@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 from .blocker import (
     CheckRow,
     PairSampler,
-    SolverCaps,
     _family_threshold,
     _round_sig,
     blocking_cost_sampled,
@@ -135,9 +134,8 @@ def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
 
 # the keys a config may use: top level, then per section
 _CONFIG_KEYS = {
-    None: {"geometry", "t_grid", "pairs", "seed", "caps", "sampler", "verify",
+    None: {"geometry", "t_grid", "pairs", "seed", "sampler", "verify",
            "base_points", "threshold_t_max", "orbit", "format"},
-    "caps": {"max_candidates", "max_geodesics"},
     "sampler": {"count", "denominator"},
     "verify": {"recursion", "recursion_t_max"},
     "orbit": {"bound_mode", "max_word_len"},
@@ -193,7 +191,6 @@ class ExperimentConfig:
     t_grid: list[Fraction]
     pairs: list[tuple[RationalPoint, RationalPoint]]
     seed: int
-    caps: SolverCaps
     sampler_count: int
     sampler_denominator: int
     verify_recursion: bool
@@ -249,10 +246,6 @@ class ExperimentConfig:
         if unused:
             raise ConfigError(f"unknown config key in 'geometry' for kind {kind!r}: {', '.join(map(repr, unused))}")
         pairs = _parse_pairs(raw.get("pairs", []))
-        # the caps the config leaves out keep the SolverCaps defaults
-        caps = SolverCaps(**{
-            name: _config_int(f"caps.{name}", value, 1) for name, value in raw.get("caps", {}).items()
-        })
         sampler = raw.get("sampler", {})
         verify = raw.get("verify", {})
         recursion = verify.get("recursion", False)
@@ -274,7 +267,6 @@ class ExperimentConfig:
             t_grid=t_grid,
             pairs=pairs,
             seed=_config_int("seed", raw.get("seed", 42)),
-            caps=caps,
             sampler_count=_config_int("sampler.count", sampler.get("count", 8), 1),
             sampler_denominator=_config_int("sampler.denominator", sampler.get("denominator", 8), 2),
             verify_recursion=recursion,
@@ -290,7 +282,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError holds the decode errors and the integer-length limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -389,7 +382,7 @@ def cmd_block(cfg: ExperimentConfig, out_dir: Path) -> int:
     space = cfg.flat_space()
     rows = []
     for pi, x, y, t, family in _cells(cfg, space):
-        res = _family_threshold(family.within(t * t), cfg.caps)
+        res = _family_threshold(family.within(t * t))
         rows.append(
             {
                 "pair": pi,
@@ -411,7 +404,7 @@ def cmd_recursion_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     reports = []
     failed = False
     for pi, _, _, t, family in _cells(cfg, space):
-        rep = recursion_harness(family.within(t * t), cfg.caps)
+        rep = recursion_harness(family.within(t * t))
         reports.append({"pair": pi, "t": _round_sig(float(t)), "report": rep.to_json()})
         failed = failed or not rep.passed
     _write_text(out_dir / "recursion.json", _json_text({"seed": cfg.seed, "reports": reports}))
@@ -448,7 +441,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     @functools.cache
     def cost(t_sq: Fraction) -> int:
         """Sampled blocking cost at t_sq, a lower bound for the true sup over pairs."""
-        return blocking_cost_sampled(space, t_sq, sampled(), cfg.caps, families=families()).value
+        return blocking_cost_sampled(space, t_sq, sampled(), families=families()).value
 
     checks: list[CheckRow] = []
     notes = [
@@ -460,7 +453,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     cells = list(_cells(cfg, space))
     for pi, x, y, t, family in cells:
         t_sq = t * t
-        thr = _family_threshold(family.within(t_sq), cfg.caps)
+        thr = _family_threshold(family.within(t_sq))
         n, m, s = thr.family.n, thr.family.m, thr.value
         ctx = {
             "pair": pi,
@@ -528,7 +521,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             t_sq = t * t
             if cfg.recursion_t_sq_cap is not None and t_sq > cfg.recursion_t_sq_cap:
                 continue
-            rep = recursion_harness(family.within(t_sq), cfg.caps)
+            rep = recursion_harness(family.within(t_sq))
             ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
             checks.extend(
                 replace(
@@ -620,9 +613,9 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
         s_max = 0
         for _, _, _, t, family in _cells(cfg, space):
             # blocking solves are quadratic in the family size; keep them
-            # on the capped prefix of the grid
+            # on the grid's prefix up to threshold_t_max
             if t * t <= cfg.threshold_t_sq_cap:
-                s_max = max(s_max, _family_threshold(family.within(t * t), cfg.caps).value)
+                s_max = max(s_max, _family_threshold(family.within(t * t)).value)
             n_by_t[float(t)] = max(n_by_t.get(float(t), 0), family.counts_at(t * t)[0])
         pos = [(t, n) for t, n in sorted(n_by_t.items()) if n > 0]
         h_est = _try_rate(pos)

@@ -169,9 +169,13 @@ class FuchsianPreset:
                 raise DomainError(f"generator {name} has determinant {det}; the determinant must be 1")
             if abs(g.trace) <= 2.0:
                 raise DomainError(f"generator {name} is not hyperbolic (|trace| <= 2)")
-        # the uniform count bound and the orbit-point dedup rest on it
-        if type(self.systole) not in (int, float) or not self.systole > 0:
-            raise DomainError("preset needs a positive systole")
+        # the uniform count bound and the orbit-point dedup rest on it; each
+        # generator is a group element, so the systole is at most its
+        # translation length 2 arccosh(|tr g| / 2)
+        shortest = min((2.0 * math.acosh(abs(g.trace) / 2.0) for g in self.generators), default=math.inf)
+        if type(self.systole) not in (int, float) or not 0 < self.systole <= shortest * (1.0 + _FLOAT_ERR) < math.inf:
+            raise DomainError(f"preset needs a positive systole, at most the shortest generator translation "
+                              f"length {shortest:.12g}")
         if not self.relator:
             raise DomainError("preset needs a relator word")
         r = self.evaluate_word(self.relator)
@@ -289,7 +293,7 @@ def load_preset(name_or_path: str | Path) -> FuchsianPreset:
         ) from None
     except DomainError:
         raise
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot load preset {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from geoblock.blocker import SolverCaps, build_instance, recursion_harness
+from geoblock.blocker import build_instance, recursion_harness
 from geoblock.flatspace import _enumerate, _point_order, connecting_family, intersection_candidates
 from geoblock.growth import GrowthSeries
 
@@ -17,9 +17,9 @@ def family_of(space, x, y, t_sq):
     return connecting_family(space, space.key(x), space.key(y), t_sq)
 
 
-def recursion_of(space, x, y, t_sq, caps=SolverCaps()):
+def recursion_of(space, x, y, t_sq):
     """``recursion_harness`` of the family between two points."""
-    return recursion_harness(family_of(space, x, y, t_sq), caps)
+    return recursion_harness(family_of(space, x, y, t_sq))
 
 
 def joining_of(space, x, y, t_sq):
@@ -30,9 +30,9 @@ def joining_of(space, x, y, t_sq):
     return family, _enumerate(space, family.x, family.y, family.t_sq)[1]
 
 
-def instance_of(space, x, y, t_sq, caps=SolverCaps()):
+def instance_of(space, x, y, t_sq):
     """``build_instance`` of the family between two points."""
-    return build_instance(family_of(space, x, y, t_sq), caps)
+    return build_instance(family_of(space, x, y, t_sq))
 
 
 def crossing_points(family, a, b):

@@ -190,16 +190,15 @@ def pairwise_undominated(covers):
     return sorted(kept)
 
 
-def reference_root_bound(instance, capped):
+def reference_root_bound(instance):
     """The solver's root lower bound by its definition, in Fractions, as
-    (bound, packing, dual).  Over the pairwise-undominated candidates (all of
-    them when capped): the packing takes geodesics in order of fewest
+    (bound, packing, dual).  Over the pairwise-undominated candidates: the packing takes geodesics in order of fewest
     candidates, ties by index, while their candidate sets stay pairwise
     disjoint; the dual is sum_i 1/max_{c ∋ i} |c|, every geodesic uncovered."""
     m = instance.family.m
     if m == 0:
         return 0, 0, Fraction(0)
-    kept = range(instance.num_candidates) if capped else pairwise_undominated(instance.covers)
+    kept = pairwise_undominated(instance.covers)
     covers = [instance.covers[c] for c in kept]
     cand_of = [{c for c, mask in enumerate(covers) if mask >> i & 1} for i in range(m)]
     packing, used = 0, set()

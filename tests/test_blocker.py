@@ -12,7 +12,6 @@ import pytest
 import geoblock.blocker as blocker
 from geoblock.blocker import (
     PairSampler,
-    SolverCaps,
     blocking_cost_sampled,
     blocking_threshold,
     build_instance,
@@ -21,7 +20,7 @@ from geoblock.blocker import (
     solve_exact,
     verify_cover,
 )
-from geoblock.errors import DomainError, GeoBlockError
+from geoblock.errors import BudgetExceededError, DomainError, GeoBlockError
 from geoblock.flatspace import (
     FlatSpace,
     RationalPoint,
@@ -196,7 +195,7 @@ class TestBuildInstance:
                 assert sorted(keys, key=order) == sorted(keys, key=space._key_point)
 
     @pytest.mark.parametrize("space,x,y,t_sq,m,n,digest", [
-        # the capped torus t=6 instance of the torus-verify benchmark
+        # the torus t=6 cell of the torus-verify benchmark, built in full
         (FlatSpace.unit_torus(), P("1/8", "1/8"), P("5/8", "3/8"), 36, 108, 5691,
          "6bcc4cae4c54e2e950054721a250b9107c7aedb1c9e059c4674d30d4f7fd8413"),
         (FlatSpace.square_billiard(), HARD_X, HARD_Y, 9, 27, 299,
@@ -260,44 +259,58 @@ class TestSolveExact:
         for a in inst.family.connecting:
             assert any(point_on_geodesic(inst.family, a, space._key_point(z)) for z in sol.keys)
 
-    def test_cap_fallback_not_optimal(self):
-        # greedy 11 against the weights bound 10, the MILP optimum: the
-        # capped answer stays uncertified
-        inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
-        sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
-        assert not sol.optimal
-        assert (sol.lower_bound, sol.size) == (10, 11) and milp_minimum(inst) == 10
-        assert dual_bound(inst, sol.weights) == 10
-        assert verify_cover(inst.family, sol.keys)
+    def test_over_5000_candidates_searched(self):
+        # t^2 = 40: 7,922 candidates, where the greedy cover of 13 once
+        # stood unsearched; the search stops in its budget at a cover of 10
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, P("5/6", "2/3"), 40)
+        assert inst.num_candidates == 7922
+        assert len(blocker._greedy_cover(inst.covers, (1 << inst.family.m) - 1)) == 13
+        sol = solve_exact(inst)
+        assert sol.size <= 10 and verify_cover(inst.family, sol.keys)
 
-    def test_node_budget_stops_uncertified(self, monkeypatch):
+    def test_work_budget_stops_uncertified(self, monkeypatch):
         # the covering LP of this instance is 8.86, so no root bound meets
         # the optimum 10 and the search runs into the budget; it keeps its
         # best cover so far, flagged uncertified over the root bound, as it
-        # does stopped after 100 nodes
+        # does stopped after about 100 bounds
         inst = instance_of(FlatSpace.square_billiard(), HARD_X, P("5/6", "2/3"), 13)
         full = solve_exact(inst)
         assert not full.optimal and (full.lower_bound, full.size) == (9, 10)
         assert verify_cover(inst.family, full.keys) and milp_minimum(inst) == 10
-        monkeypatch.setattr(blocker, "_MAX_NODES", 100)
+        monkeypatch.setattr(blocker, "_MAX_WORK", 40_000)
         sol = solve_exact(inst)
         assert not sol.optimal
         assert sol.lower_bound == full.lower_bound and sol.size >= full.size
         assert verify_cover(inst.family, sol.keys)
 
+    def test_work_charged_per_bound(self, monkeypatch):
+        # 28 geodesics and 256 undominated candidates: the search proves the
+        # greedy cover of 10 over the root bound 9 with 470 bounds, each
+        # charged the 256 + 28 candidates and geodesics it scans
+        inst = instance_of(FlatSpace.square_billiard(), HARD_X, P("1/4", "1/2"), 9)
+        assert (inst.family.m, len(blocker._undominated(inst.covers, inst.family.m))) == (28, 256)
+        work = 470 * (256 + 28)
+        for budget, certified in ((work, True), (work - 1, False)):
+            monkeypatch.setattr(blocker, "_MAX_WORK", budget)
+            sol = solve_exact(inst)
+            assert (sol.lower_bound, sol.size, sol.optimal) == (9, 10, certified)
+
     def test_capped_instance_certified_by_weights(self):
-        # t = 7: 151 geodesics and 12,783 candidates, over the 5,000 cap, so
-        # the greedy cover stands; the weights bound meets it
+        # t = 7: 151 geodesics and 12,783 candidates; the weights bound
+        # meets the greedy cover, so the root certifies it with no search
         inst = instance_of(FlatSpace.square_billiard(), HARD_X, HARD_Y, 49)
         assert (inst.family.m, inst.num_candidates) == (151, 12783)
-        res = blocker._threshold(inst.family, SolverCaps(), None)
+        res = blocker._threshold(inst.family, None)
         assert res.certified and res.value == res.solution.lower_bound == 12
         assert dual_bound(inst, res.solution.weights) == 12
 
-    def test_cap_certified_when_bounds_meet(self):
+    def test_cap_certified_when_bounds_meet(self, monkeypatch):
+        # with no search budget at all, the greedy cover is certified where
+        # the root bound meets it
+        monkeypatch.setattr(blocker, "_MAX_WORK", 0)
         space = FlatSpace.unit_torus()
         inst = instance_of(space, P(0, 0), P("1/2", 0), 4)
-        sol = solve_exact(inst, SolverCaps(max_candidates=1, max_geodesics=2000))
+        sol = solve_exact(inst)
         assert sol.optimal
         assert sol.size == sol.lower_bound == 4
         assert verify_cover(inst.family, sol.keys)
@@ -318,8 +331,8 @@ class TestSolveExact:
 
     def test_root_bound_matches_reference(self, monkeypatch):
         # the integer one-pass loads against the bound's definition in
-        # Fractions, uncapped and over every candidate when capped; with no
-        # weights steps the root bound is that cheap bound alone
+        # Fractions; with no weights steps the root bound is that cheap
+        # bound alone
         monkeypatch.setattr(blocker, "_WEIGHT_STEPS", 0)
         rng = random.Random(79)
         dual_wins = 0
@@ -333,10 +346,9 @@ class TestSolveExact:
                 if x == y or not 1 <= family_of(space, x, y, t_sq).m <= 24:
                     continue
                 inst = instance_of(space, x, y, t_sq)
-                for caps in (SolverCaps(), SolverCaps(max_candidates=1)):
-                    bound, packing, dual = reference_root_bound(inst, inst.num_candidates > caps.max_candidates)
-                    assert solve_exact(inst, caps).lower_bound == bound, (space.kind, x, y, t_sq, caps)
-                    dual_wins += packing < math.ceil(dual)
+                bound, packing, dual = reference_root_bound(inst)
+                assert solve_exact(inst).lower_bound == bound, (space.kind, x, y, t_sq)
+                dual_wins += packing < math.ceil(dual)
                 checked += 1
         assert dual_wins >= 5
 
@@ -388,8 +400,7 @@ class TestDualCertificate:
     def test_weights_bound_between_reference_and_milp(self):
         # random torus, skew-torus and billiard instances: the weights bound
         # lies between the cheap root bound and the optimum, the solver
-        # reports it only where it is higher, and the checker re-derives it,
-        # uncapped and over every candidate when capped
+        # reports it only where it is higher, and the checker re-derives it
         rng = random.Random(89)
         raised = 0
         for space, point in ((FlatSpace.unit_torus(), random_point),
@@ -405,20 +416,21 @@ class TestDualCertificate:
                 full = (1 << inst.family.m) - 1
                 greedy = len(blocker._greedy_cover(inst.covers, full))
                 optimum = milp_minimum(inst)
-                for caps in (SolverCaps(), SolverCaps(max_candidates=1)):
-                    cheap = reference_root_bound(inst, inst.num_candidates > caps.max_candidates)[0]
-                    cand_of = blocker._candidates_of(inst.covers, inst.family.m)
-                    weights = blocker._weights_dual(inst.covers, cand_of, greedy)[0]
-                    assert weights <= optimum, (space.kind, x, y, t_sq)
-                    sol = solve_exact(inst, caps)
-                    if sol.weights is None:
-                        assert sol.lower_bound == cheap == max(cheap, min(weights, greedy))
-                    else:
-                        assert cheap < sol.lower_bound == dual_bound(inst, sol.weights) <= optimum
-                        raised += 1
-                    assert (sol.size == optimum) >= sol.optimal
+                cheap = reference_root_bound(inst)[0]
+                cand_of = blocker._candidates_of(inst.covers, inst.family.m)
+                weights = blocker._weights_dual(inst.covers, cand_of, greedy)[0]
+                assert weights <= optimum, (space.kind, x, y, t_sq)
+                sol = solve_exact(inst)
+                if sol.weights is None:
+                    assert sol.lower_bound == cheap == max(cheap, min(weights, greedy))
+                else:
+                    assert cheap < sol.lower_bound == dual_bound(inst, sol.weights) <= optimum
+                    raised += 1
+                assert (sol.size == optimum) >= sol.optimal
                 checked += 1
-        assert raised >= 5
+        # every instance the solver raises on this sample; the bound was 5
+        # while each instance was also solved with every candidate kept
+        assert raised >= 4
 
     def test_dual_bound_matches_definition(self):
         # small random weights, zeros included, against ceil(W / max load)
@@ -442,8 +454,8 @@ class TestDualCertificate:
         sol = solve(inst)
         assert sol.optimal and sol.lower_bound == dual_bound(inst, sol.weights) == 10
         # every weight on geodesic 0: the checker finds a bound of 1, not 10
-        monkeypatch.setattr(blocker, "solve_exact", lambda instance, caps=SolverCaps(): dataclasses.replace(
-            solve(instance, caps), weights=(1,) + (0,) * (instance.family.m - 1)))
+        monkeypatch.setattr(blocker, "solve_exact", lambda instance: dataclasses.replace(
+            solve(instance), weights=(1,) + (0,) * (instance.family.m - 1)))
         with pytest.raises(GeoBlockError, match="weights do not certify"):
             blocking_threshold(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
 
@@ -507,8 +519,8 @@ class TestThresholds:
     def test_non_blocking_solution_rejected(self, monkeypatch):
         solve = blocker.solve_exact
 
-        def drop_first_point(instance, caps=SolverCaps()):
-            sol = solve(instance, caps)
+        def drop_first_point(instance):
+            sol = solve(instance)
             return dataclasses.replace(sol, keys=sol.keys[1:])
 
         monkeypatch.setattr(blocker, "solve_exact", drop_first_point)
@@ -585,9 +597,9 @@ class TestSampledCost:
         solved = []
         family_threshold = blocker._family_threshold
 
-        def counted(family, caps):
+        def counted(family):
             solved.append((family.x, family.y))
-            return family_threshold(family, caps)
+            return family_threshold(family)
 
         for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))),
                       FlatSpace.square_billiard()):
@@ -619,14 +631,14 @@ class TestSampledCost:
 EARLY_TORI = (((1, 0), (0, 1)), ((1, 0), (F(1, 3), F(5, 4))), ((1, 0), (F(1, 2), F(1, 2))))
 
 
-def full_threshold(space, x, y, t_sq, caps=SolverCaps()):
+def full_threshold(space, x, y, t_sq):
     """The threshold by the full build and solve, with no prefix certificate."""
     family = family_of(space, x, y, t_sq)
-    return blocker._threshold(family, caps, midpoint_cover(family))
+    return blocker._threshold(family, midpoint_cover(family))
 
 
 class TestEarlyCertificate:
-    def test_value_path_matches_full_solve(self):
+    def test_value_path_matches_full_solve(self, monkeypatch):
         rng = random.Random(83)
         early = 0
         for basis in EARLY_TORI:
@@ -641,8 +653,10 @@ class TestEarlyCertificate:
                 assert res.certified or not full.certified
                 assert res.family == full.family
                 assert res.midpoint_upper == full.midpoint_upper
-                # a prefix over the candidate cap certifies through its root bound only
-                capped = blocking_threshold(space, x, y, t_sq, SolverCaps(max_candidates=2))
+                # a prefix whose search stops at once certifies through its root bound only
+                with monkeypatch.context() as patch:
+                    patch.setattr(blocker, "_MAX_WORK", 0)
+                    capped = blocking_threshold(space, x, y, t_sq)
                 assert capped.value >= full.value and (capped.value == full.value or not capped.certified)
                 if res.instance.family.t_sq < t_sq:
                     # certified by a prefix: the midpoint cover blocks the full family
@@ -658,9 +672,10 @@ class TestEarlyCertificate:
             assert (res.value, res.certified) == (4, True)
             assert verify_cover(res.family, res.solution.keys)
 
-    def test_capped_torus_value_at_most_midpoint_cover(self):
+    def test_capped_torus_value_at_most_midpoint_cover(self, monkeypatch):
+        # every search stops before its first bound, so the greedy cover stands
+        monkeypatch.setattr(blocker, "_MAX_WORK", 0)
         rng = random.Random(89)
-        caps = SolverCaps(max_candidates=2)
         gave_way = 0
         for basis in EARLY_TORI:
             space = FlatSpace.torus(*basis)
@@ -668,13 +683,13 @@ class TestEarlyCertificate:
                 den = rng.choice((3, 5, 6))
                 x = random_point(rng, den)
                 y = x if rng.random() < 0.2 else random_point(rng, den)
-                res = full_threshold(space, x, y, F(rng.randint(1, 12)), caps)
+                res = full_threshold(space, x, y, F(rng.randint(1, 12)))
                 if res.midpoint_upper is None:
                     continue
                 assert res.value <= res.midpoint_upper
                 assert res.certified == (res.solution.lower_bound >= res.value)
                 assert verify_cover(res.family, res.solution.keys)
-                gave_way += solve_exact(res.instance, caps).size > res.value
+                gave_way += solve_exact(res.instance).size > res.value
         assert gave_way > 0
 
     def test_midpoint_key_check_matches_incidence(self):
@@ -712,21 +727,28 @@ class TestEarlyCertificate:
     def test_prefix_certifies_through_its_lower_bound_only(self, monkeypatch):
         solve = blocker.solve_exact
 
-        def loose(instance, caps=SolverCaps()):
-            # the same cover, reported as a capped one under a weak root bound
-            return dataclasses.replace(solve(instance, caps), optimal=False, lower_bound=0)
+        def loose(instance):
+            # the same cover, reported as a stopped search's under a weak root bound
+            return dataclasses.replace(solve(instance), optimal=False, lower_bound=0)
 
         monkeypatch.setattr(blocker, "solve_exact", loose)
         res = blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 16)
         assert res.instance.family == res.family and not res.certified
 
     def test_family_over_geodesic_cap_raises_before_solving(self, monkeypatch):
-        def no_solve(instance, caps=SolverCaps()):
-            raise AssertionError("a prefix was solved")
+        # t = 30: 2,300 geodesics, over the 2,000 an instance takes, once
+        # refused before its t/8 prefix of 36 was tried; that prefix certifies 4
+        res = blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 900)
+        assert (res.family.m, res.instance.family.m) == (2300, 36)
+        assert (res.value, res.certified) == (4, True) and verify_cover(res.family, res.solution.keys)
 
-        monkeypatch.setattr(blocker, "solve_exact", no_solve)
-        with pytest.raises(GeoBlockError, match="exceeds cap"):
-            blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 16, SolverCaps(max_geodesics=10))
+        # a billiard family over the limit is refused before any crossing is solved
+        def no_crossings(family, a, b):
+            raise AssertionError("a crossing was solved")
+
+        monkeypatch.setattr(blocker, "intersection_candidates", no_crossings)
+        with pytest.raises(BudgetExceededError, match="connecting family size 2066 exceeds the limit 2000"):
+            blocking_threshold(FlatSpace.square_billiard(), HARD_X, HARD_Y, 26 * 26)
 
 
 class TestRecursion:

@@ -25,8 +25,7 @@ must be a keyword argument of a call in a ``bench/*.py`` file.
 
 A config key that ``harness`` accepts must be read: a ``.get("key")`` or
 ``["key"]`` in ``harness.py`` or in ``load_space``, which takes the geometry
-mapping whole.  The ``caps`` keys are splatted into ``SolverCaps`` and read
-as its fields.
+mapping whole.
 
 One flat engine: a load of ``FlatSpace.kind`` or ``FlatSpace.is_torus`` in
 the package, keyed on its receiver as field reads are (an unresolved
@@ -35,7 +34,6 @@ with the ROADMAP item that removes it, so no new kind branch lands unnoticed.
 """
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -469,22 +467,15 @@ def _key_reads(source: str) -> set[str]:
 
 def test_every_config_key_is_read():
     # an accepted key whose reader is deleted would otherwise linger
-    from geoblock.blocker import SolverCaps
     from geoblock.flatspace import load_space
     from geoblock.harness import _CONFIG_KEYS
     source = (PACKAGE / "harness.py").read_text()
     reads = _key_reads(source) | _key_reads(textwrap.dedent(inspect.getsource(load_space)))
-    splatted = any(
-        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "SolverCaps"
-        and any(k.arg is None for k in n.keywords)
-        for n in ast.walk(ast.parse(source))
-    )
-    caps = {f.name for f in dataclasses.fields(SolverCaps)} if splatted else set()
     unread = [
         f"{section or 'config'}.{key}"
         for section, keys in _CONFIG_KEYS.items()
         for key in sorted(keys)
-        if key not in (caps if section == "caps" else reads)
+        if key not in reads
     ]
     assert not unread
 

@@ -14,7 +14,7 @@ import pytest
 
 import geoblock.blocker as blocker
 import geoblock.harness as harness
-from geoblock.blocker import PairSampler, SolverCaps
+from geoblock.blocker import PairSampler
 from geoblock.cli import _build_parser, main
 from geoblock.errors import ConfigError
 from geoblock.flatspace import RationalPoint, connecting_family, load_space
@@ -103,6 +103,9 @@ class TestConfig:
             flat_config(treshold_t_max="2")
         with pytest.raises(ConfigError, match="'workers'"):
             flat_config(workers=2)
+        # the solver's budgets are module constants
+        with pytest.raises(ConfigError, match="unknown config key: 'caps'"):
+            flat_config(caps={"max_candidates": 5000, "max_geodesics": 2000})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="'sampler'.*'cout'"):
@@ -117,7 +120,6 @@ class TestConfig:
             "t_grid": [F(1), F(2)],
             "pairs": [],
             "seed": 42,
-            "caps": SolverCaps(max_candidates=5000, max_geodesics=2000),
             "sampler_count": 8,
             "sampler_denominator": 8,
             "verify_recursion": False,
@@ -269,9 +271,9 @@ class TestVerify:
         calls = []
         sampled = harness.blocking_cost_sampled
 
-        def counted(space, t_sq, pairs, caps, families):
+        def counted(space, t_sq, pairs, families):
             calls.append(t_sq)
-            return sampled(space, t_sq, pairs, caps, families=families)
+            return sampled(space, t_sq, pairs, families=families)
 
         monkeypatch.setattr(harness, "blocking_cost_sampled", counted)
         cmd_verify(ExperimentConfig.from_file(ROOT / "configs" / "unit_torus.json"), tmp_path)
@@ -285,13 +287,13 @@ class TestVerify:
         built, solved = [], []
         build, solve = blocker.build_instance, blocker.solve_exact
 
-        def traced_build(family, caps=SolverCaps()):
-            built.append(build(family, caps))
+        def traced_build(family):
+            built.append(build(family))
             return built[-1]
 
-        def traced_solve(instance, caps=SolverCaps()):
+        def traced_solve(instance):
             solved.append(instance)
-            return solve(instance, caps)
+            return solve(instance)
 
         monkeypatch.setattr(blocker, "build_instance", traced_build)
         monkeypatch.setattr(blocker, "solve_exact", traced_solve)
@@ -480,7 +482,8 @@ class TestCli:
         for name, extra in (
             ("seed_str", {"seed": "abc"}),
             ("seed_float", {"seed": 1.5}),
-            ("cap_str", {"caps": {"max_candidates": "x"}}),
+            # the solver's budgets are constants, not config keys
+            ("caps", {"caps": {"max_candidates": 5000}}),
             ("count_list", {"sampler": {"count": [1]}}),
             ("recursion_str", {"verify": {"recursion": "no"}}),
             # a negative t was squared into a positive cap; an empty grid loaded
@@ -545,6 +548,28 @@ class TestCli:
             assert main(["count", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 2
             assert not (tmp_path / name / "count.csv").exists()
 
+    @pytest.mark.parametrize("reader", ["config", "pairs", "preset"])
+    def test_json_the_decoder_refuses_exit_2(self, tmp_path, capsys, reader):
+        # arrays nested 200,000 deep raised RecursionError, and an integer of
+        # 5,001 digits ValueError past the decoder's digit limit: each crashed
+        # with a traceback and exit 1, the code of a failed check
+        config, bad, octagon = write_config(tmp_path), tmp_path / "bad.json", tmp_path / "octagon.json"
+        octagon.write_text(json.dumps({"geometry": {"kind": "fuchsian", "preset": str(bad)}, "t_grid": ["3"]}))
+        argv = {
+            "config": ["--config", str(bad)],
+            "pairs": ["--config", str(config), "--pairs", str(bad)],
+            "preset": ["--config", str(octagon)],
+        }[reader]
+        # the long count is below 1 too, for a decoder with no digit limit
+        long_int = config.read_text().replace('"count": 4', '"count": -' + "9" * 5001)
+        for text in ("[" * 200_000 + "]" * 200_000, long_int):
+            bad.write_text(text)
+            capsys.readouterr()
+            assert main(["count", *argv, "--out", str(tmp_path / "out")]) == 2, text[:20]
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
     def test_huge_t_refused_exit_3(self, tmp_path, capsys):
         # the enumeration box of t = 10^400 is refused before it is walked
         cfg_path = write_config(tmp_path, t_grid=["1e400"])
@@ -582,7 +607,7 @@ class TestCli:
 
     def test_deep_search_ends_certified(self, tmp_path):
         # this cell's branch and bound ran for minutes, and then into the
-        # node budget over a root bound of 14; the weights bound meets the
+        # search budget over a root bound of 14; the weights bound meets the
         # optimum 15, so the search ends at its first cover of that size
         cfg_path = write_config(tmp_path, geometry={"kind": "billiard"},
                                 pairs=[[["1/6", "2/3"], ["1/10", "7/10"]]], t_grid="7/2:7/2:1")

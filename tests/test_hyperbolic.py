@@ -111,10 +111,13 @@ class TestPresets:
 
     def test_cocompact_needs_positive_systole(self):
         # the orbit-point dedup derives its tolerance from the systole, and
-        # the uniform count bound rests on it
+        # the uniform count bound rests on it; a systole above a generator's
+        # translation length 3.057142 counted 1 or 94 octagon points at t = 6
+        # as certified, not 97
         data = octagon_data()
         del data["systole"]
-        for bad in ({}, {"systole": 0.0}, {"systole": -1.0}, {"systole": None}, {"systole": True}):
+        for bad in ({}, {"systole": 0.0}, {"systole": -1.0}, {"systole": None}, {"systole": True},
+                    {"systole": math.inf}, {"systole": 30.0}, {"systole": 3.0572}):
             with pytest.raises(DomainError, match="preset needs a positive systole"):
                 FuchsianPreset.from_json({**data, **bad})
 
