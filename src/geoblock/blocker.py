@@ -30,6 +30,17 @@ with the midpoint cover as the set, and the full instance is never built.
 solver's first optimal set.  Either way each family's cover is computed once
 and handed to the full solve (``_threshold``).
 
+At most one segment.  A family of m <= 1 segments is settled without a
+build or a solve (``_threshold``): its only record is its midpoint, and
+greedy meets the root bound 1.
+
+Translation classes.  With the identity as the only flip, ``connecting``,
+``sq_lengths`` and ``sq_scale`` depend only on D = lcm of the endpoints'
+denominators and on y - x mod D: ``_enumerate`` lists each a = y - x (mod D)
+in the disc and tests a alone.  So a recursion level enumerates each class
+once (``_level_families``).  Blocking sets are not shared: candidates follow
+the absolute point order, so a translate may pick another first optimum.
+
 Keys inside, points at the edge (``flatspace``): instances, solutions, covers
 and recursion levels hold folded keys, so a blocking set's keys are the next
 level's endpoints as they are.  A connecting segment is its displacement on
@@ -122,8 +133,6 @@ def build_instance(family: GeodesicFamily) -> IncidenceInstance:
     """
     segs = family.connecting
     m = len(segs)
-    if m == 0:
-        return IncidenceInstance(family, (), ())
     if m > _MAX_GEODESICS:
         raise BudgetExceededError(f"connecting family size {m} exceeds the limit {_MAX_GEODESICS}")
 
@@ -273,8 +282,6 @@ def solve_exact(instance: IncidenceInstance) -> BlockingSolution:
     the root bound meets it.
     """
     m = instance.family.m
-    if m == 0:
-        return BlockingSolution((), 0, True, 0)
     full = (1 << m) - 1
 
     greedy = _greedy_cover(instance.covers, full)
@@ -437,8 +444,13 @@ def _family_threshold(family: GeodesicFamily) -> ThresholdResult:
 
 
 def _threshold(family: GeodesicFamily, cover: list[Key] | None) -> ThresholdResult:
-    """The full build and solve of a family; a cover from a stopped search
-    larger than the family's midpoint cover ``cover`` gives way to it."""
+    """The build and solve of a family, or its closed form at m <= 1 (module
+    docstring); a stopped search's cover larger than the midpoint cover ``cover`` gives way to it."""
+    mid_upper = len(cover) if cover is not None else None
+    if family.m <= 1:
+        keys = tuple(family.key_at(a, 1, 2) for a in family.connecting)
+        sol = BlockingSolution(keys, family.m, True, family.m)
+        return ThresholdResult(family.m, True, sol, IncidenceInstance(family, keys, (1,) * family.m), mid_upper, family)
     instance = build_instance(family)
     sol = _solve_checked(instance)
     if not verify_cover(family, sol.keys):
@@ -447,7 +459,6 @@ def _threshold(family: GeodesicFamily, cover: list[Key] | None) -> ThresholdResu
         if sol.optimal:
             raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
         sol = replace(sol, keys=tuple(cover), size=len(cover), optimal=sol.lower_bound >= len(cover))
-    mid_upper = len(cover) if cover is not None else None
     return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, family)
 
 
@@ -637,6 +648,25 @@ class RecursionReport:
         }
 
 
+def _level_families(space: FlatSpace, pairs: list[tuple[Key, Key]], t_sq: Fraction) -> list[GeodesicFamily]:
+    """The families of a level's pairs, one enumeration per translation class
+    when the identity is the only flip (module docstring)."""
+    if len(space.group) > 1:
+        return [connecting_family(space, p, q, t_sq) for p, q in pairs]
+    reps: dict[tuple[int, int, int], GeodesicFamily] = {}
+    out = []
+    for p, q in pairs:
+        den = math.lcm(p[2], q[2])
+        x1, x2 = p[0] * (den // p[2]), p[1] * (den // p[2])
+        cls = ((q[0] * (den // q[2]) - x1) % den, (q[1] * (den // q[2]) - x2) % den, den)
+        if cls in reps:
+            rep = reps[cls]
+            out.append(GeodesicFamily(space, p, q, t_sq, (x1, x2, den), rep.connecting, rep.sq_lengths, rep.sq_scale))
+        else:
+            out.append(reps.setdefault(cls, connecting_family(space, p, q, t_sq)))
+    return out
+
+
 def recursion_harness(family: GeodesicFamily) -> RecursionReport:
     """Build the halving decomposition of the root family, the connecting
     family of (x, y) at t, and verify its inequalities.
@@ -665,12 +695,12 @@ def recursion_harness(family: GeodesicFamily) -> RecursionReport:
         level_t_sq = t_sq / 4**k
         terminal = k == kap
 
-        families = [connecting_family(space, p, q, level_t_sq) for p, q in pairs] if k else [family]
+        families = _level_families(space, pairs, level_t_sq) if k else [family]
         counts = [fam.m for fam in families]
         blocking_sizes = None
         blocking_sets = None
         if not terminal:
-            results = [_threshold(fam, midpoint_cover(fam)) for fam in families]
+            results = [_threshold(fam, midpoint_cover(fam) if fam.m > 1 else None) for fam in families]
             certified = certified and all(res.certified for res in results)
             blocking_sizes = [res.value for res in results]
             blocking_sets = [res.solution.keys for res in results]

@@ -527,6 +527,30 @@ class TestThresholds:
         with pytest.raises(GeoBlockError, match="does not block"):
             blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", 0), 1)
 
+    def test_closed_form_matches_the_solve(self):
+        # a family of at most one segment is settled without a build or a
+        # solve: the same result, field for field, as the pipeline it skips
+        rng = random.Random(103)
+        for space in (FlatSpace.unit_torus(), FlatSpace.torus((1, 0), (F(1, 3), F(5, 4))), FlatSpace.square_billiard()):
+            seen = set()
+            for trial in range(60):
+                x = interior_point(rng, 8)
+                y = x if trial % 4 == 0 else interior_point(rng, 8)
+                fam = family_of(space, x, y, F(rng.randint(1, 16), 16))
+                if fam.m > 1:
+                    continue
+                instance = build_instance(fam)
+                sol = blocker._solve_checked(instance)
+                assert verify_cover(fam, sol.keys)
+                for cover in (midpoint_cover(fam), None):
+                    upper = len(cover) if cover is not None else None
+                    want = blocker.ThresholdResult(sol.size, sol.optimal, sol, instance, upper, fam)
+                    assert blocker._threshold(fam, cover) == want, (space.kind, x, y, fam.t_sq)
+                seen.add((fam.m, x == y))
+            assert seen >= {(0, False), (1, False), (0, True)}, space.kind
+        # on the billiard, last, a loop x = y can be one segment: it bounces off a wall
+        assert (1, True) in seen
+
     def test_billiard_series_canonical(self):
         space = FlatSpace.square_billiard()
         res = blocking_threshold(space, HARD_X, HARD_Y, 9)

@@ -14,7 +14,7 @@ import pytest
 
 import geoblock.blocker as blocker
 import geoblock.harness as harness
-from geoblock.blocker import PairSampler
+from geoblock.blocker import PairSampler, recursion_harness
 from geoblock.cli import _build_parser, main
 from geoblock.errors import ConfigError
 from geoblock.flatspace import RationalPoint, connecting_family, load_space
@@ -778,20 +778,38 @@ open(record, "w").write(json.dumps(steps))
 """
 
 
+def translation_class(x, y):
+    """Two keys' common denominator D and y - x mod D, as (c1, c2, D)."""
+    den = math.lcm(x[2], y[2])
+    return tuple((b * (den // y[2]) - a * (den // x[2])) % den for a, b in zip(x[:2], y[:2])) + (den,)
+
+
 @pytest.mark.parametrize("config", ["unit_torus.json", "billiard.json"])
 def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, config):
     # the cells read one family per pair, at the grid's largest t, and so
-    # do verify's sampled pairs; the recursion levels and the near pairs of
-    # the sampled cost enumerate their own pairs, and no (x, y, t^2) is
-    # enumerated twice
+    # do verify's sampled pairs; the near pairs of the sampled cost enumerate
+    # their own pairs, and no (x, y, t^2) is enumerated twice.  A billiard
+    # recursion level enumerates each of its pairs as itself; a torus level
+    # enumerates each translation class once
     calls = []
+    recursions = []  # per recursion_harness call: its report (None if it raised) and the calls made inside it
 
     def counted(space, x, y, t_sq):
         calls.append((x, y, Fraction(t_sq)))
         return connecting_family(space, x, y, t_sq)
 
+    def recorded(family):
+        start, inside = len(calls), [None, []]
+        recursions.append(inside)
+        try:
+            inside[0] = recursion_harness(family)
+            return inside[0]
+        finally:
+            inside[1] = calls[start:]
+
     for module in (harness, blocker):
         monkeypatch.setattr(module, "connecting_family", counted)
+    monkeypatch.setattr(harness, "recursion_harness", recorded)
     path = ROOT / "configs" / config
     cfg = ExperimentConfig.from_file(path)
     space = load_space(cfg.geometry)
@@ -806,6 +824,18 @@ def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, con
         if command == "verify":
             for p, q in PairSampler(cfg.seed, cfg.sampler_count, cfg.sampler_denominator).pairs(space):
                 assert [t_sq for x, y, t_sq in calls if (x, y) == (space.key(p), space.key(q))] == [cfg.t_grid[-1] ** 2]
+    reports = [report for report, _ in recursions if report is not None]
+    assert reports
+    for report, inside in recursions:
+        if len(space.group) == 1:
+            classes = Counter((translation_class(x, y), t_sq) for x, y, t_sq in inside)
+            assert max(classes.values(), default=1) == 1, classes
+        elif report is not None:
+            assert inside == [(x, y, lv.t_sq) for lv in report.levels[1:] for x, y in lv.pairs]
+    if len(space.group) == 1:
+        # the torus levels do hold pairs that share a class
+        level_pairs = sum(len(lv.pairs) for report in reports for lv in report.levels[1:])
+        assert level_pairs > sum(len(inside) for _, inside in recursions)
 
 
 def test_flat_commands_never_import_numpy(tmp_path):

@@ -11,8 +11,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoblock.blocker import blocking_threshold
-from geoblock.flatspace import FlatSpace, RationalPoint
+from geoblock.blocker import _level_families, blocking_threshold
+from geoblock.flatspace import FlatSpace, RationalPoint, connecting_family
 from geoblock.hyperbolic import load_preset, orbit_count
 
 F = Fraction
@@ -48,10 +48,21 @@ def square_symmetries(p):
 
 
 @PROPERTY
-@given(tori, plane_points, plane_points, t_sqs)
-def test_torus_translation(space, x, y, t_sq):
+@given(tori, plane_points, plane_points, st.integers(1, 5), t_sqs)
+def test_torus_translation(space, x, y, n, t_sq):
     origin = RationalPoint(F(0), F(0))
     assert nms(space, x, y, t_sq) == nms(space, origin, RationalPoint(y.x - x.x, y.y - x.y), t_sq)
+
+    # moved by n(y - x), the pair keeps y - x and the common denominator of
+    # its keys, so the two families share their segments and lengths, and
+    # a recursion level builds the second from the first
+    def moved(p):
+        return space.key(RationalPoint(p.x + n * (y.x - x.x), p.y + n * (y.y - x.y)))
+
+    pairs = [(space.key(x), space.key(y)), (moved(x), moved(y))]
+    fresh = [connecting_family(space, p, q, t_sq) for p, q in pairs]
+    assert len({(fam.connecting, fam.sq_lengths, fam.sq_scale) for fam in fresh}) == 1
+    assert _level_families(space, pairs, t_sq) == fresh
 
 
 @PROPERTY
