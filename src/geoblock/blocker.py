@@ -521,7 +521,7 @@ def blocking_cost_sampled(
     space: FlatSpace,
     t_sq,
     sampled: Sequence[tuple[RationalPoint, RationalPoint]],
-    families: Sequence[GeodesicFamily] | None = None,
+    families: Sequence[GeodesicFamily],
 ) -> SampledBlockingCost:
     """The largest threshold at t_sq over the sampled pairs
     (``PairSampler.pairs``, drawn once by the caller for every t) and, after
@@ -531,12 +531,9 @@ def blocking_cost_sampled(
 
     ``families`` holds the sampled pairs' families in their order at some
     t^2 >= t_sq, read ``within`` t_sq, so a caller asking for several t
-    enumerates each pair once; without it they are enumerated at t_sq.  A
-    pair whose m_t is at most the running max is skipped, as s_t <= m_t."""
+    enumerates each pair once.  A pair whose m_t is at most the running max
+    is skipped, as s_t <= m_t."""
     t_sq = Fraction(t_sq)
-    if families is None:
-        families = [connecting_family(space, space.validate_point(p), space.validate_point(q), t_sq)
-                    for p, q in sampled]
     pairs = list(sampled)
     seen = set(sampled)
     for p, q in sampled:

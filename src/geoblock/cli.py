@@ -85,9 +85,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.t_grid = parse_t_grid(spec if ":" in spec else spec.split(","))
     if args.pairs is not None:
         try:
-            cfg.pairs = _parse_pairs(json.loads(args.pairs.read_text()))
+            raw = json.loads(args.pairs.read_text())
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read pairs file {args.pairs}: {exc}") from exc
+        cfg.pairs = _parse_pairs(raw)
     return cfg
 
 

@@ -48,53 +48,53 @@ __all__ = [
 ]
 
 
-def _parse_fraction(v) -> Fraction:
-    try:
-        return _frac(v)
-    except GeoBlockError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-# digits of a t value's numerator or denominator: t = 10^400 still reaches
-# the flat enumeration's box budget, while parsing 1e3000000 alone takes seconds
+# digits of an exact rational's numerator or denominator: t = 10^400 still
+# reaches the flat enumeration's box budget, while parsing 1e3000000 alone
+# takes seconds
 _MAX_T_DIGITS = 1000
 _MAX_T_POINTS = 10**4  # points of an a:b:step grid
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
-def _parse_t(v) -> Fraction:
-    """A t value whose numerator and denominator have at most
-    ``_MAX_T_DIGITS`` digits.  A string is measured before it is parsed, as
-    Fraction builds 10^n for an exponent n: its length and exponent bound
-    the digits that parsing it builds."""
+def _parse_fraction(v, name: str) -> Fraction:
+    """The exact rational ``v`` that config key ``name`` gives: a p/q or
+    decimal string or an integer, not a bool or a float, whose numerator and
+    denominator have at most ``_MAX_T_DIGITS`` digits.  A string is measured
+    before it is parsed, as Fraction builds 10^n for an exponent n: its
+    length and exponent bound the digits that parsing it builds."""
+    if isinstance(v, (bool, float)):
+        raise ConfigError(f"{name} {v!r} is a {type(v).__name__}, not an exact rational")
+    too_long = f"{name} {v!r:.40} has more than {_MAX_T_DIGITS} digits"
     if isinstance(v, str):
         exponent = _EXPONENT.search(v)
         if len(v) > 3 * _MAX_T_DIGITS or exponent and abs(int(exponent[1])) > 2 * _MAX_T_DIGITS:
-            raise ConfigError(f"t value {v!r:.40} has more than {_MAX_T_DIGITS} digits")
-    t = _parse_fraction(v)
-    if max(abs(t.numerator), t.denominator) >= 10**_MAX_T_DIGITS:
-        raise ConfigError(f"t value {v!r:.40} has more than {_MAX_T_DIGITS} digits")
-    return t
+            raise ConfigError(too_long)
+    try:
+        q = _frac(v)
+    except GeoBlockError:
+        raise ConfigError(f"{name} {v!r:.40} is not an exact rational") from None
+    if max(abs(q.numerator), q.denominator) >= 10**_MAX_T_DIGITS:
+        raise ConfigError(too_long)
+    return q
 
 
 def parse_t_grid(spec) -> list[Fraction]:
     """Exact rational grid: 'a:b:step', a list of rationals, or a mapping.
     Each value has at most ``_MAX_T_DIGITS`` digits, and a:b:step at most
     ``_MAX_T_POINTS`` points."""
+    parse = functools.partial(_parse_fraction, name="t_grid: t value")
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"t grid spec {spec!r} is not of the form a:b:step")
-        start, stop, step = (_parse_t(p) for p in parts)
+        start, stop, step = map(parse, parts)
     elif isinstance(spec, dict):
         try:
-            start = _parse_t(spec["start"])
-            stop = _parse_t(spec["stop"])
-            step = _parse_t(spec["step"])
+            start, stop, step = parse(spec["start"]), parse(spec["stop"]), parse(spec["step"])
         except KeyError as exc:
             raise ConfigError(f"t grid mapping missing key {exc}") from None
     elif isinstance(spec, Sequence):
-        grid = [_parse_t(v) for v in spec]
+        grid = [parse(v) for v in spec]
         if not grid:
             raise ConfigError("t grid must be nonempty")
         if any(t <= 0 for t in grid) or sorted(grid) != grid or len(set(grid)) != len(grid):
@@ -117,18 +117,14 @@ def parse_t_grid(spec) -> list[Fraction]:
 def _parse_pairs(raw) -> list[tuple[RationalPoint, RationalPoint]]:
     if not isinstance(raw, list):
         raise ConfigError(f"pairs must be a list of [[x1,y1],[x2,y2]] entries, got {raw!r}")
+    coordinate = functools.partial(_parse_fraction, name="pairs: coordinate")
     pairs = []
     for entry in raw:
         try:
             (x1, y1), (x2, y2) = entry
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"pair entry {entry!r} is not [[x1,y1],[x2,y2]]") from exc
-        pairs.append(
-            (
-                RationalPoint(_parse_fraction(x1), _parse_fraction(y1)),
-                RationalPoint(_parse_fraction(x2), _parse_fraction(y2)),
-            )
-        )
+        pairs.append((RationalPoint(coordinate(x1), coordinate(y1)), RationalPoint(coordinate(x2), coordinate(y2))))
     return pairs
 
 
@@ -155,7 +151,7 @@ def _config_int(name: str, value, least: int | None = None) -> int:
 
 def _config_t_sq(name: str, value) -> Fraction:
     """The square of a non-negative exact rational t."""
-    t = _parse_t(value)
+    t = _parse_fraction(value, f"{name}: t value")
     if t < 0:
         raise ConfigError(f"{name} must be non-negative, got {value!r}")
     return t * t
@@ -209,8 +205,11 @@ class ExperimentConfig:
         checked to take every point of every pair as an endpoint."""
         if self.is_fuchsian:
             raise ConfigError("this command runs on flat geometries only; presets take count or report")
+        geometry = self.geometry
+        if isinstance(geometry.get("basis"), list):
+            geometry = {**geometry, "basis": [_parse_fraction(v, "geometry.basis: entry") for v in geometry["basis"]]}
         try:
-            space = load_space(self.geometry)
+            space = load_space(geometry)
             for pair in self.pairs:
                 for p in pair:
                     space.validate_point(p)

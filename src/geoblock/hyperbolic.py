@@ -12,8 +12,8 @@ d(x, g y) <= t is reached through elements within
 max(d(x, c) + d(y, c), t + 2 d(y, c)).
 Orbits are deduplicated by orbit point: distinct elements of a
 torsion-free group move a base point at least one systole apart, and
-orbit_count refuses a cutoff at which that gap, seen in the disc centred at
-x, would not clear the budget.  Orbit balls realize the exponential
+orbit_count refuses a cutoff at which half that gap, seen in the disc
+centred at x, is within nine budgets.  Orbit balls realize the exponential
 counting regime, and packing bounds on orbit counts turn them into
 certified lower bounds on blocking thresholds (count at t over twice the
 uniform count bound at t/2).
@@ -52,6 +52,8 @@ __all__ = [
 # float-error budget of a word evaluation: bounds the relator check and the
 # smallest orbit-point gap the orbit-point dedup may rely on
 _FLOAT_ERR = 1e-9
+# k in the orbit-point dedup's guard h > k * _FLOAT_ERR (orbit_count derives it)
+_DEDUP_BUDGETS = 9
 # frontier elements expanded per batch of the orbit BFS: bounds the memory
 # of one level's children
 _SLICE = 4096
@@ -390,82 +392,48 @@ def _gram_norms(mats: np.ndarray, x: complex, y: complex, gen_form: np.ndarray) 
     return np.stack([a * a + c * c, a * b + c * d, b * b + d * d], axis=1) @ gen_form
 
 
-def _grid(h: float) -> tuple[int, int]:
-    """The offset and row width of the h-cell keys: |w| < 1, so cell
-    coordinates lie within +-(1/h + 1) and keys fit int64."""
-    offset = int(1.0 / h) + 2
-    return offset, 2 * offset + 1
-
-
 def _cells(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The h-cell keys of disc points, row * width + column, and whether
-    each is an edge point: within twice the float-error budget of a cell
-    side, where a copy may fall in the next cell (the budget, and as much
-    again for the rounding of w / h)."""
+    """The keys, row * width + column, of the h/2-cells that hold disc
+    points, and of those that hold the corners of the square of half-side
+    2 ``_FLOAT_ERR`` about each, shape (N, 4): the cells the square meets.
+    |w| < 1, so cell coordinates lie within +-(2/h + 1)."""
     import numpy as np
-    offset, width = _grid(h)
-    u, v = w.real / h, w.imag / h
-    side = 2.0 * _FLOAT_ERR / h
-    edge = (np.abs(u - np.rint(u)) <= side) | (np.abs(v - np.rint(v)) <= side)
-    return (np.floor(u).astype(np.int64) + offset) * width + np.floor(v).astype(np.int64) + offset, edge
+    offset = int(2.0 / h) + 2
+    width = 2 * offset + 1
+    # cell coordinates, shifted positive so that truncation floors them
+    u, v = w.real / (h / 2.0) + offset, w.imag / (h / 2.0) + offset
+    s = 4.0 * _FLOAT_ERR / h
+    rows = np.stack([u - s, u, u + s]).astype(np.int64) * width
+    cols = np.stack([v - s, v, v + s]).astype(np.int64)
+    return rows[1] + cols[1], (rows[::2, None] + cols[None, ::2]).reshape(4, -1).T
 
 
-def _claimed(
-    keys: np.ndarray, pts: np.ndarray, store_keys: np.ndarray, store_pts: np.ndarray,
-    h: float, rank: np.ndarray | None = None, own: np.ndarray | None = None,
-) -> np.ndarray:
-    """True where a stored point lies within h of the point.
-
-    Cells are h-squares keyed row * width + column, and the store is sorted
-    by key.  Stored points are at least 2h apart, so a cell holds one of
-    them and any point within h sits in the 3x3 block around the point's
-    cell: per row of that block, the first three stored keys from the
-    block's left cell on.  With ``rank`` only stored points of lower rank
-    than the point's own, ``own``, count.
-    """
+def _is_stored(own: np.ndarray, square: np.ndarray, store: np.ndarray) -> np.ndarray:
+    """True where a key of the sorted, nonempty ``store`` is one of the
+    cells a point's square meets: its own cell, when the square lies in it."""
     import numpy as np
-    out = np.zeros(len(keys), dtype=bool)
-    n = len(store_keys)
-    if not n or not len(keys):
-        return out
-    width = _grid(h)[1]
-    for row in (-width, 0, width):
-        left = keys + (row - 1)
-        pos = np.searchsorted(store_keys, left)
-        for step in range(3):
-            q = np.minimum(pos + step, n - 1)
-            k = store_keys[q]
-            near = (k >= left) & (k <= left + 2) & (np.abs(store_pts[q] - pts) <= h)
-            if rank is not None:
-                near &= rank[q] < own
-            out |= near
+
+    def found(keys: np.ndarray) -> np.ndarray:
+        return store[np.minimum(np.searchsorted(store, keys), len(store) - 1)] == keys
+
+    out = found(own)
+    e = np.nonzero(square[:, 0] != square[:, 3])[0]
+    out[e] = found(square[e]).any(axis=1)
     return out
 
 
-def _claimed_by_key(
-    keys: np.ndarray, pts: np.ndarray, edge: np.ndarray, store_keys: np.ndarray, store_pts: np.ndarray, h: float
-) -> np.ndarray:
-    """_claimed against a nonempty store, by one exact key match where the
-    point is not ``edge``, near a cell side.  A point and a copy of it
-    within the budget share a cell unless both are edge points, and
-    distinct elements never share one."""
+def _is_first(own: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """True where no lower-indexed point's own cell is one its square meets:
+    where the square lies in one cell, the cell's first point."""
     import numpy as np
-    out = store_keys[np.minimum(np.searchsorted(store_keys, keys), len(store_keys) - 1)] == keys
-    out[edge] = _claimed(keys[edge], pts[edge], store_keys, store_pts, h)
-    return out
-
-
-def _first_in_cell(keys: np.ndarray, pts: np.ndarray, edge: np.ndarray, h: float) -> np.ndarray:
-    """True where no lower-indexed point lies within h: the first point in
-    each cell, unless it is an edge point with a copy of lower index in a
-    neighbouring cell (_claimed against every cell's first)."""
-    import numpy as np
-    order = np.argsort(keys, kind="stable")
-    first = order[np.nonzero(np.diff(keys[order], prepend=-1))[0]]
-    out = np.zeros(len(keys), dtype=bool)
+    order = np.argsort(own, kind="stable")
+    first = order[np.nonzero(np.diff(own[order], prepend=-1))[0]]
+    cells = own[first]
+    out = np.zeros(len(own), dtype=bool)
     out[first] = True
-    e = np.nonzero(edge)[0]
-    out[e] = ~_claimed(keys[e], pts[e], keys[first], pts[first], h, rank=first, own=e)
+    e = np.nonzero(square[:, 0] != square[:, 3])[0]
+    at = np.minimum(np.searchsorted(cells, square[e]), len(cells) - 1)
+    out[e] = ~((cells[at] == square[e]) & (first[at] < e[:, None])).any(axis=1)
     return out
 
 
@@ -503,24 +471,30 @@ def orbit_count(
     the identity, as d(x, y) <= d(x, c) + r_y.
 
     Elements are deduplicated by orbit point.  The group is torsion-free,
-    so distinct elements g, h give d(g y, h y) >= systole.  In the disc
-    centred at x, w = (z - x) / (z - conj x), every kept point has
-    |w| <= tanh(cutoff/2), and there two such points lie at least
-    systole * sech^2(cutoff/2) / 2 apart.  Points within half that gap
-    are one element; within a level the first in (parent, generator) order
-    is kept.  When half the gap is not above the 1e-9 float-error budget
-    (octagon at the default base point: t_max about 21.75) the count raises
-    BudgetExceededError before any expansion; below it the certified flags
-    rest on that budget.
+    so distinct elements g, k give d(g y, k y) >= systole (Katok, *Fuchsian
+    Groups*, 1992).  In the disc centred at x, w = (z - x) / (z - conj x),
+    every kept point has |w| <= tanh(cutoff/2), and there two such points
+    lie at least systole * sech^2(cutoff/2) / 2 = 2h apart: computed ones
+    at least 2h - e, e the float-error budget ``_FLOAT_ERR``, and two
+    copies of one element within e of each other.
 
-    The dedup matches cell keys.  With h half the gap, distinct elements
-    lie at least 2h apart and never share an h-cell, and two float copies
-    of one element, within the budget of each other, share a cell unless
-    both lie within the budget of a cell side.  So a child away from every
-    side is claimed exactly when its cell holds a stored point, and is new
-    in its level exactly when it is its cell's first child; only the edge
-    children go through the 3x3 scan of ``_claimed``.  Both decide as the
-    scan alone would.
+    The dedup reads integer keys of cells of side h/2 only (``_cells``).
+    With S the square of half-side 2e about a child (e for a copy, e for
+    rounding), the child is a copy of a stored element iff a stored key is
+    a cell S meets (``_is_stored``), and new in its level iff no
+    lower-indexed child's own cell is one S meets (``_is_first``): the
+    first copy in (parent, generator) order is kept.  A copy lies in S,
+    so its cell meets S; a point of a cell that meets S lies within
+    sqrt(2) (h/2 + 2e) of the child, below 2h - e once
+    h > (1 + 2 sqrt 2) / (2 - sqrt(2)/2) e, about 2.96 e: it is a copy.
+    S meets only the cells of its four corners when its side 4e is below
+    the cell side h/2: h > 8e, with room for the rounding of the corners'
+    coordinates, below 1e-15.  So k = 9: the count raises
+    BudgetExceededError before any expansion when h <= 9e (octagon at the
+    default base point: t_max about 19.56); below it the certified flags
+    rest on that budget.  Keys stay below (4/h + 5)^2 < 2e17, in int64.
+    A square inside one cell is decided by that cell's key alone; only a
+    square that crosses a cell side looks up its corners' cells.
 
     Children are pruned before they are formed.  With A_z mapping i to z
     (``_frames``), 2 cosh d(x, g s y) = |A_x^-1 g s A_y|_F^2, a quadratic
@@ -547,13 +521,12 @@ def orbit_count(
     cutoff = max(hyp_distance(x, preset.centre) + r_y, t_max + 2.0 * r_y)
     # half the gap systole * sech^2(cutoff/2) / 2, written without overflow
     h = preset.systole * math.exp(-cutoff) / (1.0 + math.exp(-cutoff)) ** 2
-    if h <= _FLOAT_ERR:
+    if h <= _DEDUP_BUDGETS * _FLOAT_ERR:
         raise BudgetExceededError(
-            f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its "
-            f"tolerance {h:.3g} is within the float-error budget {_FLOAT_ERR:g}"
+            f"cutoff {cutoff:.6g} too large for the orbit-point dedup: its tolerance {h:.3g} "
+            f"is within {_DEDUP_BUDGETS} times the float-error budget {_FLOAT_ERR:g}"
         )
-    store_pts = np.array([(y - x) / (y - x.conjugate())])
-    store_keys = _cells(store_pts, h)[0]
+    store = _cells(np.array([(y - x) / (y - x.conjugate())]), h)[0]
 
     gen_form = _gen_form(gen_mats, y)
     bound = 2.0 * math.cosh(cutoff) * (1.0 + _gram_margin(cutoff))
@@ -584,20 +557,15 @@ def orbit_count(
             pts = _apply_batch(children, y)
             d = _distances(x, pts)
             sel = np.nonzero(d <= cutoff)[0]
-            w = (pts[sel] - x) / (pts[sel] - x.conjugate())
-            keys, edge = _cells(w, h)
-            new = ~_claimed_by_key(keys, w, edge, store_keys, store_pts, h)
+            own, square = _cells((pts[sel] - x) / (pts[sel] - x.conjugate()), h)
+            new = ~_is_stored(own, square, store)
             sel = sel[new]
-            parts.append([children[sel], d[sel], keep_g[sel], keys[new], w[new], edge[new]])
-        mats, disp, last, keys, w, edge = (np.concatenate(a) for a in zip(*parts))
+            parts.append([children[sel], d[sel], keep_g[sel], own[new], square[new]])
+        mats, disp, last, own, square = (np.concatenate(a) for a in zip(*parts))
 
-        new = _first_in_cell(keys, w, edge, h)
-        mats, disp, last = mats[new], disp[new], last[new]
-        keys, w = keys[new], w[new]
-        order = np.argsort(keys)
-        at = np.searchsorted(store_keys, keys[order])
-        store_keys = np.insert(store_keys, at, keys[order])
-        store_pts = np.insert(store_pts, at, w[order])
+        new = _is_first(own, square)
+        mats, disp, last, own = mats[new], disp[new], last[new], np.sort(own[new])
+        store = np.insert(store, np.searchsorted(store, own), own)
 
         kept.append(disp[disp <= t_max])
 

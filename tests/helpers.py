@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from geoblock.blocker import build_instance, recursion_harness
+from geoblock.blocker import blocking_cost_sampled, build_instance, recursion_harness
 from geoblock.flatspace import _enumerate, _point_order, connecting_family, intersection_candidates
 from geoblock.growth import GrowthSeries
 
@@ -15,6 +15,11 @@ def series_from_function(fn, ts):
 def family_of(space, x, y, t_sq):
     """``connecting_family`` between two points, passed as their keys."""
     return connecting_family(space, space.key(x), space.key(y), t_sq)
+
+
+def sampled_cost(space, t_sq, sampled):
+    """``blocking_cost_sampled`` with the sampled pairs' families enumerated at t_sq."""
+    return blocking_cost_sampled(space, t_sq, sampled, [family_of(space, p, q, t_sq) for p, q in sampled])
 
 
 def recursion_of(space, x, y, t_sq):

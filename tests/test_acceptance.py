@@ -157,7 +157,8 @@ def test_criterion_5_recursion_verification(chain_log):
 
         def sampled_cost(t_sq):
             if t_sq not in cost_cache:
-                cost_cache[t_sq] = blocking_cost_sampled(space, t_sq, sampled).value
+                families = [family_of(space, p, q, t_sq) for p, q in sampled]
+                cost_cache[t_sq] = blocking_cost_sampled(space, t_sq, sampled, families).value
             return cost_cache[t_sq]
 
         instances = 0

@@ -29,7 +29,7 @@ from geoblock.flatspace import (
 )
 from geoblock.growth import kappa_from_squares
 from geoblock.harness import ExperimentConfig
-from helpers import family_of, instance_of, recursion_of
+from helpers import family_of, instance_of, recursion_of, sampled_cost
 from oracles import (
     milp_minimum,
     pairwise_undominated,
@@ -570,8 +570,8 @@ class TestSampledCost:
     def test_deterministic_for_fixed_seed(self):
         space = FlatSpace.unit_torus()
         sampler = PairSampler(seed=42, count=25, denominator=8)
-        a = blocking_cost_sampled(space, 16, sampler.pairs(space))
-        b = blocking_cost_sampled(space, 16, sampler.pairs(space))
+        a = sampled_cost(space, 16, sampler.pairs(space))
+        b = sampled_cost(space, 16, sampler.pairs(space))
         assert a.value == b.value
         assert a.pairs == b.pairs
         per_pair = [blocking_threshold(space, p, q, 16) for p, q in a.pairs]
@@ -584,7 +584,7 @@ class TestSampledCost:
         sampled = PairSampler(seed=1, count=5).pairs(space)
         # near-pair enrichment keeps a close pair in the sample, so the
         # lower bound is 1 (a single segment still needs one blocker)
-        enriched = blocking_cost_sampled(space, F(1, 1000), sampled)
+        enriched = sampled_cost(space, F(1, 1000), sampled)
         assert enriched.value == 1
 
     def test_near_pairs_admitted(self):
@@ -633,10 +633,10 @@ class TestSampledCost:
             families = [family_of(space, p, q, top) for p, q in sampled]
             skipped = 0
             for t_sq in (F(1, 16), F(1, 4), F(9, 16), F(1), F(9, 4), F(4), top):
-                fresh = blocking_cost_sampled(space, t_sq, sampled)
+                fresh = sampled_cost(space, t_sq, sampled)
                 monkeypatch.setattr(blocker, "_family_threshold", counted)
                 solved.clear()
-                read = blocking_cost_sampled(space, t_sq, sampled, families=families)
+                read = blocking_cost_sampled(space, t_sq, sampled, families)
                 monkeypatch.setattr(blocker, "_family_threshold", family_threshold)
                 assert (read.value, read.pairs) == (fresh.value, fresh.pairs), (space.kind, t_sq)
                 assert read.value == max(blocking_threshold(space, p, q, t_sq).value for p, q in read.pairs)
@@ -645,7 +645,7 @@ class TestSampledCost:
 
     def test_ten_pair_sample_bounded_by_midpoints(self):
         space = FlatSpace.unit_torus()
-        res = blocking_cost_sampled(space, 1, PairSampler(seed=7, count=10).pairs(space))
+        res = sampled_cost(space, 1, PairSampler(seed=7, count=10).pairs(space))
         per_pair = [blocking_threshold(space, p, q, 1).value for p, q in res.pairs]
         assert all(v <= 4 for v in per_pair)
         assert res.value == max(per_pair)
@@ -745,7 +745,7 @@ class TestEarlyCertificate:
         for basis in EARLY_TORI:
             space = FlatSpace.torus(*basis)
             for t_sq in (F(1, 4), 1, 2, 4):
-                res = blocking_cost_sampled(space, t_sq, PairSampler(seed=11, count=6).pairs(space))
+                res = sampled_cost(space, t_sq, PairSampler(seed=11, count=6).pairs(space))
                 assert res.value == max(full_threshold(space, p, q, t_sq).value for p, q in res.pairs)
 
     def test_prefix_certifies_through_its_lower_bound_only(self, monkeypatch):

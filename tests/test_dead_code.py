@@ -608,23 +608,6 @@ def test_trace_targets_are_called():
     assert not [f"{module}.{name}" for module, name, _, _ in tracing.TARGETS if name not in called]
 
 
-def test_ci_test_ids_resolve():
-    # the workflow's oldest-python step names test modules, classes and
-    # functions, and it runs only in CI: a renamed test would fail there and
-    # nowhere else
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    ids = re.findall(r"tests/\w+\.py(?:::\w+)*", workflow)
-    assert ids
-    for node_id in ids:
-        path, *names = node_id.split("::")
-        assert (ROOT / path).is_file(), node_id
-        scope = ast.parse((ROOT / path).read_text()).body
-        for name in names:
-            found = [n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
-            assert found and name.startswith(("test", "Test")), node_id
-            scope = found[0].body
-
-
 @pytest.mark.parametrize("block", _readme_blocks())
 def test_readme_examples_run(block):
     exec(compile(block, "README.md", "exec"), {})

@@ -605,6 +605,33 @@ class TestCli:
         assert len(parse_t_grid({"start": "1", "stop": "10000", "step": "1"})) == 10000
         assert parse_t_grid(["1e-999"]) == [F(1, 10**999)]
 
+    @pytest.mark.parametrize("overrides, pairs_file, key", [
+        ({"geometry": {"kind": "torus", "basis": [True, "0", "0", True]}}, None, "geometry.basis"),
+        ({"geometry": {"kind": "torus", "basis": ["1e3000000", "0", "0", "1"]}}, None, "geometry.basis"),
+        ({"pairs": [[["0", False], ["1/2", "0"]]]}, None, "pairs"),
+        ({"pairs": [[["1e3000000", "0"], ["1/2", "0"]]]}, None, "pairs"),
+        ({}, [[["0", "0"], [True, "0"]]], "pairs"),
+        ({}, [[["0", "0"], ["1/" + "9" * 1001, "0"]]], "pairs"),
+        ({"t_grid": [True, 2]}, None, "t_grid"),
+        ({"threshold_t_max": True}, None, "threshold_t_max"),
+        ({"verify": {"recursion": True, "recursion_t_max": False}}, None, "verify.recursion_t_max"),
+    ], ids=["basis-bool", "basis-long", "pairs-bool", "pairs-long", "pairs-file-bool", "pairs-file-long",
+            "t-grid-bool", "threshold-bool", "recursion-t-max-bool"])
+    def test_every_config_rational_parsed_strictly(self, tmp_path, capsys, overrides, pairs_file, key):
+        # a JSON bool is not the rational 1 or 0, and a number over the
+        # digit bound is refused before it is built, wherever a config or a
+        # --pairs file gives an exact rational: exit 2, naming the key
+        argv = ["count", "--config", str(write_config(tmp_path, **overrides)), "--out", str(tmp_path / "o")]
+        if pairs_file is not None:
+            (tmp_path / "pairs.json").write_text(json.dumps(pairs_file))
+            argv += ["--pairs", str(tmp_path / "pairs.json")]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
     def test_deep_search_ends_certified(self, tmp_path):
         # this cell's branch and bound ran for minutes, and then into the
         # search budget over a root bound of 14; the weights bound meets the

@@ -16,15 +16,14 @@ from geoblock.hyperbolic import (
     _apply_batch,
     _bisector_polygon,
     _cells,
-    _claimed,
-    _claimed_by_key,
     _distances,
-    _first_in_cell,
     _frames,
     _gen_arrays,
     _gen_form,
     _gram_margin,
     _gram_norms,
+    _is_first,
+    _is_stored,
     _products,
     blocking_lower_bound_series,
     builtin_presets,
@@ -393,6 +392,22 @@ class TestCocompactOrbit:
         with pytest.raises(BudgetExceededError, match="dedup"):
             orbit_count(preset, 0.03 + 0.97j, 0.03 + 0.97j, [3.0])
 
+    def test_dedup_guard_at_its_bound(self):
+        # half the gap just above k = 9 float-error budgets, as orbit_count
+        # derives k, counts the ball as the shipped systole does; just
+        # below, the count refuses
+        x = 0.03 + 0.97j
+        octagon = load_preset("octagon_genus2")
+        want = orbit_count(octagon, x, x, [3.0]).ball.count_series
+        r_y = hyp_distance(x, octagon.centre)
+        cutoff = max(2 * r_y, 3.0 + 2 * r_y)
+        systole = 9 * _FLOAT_ERR * (1 + math.exp(-cutoff)) ** 2 / math.exp(-cutoff)
+        above = FuchsianPreset.from_json({**octagon_data(), "systole": systole * (1 + 1e-6)})
+        assert orbit_count(above, x, x, [3.0]).ball.count_series == want
+        below = FuchsianPreset.from_json({**octagon_data(), "systole": systole * (1 - 1e-6)})
+        with pytest.raises(BudgetExceededError, match="dedup"):
+            orbit_count(below, x, x, [3.0])
+
     def test_count_at_10_matches_lattice_asymptotic(self):
         # Lax-Phillips: N(t) ~ pi e^t / A with A = 4 pi
         preset = load_preset("octagon_genus2")
@@ -453,20 +468,22 @@ def test_matches_reference_orbit_count(preset, x, y, t, max_word_len):
 
 
 class TestCellDedup:
-    """The key dedup decides as the 3x3 scan of ``_claimed`` does wherever
-    distinct elements lie at least 2h apart and copies of one element
-    within the float-error budget of each other, as in the orbit BFS."""
+    """The key rule decides as the distance rule does wherever distinct
+    elements lie at least 2h apart and copies of one element within the
+    float-error budget of each other, as in the orbit BFS: a point is a
+    copy of a stored one iff one lies within h, and new in its level iff no
+    lower-indexed point does."""
 
     h = 1e-6
 
     def points(self, rng, cells, edge_share):
-        """One point per cell (row, column) of h-cells: inside it, or with
+        """One point per cell (row, column) of h/2-cells: inside it, or with
         probability edge_share within half the budget of a side or corner."""
-        h = self.h
+        c = self.h / 2
         frac = rng.uniform(0.1, 0.9, (len(cells), 2))
         side = rng.random((len(cells), 2)) < edge_share
-        frac[side] = rng.choice([0.0, 1.0], side.sum()) + rng.uniform(-0.5, 0.5, side.sum()) * _FLOAT_ERR / h
-        pos = (np.asarray(cells) + frac) * h
+        frac[side] = rng.choice([0.0, 1.0], side.sum()) + rng.uniform(-0.5, 0.5, side.sum()) * _FLOAT_ERR / c
+        pos = (np.asarray(cells) + frac) * c
         return pos[:, 0] + 1j * pos[:, 1]
 
     def copies(self, rng, pts):
@@ -476,57 +493,76 @@ class TestCellDedup:
     def brute_claimed(self, pts, store):
         return np.array([bool(np.any(np.abs(store - p) <= self.h)) for p in pts], dtype=bool)
 
+    def claimed(self, pts, store):
+        own, square = _cells(pts, self.h)
+        return _is_stored(own, square, np.sort(_cells(store, self.h)[0]))
+
+    def first(self, level):
+        return list(_is_first(*_cells(level, self.h)))
+
+    def check_copy_across(self, corner):
+        """The stored point sits just below a cell side (for a corner, below
+        the crossing side too), its copy just past it: the own keys differ,
+        each one's square meets the other's cell, the copy is claimed, and
+        within a level the later one is dropped, though it is its cell's first."""
+        c = self.h / 2
+        below = 40 * c - 0.3 * _FLOAT_ERR
+        stored = np.array([below + 1j * (below if corner else 7.5 * c)])
+        copy = stored + (0.4 + 0.4j if corner else 0.6) * _FLOAT_ERR
+        (store_key,), (stored_square,) = _cells(stored, self.h)
+        (key,), (square,) = _cells(copy, self.h)
+        assert key != store_key and key in stored_square and store_key in square
+        assert len(set(square)) == (4 if corner else 2)
+        assert self.claimed(copy, stored)[0]
+        assert self.first(np.concatenate([stored, copy])) == [True, False]
+        assert self.first(np.concatenate([copy, stored])) == [True, False]
+
     def test_duplicate_across_a_cell_side_is_claimed(self):
-        # the stored point sits just left of a cell side, its copy just
-        # right of it: the keys differ, and both are edge points
-        h = self.h
-        stored = np.array([(40 * h - 0.3 * _FLOAT_ERR) + 7.5j * h])
-        copy = stored + 0.6 * _FLOAT_ERR
-        (store_key,), (stored_edge,) = _cells(stored, h)
-        (key,), (edge,) = _cells(copy, h)
-        assert key != store_key and stored_edge and edge
-        assert _claimed_by_key(np.array([key]), copy, np.array([edge]), np.array([store_key]), stored, h)[0]
-        # within a level the later copy is dropped, though it is its cell's first
-        level = np.concatenate([stored, copy])
-        keys, edges = _cells(level, h)
-        assert list(_first_in_cell(keys, level, edges, h)) == [True, False]
-        assert list(_first_in_cell(keys[::-1], level[::-1], edges[::-1], h)) == [True, False]
+        self.check_copy_across(corner=False)
+
+    def test_duplicate_across_a_cell_corner_is_claimed(self):
+        self.check_copy_across(corner=True)
+
+    def test_distinct_element_past_a_side_is_not_claimed(self):
+        # elements 2h - budget from a child whose square crosses a cell side
+        # and one whose square crosses a corner, in eight directions: none is
+        # claimed, and a level of the child and them keeps every one
+        c = self.h / 2
+        for child in (40 * c - 0.3 * _FLOAT_ERR + 7.5j * c, (40 * c - 0.3 * _FLOAT_ERR) * (1 + 1j)):
+            (own,), (square,) = _cells(np.array([child]), self.h)
+            assert len(set(square)) > 1
+            others = child + (2 * self.h - _FLOAT_ERR) * np.exp(2j * np.pi * np.arange(8) / 8)
+            assert not self.claimed(np.array([child]), others)[0]
+            assert not self.claimed(others, np.array([child])).any()
+            assert all(self.first(np.concatenate([others, [child]])))
 
     def test_key_dedup_matches_claimed_scan(self):
-        # stored points one per 6x6 block of cells, queries their copies and
-        # fresh points in the blocks' middles, 2h or more from every stored one
+        # stored points one per 12x12 block of cells, queries their copies
+        # and fresh points in the blocks' middles, 2h or more from every stored one
         rng = np.random.default_rng(2007)
-        h = self.h
         for edge_share in (0.0, 0.3, 1.0):
             blocks = rng.choice(200 * 200, 3000, replace=False)
-            cells = np.stack([blocks // 200, blocks % 200], axis=1) * 6 - 600
+            cells = np.stack([blocks // 200, blocks % 200], axis=1) * 12 - 1200
             store = self.points(rng, cells, edge_share)
-            fresh = self.points(rng, cells[:1000] + 3, edge_share)
+            fresh = self.points(rng, cells[:1000] + 6, edge_share)
             queries = np.concatenate([self.copies(rng, store[::2]), fresh])
             rng.shuffle(queries)
-            store_keys, _ = _cells(store, h)
-            order = np.argsort(store_keys)
-            store_keys, store_sorted = store_keys[order], store[order]
-            keys, edge = _cells(queries, h)
             want = self.brute_claimed(queries, store)
             assert want.sum() == len(store[::2])
-            assert np.array_equal(_claimed(keys, queries, store_keys, store_sorted, h), want)
-            assert np.array_equal(_claimed_by_key(keys, queries, edge, store_keys, store_sorted, h), want)
+            assert np.array_equal(self.claimed(queries, store), want)
 
     def test_first_in_cell_matches_lower_index_scan(self):
         # a level of up to three copies of each of 400 elements, shuffled:
         # a point is new iff no lower-indexed point lies within h
         rng = np.random.default_rng(5)
-        h = self.h
         for edge_share in (0.0, 0.3, 1.0):
             blocks = rng.choice(100 * 100, 400, replace=False)
-            elements = self.points(rng, np.stack([blocks // 100, blocks % 100], axis=1) * 3, edge_share)
+            elements = self.points(rng, np.stack([blocks // 100, blocks % 100], axis=1) * 6, edge_share)
             level = np.concatenate([elements] + [self.copies(rng, elements[rng.random(400) < 0.6]) for _ in range(2)])
             rng.shuffle(level)
-            keys, edge = _cells(level, h)
-            want = np.array([not np.any(np.abs(level[:i] - p) <= h) for i, p in enumerate(level)])
-            assert want.sum() == 400
-            assert np.array_equal(_first_in_cell(keys, level, edge, h), want)
+            want = [not np.any(np.abs(level[:i] - p) <= self.h) for i, p in enumerate(level)]
+            assert sum(want) == 400
+            assert self.first(level) == want
 
 
 class TestEntropy:
