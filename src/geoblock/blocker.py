@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, DomainError, GeoBlockError
 from .flatspace import (
@@ -98,8 +97,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncidenceInstance:
+class IncidenceInstance(NamedTuple):
     """Finite hitting-set instance for one connecting family.
 
     ``covers[c]`` is the bitmask of connecting-geodesic slots blocked by
@@ -166,8 +164,7 @@ def build_instance(family: GeodesicFamily) -> IncidenceInstance:
     return IncidenceInstance(family, tuple(least[mask] for mask in keep_masks), tuple(keep_masks))
 
 
-@dataclass(frozen=True)
-class BlockingSolution:
+class BlockingSolution(NamedTuple):
     keys: tuple[Key, ...]  # the chosen candidates, in candidate order
     size: int
     optimal: bool
@@ -407,8 +404,7 @@ def midpoint_cover(family: GeodesicFamily) -> list[Key] | None:
     return sorted(keys, key=_point_order(space, keys))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     value: int
     certified: bool
     solution: BlockingSolution
@@ -458,12 +454,11 @@ def _threshold(family: GeodesicFamily, cover: list[Key] | None) -> ThresholdResu
     if cover is not None and sol.size > len(cover):
         if sol.optimal:
             raise GeoBlockError("internal: solver exceeded the verified midpoint cover")
-        sol = replace(sol, keys=tuple(cover), size=len(cover), optimal=sol.lower_bound >= len(cover))
+        sol = sol._replace(keys=tuple(cover), size=len(cover), optimal=sol.lower_bound >= len(cover))
     return ThresholdResult(sol.size, sol.optimal, sol, instance, mid_upper, family)
 
 
-@dataclass(frozen=True)
-class PairSampler:
+class PairSampler(NamedTuple):
     """Seeded sampler of rational point pairs, degenerate pairs skipped: four
     even lattice numerators over 2*denominator, each on a flipped axis redrawn
     in the open half (0, 1/2) of it (the open table), folded to keys."""
@@ -481,7 +476,7 @@ class PairSampler:
                 return list(out)
             nums = [2 * rng.randrange(den) for _ in range(4)]
             for k in range(4):
-                if space._flips[k % 2]:
+                if space.flips[k % 2]:
                     nums[k] = rng.randrange(1, den)
             p, q = (space._key_point(space._fold_key(*nums[k:k + 2], 2 * den)) for k in (0, 2))
             if p != q:
@@ -489,8 +484,7 @@ class PairSampler:
         raise GeoBlockError("pair sampler failed to produce enough distinct pairs")
 
 
-@dataclass(frozen=True)
-class SampledBlockingCost:
+class SampledBlockingCost(NamedTuple):
     """Max of per-pair thresholds over a sample: a lower bound for the true
     sup over all pairs."""
 
@@ -553,8 +547,7 @@ def blocking_cost_sampled(
     return SampledBlockingCost(value, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     k: int
     t_sq: Fraction
     pairs: tuple[tuple[Key, Key], ...]
@@ -567,8 +560,7 @@ def _round_sig(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One verified inequality.  ``law`` is the formula the row checks, the
     traceable anchor for failures; ``passed`` is None for skipped rows."""
 
@@ -594,8 +586,7 @@ class CheckRow:
         }
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     """The halving decomposition P_0 ... P_kappa with its inequality suite.
 
     Level k holds key pairs whose connecting families are counted at

@@ -77,18 +77,18 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         raise ConfigError("--config is required (JSON experiment description)")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = cfg._replace(seed=args.seed)
     if args.format is not None:
-        cfg.out_format = args.format
+        cfg = cfg._replace(out_format=args.format)
     if args.t_grid is not None:
         spec = args.t_grid
-        cfg.t_grid = parse_t_grid(spec if ":" in spec else spec.split(","))
+        cfg = cfg._replace(t_grid=parse_t_grid(spec if ":" in spec else spec.split(",")))
     if args.pairs is not None:
         try:
             raw = json.loads(args.pairs.read_text())
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read pairs file {args.pairs}: {exc}") from exc
-        cfg.pairs = _parse_pairs(raw)
+        cfg = cfg._replace(pairs=_parse_pairs(raw))
     return cfg
 
 

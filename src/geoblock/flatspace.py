@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BudgetExceededError, DomainError, UnsupportedInputError
 
@@ -63,8 +62,7 @@ def _frac(x) -> Fraction:
         raise DomainError(f"not an exact rational: {x!r}") from exc
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
+class RationalPoint(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -84,8 +82,7 @@ def _cross(a: Vec, b: Vec) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-@dataclass(frozen=True)
-class FlatSpace:
+class FlatSpace(NamedTuple):
     """A flat geometry: the plane modulo a lattice and a group of axis sign
     flips that preserves it.
 
@@ -106,10 +103,10 @@ class FlatSpace:
     b2: Vec
     delta_sq: Fraction
     delta_note: str
-    _inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
+    inv: tuple[int, int, int, int, int]  # rows of B^-1 as integers over the last entry, > 0
     group: tuple[Flip, ...]
-    _scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
-    _flips: tuple[bool, bool]  # whether the group flips each axis; it is the product of these sign sets
+    scaled: tuple[int, int, int, int, int]  # (L, L*b1, L*b2) with L*b1, L*b2 integral
+    flips: tuple[bool, bool]  # whether the group flips each axis; it is the product of these sign sets
 
     @classmethod
     def _quotient(cls, kind: str, b1, b2, group: tuple[Flip, ...]) -> "FlatSpace":
@@ -130,7 +127,7 @@ class FlatSpace:
     def torus(cls, b1, b2) -> "FlatSpace":
         space = cls._quotient("torus", b1, b2, ((1, 1),))
         _, sq = shortest_vector(space)
-        return replace(space, delta_sq=sq / 4, delta_note="torus delta^2 = shortest^2/4")
+        return space._replace(delta_sq=sq / 4, delta_note="torus delta^2 = shortest^2/4")
 
     @classmethod
     def unit_torus(cls) -> "FlatSpace":
@@ -140,7 +137,7 @@ class FlatSpace:
     def square_billiard(cls) -> "FlatSpace":
         space = cls._quotient("billiard", (2, 0), (0, 2), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
         note = "delta=1/4 (conservative; shortest unfolded closed displacement is 2)"
-        return replace(space, delta_sq=Fraction(1, 16), delta_note=note)
+        return space._replace(delta_sq=Fraction(1, 16), delta_note=note)
 
     @property
     def is_torus(self) -> bool:
@@ -149,7 +146,7 @@ class FlatSpace:
     def _lattice_ints(self, p: RationalPoint) -> tuple[tuple[int, int], int]:
         """Lattice coordinates of the point as integers over their least
         common denominator."""
-        m0, m1, m2, m3, d = self._inv
+        m0, m1, m2, m3, d = self.inv
         # the point is (a, c)/q with a, c integers
         q = math.lcm(p.x.denominator, p.y.denominator)
         a, c = p.x.numerator * (q // p.x.denominator), p.y.numerator * (q // p.y.denominator)
@@ -162,7 +159,7 @@ class FlatSpace:
         mod the lattice, then to its least group image, then by gcd(i, j, den):
         equal points get equal keys.  The group is a product of per-axis sign
         sets, so its least image is the least image on each axis."""
-        flip1, flip2 = self._flips
+        flip1, flip2 = self.flips
         i, j = n1 % den, n2 % den
         i, j = min(i, den - i) if flip1 else i, min(j, den - j) if flip2 else j
         g = math.gcd(i, j, den)
@@ -171,7 +168,7 @@ class FlatSpace:
     def _key_plane(self, key: Key) -> tuple[int, int, int]:
         """The key's point in the plane as (X/D, Y/D), integers with D > 0."""
         i, j, den = key
-        L, b1x, b1y, b2x, b2y = self._scaled
+        L, b1x, b1y, b2x, b2y = self.scaled
         return i * b1x + j * b2x, i * b1y + j * b2y, den * L
 
     def _key_point(self, key: Key) -> RationalPoint:
@@ -191,7 +188,7 @@ class FlatSpace:
         """Whether the point with this key can be a segment endpoint: no flip
         fixes it mod the lattice, 0 < 2i < den on every flipped axis (a folded
         key has 2i <= den).  Any torus point; a billiard point off the walls."""
-        return all(0 < 2 * c < key[2] for c, flip in zip(key, self._flips) if flip)
+        return all(0 < 2 * c < key[2] for c, flip in zip(key, self.flips) if flip)
 
     def _endpoint(self, key: Key) -> Key:
         """The key, checked to be admitted as an endpoint."""
@@ -205,7 +202,7 @@ class FlatSpace:
         0 <= 2n <= den for its lattice numerators n on every flipped axis (the
         fold would carry a point off it onto it), and be admitted."""
         (n1, n2), den = self._lattice_ints(p)
-        if not all(0 <= 2 * n <= den for n, flip in zip((n1, n2), self._flips) if flip):
+        if not all(0 <= 2 * n <= den for n, flip in zip((n1, n2), self.flips) if flip):
             raise UnsupportedInputError(f"billiard endpoints must be interior table points, got {p}")
         return self._endpoint(self._fold_key(n1, n2, den))
 
@@ -298,9 +295,9 @@ def _enumerate(
     (x1, x2, dx), (y1, y2, dy) = x, y
     den = math.lcm(dx, dy)
     x1, x2, y1, y2 = x1 * (den // dx), x2 * (den // dx), y1 * (den // dy), y2 * (den // dy)
-    L, b1x, b1y, b2x, b2y = space._scaled
+    L, b1x, b1y, b2x, b2y = space.scaled
     scale = L * den
-    m0, m1, m2, m3, d = space._inv
+    m0, m1, m2, m3, d = space.inv
     reach_num, reach_den = den * den * t_sq.numerator, d * d * t_sq.denominator
     X1, X2 = ((m * m + n * n) * reach_num // reach_den for m, n in ((m0, m1), (m2, m3)))
     # log10 of the box's |G| (2 sqrt(X1)/D + 1)(2 sqrt(X2)/D + 1) points; an isqrt of a huge X can take minutes
@@ -361,8 +358,7 @@ def _positive_t_sq(t_sq) -> Fraction:
     return t_sq
 
 
-@dataclass(frozen=True)
-class GeodesicFamily:
+class GeodesicFamily(NamedTuple):
     """The connecting geodesics Gamma between the endpoints with keys x and
     y, counted with all joining geodesics G.
 
@@ -415,9 +411,8 @@ class GeodesicFamily:
         counts = self.counts_at(t_sq)
         t_sq = _positive_t_sq(t_sq)
         bound = t_sq.numerator * self.sq_scale // t_sq.denominator
-        _, b1x, b1y, b2x, b2y = self.space._scaled
-        return replace(
-            self,
+        _, b1x, b1y, b2x, b2y = self.space.scaled
+        return self._replace(
             t_sq=t_sq,
             connecting=tuple(
                 (a1, a2) for a1, a2 in self.connecting
@@ -451,7 +446,7 @@ def _point_order(space: FlatSpace, keys: Iterable[Key]) -> Callable[[Key], objec
     1/D^2, more than rounding can close while D^2 * |coordinate| < 2^51.
     Otherwise it is the exact coordinates.
     """
-    L, b1x, b1y, b2x, b2y = space._scaled
+    L, b1x, b1y, b2x, b2y = space.scaled
     top = L * max((key[2] for key in keys), default=1)
     if top * top * max(abs(b1x) + abs(b2x), abs(b1y) + abs(b2y)) >= L << 51:
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
 from .errors import DomainError, InsufficientDataError, RangeError
 
@@ -74,13 +73,18 @@ def format_sig(x: float) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
-    """Sampled positive function of t, with finite, strictly increasing sample points."""
-
+class _Samples(NamedTuple):
     samples: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
+
+class GrowthSeries(_Samples):
+    """Sampled positive function of t, with finite, strictly increasing
+    sample points, checked on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, samples: tuple[tuple[float, float], ...]) -> "GrowthSeries":
+        self = super().__new__(cls, samples)
         if not self.samples:
             raise DomainError("a growth series needs at least one sample")
         prev_t = 0.0
@@ -92,6 +96,7 @@ class GrowthSeries:
             if v <= 0:
                 raise DomainError("sample values must be strictly positive")
             prev_t = t
+        return self
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "GrowthSeries":
@@ -185,8 +190,7 @@ def transform(f: Evaluatable, delta_sq: Real, t: Real) -> Real:
     return acc
 
 
-@dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(NamedTuple):
     """Fitted growth classification of a sampled series.
 
     ``parameter`` is the exponential rate, the polynomial degree, or the

@@ -18,10 +18,9 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .blocker import (
     CheckRow,
@@ -178,8 +177,7 @@ def _check_keys(raw) -> None:
             raise ConfigError(f"unknown config key{where}: {', '.join(map(repr, unknown))}")
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """A validated experiment; ``from_dict`` builds it and holds the default
     of every optional key."""
 
@@ -523,8 +521,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             rep = recursion_harness(family.within(t_sq))
             ctx = {"pair": pi, "t": _round_sig(_t_float(t_sq)), "seed": cfg.seed}
             checks.extend(
-                replace(
-                    c,
+                c._replace(
                     name="recursion:" + c.name,
                     caveat=None if rep.certified else "sub-solve not certified",
                     context={**ctx, **c.context},

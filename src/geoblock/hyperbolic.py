@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, DomainError
 
@@ -72,8 +71,7 @@ def hyp_distance(z: complex, w: complex) -> float:
     return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
 
 
-@dataclass(frozen=True)
-class MobiusMatrix:
+class MobiusMatrix(NamedTuple):
     """Real 2x2 matrix acting on the upper half-plane, det = 1, identified
     with its negation.  Loading a preset checks each generator's determinant
     (``FuchsianPreset.validate``); products and inverses keep it up to
@@ -113,8 +111,7 @@ class MobiusMatrix:
         return min(abs(s - o).max(), abs(s + o).max()) <= tol
 
 
-@dataclass(frozen=True)
-class FuchsianPreset:
+class FuchsianPreset(NamedTuple):
     """A validated generating set for a surface group, with the ``relator``
     that closes its fundamental polygon.
 
@@ -299,8 +296,7 @@ def load_preset(name_or_path: str | Path) -> FuchsianPreset:
         raise DomainError(f"cannot load preset {path}: {type(exc).__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class OrbitBall:
+class OrbitBall(NamedTuple):
     """The group elements g with d(x, g y) <= t_max, the largest grid value,
     as their displacements d(x, g y), with the count series over the grid."""
 
@@ -308,8 +304,7 @@ class OrbitBall:
     count_series: tuple[tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
-class OrbitCountResult:
+class OrbitCountResult(NamedTuple):
     """The ball, and per grid point whether its count is certified: the
     counts are exact below ``certified_t``."""
 
@@ -589,8 +584,7 @@ def uniform_count_bound(preset: FuchsianPreset, r: float) -> float:
     return max((math.cosh(r + h) - 1.0) / (math.cosh(h) - 1.0), 1.0)
 
 
-@dataclass(frozen=True)
-class BlockingBound:
+class BlockingBound(NamedTuple):
     """Lower bound on the blocking threshold at radius t.
 
     value = N(t) / (2 * U(t/2)); the numerator counts all homotopy classes

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -454,8 +453,8 @@ class TestDualCertificate:
         sol = solve(inst)
         assert sol.optimal and sol.lower_bound == dual_bound(inst, sol.weights) == 10
         # every weight on geodesic 0: the checker finds a bound of 1, not 10
-        monkeypatch.setattr(blocker, "solve_exact", lambda instance: dataclasses.replace(
-            solve(instance), weights=(1,) + (0,) * (instance.family.m - 1)))
+        monkeypatch.setattr(blocker, "solve_exact", lambda instance: solve(instance)._replace(
+            weights=(1,) + (0,) * (instance.family.m - 1)))
         with pytest.raises(GeoBlockError, match="weights do not certify"):
             blocking_threshold(FlatSpace.square_billiard(), HARD_X, HARD_Y, 9)
 
@@ -521,7 +520,7 @@ class TestThresholds:
 
         def drop_first_point(instance):
             sol = solve(instance)
-            return dataclasses.replace(sol, keys=sol.keys[1:])
+            return sol._replace(keys=sol.keys[1:])
 
         monkeypatch.setattr(blocker, "solve_exact", drop_first_point)
         with pytest.raises(GeoBlockError, match="does not block"):
@@ -753,7 +752,7 @@ class TestEarlyCertificate:
 
         def loose(instance):
             # the same cover, reported as a stopped search's under a weak root bound
-            return dataclasses.replace(solve(instance), optimal=False, lower_bound=0)
+            return solve(instance)._replace(optimal=False, lower_bound=0)
 
         monkeypatch.setattr(blocker, "solve_exact", loose)
         res = blocking_threshold(FlatSpace.unit_torus(), P(0, 0), P("1/2", "1/2"), 16)

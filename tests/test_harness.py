@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -115,7 +116,7 @@ class TestConfig:
 
     def test_minimal_config_defaults(self):
         cfg = ExperimentConfig.from_dict({"geometry": {"kind": "billiard"}, "t_grid": "1:2:1"})
-        assert vars(cfg) == {
+        assert cfg._asdict() == {
             "geometry": {"kind": "billiard"},
             "t_grid": [F(1), F(2)],
             "pairs": [],
@@ -151,8 +152,7 @@ class TestCount:
 
     def test_empty_grid_header_only(self, tmp_path):
         # the loader rejects an empty grid; a config emptied in memory still writes the header
-        cfg = flat_config()
-        cfg.t_grid = []
+        cfg = flat_config()._replace(t_grid=[])
         assert cmd_count(cfg, tmp_path) == 0
         assert (tmp_path / "count.csv").read_text() == "pair,x,y,t,n,m,status\n"
 
@@ -186,8 +186,7 @@ class TestCount:
         calls = []
         monkeypatch.setattr(harness, "connecting_family", lambda *a: calls.append(a) or connecting_family(*a))
         for grid in grids:
-            cfg = flat_config(geometry=geometry, pairs=pairs)
-            cfg.t_grid = grid
+            cfg = flat_config(geometry=geometry, pairs=pairs)._replace(t_grid=grid)
             calls.clear()
             cells = list(harness._cells(cfg, space))
             assert [(pi, t) for pi, _, _, t, _ in cells] == [(pi, t) for pi in range(len(pairs)) for t in grid]
@@ -429,6 +428,24 @@ class TestCli:
         code = main(["count", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         assert (out / "count.csv").exists()
+
+    def test_format_json_override_writes_the_csv_rows(self, tmp_path):
+        # --format json on a csv config adds count.json beside count.csv,
+        # with the same rows
+        out = tmp_path / "out"
+        assert main(["count", "--config", str(write_config(tmp_path)), "--out", str(out), "--format", "json"]) == 0
+        with open(out / "count.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        data = json.loads((out / "count.json").read_text())
+        assert data["seed"] == 42 and len(data["rows"]) == len(csv_rows) == 2
+        for row, csv_row in zip(data["rows"], csv_rows):
+            assert {k: format_sig(v) if k == "t" else str(v) for k, v in row.items()} == csv_row
+
+    def test_format_csv_override_writes_no_json(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, format="json")
+        assert main(["count", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["count.csv"]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -790,17 +807,18 @@ class TestCli:
 
 
 # run in a fresh interpreter: after each step, record its exit code and
-# whether numpy is loaded
-_NUMPY_PROBE = """
+# which of numpy, dataclasses and inspect are loaded
+_MODULE_PROBE = """
 import json, sys
 runs, record = json.loads(sys.argv[1]), sys.argv[2]
 steps = []
+loaded = lambda: {name: name in sys.modules for name in ("numpy", "dataclasses", "inspect")}
 import geoblock
-steps.append(["import geoblock", None, "numpy" in sys.modules])
+steps.append(["import geoblock", None, loaded()])
 import geoblock.cli
-steps.append(["import geoblock.cli", None, "numpy" in sys.modules])
+steps.append(["import geoblock.cli", None, loaded()])
 for argv in runs:
-    steps.append([argv[0], geoblock.cli.main(argv), "numpy" in sys.modules])
+    steps.append([argv[0], geoblock.cli.main(argv), loaded()])
 open(record, "w").write(json.dumps(steps))
 """
 
@@ -865,10 +883,11 @@ def test_every_flat_command_enumerates_each_pair_once(monkeypatch, tmp_path, con
         assert level_pairs > sum(len(inside) for _, inside in recursions)
 
 
-def test_flat_commands_never_import_numpy(tmp_path):
+def test_modules_each_command_loads(tmp_path):
     # count, block, verify and recursion-check on the flat configs, and
-    # transform, run without numpy; the billiard recursion-check exits 3 (a
-    # wall blocking point), so only the modules are asserted
+    # transform, run without numpy; no step loads dataclasses, and only
+    # numpy loads inspect.  The billiard recursion-check exits 3 (a wall
+    # blocking point), so only the modules are asserted
     series = tmp_path / "series.csv"
     series.write_text("t,value\n" + "".join(f"{t},{2 * t}\n" for t in range(1, 9)))
     runs = [
@@ -882,11 +901,11 @@ def test_flat_commands_never_import_numpy(tmp_path):
     runs.append(["count", "--config", str(ROOT / "configs" / "octagon.json"), "--out", str(octagon)])
     record = tmp_path / "steps.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs), str(record)],
+    subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs), str(record)],
                    env=env, check=True, capture_output=True)
     *flat, fuchsian = json.loads(record.read_text())
     assert len(flat) == len(runs) + 1
-    for step, code, numpy_loaded in flat:
-        assert not numpy_loaded, f"{step} (exit {code}) loaded numpy"
-    assert fuchsian == ["count", 0, True]
+    for step, code, loaded in flat:
+        assert not any(loaded.values()), f"{step} (exit {code}) loaded {loaded}"
+    assert fuchsian == ["count", 0, {"numpy": True, "dataclasses": False, "inspect": True}]
     assert (octagon / "count.csv").read_bytes() == (ROOT / "tests" / "golden" / "octagon" / "count.csv").read_bytes()

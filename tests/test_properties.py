@@ -1,16 +1,21 @@
 """Property tests for the invariances of (n_t, m_t, s_t) on the flat
 geometries: translation on the torus, swapping the endpoints, monotonicity
 in t, and the symmetries of the square billiard table; and of the octagon
-orbit counts under swapping the base points and moving both by a generator.
+orbit counts under swapping the base points and moving both by a generator;
+and the record contract every class the package defines keeps.
 
 Thresholds stay at t^2 <= 4 so each example solves in well under a second.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geoblock
 from geoblock.blocker import _level_families, blocking_threshold
 from geoblock.flatspace import FlatSpace, RationalPoint, connecting_family
 from geoblock.hyperbolic import load_preset, orbit_count
@@ -109,3 +114,27 @@ def test_octagon_swap_and_isometry(x, y, t, k):
     g = OCTAGON.generators[k]
     assert orbit_counts(y, x, t) == want
     assert orbit_counts(g.apply(x), g.apply(y), t) == want
+
+
+def _record_classes() -> list[type]:
+    """Every class a package module defines, but the errors."""
+    modules = [importlib.import_module(f"geoblock.{m.name}") for m in pkgutil.iter_modules(geoblock.__path__)]
+    return [
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and not issubclass(obj, Exception)
+    ]
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_records_are_immutable_value_tuples(cls):
+    # a record is a NamedTuple: no field can be set, and a copy is equal and
+    # hashes alike
+    assert issubclass(cls, tuple) and cls._fields
+    r = cls._make(range(len(cls._fields)))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+    with pytest.raises(AttributeError):
+        r.unknown_field = None
+    assert r._replace() == r
+    assert hash(r._replace()) == hash(r)
